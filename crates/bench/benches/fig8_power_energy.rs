@@ -42,18 +42,20 @@ fn main() {
                 .expect("design present")
         };
         let virgo = get(DesignKind::Virgo);
-        let ampere = get(DesignKind::AmpereStyle);
-        let hopper = get(DesignKind::HopperStyle);
-        println!(
-            "\nVirgo vs Ampere-style: power -{:.1}%, energy -{:.1}%",
-            (1.0 - virgo.active_power_mw() / ampere.active_power_mw()) * 100.0,
-            (1.0 - virgo.total_energy_mj() / ampere.total_energy_mj()) * 100.0
-        );
-        println!(
-            "Virgo vs Hopper-style: power -{:.1}%, energy -{:.1}%",
-            (1.0 - virgo.active_power_mw() / hopper.active_power_mw()) * 100.0,
-            (1.0 - virgo.total_energy_mj() / hopper.total_energy_mj()) * 100.0
-        );
+        // Signed reductions: positive when Virgo draws less, negative when it
+        // draws more (Hopper-style power at 512³).
+        let reduction = |ours: f64, theirs: f64| (1.0 - ours / theirs) * 100.0;
+        println!();
+        for (name, other) in [
+            ("Ampere-style", get(DesignKind::AmpereStyle)),
+            ("Hopper-style", get(DesignKind::HopperStyle)),
+        ] {
+            println!(
+                "Virgo's reduction vs {name}: power {:+.1}%, energy {:+.1}%",
+                reduction(virgo.active_power_mw(), other.active_power_mw()),
+                reduction(virgo.total_energy_mj(), other.total_energy_mj()),
+            );
+        }
     }
     println!("\nPaper reference (Figure 8 / Section 6.1.2): Virgo reduces active power by 67.3%");
     println!("vs the Ampere-style design and 24.2% vs the Hopper-style design, and active");

@@ -14,7 +14,7 @@
 //! load, continuous batching beats serial FIFO on both p99 latency and
 //! goodput.
 
-use virgo::{GpuConfig, SimMode};
+use virgo::{GpuConfig, SchedStats, SimMode};
 use virgo_kernels::{AttentionShape, GemmShape};
 use virgo_serve::{
     generate_trace, ArbitrationPolicy, BatchingMode, RequestClass, ServeConfig, ServeReport,
@@ -71,6 +71,16 @@ fn serve(
 }
 
 fn arm_json(report: &ServeReport) -> String {
+    // Scheduler work summed over the arm's completed requests: the cycles
+    // the event queue processed and the cycles it jumped over.
+    let sched = |count: fn(&SchedStats) -> u64| -> u64 {
+        report
+            .outcomes
+            .iter()
+            .filter_map(|o| o.report.as_ref())
+            .map(|r| count(r.sched_stats()))
+            .sum()
+    };
     format!(
         concat!(
             "{{\n",
@@ -83,7 +93,9 @@ fn arm_json(report: &ServeReport) -> String {
             "        \"goodput_rps\": {:.3},\n",
             "        \"active_energy_mj\": {:.6},\n",
             "        \"static_energy_mj\": {:.6},\n",
-            "        \"energy_per_request_mj\": {:.6}\n",
+            "        \"energy_per_request_mj\": {:.6},\n",
+            "        \"processed_cycles\": {},\n",
+            "        \"skipped_cycles\": {}\n",
             "      }}"
         ),
         report.completed(),
@@ -96,6 +108,8 @@ fn arm_json(report: &ServeReport) -> String {
         report.active_energy_mj,
         report.static_energy_mj,
         report.energy_per_request_mj,
+        sched(|s| s.processed_cycles),
+        sched(|s| s.skipped_cycles),
     )
 }
 

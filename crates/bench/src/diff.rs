@@ -85,7 +85,6 @@ pub fn classify(path: &str, value: &JsonValue) -> Rule {
             | "tensor_events"
             | "dma_events"
             | "dsm_events"
-            | "dram_events"
             | "bailout_engagements" => Rule::HigherWorse(0.001),
             // Serving-simulator gates (`BENCH_serve.json`): tail latency and
             // energy-per-request regress upward, goodput regresses downward.
@@ -416,7 +415,6 @@ mod tests {
             "tensor_events",
             "dma_events",
             "dsm_events",
-            "dram_events",
             "bailout_engagements",
         ] {
             assert_eq!(
@@ -445,6 +443,39 @@ mod tests {
         // Skipped cycles shrinking means the driver is jumping less.
         let (r, _) = diff(r#"{"skipped_cycles": 9000}"#, r#"{"skipped_cycles": 7000}"#);
         assert_eq!(r, 1);
+    }
+
+    #[test]
+    fn serving_scheduler_counters_are_gated() {
+        // BENCH_serve.json's per-arm scheduler sums: the session processing
+        // more cycles, or jumping fewer, means the job table's time advance
+        // regressed even when every simulated latency is unchanged.
+        let num = JsonValue::Num(1000.0);
+        assert_eq!(
+            classify("sweep[0].continuous_fifo.processed_cycles", &num),
+            Rule::HigherWorse(0.001)
+        );
+        assert_eq!(
+            classify("faulted.skipped_cycles", &num),
+            Rule::LowerWorse(0.001)
+        );
+        let old =
+            r#"{"sweep": [{"serial_fifo": {"processed_cycles": 800, "skipped_cycles": 9000}}]}"#;
+        let (r, _) = diff(
+            old,
+            r#"{"sweep": [{"serial_fifo": {"processed_cycles": 900, "skipped_cycles": 9000}}]}"#,
+        );
+        assert_eq!(r, 1);
+        let (r, _) = diff(
+            old,
+            r#"{"sweep": [{"serial_fifo": {"processed_cycles": 800, "skipped_cycles": 8000}}]}"#,
+        );
+        assert_eq!(r, 1);
+        let (r, _) = diff(
+            old,
+            r#"{"sweep": [{"serial_fifo": {"processed_cycles": 700, "skipped_cycles": 9100}}]}"#,
+        );
+        assert_eq!(r, 0);
     }
 
     #[test]

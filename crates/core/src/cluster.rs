@@ -627,9 +627,8 @@ impl Cluster {
     /// Reports the earliest cycle `>= now` at which ticking the cluster can
     /// change observable state (beyond time-uniform stall accounting), or
     /// `None` when nothing in this cluster will ever happen again on its own.
-    /// The driver folds this over all clusters; a machine-wide `None` is a
-    /// deadlock, which it converts into a timeout without ticking through the
-    /// remaining budget.
+    /// The job table folds this over a timed-out job's clusters; `None` on
+    /// all of them is a deadlock verdict.
     pub fn next_activity(
         &mut self,
         now: Cycle,
@@ -638,8 +637,7 @@ impl Cluster {
     ) -> Option<Cycle> {
         if now.get() < self.start_at {
             // Nothing can happen before the late-start release; the release
-            // cycle itself is the next event, which lets the fast-forward
-            // engine jump straight over the held window.
+            // cycle itself is the next event.
             return Some(Cycle::new(self.start_at));
         }
         let mut next = self.devices.next_activity(now);
@@ -660,27 +658,9 @@ impl Cluster {
         next
     }
 
-    /// Jumps the cluster from cycle `from` over `cycles` quiescent ticks,
-    /// bulk-replaying exactly the per-cycle accounting the naive loop would
-    /// have performed. The caller guarantees, via [`Cluster::next_activity`]
-    /// folded over every cluster, that no component can make progress inside
-    /// the window.
-    pub fn fast_forward(&mut self, from: Cycle, cycles: u64) {
-        if from.get() < self.start_at {
-            // The window lies inside the held-in-reset period (next_activity
-            // pins the horizon to `start_at`, so it can never straddle the
-            // release): the naive loop would have skipped every tick too.
-            return;
-        }
-        self.devices.fast_forward(cycles);
-        for core in &mut self.cores {
-            core.fast_forward(from, cycles);
-        }
-    }
-
     // --- Per-component entry points for the event-driven driver -----------
     //
-    // The event-queue scheduler (see `run.rs`) advances the cluster's
+    // The event-queue scheduler (see `scheduler.rs`) advances the cluster's
     // devices and each core independently: a component is ticked only on the
     // cycles it is scheduled for, and the gap since its last tick is
     // bulk-replayed first so per-cycle accounting stays bit-identical to the
@@ -723,22 +703,6 @@ impl Cluster {
     /// The devices' own event horizon (see [`ClusterDevices::next_activity`]).
     pub fn devices_next_activity(&self, now: Cycle) -> Option<Cycle> {
         self.devices.next_activity(now)
-    }
-
-    /// Core `core`'s event horizon against the cluster port.
-    pub fn core_next_activity(
-        &mut self,
-        core: usize,
-        now: Cycle,
-        backend: &mut MemoryBackend,
-        fabric: &mut DsmFabric,
-    ) -> Option<Cycle> {
-        let ctx = ClusterCtx {
-            devices: &mut self.devices,
-            backend,
-            fabric,
-        };
-        self.cores[core].next_activity(now, &ctx)
     }
 
     /// Bulk-replays `cycles` parked device ticks (DMA busy time, matrix-unit

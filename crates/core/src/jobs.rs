@@ -1,11 +1,9 @@
 //! Multi-job residency: a table of concurrently-resident kernels, each bound
 //! to a disjoint cluster subset of one shared machine.
 //!
-//! The single-kernel drivers in [`crate::run`] assume the whole GPU belongs
-//! to one kernel: the machine is built around it, run to completion and torn
-//! down. A [`JobTable`] generalizes that into a *session*: the machine stays
-//! up, jobs are admitted onto free cluster slots while others are still
-//! running, and every job retires with its own [`SimReport`] sliced out of
+//! A [`JobTable`] is a *session*: the machine stays up, jobs are admitted
+//! onto free cluster slots while others are still running, and every job
+//! retires with its own [`SimReport`] sliced out of
 //! the shared counters via the residency-window attribution deltas that
 //! [`virgo_mem::MemoryBackend::attribution`] and
 //! [`virgo_mem::DsmFabric::attribution`] expose. Cross-job contention on the
@@ -13,27 +11,33 @@
 //! the same [`virgo_mem::MemoryBackend`], so one tenant's DRAM traffic
 //! lengthens another's latency exactly as on real hardware.
 //!
-//! # Equivalence guarantees
+//! The session is the simulator's only time-advance loop:
+//! [`crate::run::Gpu::run`] is a one-job session that admits its kernel
+//! onto every cluster at cycle 0 and advances it to completion.
 //!
-//! The session driver is built so the refactor is observationally invisible
-//! to existing users:
+//! # Equivalence guarantees
 //!
 //! * **Single job ≡ standalone.** A job admitted at cycle 0 onto every
 //!   cluster of an otherwise-idle table produces the byte-identical
-//!   [`SimReport`] a [`crate::run::Gpu::run`] of the same kernel would. The
-//!   naive session loop performs the same finish-check-then-tick sequence
-//!   per cycle; the idle-slot clusters it also ticks hold the empty kernel,
-//!   whose ticks touch nothing shared.
+//!   [`SimReport`] (scheduler counters included) that
+//!   [`crate::run::Gpu::run`] of the same kernel does. The naive loop's
+//!   idle-slot clusters hold the empty kernel, whose ticks touch nothing
+//!   shared.
 //! * **Sequential ≡ standalone.** When the table goes fully idle the shared
 //!   back-end and fabric are rebuilt cold, so the i-th job of a back-to-back
 //!   sequence sees exactly the cold caches of an i-th standalone run. All
 //!   component timing is relative to request start (`busy_until`
 //!   arithmetic), so the admission offset shifts nothing.
-//! * **Naive ≡ fast-forward.** The fast-forward session driver jumps only
-//!   over windows in which the machine-wide activity probe reports no
-//!   component can act — the same soundness contract the single-kernel
-//!   event-queue driver relies on — and bulk-replays the skipped
-//!   time-uniform accounting.
+//! * **Naive ≡ fast-forward.** Under [`SimMode::FastForward`] the
+//!   event-queue scheduler ticks each component (the fabric, each resident
+//!   cluster's devices and cores) only on the cycles it can act, and
+//!   bulk-replays a parked component's time-uniform accounting right before
+//!   its next tick (the `virgo_sim::activity` soundness contract). A job
+//!   parked in a long DMA or fence wait is jumped over even while other
+//!   jobs keep the machine busy. Its jumps stop at the caller's target,
+//!   at every resident deadline and at every pending half-budget watchdog
+//!   checkpoint, so retirements, timeouts and verdicts land on the cycles
+//!   the naive loop produces.
 
 use virgo_isa::{Kernel, KernelInfo};
 use virgo_mem::{BackendAttribution, FabricAttribution};
@@ -43,6 +47,7 @@ use crate::config::GpuConfig;
 use crate::machine::Machine;
 use crate::report::{JobView, SchedStats, SimReport};
 use crate::run::{SimError, SimMode, WatchdogVerdict};
+use crate::scheduler::Scheduler;
 
 /// Identifier of a job admitted to a [`JobTable`], unique within the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,8 +105,7 @@ struct ResidentJob {
     backend_base: BackendAttribution,
     fabric_base: FabricAttribution,
     /// Instructions retired on the job's clusters at its half-budget
-    /// checkpoint — the per-job livelock detector, mirroring the standalone
-    /// drivers' watchdog.
+    /// checkpoint — the livelock detector.
     watchdog_sample: Option<u64>,
 }
 
@@ -150,6 +154,9 @@ pub struct JobTable {
     occupied: Vec<bool>,
     now: u64,
     next_id: u64,
+    /// The event-queue scheduler under [`SimMode::FastForward`]; `None`
+    /// under [`SimMode::Naive`], which ticks the whole machine every cycle.
+    sched: Option<Scheduler>,
 }
 
 impl JobTable {
@@ -158,6 +165,8 @@ impl JobTable {
     pub fn new(config: GpuConfig, mode: SimMode) -> Self {
         let machine = Machine::idle(&config);
         let slots = config.clusters.max(1) as usize;
+        let sched =
+            (mode == SimMode::FastForward).then(|| Scheduler::new(slots, config.cores as usize));
         JobTable {
             config,
             mode,
@@ -166,6 +175,7 @@ impl JobTable {
             occupied: vec![false; slots],
             now: 0,
             next_id: 0,
+            sched,
         }
     }
 
@@ -249,6 +259,9 @@ impl JobTable {
         let mut owned: Vec<u32> = clusters.to_vec();
         owned.sort_unstable();
         self.machine.load(&self.config, kernel, &owned, self.now);
+        if let Some(sched) = &mut self.sched {
+            sched.admit(&self.machine, &owned);
+        }
         for &id in &owned {
             self.occupied[id as usize] = true;
         }
@@ -273,12 +286,11 @@ impl JobTable {
     /// machine, so the caller can admit follow-on work at that same cycle —
     /// or with an empty vector once the clock reaches `target`.
     ///
-    /// Per cycle the driver mirrors the standalone naive loop: finished jobs
-    /// retire *before* the tick (a job finishing at cycle `c` reports
-    /// `c - admitted` cycles, exactly the standalone count), then expired
-    /// budgets time out, then the machine ticks. Under
-    /// [`SimMode::FastForward`] globally-quiescent windows are jumped over
-    /// and bulk-replayed instead of ticked.
+    /// At each cycle finished jobs retire *before* the tick (a job finishing
+    /// at cycle `c` reports `c - admitted` cycles, exactly the standalone
+    /// count), then expired budgets time out, then the machine advances:
+    /// one tick of every component under [`SimMode::Naive`], the
+    /// event-queue scheduler under [`SimMode::FastForward`].
     pub fn advance_until(&mut self, target: u64) -> Vec<JobCompletion> {
         loop {
             let done = self.retire_finished();
@@ -300,42 +312,29 @@ impl JobTable {
             if !expired.is_empty() {
                 return expired;
             }
-            match self.mode {
-                SimMode::Naive => {
-                    self.machine.tick(Cycle::new(self.now));
-                    self.now += 1;
-                }
-                SimMode::FastForward => self.step_fast_forward(target),
-            }
-        }
-    }
-
-    /// One fast-forward step: tick if any component can act this cycle,
-    /// otherwise jump to the next event — clamped to the caller's target and
-    /// to every resident deadline, so timeouts fire at the cycle the naive
-    /// loop would fire them.
-    fn step_fast_forward(&mut self, target: u64) {
-        let now = Cycle::new(self.now);
-        match self.machine.next_activity(now) {
-            Some(t) if t.get() <= self.now => {
-                self.machine.tick(now);
+            let Some(sched) = &mut self.sched else {
+                self.machine.tick(Cycle::new(self.now));
                 self.now += 1;
-            }
-            activity => {
-                let mut jump_to = activity.map_or(u64::MAX, |t| t.get()).min(target);
-                for job in &self.jobs {
-                    jump_to = jump_to.min(job.deadline());
+                continue;
+            };
+            // Deadlines and watchdog checkpoints are handled here, between
+            // scheduler runs, so no jump may cross one.
+            let horizon = self.jobs.iter().fold(target, |h, job| {
+                let h = h.min(job.deadline());
+                match job.watchdog_sample {
+                    None => h.min(job.watchdog_at()),
+                    Some(_) => h,
                 }
-                debug_assert!(jump_to > self.now);
-                self.machine.fast_forward_all(now, jump_to - self.now);
-                self.now = jump_to;
-            }
+            });
+            let jobs = &self.jobs;
+            self.now = sched.run(&mut self.machine, horizon, |machine| {
+                jobs.iter().any(|job| machine.finished_on(&job.clusters))
+            });
         }
     }
 
-    /// Takes the half-budget retirement checkpoint for any job that crossed
-    /// it. Jump arrivals past a checkpoint are equivalent to sampling at the
-    /// checkpoint itself: retirement cannot change inside a quiescent window.
+    /// Takes the half-budget retirement checkpoint for any job that reached
+    /// it (the scheduler never jumps past a pending checkpoint).
     fn sample_watchdogs(&mut self) {
         for job in &mut self.jobs {
             if job.watchdog_sample.is_none() && self.now >= job.watchdog_at() {
@@ -353,7 +352,8 @@ impl JobTable {
         while i < self.jobs.len() {
             if self.machine.finished_on(&self.jobs[i].clusters) {
                 let job = self.jobs.remove(i);
-                let report = self.job_report(&job);
+                let sched = self.leave(&job);
+                let report = self.job_report(&job, sched);
                 self.release(&job.clusters);
                 done.push(JobCompletion {
                     id: job.id,
@@ -370,15 +370,16 @@ impl JobTable {
         done
     }
 
-    /// Times out every job whose budget has elapsed, with the standalone
-    /// drivers' deadlock / livelock / slow-progress verdict probed over the
-    /// job's own clusters and the diagnosis naming the job.
+    /// Times out every job whose budget has elapsed, with the deadlock /
+    /// livelock / slow-progress verdict probed over the job's own clusters
+    /// and the diagnosis naming the job.
     fn expire_timeouts(&mut self) -> Vec<JobCompletion> {
         let mut done = Vec::new();
         let mut i = 0;
         while i < self.jobs.len() {
             if self.now >= self.jobs[i].deadline() {
                 let job = self.jobs.remove(i);
+                self.leave(&job);
                 let verdict = if self
                     .machine
                     .next_activity_on(&job.clusters, Cycle::new(self.now))
@@ -418,6 +419,16 @@ impl JobTable {
         done
     }
 
+    /// Drops a departing job's components from the scheduler, accounting
+    /// their parked tails up to now, and returns the job's scheduler
+    /// counters (all zero under [`SimMode::Naive`]).
+    fn leave(&mut self, job: &ResidentJob) -> SchedStats {
+        match &mut self.sched {
+            Some(sched) => sched.leave(&mut self.machine, &job.clusters, job.admitted, self.now),
+            None => SchedStats::default(),
+        }
+    }
+
     /// Returns a departed job's slots to idle, rebuilding the shared
     /// back-end cold when the whole table empties — the sequential ≡
     /// standalone guarantee.
@@ -433,7 +444,7 @@ impl JobTable {
 
     /// Builds a job's report from its residency window: its cluster slots
     /// plus the shared-counter deltas since admission.
-    fn job_report(&self, job: &ResidentJob) -> SimReport {
+    fn job_report(&self, job: &ResidentJob, sched: SchedStats) -> SimReport {
         let view = JobView {
             clusters: job
                 .clusters
@@ -445,12 +456,7 @@ impl JobTable {
             admitted: job.admitted,
             end: self.now,
         };
-        SimReport::from_parts(
-            &view,
-            &job.info,
-            Cycle::new(self.now - job.admitted),
-            SchedStats::default(),
-        )
+        SimReport::from_parts(&view, &job.info, Cycle::new(self.now - job.admitted), sched)
     }
 }
 
@@ -676,6 +682,71 @@ mod tests {
             // The slot is reusable after eviction.
             assert_eq!(table.free_clusters(), vec![0, 1], "{mode}");
         }
+    }
+
+    #[test]
+    fn job_parked_in_a_dma_wait_is_jumped_while_another_runs() {
+        // Job A programs one long DRAM-to-shared DMA tile and fences on it;
+        // job B, admitted while A is parked, keeps its own cluster busy
+        // issuing every cycle.
+        let mut b = ProgramBuilder::new();
+        b.op(WarpOp::MmioWrite {
+            device: virgo_isa::DeviceId::DMA0,
+            cmd: virgo_isa::MmioCommand::DmaCopy(virgo_isa::DmaCopyCmd::new(
+                virgo_isa::MemLoc::global(0u64),
+                virgo_isa::MemLoc::shared(0u64),
+                256 * 1024,
+            )),
+        });
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+        let parked = Kernel::new(
+            KernelInfo::new("parked", 0, DataType::Fp16),
+            vec![WarpAssignment::on_cluster(0, 0, 0, Arc::new(b.build()))],
+        );
+        let config = GpuConfig::virgo().with_clusters(2);
+        let mut per_mode = Vec::new();
+        for mode in [SimMode::Naive, SimMode::FastForward] {
+            let mut table = JobTable::new(config.clone(), mode);
+            table.admit("a", &parked, &[0], 10_000_000).unwrap();
+            assert!(table.advance_until(500).is_empty(), "{mode}");
+            table
+                .admit("b", &one_cluster_kernel(1, 2_000), &[1], 10_000_000)
+                .unwrap();
+            let mut done = Vec::new();
+            while !table.is_idle() {
+                done.extend(table.advance_until(u64::MAX));
+            }
+            done.sort_by_key(|c| c.id);
+            // B's compute finishes inside A's DMA wait.
+            assert!(done[1].retired < done[0].retired, "{mode}");
+            let sched: Vec<SchedStats> = done
+                .iter()
+                .map(|c| *c.result.as_ref().unwrap().sched_stats())
+                .collect();
+            match mode {
+                SimMode::Naive => assert!(sched.iter().all(|s| *s == SchedStats::default())),
+                SimMode::FastForward => {
+                    for (c, s) in done.iter().zip(&sched) {
+                        assert_eq!(s.processed_cycles + s.skipped_cycles, c.residency());
+                    }
+                    // A is jumped over even while B keeps the machine busy:
+                    // it processes fewer cycles than B is resident.
+                    assert!(sched[0].processed_cycles < done[1].residency());
+                    assert!(sched[1].simt_events > 0);
+                }
+            }
+            // Everything but the scheduler counters must match across modes.
+            per_mode.push(
+                done.iter()
+                    .map(|c| {
+                        let mut r = c.result.clone().unwrap();
+                        r.sched = SchedStats::default();
+                        (c.admitted, c.retired, format!("{r:?}"))
+                    })
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(per_mode[0], per_mode[1]);
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod key;
 mod machine;
 pub mod report;
 pub mod run;
+mod scheduler;
 pub mod snapshot;
 
 pub use cluster::{Cluster, ClusterDevices, ClusterStats, PlacedWarpSnapshot};

@@ -1,14 +1,12 @@
-//! The machine under simulation, factored out of the run loop so that both
-//! the single-kernel drivers ([`crate::run::Gpu`]) and the multi-job
-//! residency session ([`crate::jobs::JobTable`]) share one substrate.
+//! The machine under simulation, driven by the residency session
+//! ([`crate::jobs::JobTable`]) that [`crate::run::Gpu::run`] also runs on.
 //!
 //! A [`Machine`] is every cluster plus the shared L2/DRAM back-end they
 //! contend for and the inter-cluster DSM fabric linking their scratchpads.
 //! The multi-job extensions treat the cluster vector as a slot table: a job
 //! is *loaded* by rebuilding its subset of cluster slots around a kernel
-//! (fresh cores, engines and scratchpads — exactly what [`Machine::new`]
-//! does for the whole machine), and *unloaded* by putting an idle cluster
-//! back in the slot. The shared back-end and fabric deliberately persist
+//! (fresh cores, engines and scratchpads), and *unloaded* by putting an
+//! idle cluster back in the slot. The shared back-end and fabric deliberately persist
 //! across loads: cross-job contention there is the phenomenon the job table
 //! exists to model.
 
@@ -19,7 +17,6 @@ use virgo_simt::BlockReason;
 
 use crate::cluster::Cluster;
 use crate::config::GpuConfig;
-use crate::report::{SchedStats, SimReport};
 use crate::run::{BlockedOn, TimeoutDiagnosis, WarpDiagnosis, WatchdogVerdict};
 
 /// The machine under simulation: every cluster plus the shared memory
@@ -42,32 +39,34 @@ fn idle_kernel(config: &GpuConfig) -> Kernel {
     )
 }
 
-impl Machine {
-    pub(crate) fn new(config: &GpuConfig, kernel: &Kernel) -> Machine {
-        let cluster_count = config.clusters.max(1);
-        let mut backend = MemoryBackend::new(config.global_memory(), cluster_count);
-        let mut fabric = DsmFabric::new(config.dsm, cluster_count);
-        if !config.faults.events.is_empty() {
-            // An empty plan must not touch the components at all: the
-            // faults-off machine stays bit-identical to the pre-fault model.
-            backend.apply_faults(&config.faults);
-            fabric.apply_faults(&config.faults);
-        }
-        let clusters = (0..cluster_count)
-            .map(|c| Cluster::new(config.clone(), kernel, c))
-            .collect();
-        Machine {
-            clusters,
-            backend,
-            fabric,
-        }
+/// A cold shared back-end and DSM fabric, with the fault plan applied.
+fn cold_shared(config: &GpuConfig) -> (MemoryBackend, DsmFabric) {
+    let cluster_count = config.clusters.max(1);
+    let mut backend = MemoryBackend::new(config.global_memory(), cluster_count);
+    let mut fabric = DsmFabric::new(config.dsm, cluster_count);
+    if !config.faults.events.is_empty() {
+        // An empty plan must not touch the components at all: the
+        // faults-off machine stays bit-identical to the pre-fault model.
+        backend.apply_faults(&config.faults);
+        fabric.apply_faults(&config.faults);
     }
+    (backend, fabric)
+}
 
+impl Machine {
     /// An all-idle machine: every cluster slot holds the empty kernel, the
     /// shared back-end and fabric are cold. The starting state of a
     /// [`crate::jobs::JobTable`] session.
     pub(crate) fn idle(config: &GpuConfig) -> Machine {
-        Machine::new(config, &idle_kernel(config))
+        let kernel = idle_kernel(config);
+        let (backend, fabric) = cold_shared(config);
+        Machine {
+            clusters: (0..config.clusters.max(1))
+                .map(|c| Cluster::new(config.clone(), &kernel, c))
+                .collect(),
+            backend,
+            fabric,
+        }
     }
 
     /// Loads `kernel` onto the cluster slots in `ids`, replacing whatever
@@ -94,17 +93,7 @@ impl Machine {
     /// run would — the mechanism behind the sequential ≡ standalone
     /// bit-identity guarantee.
     pub(crate) fn reset_shared(&mut self, config: &GpuConfig) {
-        let cluster_count = config.clusters.max(1);
-        self.backend = MemoryBackend::new(config.global_memory(), cluster_count);
-        self.fabric = DsmFabric::new(config.dsm, cluster_count);
-        if !config.faults.events.is_empty() {
-            self.backend.apply_faults(&config.faults);
-            self.fabric.apply_faults(&config.faults);
-        }
-    }
-
-    pub(crate) fn finished(&self) -> bool {
-        self.clusters.iter().all(Cluster::finished) && self.fabric.quiescent()
+        (self.backend, self.fabric) = cold_shared(config);
     }
 
     /// Whether the job occupying the cluster slots in `ids` has finished.
@@ -125,26 +114,10 @@ impl Machine {
         }
     }
 
-    /// Folds every cluster's event horizon, plus the DSM fabric's earliest
-    /// in-flight delivery. `Some(now)` short-circuits: some component can act
-    /// this cycle, so nothing may be skipped. `None` means nothing will ever
-    /// act again — a machine-wide deadlock.
-    pub(crate) fn next_activity(&mut self, now: Cycle) -> Option<Cycle> {
-        let mut next = self.fabric.next_activity(now);
-        if next == Some(now) {
-            return next;
-        }
-        for cluster in &mut self.clusters {
-            match cluster.next_activity(now, &mut self.backend, &mut self.fabric) {
-                Some(t) if t <= now => return Some(now),
-                event => next = earliest(next, event),
-            }
-        }
-        next
-    }
-
-    /// [`Machine::next_activity`] restricted to the cluster slots in `ids`
-    /// (plus the shared fabric) — the per-job deadlock probe.
+    /// Folds the event horizons of the cluster slots in `ids`, plus the DSM
+    /// fabric's earliest in-flight delivery — the per-job deadlock probe.
+    /// `Some(now)` short-circuits: some component can act this cycle. `None`
+    /// means nothing on the job's clusters will ever act again.
     pub(crate) fn next_activity_on(&mut self, ids: &[u32], now: Cycle) -> Option<Cycle> {
         let mut next = self.fabric.next_activity(now);
         if next == Some(now) {
@@ -160,67 +133,16 @@ impl Machine {
         next
     }
 
-    /// Bulk-replays a globally-quiescent gap of `cycles` cycles starting at
-    /// `from` on every cluster. Safe only when [`Machine::next_activity`]
-    /// reported no activity strictly before `from + cycles`: the skipped
-    /// window then contains nothing but time-uniform stall/idle accounting,
-    /// which `fast_forward` replays in bulk (the same soundness contract the
-    /// event-queue driver relies on). The fabric needs no replay — its tick
-    /// is a pure no-op while quiescent.
-    pub(crate) fn fast_forward_all(&mut self, from: Cycle, cycles: u64) {
-        for cluster in &mut self.clusters {
-            cluster.fast_forward(from, cycles);
-        }
-    }
-
-    pub(crate) fn report(
-        &self,
-        info: &virgo_isa::KernelInfo,
-        cycles: Cycle,
-        sched: SchedStats,
-    ) -> SimReport {
-        SimReport::from_machine(
-            &self.clusters,
-            &self.backend,
-            &self.fabric,
-            info,
-            cycles,
-            sched,
-        )
-    }
-
-    /// Real (non-poll) instructions retired so far, machine-wide — the
-    /// watchdog's forward-progress measure.
-    pub(crate) fn retired_instructions(&self) -> u64 {
-        self.clusters
-            .iter()
-            .map(|c| c.core_stats().instrs_issued)
-            .sum()
-    }
-
-    /// Instructions retired on the cluster slots in `ids` — the per-job
-    /// watchdog's forward-progress measure.
+    /// Real (non-poll) instructions retired on the cluster slots in `ids` —
+    /// the watchdog's forward-progress measure.
     pub(crate) fn retired_on(&self, ids: &[u32]) -> u64 {
         ids.iter()
             .map(|&id| self.clusters[id as usize].core_stats().instrs_issued)
             .sum()
     }
 
-    pub(crate) fn timeout_diagnosis(
-        &self,
-        verdict: WatchdogVerdict,
-        active_fault_windows: u64,
-    ) -> TimeoutDiagnosis {
-        TimeoutDiagnosis {
-            verdict,
-            active_fault_windows,
-            warps: diagnose(self.clusters.iter()),
-            job: None,
-        }
-    }
-
-    /// Per-job timeout diagnosis: only the warps on the job's clusters, with
-    /// the owning job named so a multi-resident timeout is attributable.
+    /// Timeout diagnosis: only the warps on the job's clusters, with the
+    /// owning job named so a multi-resident timeout is attributable.
     pub(crate) fn timeout_diagnosis_on(
         &self,
         ids: &[u32],

@@ -7,8 +7,8 @@ use virgo_energy::{
 };
 use virgo_isa::KernelInfo;
 use virgo_mem::{
-    BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats, DsmFabric,
-    DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, MemoryBackend, SmemStats,
+    BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
+    DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, SmemStats,
 };
 use virgo_sim::{ClusterFaultStats, Cycle, FaultPlan, FaultStats, Frequency, Ratio};
 use virgo_simt::CoreStats;
@@ -16,19 +16,25 @@ use virgo_simt::CoreStats;
 use crate::cluster::{Cluster, ClusterStats};
 use crate::config::DesignKind;
 
-/// Event-driven scheduler statistics: how the fast-forward driver spent the
-/// run and which component class pinned each scheduled event.
+/// Event-driven scheduler statistics: how the fast-forward scheduler spent
+/// a job's residency and which component class pinned each event.
 ///
-/// These counters describe the *driver*, not the architecture: they are all
-/// zero under `SimMode::Naive` (which has no scheduler) and are deliberately
-/// excluded from the report digest/fingerprint, so the two simulation modes
-/// stay bit-identical on every architectural statistic while still exposing
-/// where the event queue's time went.
+/// A job's counters cover its own components (its clusters' devices and
+/// cores) plus the DSM fabric while it was resident; for a
+/// [`crate::run::Gpu::run`], whose one job owns every cluster from cycle 0,
+/// that is the whole machine. These counters describe the *scheduler*, not
+/// the architecture: they are all zero under `SimMode::Naive` (which has no
+/// scheduler) and are deliberately excluded from the report
+/// digest/fingerprint, so the two simulation modes stay bit-identical on
+/// every architectural statistic while still exposing where the event
+/// queue's time went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Cycles on which at least one component was scheduled and ticked.
+    /// Cycles on which at least one of the job's components (or the
+    /// fabric) was scheduled and ticked.
     pub processed_cycles: u64,
-    /// Cycles the driver jumped over without touching any component.
+    /// The rest of the residency: cycles jumped over without touching any
+    /// of the job's components.
     pub skipped_cycles: u64,
     /// SIMT-core ticks the scheduler dispatched.
     pub simt_events: u64,
@@ -42,14 +48,8 @@ pub struct SchedStats {
     pub dma_events: u64,
     /// Inter-cluster DSM fabric ticks (dispatched at transfer deliveries).
     pub dsm_events: u64,
-    /// Always zero: the L2/DRAM back-end is purely reactive (its
-    /// `NextActivity` is unconditionally `None`), so it never schedules an
-    /// event of its own — latency surfaces through the components that access
-    /// it. The counter exists so the attribution table is exhaustive.
-    pub dram_events: u64,
-    /// Times the scheduler fell back to plain naive stepping because every
-    /// component was due for several consecutive cycles. With batched operand
-    /// streaming this should stay at zero on dense GEMM workloads.
+    /// Always zero: the scheduler has no dense-region fallback to naive
+    /// stepping any more. Kept so existing readers of the field still build.
     pub bailout_engagements: u64,
 }
 
@@ -183,9 +183,9 @@ pub struct SimReport {
 /// owned plus the shared-resource counters accumulated over its residency
 /// window (an attribution delta between retirement and admission snapshots).
 ///
-/// The single-kernel drivers build the degenerate view — every cluster,
-/// zero-base attribution, `admitted = 0` — so [`SimReport::from_parts`]
-/// reproduces the pre-refactor report byte for byte.
+/// A [`crate::run::Gpu::run`] session builds the degenerate view — every
+/// cluster, a cold machine's zero-base attribution, `admitted = 0` — the
+/// whole machine's report.
 pub(crate) struct JobView<'a> {
     /// The cluster slots the job ran on, in cluster-id order.
     pub(crate) clusters: Vec<&'a Cluster>,
@@ -212,27 +212,6 @@ fn windows_between(count_by: impl Fn(u64) -> u64, admitted: u64, end: u64) -> u6
 }
 
 impl SimReport {
-    /// Builds a report from the finished machine: every cluster plus the
-    /// shared memory back-end. The degenerate single-job view of
-    /// [`SimReport::from_parts`].
-    pub(crate) fn from_machine(
-        clusters: &[Cluster],
-        backend: &MemoryBackend,
-        fabric: &DsmFabric,
-        info: &KernelInfo,
-        cycles: Cycle,
-        sched: SchedStats,
-    ) -> Self {
-        let view = JobView {
-            clusters: clusters.iter().collect(),
-            backend: backend.attribution(),
-            fabric: fabric.attribution(),
-            admitted: 0,
-            end: cycles.get(),
-        };
-        SimReport::from_parts(&view, info, cycles, sched)
-    }
-
     /// Builds a report from one job's view of the machine.
     ///
     /// `cycles` is the job's residency duration (`end - admitted`). All

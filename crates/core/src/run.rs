@@ -3,11 +3,10 @@
 use std::fmt;
 
 use virgo_isa::Kernel;
-use virgo_sim::{Cycle, EventQueue, NextActivity};
 
 use crate::config::GpuConfig;
-use crate::machine::Machine;
-use crate::report::{SchedStats, SimReport};
+use crate::jobs::JobTable;
+use crate::report::SimReport;
 
 /// What one unfinished warp was stuck on when the cycle budget ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +71,7 @@ pub struct WarpDiagnosis {
 
 /// The progress watchdog's classification of why the cycle budget ran out.
 ///
-/// The driver distinguishes a machine that *cannot* make progress from one
+/// The session distinguishes a machine that *cannot* make progress from one
 /// that is merely not getting anywhere, folding the event-horizon probe and
 /// retirement accounting it already maintains:
 ///
@@ -123,8 +122,8 @@ pub struct TimeoutDiagnosis {
     /// One entry per unfinished warp, in (cluster, core, warp) order.
     pub warps: Vec<WarpDiagnosis>,
     /// The job (or tenant request) that owned the timed-out clusters, when
-    /// the timeout came from a multi-job residency session. `None` for the
-    /// single-kernel drivers, whose machine has exactly one owner.
+    /// the timeout came from a multi-job residency session. `None` for
+    /// [`Gpu::run`], whose machine has exactly one owner.
     pub job: Option<String>,
 }
 
@@ -234,7 +233,7 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// How the simulation driver advances time.
+/// How the simulation session advances time.
 ///
 /// Both modes produce **bit-identical** [`SimReport`]s — the fast-forward
 /// engine's soundness contract (see `virgo_sim::activity`) guarantees that
@@ -245,11 +244,11 @@ impl std::error::Error for SimError {}
 pub enum SimMode {
     /// Tick every component once per cycle, the classic cycle-stepped loop.
     Naive,
-    /// Skip quiescent regions: when no core or device in *any* cluster can
-    /// make progress before cycle `t`, jump straight to `t` and bulk-account
-    /// the skipped stall/idle cycles. This is the default; on stall-heavy
-    /// workloads (DRAM/DMA-bound tiles, fence waits) it reduces wall-clock
-    /// time by orders of magnitude.
+    /// Run the event-queue scheduler: each component (DSM fabric, each
+    /// cluster's devices, each SIMT core) is ticked only on the cycles it
+    /// can act, and its skipped stall/idle cycles are bulk-accounted. This
+    /// is the default; on stall-heavy workloads (DRAM/DMA-bound tiles, fence
+    /// waits) it reduces wall-clock time by orders of magnitude.
     #[default]
     FastForward,
 }
@@ -318,12 +317,14 @@ impl Gpu {
     /// Simulates `kernel` to completion, up to `max_cycles`, with an explicit
     /// time-advance mode.
     ///
-    /// [`SimMode::FastForward`] runs the event-queue scheduler: every
-    /// component (DSM fabric, each cluster's devices, each SIMT core)
-    /// registers the cycle of its next event on a deterministic
-    /// [`EventQueue`], the driver jumps straight from event to event, and a
+    /// The run is a one-job [`JobTable`] session: the kernel is admitted
+    /// onto every cluster at cycle 0 with a budget of `max_cycles` and
+    /// advanced until it retires or times out. [`SimMode::FastForward`]
+    /// runs the event-queue scheduler: every component (DSM fabric, each
+    /// cluster's devices, each SIMT core) registers the cycle of its next
+    /// event, the session jumps straight from event to event, and a
     /// component's parked gap is bulk-replayed right before its next tick so
-    /// every statistic stays bit-identical to the naive loop. A machine with
+    /// every statistic stays bit-identical to the naive loop. A kernel with
     /// no future activity at all (a deadlock) is forwarded straight to the
     /// cycle budget.
     ///
@@ -348,419 +349,23 @@ impl Gpu {
                 });
             }
         }
-        let machine = Machine::new(&self.config, kernel);
-        match mode {
-            SimMode::Naive => self.run_naive_loop(kernel, max_cycles, machine),
-            SimMode::FastForward => self.run_event_loop(kernel, max_cycles, machine),
-        }
-    }
-
-    /// The reference driver: tick every component once per cycle.
-    fn run_naive_loop(
-        &self,
-        kernel: &Kernel,
-        max_cycles: u64,
-        mut machine: Machine,
-    ) -> Result<SimReport, SimError> {
-        // Progress watchdog: one retirement checkpoint at half budget. If
-        // the run times out having retired nothing since the checkpoint
-        // while the event horizon still shows activity, that is a livelock
-        // (spinning without progress) rather than a slow kernel.
-        let watchdog_at = max_cycles / 2;
-        let mut watchdog_sample: Option<u64> = None;
-        let mut cycle = 0u64;
-        while cycle < max_cycles {
-            if watchdog_sample.is_none() && cycle >= watchdog_at {
-                watchdog_sample = Some(machine.retired_instructions());
+        let all: Vec<u32> = (0..clusters).collect();
+        let mut session = JobTable::new(self.config.clone(), mode);
+        session.admit(&kernel.info.name, kernel, &all, max_cycles)?;
+        let done = session
+            .advance_until(u64::MAX)
+            .pop()
+            .expect("a resident job retires or times out before the clock runs out");
+        done.result.map_err(|err| match err {
+            SimError::Timeout {
+                limit,
+                mut diagnosis,
+            } => {
+                diagnosis.job = None;
+                SimError::Timeout { limit, diagnosis }
             }
-            if machine.finished() {
-                return Ok(machine.report(&kernel.info, Cycle::new(cycle), SchedStats::default()));
-            }
-            machine.tick(Cycle::new(cycle));
-            cycle += 1;
-        }
-        if machine.finished() {
-            Ok(machine.report(&kernel.info, Cycle::new(cycle), SchedStats::default()))
-        } else {
-            Err(self.timeout_error(&mut machine, max_cycles, watchdog_sample))
-        }
-    }
-
-    /// The event-driven driver behind [`SimMode::FastForward`].
-    ///
-    /// Components are identified by dense ids in the naive loop's tick order
-    /// — id 0 is the DSM fabric, then per cluster the devices followed by
-    /// each core — and all components due at a cycle are processed in
-    /// ascending id order, so execution visits components in exactly the
-    /// reference sequence. `synced[id]` is the first cycle a component has
-    /// not yet accounted; the gap up to the dispatched cycle is bulk-replayed
-    /// (`fast_forward_*`) before the tick, which by the `virgo_sim::activity`
-    /// contract only contains time-uniform stall/idle accounting.
-    ///
-    /// Wakes between components are edge-triggered off monotone signatures:
-    ///
-    /// * a barrier release during core `i`'s tick re-dispatches later cores
-    ///   the same cycle and earlier ones the next cycle (naive timing);
-    /// * a submission into the devices (`inbox_mark`) wakes the devices next
-    ///   cycle — they tick before the cores, so a same-cycle wake would run
-    ///   too early;
-    /// * an async completion during a devices tick re-dispatches that
-    ///   cluster's cores the same cycle (they tick after the devices);
-    /// * new DSM traffic registers the fabric at its next delivery cycle.
-    fn run_event_loop(
-        &self,
-        kernel: &Kernel,
-        max_cycles: u64,
-        mut machine: Machine,
-    ) -> Result<SimReport, SimError> {
-        // Vestigial dense-region bailout: if every component stays due for
-        // `ALL_DUE_BAILOUT` consecutive processed cycles, the scheduler is
-        // pure overhead — fall back to plain naive stepping for a burst
-        // (doubling while the region stays dense). With batched operand
-        // streaming the matrix units only wake at block boundaries, so dense
-        // GEMMs no longer trip this; `SchedStats::bailout_engagements`
-        // records when it does fire.
-        const ALL_DUE_BAILOUT: u32 = 8;
-        const NAIVE_BURST_MIN: u64 = 64;
-        const NAIVE_BURST_MAX: u64 = 4096;
-        const FABRIC: usize = 0;
-
-        let cores_per_cluster = machine.clusters[0].cores().len();
-        let span = 1 + cores_per_cluster;
-        let total = 1 + machine.clusters.len() * span;
-        let devices_id = |k: usize| 1 + k * span;
-
-        let mut queue = EventQueue::new(total);
-        let mut synced = vec![0u64; total];
-        let mut due = vec![false; total];
-        // Fast path for the overwhelmingly common "due again next cycle"
-        // case: a bool per component instead of a heap round-trip. Invariant:
-        // `due_next` marks components due at cycle `resume_at`.
-        let mut due_next = vec![false; total];
-        let mut any_next = false;
-        for (k, cluster) in machine.clusters.iter().enumerate() {
-            // Late-started clusters (fault windows) hold everything in reset
-            // until `start_at`; neither mode accounts the held cycles.
-            let start = cluster.start_at();
-            for (id, sync) in synced.iter_mut().enumerate().skip(devices_id(k)).take(span) {
-                *sync = start;
-                queue.schedule(id as u32, Cycle::new(start));
-            }
-        }
-
-        let mut sched = SchedStats::default();
-        let watchdog_at = max_cycles / 2;
-        let mut watchdog_sample: Option<u64> = None;
-        let mut all_due_streak = 0u32;
-        let mut naive_burst = NAIVE_BURST_MIN;
-        // First cycle not yet dispatched or jumped over (skip accounting).
-        let mut resume_at = 0u64;
-
-        // A kernel of empty programs is finished before anything ticks.
-        if machine.finished() {
-            return Ok(machine.report(&kernel.info, Cycle::new(0), sched));
-        }
-
-        loop {
-            let next_c = if any_next {
-                Some(resume_at)
-            } else {
-                queue.next_cycle()
-            };
-            let c = match next_c {
-                Some(c) if c < max_cycles => c,
-                // Drained queue (machine-wide deadlock) or the next event is
-                // past the budget: replay every parked component to the
-                // budget edge — exactly the ticks the naive loop would still
-                // perform — and time out. If the jump crossed the watchdog
-                // checkpoint, sample now: nothing has ticked since the
-                // checkpoint cycle, so retirement is unchanged and the
-                // verdict stays mode-identical.
-                _ => {
-                    for (k, cluster) in machine.clusters.iter_mut().enumerate() {
-                        let base = devices_id(k);
-                        let lag = max_cycles.saturating_sub(synced[base]);
-                        if lag > 0 {
-                            cluster.fast_forward_devices(Cycle::new(synced[base]), lag);
-                        }
-                        for i in 0..cores_per_cluster {
-                            let id = base + 1 + i;
-                            let lag = max_cycles.saturating_sub(synced[id]);
-                            if lag > 0 {
-                                cluster.fast_forward_core(i, Cycle::new(synced[id]), lag);
-                            }
-                        }
-                    }
-                    let sample = watchdog_sample.unwrap_or_else(|| machine.retired_instructions());
-                    return Err(self.timeout_error(&mut machine, max_cycles, Some(sample)));
-                }
-            };
-            if watchdog_sample.is_none() && c >= watchdog_at {
-                watchdog_sample = Some(machine.retired_instructions());
-            }
-            // `due_next` (marks for this cycle) becomes `due`; the recycled
-            // buffer is cleared for the upcoming cycle's marks. Heap events
-            // landing on the same cycle are merged in.
-            std::mem::swap(&mut due, &mut due_next);
-            due_next.fill(false);
-            any_next = false;
-            if queue.next_cycle() == Some(c) {
-                queue.pop_due(c, &mut due);
-            }
-            sched.skipped_cycles += c.saturating_sub(resume_at);
-            sched.processed_cycles += 1;
-            resume_at = c + 1;
-            let all_components_due = due[1..].iter().all(|&d| d);
-            let now = Cycle::new(c);
-            let next = Cycle::new(c + 1);
-            // The machine-wide finish walk only runs when this cycle saw an
-            // event that can flip it: a warp retiring, a device/fabric tick
-            // (engines draining), or a core horizon going dormant.
-            let mut check_finish = false;
-
-            let Machine {
-                clusters,
-                backend,
-                fabric,
-            } = &mut machine;
-            if due[FABRIC] {
-                fabric.tick(now);
-                sched.dsm_events += 1;
-                check_finish = true;
-                if let Some(t) = fabric.next_activity(now) {
-                    if t <= next {
-                        due_next[FABRIC] = true;
-                        any_next = true;
-                    } else {
-                        queue.schedule(FABRIC as u32, t);
-                    }
-                }
-            }
-            for (k, cluster) in clusters.iter_mut().enumerate() {
-                let base = devices_id(k);
-                if due[base] {
-                    let lag = c.saturating_sub(synced[base]);
-                    if lag > 0 {
-                        cluster.fast_forward_devices(Cycle::new(synced[base]), lag);
-                    }
-                    let (dma, gemmini, tensor) = cluster.due_engines(now);
-                    sched.dma_events += u64::from(dma);
-                    sched.gemmini_events += u64::from(gemmini);
-                    sched.tensor_events += u64::from(tensor);
-                    let completions = cluster.completion_mark();
-                    let transfers = fabric.stats().transfers;
-                    cluster.tick_devices(now, backend, fabric);
-                    synced[base] = c + 1;
-                    check_finish = true;
-                    if cluster.completion_mark() != completions {
-                        for i in 0..cores_per_cluster {
-                            due[base + 1 + i] = true;
-                        }
-                    }
-                    if fabric.stats().transfers != transfers {
-                        if let Some(t) = fabric.next_activity(now) {
-                            if t <= next {
-                                due_next[FABRIC] = true;
-                                any_next = true;
-                            } else {
-                                queue.schedule(FABRIC as u32, t);
-                            }
-                        }
-                    }
-                    match cluster.devices_next_activity(now) {
-                        Some(t) if t <= next => {
-                            due_next[base] = true;
-                            any_next = true;
-                        }
-                        Some(t) => queue.schedule(base as u32, t),
-                        None => {}
-                    }
-                }
-                for i in 0..cores_per_cluster {
-                    let id = base + 1 + i;
-                    if !due[id] {
-                        continue;
-                    }
-                    let lag = c.saturating_sub(synced[id]);
-                    if lag > 0 {
-                        cluster.fast_forward_core(i, Cycle::new(synced[id]), lag);
-                    }
-                    sched.simt_events += 1;
-                    let releases = cluster.barrier_release_events();
-                    let inbox = cluster.inbox_mark();
-                    let transfers = fabric.stats().transfers;
-                    let outcome = cluster.tick_core(i, now, backend, fabric);
-                    synced[id] = c + 1;
-                    check_finish |= outcome.warp_retired;
-                    if outcome.acted {
-                        // Only a real issue or a barrier arrival can change
-                        // anything outside the core, so the signature checks
-                        // are skipped on all other ticks.
-                        if cluster.barrier_release_events() != releases {
-                            for j in 0..cores_per_cluster {
-                                if j > i {
-                                    due[base + 1 + j] = true;
-                                } else {
-                                    due_next[base + 1 + j] = true;
-                                    any_next = true;
-                                }
-                            }
-                        }
-                        if cluster.inbox_mark() != inbox {
-                            due_next[base] = true;
-                            any_next = true;
-                        }
-                        if fabric.stats().transfers != transfers {
-                            if let Some(t) = fabric.next_activity(now) {
-                                if t <= next {
-                                    due_next[FABRIC] = true;
-                                    any_next = true;
-                                } else {
-                                    queue.schedule(FABRIC as u32, t);
-                                }
-                            }
-                        }
-                    }
-                    if outcome.retry_next {
-                        // A ready warp lost slot arbitration this cycle and
-                        // retries next cycle.
-                        due_next[id] = true;
-                        any_next = true;
-                    } else {
-                        // The tick folded the core's event horizon from the
-                        // warp walk it performed anyway — no separate
-                        // `next_activity` probe.
-                        match outcome.horizon {
-                            Some(t) if t <= next => {
-                                due_next[id] = true;
-                                any_next = true;
-                            }
-                            Some(t) => queue.schedule(id as u32, t),
-                            None => check_finish = true,
-                        }
-                    }
-                }
-            }
-            if check_finish && machine.finished() {
-                // Account every parked component's tail so stall/idle
-                // counters match the naive loop, which ticked everything
-                // through cycle `c`.
-                for (k, cluster) in machine.clusters.iter_mut().enumerate() {
-                    let base = devices_id(k);
-                    for (off, id) in (base..base + span).enumerate() {
-                        let lag = (c + 1).saturating_sub(synced[id]);
-                        if lag == 0 {
-                            continue;
-                        }
-                        if off == 0 {
-                            cluster.fast_forward_devices(Cycle::new(synced[id]), lag);
-                        } else {
-                            cluster.fast_forward_core(off - 1, Cycle::new(synced[id]), lag);
-                        }
-                    }
-                }
-                return Ok(machine.report(&kernel.info, next, sched));
-            }
-
-            if all_components_due {
-                all_due_streak += 1;
-            } else {
-                all_due_streak = 0;
-                naive_burst = NAIVE_BURST_MIN;
-            }
-            if all_due_streak >= ALL_DUE_BAILOUT {
-                // Every component just ticked at `c`, so all of them are
-                // synced to `c + 1` and plain naive stepping is safe.
-                sched.bailout_engagements += 1;
-                let end = (c + 1).saturating_add(naive_burst).min(max_cycles);
-                let mut cy = c + 1;
-                while cy < end {
-                    if watchdog_sample.is_none() && cy >= watchdog_at {
-                        watchdog_sample = Some(machine.retired_instructions());
-                    }
-                    if machine.finished() {
-                        break;
-                    }
-                    machine.tick(Cycle::new(cy));
-                    sched.processed_cycles += 1;
-                    cy += 1;
-                }
-                naive_burst = (naive_burst * 2).min(NAIVE_BURST_MAX);
-                all_due_streak = 0;
-                resume_at = cy;
-                for s in synced.iter_mut().skip(1) {
-                    *s = (*s).max(cy);
-                }
-                if machine.finished() {
-                    return Ok(machine.report(&kernel.info, Cycle::new(cy), sched));
-                }
-                // Re-register everything from scratch at the burst edge. The
-                // burst already ticked whatever `due_next` pointed at, so its
-                // marks are stale.
-                queue.clear();
-                due_next.fill(false);
-                any_next = false;
-                let resume = Cycle::new(cy);
-                let Machine {
-                    clusters,
-                    backend,
-                    fabric,
-                } = &mut machine;
-                if let Some(t) = fabric.next_activity(resume) {
-                    if t <= resume {
-                        due_next[FABRIC] = true;
-                        any_next = true;
-                    } else {
-                        queue.schedule(FABRIC as u32, t);
-                    }
-                }
-                for (k, cluster) in clusters.iter_mut().enumerate() {
-                    let base = devices_id(k);
-                    if let Some(t) = cluster.devices_next_activity(resume) {
-                        if t <= resume {
-                            due_next[base] = true;
-                            any_next = true;
-                        } else {
-                            queue.schedule(base as u32, t);
-                        }
-                    }
-                    for i in 0..cores_per_cluster {
-                        if let Some(t) = cluster.core_next_activity(i, resume, backend, fabric) {
-                            if t <= resume {
-                                due_next[base + 1 + i] = true;
-                                any_next = true;
-                            } else {
-                                queue.schedule((base + 1 + i) as u32, t);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds the timeout error: deadlock / livelock / slow-progress verdict
-    /// plus the per-warp blocked-on table, captured at the budget edge.
-    fn timeout_error(
-        &self,
-        machine: &mut Machine,
-        max_cycles: u64,
-        watchdog_sample: Option<u64>,
-    ) -> SimError {
-        let verdict = if machine.next_activity(Cycle::new(max_cycles)).is_none() {
-            WatchdogVerdict::Deadlock
-        } else {
-            match watchdog_sample {
-                Some(sample) if machine.retired_instructions() == sample => {
-                    WatchdogVerdict::Livelock
-                }
-                _ => WatchdogVerdict::SlowProgress,
-            }
-        };
-        SimError::Timeout {
-            limit: max_cycles,
-            diagnosis: machine.timeout_diagnosis(verdict, self.config.faults.active_at(max_cycles)),
-        }
+            other => other,
+        })
     }
 }
 

@@ -605,7 +605,6 @@ u64_stats_codec!(
         tensor_events,
         dma_events,
         dsm_events,
-        dram_events,
         bailout_engagements,
     ]
 );

@@ -119,11 +119,22 @@ impl EventQueue {
         self.heap.len()
     }
 
-    /// Drops every pending entry (used when a naive burst re-synchronizes
-    /// all components and the driver re-registers every horizon afresh).
+    /// Drops every pending entry.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.pending.fill(NONE_PENDING);
+    }
+
+    /// Drops every pending entry of the components `drop` selects (say, the
+    /// components of a job leaving the machine), so they are never
+    /// dispatched again until rescheduled.
+    pub fn cancel(&mut self, mut drop: impl FnMut(u32) -> bool) {
+        self.heap.retain(|Reverse((_, id))| !drop(*id));
+        for (id, pending) in self.pending.iter_mut().enumerate() {
+            if drop(id as u32) {
+                *pending = NONE_PENDING;
+            }
+        }
     }
 }
 
@@ -168,6 +179,24 @@ mod tests {
         assert!(due[0]);
         // The stale entry at 10 survives as a spurious (harmless) wake.
         assert_eq!(q.next_cycle(), Some(10));
+    }
+
+    #[test]
+    fn cancel_drops_only_selected_components() {
+        let mut q = EventQueue::new(3);
+        q.schedule(0, Cycle::new(5));
+        q.schedule(1, Cycle::new(3));
+        q.schedule(2, Cycle::new(3));
+        q.cancel(|id| id == 1);
+        let mut due = vec![false; 3];
+        q.pop_due(3, &mut due);
+        assert_eq!(due, vec![false, false, true]);
+        q.schedule(1, Cycle::new(4));
+        assert_eq!(
+            q.next_cycle(),
+            Some(4),
+            "a cancelled component can be rescheduled"
+        );
     }
 
     #[test]

@@ -197,11 +197,9 @@ enum QueryTarget {
 /// assert_eq!(query.point().unwrap().clusters, 4);
 /// ```
 ///
-/// Defaults: one cluster, one DRAM channel, [`SimMode::FastForward`]. The
-/// single `Query` type replaces the former quartet of service entry points
-/// (`query`, `query_config`, `sweep`, `cheapest_clusters_meeting`) — every
-/// consumer now describes *what* to simulate the same way, whatever it asks
-/// the service to do with it.
+/// Defaults: one cluster, one DRAM channel, [`SimMode::FastForward`]. Every
+/// consumer describes *what* to simulate the same way, whatever it asks the
+/// service to do with it.
 #[derive(Debug, Clone)]
 pub struct Query {
     target: QueryTarget,
@@ -539,107 +537,6 @@ impl SweepService {
                 (clusters, o.report)
             })
     }
-
-    // -- Deprecated pre-Query entry points ----------------------------------
-    // Thin shims kept for one release; each is exactly a Query spelling.
-
-    /// Answers one `(design, workload, clusters, mode)` question.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "build a `Query` and call `SweepService::run`")]
-    pub fn query(
-        &self,
-        design: DesignKind,
-        workload: SweepWorkload,
-        clusters: u32,
-        mode: SimMode,
-    ) -> Arc<SimReport> {
-        self.run(&Query::new(design, workload).clusters(clusters).mode(mode))
-            .report
-    }
-
-    /// Answers one sweep point, reporting whether the store served it.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "build a `Query` and call `SweepService::run`")]
-    pub fn query_point(&self, point: &SweepPoint) -> (Arc<SimReport>, bool) {
-        let outcome = self.run(&Query::from(*point));
-        (outcome.report, outcome.from_cache)
-    }
-
-    /// Answers for an arbitrary configuration and kernel.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "use `Query::custom` and call `SweepService::run`")]
-    pub fn query_config(
-        &self,
-        config: &GpuConfig,
-        kernel: &Kernel,
-        mode: SimMode,
-    ) -> (Arc<SimReport>, bool) {
-        let outcome = self.run(&Query::custom(config.clone(), kernel.clone()).mode(mode));
-        (outcome.report, outcome.from_cache)
-    }
-
-    /// Runs a whole grid of points.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "build `Query`s and call `SweepService::run_all`")]
-    pub fn sweep(&self, points: &[SweepPoint]) -> Vec<SweepOutcome> {
-        let queries: Vec<Query> = points.iter().map(|&p| Query::from(p)).collect();
-        self.run_all(&queries)
-    }
-
-    /// Runs a whole grid of points with a completion stream.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "build `Query`s and call `SweepService::run_streaming`")]
-    pub fn sweep_streaming(
-        &self,
-        points: &[SweepPoint],
-        each: impl FnMut(&SweepOutcome),
-    ) -> Vec<SweepOutcome> {
-        let queries: Vec<Query> = points.iter().map(|&p| Query::from(p)).collect();
-        self.run_streaming(&queries, each)
-    }
-
-    /// Fault-isolated grid run.
-    #[deprecated(note = "build `Query`s and call `SweepService::try_run_all`")]
-    pub fn try_sweep(&self, points: &[SweepPoint]) -> Vec<Result<SweepOutcome, SweepError>> {
-        let queries: Vec<Query> = points.iter().map(|&p| Query::from(p)).collect();
-        self.try_run_all(&queries)
-    }
-
-    /// The smallest cluster count among `candidates` meeting the target.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SweepService::run`].
-    #[deprecated(note = "build a base `Query` and call `SweepService::cheapest_meeting`")]
-    pub fn cheapest_clusters_meeting(
-        &self,
-        design: DesignKind,
-        workload: SweepWorkload,
-        mode: SimMode,
-        latency_target_cycles: u64,
-        candidates: &[u32],
-    ) -> Option<(u32, Arc<SimReport>)> {
-        self.cheapest_meeting(
-            &Query::new(design, workload).mode(mode),
-            latency_target_cycles,
-            candidates,
-        )
-    }
 }
 
 impl Default for SweepService {
@@ -826,68 +723,5 @@ mod tests {
         let config = GpuConfig::virgo();
         let kernel = SweepWorkload::Gemm(tiny_gemm()).build(&config);
         let _ = Query::custom(config, kernel).clusters(2);
-    }
-
-    /// The deprecated shims are exactly `Query` spellings: pin old≡new
-    /// bit-identity so the one-release migration window cannot drift.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_are_bit_identical_to_query_api() {
-        let svc = service();
-        let shape = tiny_gemm();
-        // query == run(Query)
-        let old = svc.query(
-            DesignKind::Virgo,
-            SweepWorkload::Gemm(shape),
-            2,
-            SimMode::FastForward,
-        );
-        let new = svc
-            .run(&Query::new(DesignKind::Virgo, shape).clusters(2))
-            .report;
-        assert_eq!(format!("{old:?}"), format!("{new:?}"));
-
-        // query_point == run(Query::from(point))
-        let point = SweepPoint::gemm(DesignKind::AmpereStyle, shape);
-        let (old, _) = svc.query_point(&point);
-        let new = svc.run(&Query::from(point)).report;
-        assert_eq!(format!("{old:?}"), format!("{new:?}"));
-
-        // query_config == run(Query::custom)
-        let config = GpuConfig::virgo();
-        let kernel = SweepWorkload::Gemm(shape).build(&config);
-        let (old, _) = svc.query_config(&config, &kernel, SimMode::FastForward);
-        let new = svc.run(&Query::custom(config, kernel)).report;
-        assert_eq!(format!("{old:?}"), format!("{new:?}"));
-
-        // sweep == run_all
-        let points = vec![
-            SweepPoint::gemm(DesignKind::Virgo, shape),
-            SweepPoint::gemm(DesignKind::VoltaStyle, shape),
-        ];
-        let old = svc.sweep(&points);
-        let queries: Vec<Query> = points.iter().map(|&p| Query::from(p)).collect();
-        let new = svc.run_all(&queries);
-        for (o, n) in old.iter().zip(&new) {
-            assert_eq!(format!("{:?}", o.report), format!("{:?}", n.report));
-        }
-
-        // cheapest_clusters_meeting == cheapest_meeting
-        let target = svc
-            .run(&Query::new(DesignKind::Virgo, shape))
-            .report
-            .cycles()
-            .get();
-        let old = svc.cheapest_clusters_meeting(
-            DesignKind::Virgo,
-            SweepWorkload::Gemm(shape),
-            SimMode::FastForward,
-            target,
-            &[1, 2],
-        );
-        let new = svc.cheapest_meeting(&Query::new(DesignKind::Virgo, shape), target, &[1, 2]);
-        let (old, new) = (old.unwrap(), new.unwrap());
-        assert_eq!(old.0, new.0);
-        assert_eq!(format!("{:?}", old.1), format!("{:?}", new.1));
     }
 }

@@ -11,8 +11,8 @@ use virgo_kernels::GemmShape;
 use virgo_sim::SplitMix64;
 use virgo_sweep::{Query, ReportCache, SweepPoint, SweepPool, SweepService, DEFAULT_MAX_CYCLES};
 
-/// Answers one design-space point through the Query API, returning the
-/// `(report, from_cache)` pair the old `query_point` entry point exposed.
+/// Answers one design-space point through the Query API, returning
+/// `(report, from_cache)`.
 fn run_point(service: &SweepService, point: &SweepPoint) -> (Arc<SimReport>, bool) {
     let outcome = service.run(&Query::from(*point));
     (outcome.report, outcome.from_cache)
