@@ -16,10 +16,12 @@
 //!   not drift at all, and
 //! * numeric gates regress directionally with per-metric tolerances
 //!   ([`classify`]).
+//!
+//! Numeric leaves compare by value, so `100` and `100.0` are equal.
 
 use std::path::Path;
 
-use crate::benchjson::{flatten, parse, JsonValue};
+use virgo_sim::json::{self, Value};
 
 /// How one metric is judged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,19 +37,19 @@ pub enum Rule {
 }
 
 /// Classifies a metric by the last segment of its dotted path.
-pub fn classify(path: &str, value: &JsonValue) -> Rule {
+pub fn classify(path: &str, value: &Value) -> Rule {
     let key = path
         .rsplit('.')
         .next()
         .unwrap_or(path)
         .trim_end_matches(|c: char| c == ']' || c.is_ascii_digit() || c == '[');
     match value {
-        JsonValue::Str(_) | JsonValue::Bool(_) | JsonValue::Null => {
+        Value::Str(_) | Value::Bool(_) | Value::Null => {
             // Identity/shape fields (design names, workload labels, the
             // dsm on/off flag, bit_identical) must not drift.
             Rule::Exact
         }
-        JsonValue::Num(_) => match key {
+        Value::Num(_) => match key {
             "cycles"
             | "simulated_cycles"
             | "dram_contention_stall_cycles"
@@ -120,19 +122,56 @@ pub fn classify(path: &str, value: &JsonValue) -> Rule {
 }
 
 /// Renders a JSON leaf for the diff table.
-pub fn fmt_value(v: &JsonValue) -> String {
+pub fn fmt_value(v: &Value) -> String {
+    if let Ok(n) = v.as_f64() {
+        return if n.fract() == 0.0 && n.abs() < 1e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        };
+    }
     match v {
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
+        Value::Str(s) => s.clone(),
+        Value::Bool(b) => b.to_string(),
+        Value::Null => "null".to_string(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Leaf equality for identity fields: numbers by value, the rest exactly.
+fn same_leaf(a: &Value, b: &Value) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Ok(x), Ok(y)) => x == y,
+        _ => a == b,
+    }
+}
+
+/// Flattens a document into `(dotted.path, leaf)` pairs in document order:
+/// object keys join with `.`, array elements with `[index]`.
+pub fn flatten(value: &Value) -> Vec<(String, Value)> {
+    let mut out = Vec::new();
+    walk(value, String::new(), &mut out);
+    out
+}
+
+fn walk(value: &Value, path: String, out: &mut Vec<(String, Value)>) {
+    match value {
+        Value::Object(fields) => {
+            for (key, v) in fields {
+                let child = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                walk(v, child, out);
             }
         }
-        JsonValue::Str(s) => s.clone(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Null => "null".to_string(),
-        other => format!("{other:?}"),
+        Value::Array(items) => {
+            for (i, v) in items.iter().enumerate() {
+                walk(v, format!("{path}[{i}]"), out);
+            }
+        }
+        leaf => out.push((path, leaf.clone())),
     }
 }
 
@@ -158,11 +197,11 @@ pub struct Row {
 /// new-gate contracts are unit-testable without touching the filesystem.
 pub fn diff_leaves(
     name: &str,
-    old_leaves: &[(String, JsonValue)],
-    new_leaves: &[(String, JsonValue)],
+    old_leaves: &[(String, Value)],
+    new_leaves: &[(String, Value)],
     rows: &mut Vec<Row>,
 ) -> u32 {
-    let lookup: std::collections::HashMap<&str, &JsonValue> = new_leaves
+    let lookup: std::collections::HashMap<&str, &Value> = new_leaves
         .iter()
         .map(|(path, v)| (path.as_str(), v))
         .collect();
@@ -182,21 +221,21 @@ pub fn diff_leaves(
             continue;
         };
         let rule = classify(path, old);
-        match (rule, old, *new) {
-            (Rule::Exact, a, b) if a != b => {
+        match (rule, old.as_f64(), new.as_f64()) {
+            (Rule::Exact, _, _) if !same_leaf(old, new) => {
                 rows.push(Row {
                     status: "CHANGED",
                     path: label,
-                    old: fmt_value(a),
-                    new: fmt_value(b),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: "identity field drifted".to_string(),
                 });
                 regressions += 1;
             }
             (Rule::Exact, _, _) => {}
-            (rule, JsonValue::Num(a), JsonValue::Num(b)) => {
-                let delta_pct = if *a == 0.0 {
-                    if *b == 0.0 {
+            (rule, Ok(a), Ok(b)) => {
+                let delta_pct = if a == 0.0 {
+                    if b == 0.0 {
                         0.0
                     } else {
                         f64::INFINITY
@@ -205,8 +244,8 @@ pub fn diff_leaves(
                     (b - a) / a.abs() * 100.0
                 };
                 let (worse, tol) = match rule {
-                    Rule::HigherWorse(tol) => (*b > *a && (b - a) > a.abs() * tol, tol),
-                    Rule::LowerWorse(tol) => (*b < *a && (a - b) > a.abs() * tol, tol),
+                    Rule::HigherWorse(tol) => (b > a && (b - a) > a.abs() * tol, tol),
+                    Rule::LowerWorse(tol) => (b < a && (a - b) > a.abs() * tol, tol),
                     _ => (false, 0.0),
                 };
                 let status = if matches!(rule, Rule::Info) {
@@ -225,8 +264,8 @@ pub fn diff_leaves(
                 rows.push(Row {
                     status,
                     path: label,
-                    old: fmt_value(&JsonValue::Num(*a)),
-                    new: fmt_value(&JsonValue::Num(*b)),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: if worse {
                         format!("{delta_pct:+.2}% (tolerance {:.1}%)", tol * 100.0)
                     } else {
@@ -234,14 +273,14 @@ pub fn diff_leaves(
                     },
                 });
             }
-            (_, a, b) => {
+            _ => {
                 // A gate metric that changed JSON *type* (number -> string,
                 // null, ...) is a malformed artifact, not a pass.
                 rows.push(Row {
                     status: "TYPE",
                     path: label,
-                    old: fmt_value(a),
-                    new: fmt_value(b),
+                    old: fmt_value(old),
+                    new: fmt_value(new),
                     delta: "metric changed JSON type — regenerate the committed artifact"
                         .to_string(),
                 });
@@ -281,11 +320,11 @@ pub fn diff_leaves(
 
 /// Diffs one bench artifact on disk; returns the number of regressions.
 pub fn diff_file(name: &str, baseline: &Path, current: &Path, rows: &mut Vec<Row>) -> u32 {
-    let read_doc = |path: &Path| -> Result<Vec<(String, JsonValue)>, String> {
+    let read_doc = |path: &Path| -> Result<Vec<(String, Value)>, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         Ok(flatten(
-            &parse(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))?,
+            &json::parse(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))?,
         ))
     };
     let (old_leaves, new_leaves) = match (read_doc(baseline), read_doc(current)) {
@@ -308,14 +347,31 @@ pub fn diff_file(name: &str, baseline: &Path, current: &Path, rows: &mut Vec<Row
 mod tests {
     use super::*;
 
-    fn leaves(text: &str) -> Vec<(String, JsonValue)> {
-        flatten(&parse(text).expect("test JSON parses"))
+    fn leaves(text: &str) -> Vec<(String, Value)> {
+        flatten(&json::parse(text).expect("test JSON parses"))
+    }
+
+    fn number(raw: &str) -> Value {
+        Value::Num(raw.to_string())
     }
 
     fn diff(old: &str, new: &str) -> (u32, Vec<Row>) {
         let mut rows = Vec::new();
         let n = diff_leaves("t.json", &leaves(old), &leaves(new), &mut rows);
         (n, rows)
+    }
+
+    #[test]
+    fn flatten_produces_dotted_paths() {
+        let leaves = leaves(r#"{"a": {"b": [1, {"c": 2}]}, "d": "x"}"#);
+        assert_eq!(
+            leaves,
+            vec![
+                ("a.b[0]".to_string(), number("1")),
+                ("a.b[1].c".to_string(), number("2")),
+                ("d".to_string(), Value::Str("x".to_string())),
+            ]
+        );
     }
 
     #[test]
@@ -407,7 +463,7 @@ mod tests {
         // The fastforward artifact's scheduler counters must be gated, not
         // ungated-new: an event-count increase or a skipped-cycle decrease is
         // a horizon regression even when wall-clock speedup still passes.
-        let num = JsonValue::Num(100.0);
+        let num = number("100.0");
         for key in [
             "processed_cycles",
             "simt_events",
@@ -450,7 +506,7 @@ mod tests {
         // BENCH_serve.json's per-arm scheduler sums: the session processing
         // more cycles, or jumping fewer, means the job table's time advance
         // regressed even when every simulated latency is unchanged.
-        let num = JsonValue::Num(1000.0);
+        let num = number("1000.0");
         assert_eq!(
             classify("sweep[0].continuous_fifo.processed_cycles", &num),
             Rule::HigherWorse(0.001)
@@ -484,7 +540,7 @@ mod tests {
         // metrics must be ratcheted, not informational: a spread creeping
         // back up (or a single link re-hotspotting) is the exact regression
         // the rotated reduction exists to prevent.
-        let num = JsonValue::Num(1.0);
+        let num = number("1.0");
         for key in [
             "active_spread",
             "dsm_ingress_spread",
@@ -530,7 +586,7 @@ mod tests {
     fn fault_gate_metrics_are_classified() {
         // The fault_resilience artifact's headline gate and its identity
         // counters must be gated, not informational.
-        let num = JsonValue::Num(1.5);
+        let num = number("1.5");
         assert_eq!(
             classify("link_kill.cycle_overhead_ratio", &num),
             Rule::HigherWorse(0.001)
@@ -549,7 +605,7 @@ mod tests {
         // The shared-store section of BENCH_sweep.json: invariants are
         // gated, grid-size-dependent counts and latencies stay Info so a
         // smoke-sized CI grid can diff against the full committed artifact.
-        let num = JsonValue::Num(0.0);
+        let num = number("0.0");
         for key in ["remote_misses", "warm_unreachable"] {
             assert_eq!(
                 classify(&format!("store.{key}"), &num),
@@ -558,11 +614,11 @@ mod tests {
             );
         }
         assert_eq!(
-            classify("store.remote_hit_rate", &JsonValue::Num(1.0)),
+            classify("store.remote_hit_rate", &number("1.0")),
             Rule::LowerWorse(0.001)
         );
         assert_eq!(
-            classify("store.degraded_completed", &JsonValue::Bool(true)),
+            classify("store.degraded_completed", &Value::Bool(true)),
             Rule::Exact
         );
         for key in ["remote_hits", "warm_seconds", "degraded_unreachable"] {
@@ -590,7 +646,7 @@ mod tests {
     fn serving_gate_metrics_are_classified() {
         // The serving artifact's tail-latency/goodput/energy gates must be
         // ratcheted in the right direction, not informational.
-        let num = JsonValue::Num(10_000.0);
+        let num = number("10000.0");
         for key in [
             "p50_latency_cycles",
             "p99_latency_cycles",

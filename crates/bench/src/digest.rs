@@ -11,6 +11,7 @@
 
 use virgo::SimReport;
 use virgo_mem::DramStats;
+use virgo_sim::json::{fmt_f64, write_string};
 use virgo_simt::CoreStats;
 
 /// Everything the fast-forward equivalence guarantee covers, in one
@@ -19,7 +20,7 @@ use virgo_simt::CoreStats;
 /// Floating-point fields are compared *exactly*: identical event counts feed
 /// the same deterministic arithmetic, so equivalent runs produce equal bits,
 /// and any tolerance would only mask accounting bugs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportDigest {
     /// Design point name.
     pub design: String,
@@ -123,12 +124,18 @@ impl ReportDigest {
         }
     }
 
-    /// Renders the digest as a JSON object (no external dependencies).
+    /// Renders the digest as a JSON object. Non-finite floats render as
+    /// `null`; the pinned digest hashes depend on these exact bytes.
     pub fn to_json(&self) -> String {
+        let quote = |value: &str| {
+            let mut out = String::new();
+            write_string(value, &mut out);
+            out
+        };
         let breakdown: Vec<String> = self
             .energy_breakdown_uj
             .iter()
-            .map(|(name, uj)| format!("{}: {}", json_string(name), json_f64(*uj)))
+            .map(|(name, uj)| format!("{}: {}", quote(name), fmt_f64(*uj)))
             .collect();
         let stats = &self.core_stats;
         format!(
@@ -145,14 +152,14 @@ impl ReportDigest {
                 "\"total_energy_mj\": {}, \"active_power_mw\": {}, ",
                 "\"energy_breakdown_uj\": {{{}}}}}"
             ),
-            json_string(&self.design),
-            json_string(&self.kernel),
+            quote(&self.design),
+            quote(&self.kernel),
             self.cycles,
             self.instructions_retired,
             self.fence_poll_instructions,
             self.fence_wait_cycles,
             self.performed_macs,
-            json_f64(self.mac_utilization_percent),
+            fmt_f64(self.mac_utilization_percent),
             self.smem_bytes_read,
             stats.active_cycles,
             stats.stall_cycles,
@@ -164,37 +171,10 @@ impl ReportDigest {
             self.dsm_bytes,
             self.dsm_stall_cycles,
             self.dsm_hop_flits,
-            json_f64(self.total_energy_mj),
-            json_f64(self.active_power_mw),
+            fmt_f64(self.total_energy_mj),
+            fmt_f64(self.active_power_mw),
             breakdown.join(", ")
         )
-    }
-}
-
-/// Escapes a string for inclusion in JSON output.
-pub(crate) fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Inf; the simulator
-/// never produces them, but clamp to null-safe output anyway).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -225,15 +205,39 @@ mod tests {
         assert!(json.contains("\"cycles\""));
     }
 
+    fn bare_digest(design: &str, total_energy_mj: f64) -> ReportDigest {
+        ReportDigest {
+            design: design.to_string(),
+            kernel: "k".to_string(),
+            mac_utilization_percent: 1.5,
+            total_energy_mj,
+            energy_breakdown_uj: vec![("Core".to_string(), 0.25)],
+            ..ReportDigest::default()
+        }
+    }
+
     #[test]
     fn json_string_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
+        let json = bare_digest("a\"b\\c\nd", 1.0).to_json();
+        assert!(
+            json.starts_with(r#"{"design": "a\"b\\c\nd", "kernel": "k", "#),
+            "{json}"
+        );
     }
 
     #[test]
     fn json_f64_is_finite_only() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
+        let json = bare_digest("Virgo", 2.0).to_json();
+        assert!(
+            json.contains(r#""mac_utilization_percent": 1.5, "#),
+            "{json}"
+        );
+        assert!(json.contains(r#""total_energy_mj": 2.0, "#), "{json}");
+        assert!(
+            json.ends_with(r#""energy_breakdown_uj": {"Core": 0.25}}"#),
+            "{json}"
+        );
+        let json = bare_digest("Virgo", f64::NAN).to_json();
+        assert!(json.contains(r#""total_energy_mj": null, "#), "{json}");
     }
 }

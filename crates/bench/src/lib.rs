@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod benchjson;
 pub mod diff;
 pub mod digest;
 pub mod microbench;

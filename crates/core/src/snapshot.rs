@@ -17,8 +17,11 @@
 //! check or the checksum and surfaces as a [`SnapshotError`] — the cache
 //! treats that as a miss and re-simulates, never as a panic.
 //!
-//! No external dependencies: the writer emits compact JSON directly and the
-//! reader is a ~150-line recursive-descent parser over the same subset.
+//! The JSON itself goes through [`virgo_sim::json`]: its compact
+//! [`ObjWriter`] writes the payload, and its parser keeps every number's raw
+//! text, so re-rendering the parsed payload reproduces the written bytes and
+//! the checksum can be verified. This module holds only the envelope and the
+//! per-struct codecs.
 
 use std::fmt;
 
@@ -27,6 +30,7 @@ use virgo_mem::{
     ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
     DsmFabricStats, DsmLinkStats, GlobalMemoryStats, SmemStats,
 };
+use virgo_sim::json::{self, ObjWriter, Value};
 use virgo_sim::{ClusterFaultStats, Cycle, FaultStats, Frequency, StableHasher};
 use virgo_simt::CoreStats;
 
@@ -67,389 +71,34 @@ const FORMAT: &str = "virgo-simreport";
 // cleanly.
 // v5: event-driven scheduler — the payload gained `sched` (driver event
 // attribution); v4 entries (pre-scheduler) must miss cleanly.
+// v6: multi-job residency — the per-cluster `contention` objects gained
+// `l2_misses` and `dma_bytes`; v5 entries must miss cleanly.
 const VERSION: u64 = 6;
 
-// ---------------------------------------------------------------------------
-// A minimal JSON document model.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so both `u64` and `f64`
-/// parse losslessly, and so re-rendering a parsed document is byte-identical
-/// (which is what makes the payload checksum verifiable after a round trip).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    /// Re-renders the value in the same compact form the writer emits.
-    fn render(&self, out: &mut String) {
-        match self {
-            Json::Object(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.render(out);
-                }
-                out.push('}');
-            }
-            Json::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render(out);
-                }
-                out.push(']');
-            }
-            Json::Str(s) => write_json_string(s, out),
-            Json::Num(raw) => out.push_str(raw),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Null => out.push_str("null"),
-        }
-    }
-
-    fn as_object(&self) -> Result<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Ok(fields),
-            other => Err(SnapshotError::new(format!(
-                "expected object, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_array(&self) -> Result<&[Json]> {
-        match self {
-            Json::Array(items) => Ok(items),
-            other => Err(SnapshotError::new(format!("expected array, got {other:?}"))),
-        }
-    }
-
-    fn as_str(&self) -> Result<&str> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(SnapshotError::new(format!(
-                "expected string, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|e| SnapshotError::new(format!("bad u64 {raw:?}: {e}"))),
-            other => Err(SnapshotError::new(format!(
-                "expected number, got {other:?}"
-            ))),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64> {
-        match self {
-            Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|e| SnapshotError::new(format!("bad f64 {raw:?}: {e}"))),
-            other => Err(SnapshotError::new(format!(
-                "expected number, got {other:?}"
-            ))),
-        }
+impl From<json::Error> for SnapshotError {
+    fn from(e: json::Error) -> Self {
+        SnapshotError(e.to_string())
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| SnapshotError::new(format!("missing field {key:?}")))
+fn get_u64(v: &Value, key: &str) -> Result<u64> {
+    Ok(v.get(key)?.as_u64()?)
 }
 
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64> {
-    get(obj, key)?.as_u64()
+fn read_array<T>(v: &Value, key: &str, read: fn(&Value) -> Result<T>) -> Result<Vec<T>> {
+    v.get(key)?.as_array()?.iter().map(read).collect()
 }
 
-fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64> {
-    get(obj, key)?.as_f64()
+fn write_array<T>(items: &[T], write: fn(&T) -> String) -> String {
+    let items: Vec<String> = items.iter().map(write).collect();
+    format!("[{}]", items.join(","))
 }
 
-// ---------------------------------------------------------------------------
-// Parser.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> SnapshotError {
-        SnapshotError::new(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: Json) -> Result<Json> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Continue a (possibly multi-byte) UTF-8 sequence; the
-                    // input is a &str so the bytes are valid UTF-8.
-                    let start = self.pos - 1;
-                    while self.bytes.get(self.pos).is_some_and(|&n| n & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.err("empty number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in number"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-fn parse_document(text: &str) -> Result<Json> {
-    let mut p = Parser::new(text);
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer helpers.
-// ---------------------------------------------------------------------------
-
-fn write_json_string(value: &str, out: &mut String) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats an `f64` so it round-trips exactly (`{:?}` is Rust's
-/// shortest-representation formatting). The simulator never produces
-/// non-finite values, but reject them rather than emitting invalid JSON.
-fn fmt_f64(value: f64) -> String {
+/// Every float in a report is finite; a non-finite one is a simulator bug,
+/// so refuse to write it rather than emit a payload that cannot round-trip.
+fn finite(value: f64) -> f64 {
     assert!(value.is_finite(), "reports never contain non-finite floats");
-    format!("{value:?}")
-}
-
-struct ObjWriter {
-    out: String,
-    first: bool,
-}
-
-impl ObjWriter {
-    fn new() -> Self {
-        ObjWriter {
-            out: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn raw(&mut self, key: &str, value: &str) -> &mut Self {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        write_json_string(key, &mut self.out);
-        self.out.push(':');
-        self.out.push_str(value);
-        self
-    }
-
-    fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.raw(key, &value.to_string())
-    }
-
-    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.raw(key, &fmt_f64(value))
-    }
-
-    fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        let mut quoted = String::new();
-        write_json_string(value, &mut quoted);
-        self.raw(key, &quoted)
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
+    value
 }
 
 // ---------------------------------------------------------------------------
@@ -465,10 +114,9 @@ macro_rules! u64_stats_codec {
             w.finish()
         }
 
-        fn $read(v: &Json) -> Result<$ty> {
-            let o = v.as_object()?;
+        fn $read(v: &Value) -> Result<$ty> {
             Ok($ty {
-                $($field: get_u64(o, stringify!($field))?,)+
+                $($field: get_u64(v, stringify!($field))?,)+
             })
         }
     };
@@ -612,7 +260,6 @@ u64_stats_codec!(
 // `ClusterContentionStats` carries a per-channel array, so it cannot use the
 // flat-`u64` macro.
 fn write_contention(s: &ClusterContentionStats) -> String {
-    let per_channel: Vec<String> = s.per_channel.iter().map(write_channel_contention).collect();
     let mut w = ObjWriter::new();
     w.u64("l2_accesses", s.l2_accesses)
         .u64("l2_misses", s.l2_misses)
@@ -620,52 +267,44 @@ fn write_contention(s: &ClusterContentionStats) -> String {
         .u64("dram_requests", s.dram_requests)
         .u64("dram_bytes", s.dram_bytes)
         .u64("dram_stall_cycles", s.dram_stall_cycles)
-        .raw("per_channel", &format!("[{}]", per_channel.join(",")));
+        .raw(
+            "per_channel",
+            &write_array(&s.per_channel, write_channel_contention),
+        );
     w.finish()
 }
 
-fn read_contention(v: &Json) -> Result<ClusterContentionStats> {
-    let o = v.as_object()?;
+fn read_contention(v: &Value) -> Result<ClusterContentionStats> {
     Ok(ClusterContentionStats {
-        l2_accesses: get_u64(o, "l2_accesses")?,
-        l2_misses: get_u64(o, "l2_misses")?,
-        dma_bytes: get_u64(o, "dma_bytes")?,
-        dram_requests: get_u64(o, "dram_requests")?,
-        dram_bytes: get_u64(o, "dram_bytes")?,
-        dram_stall_cycles: get_u64(o, "dram_stall_cycles")?,
-        per_channel: get(o, "per_channel")?
-            .as_array()?
-            .iter()
-            .map(read_channel_contention)
-            .collect::<Result<Vec<_>>>()?,
+        l2_accesses: get_u64(v, "l2_accesses")?,
+        l2_misses: get_u64(v, "l2_misses")?,
+        dma_bytes: get_u64(v, "dma_bytes")?,
+        dram_requests: get_u64(v, "dram_requests")?,
+        dram_bytes: get_u64(v, "dram_bytes")?,
+        dram_stall_cycles: get_u64(v, "dram_stall_cycles")?,
+        per_channel: read_array(v, "per_channel", read_channel_contention)?,
     })
 }
 
 // `ClusterDsmStats` carries a per-link array, so it cannot use the
 // flat-`u64` macro either.
 fn write_cluster_dsm(s: &ClusterDsmStats) -> String {
-    let per_link: Vec<String> = s.per_link.iter().map(write_dsm_link).collect();
     let mut w = ObjWriter::new();
     w.u64("requests", s.requests)
         .u64("bytes", s.bytes)
         .u64("stall_cycles", s.stall_cycles)
         .u64("hop_flits", s.hop_flits)
-        .raw("per_link", &format!("[{}]", per_link.join(",")));
+        .raw("per_link", &write_array(&s.per_link, write_dsm_link));
     w.finish()
 }
 
-fn read_cluster_dsm(v: &Json) -> Result<ClusterDsmStats> {
-    let o = v.as_object()?;
+fn read_cluster_dsm(v: &Value) -> Result<ClusterDsmStats> {
     Ok(ClusterDsmStats {
-        requests: get_u64(o, "requests")?,
-        bytes: get_u64(o, "bytes")?,
-        stall_cycles: get_u64(o, "stall_cycles")?,
-        hop_flits: get_u64(o, "hop_flits")?,
-        per_link: get(o, "per_link")?
-            .as_array()?
-            .iter()
-            .map(read_dsm_link)
-            .collect::<Result<Vec<_>>>()?,
+        requests: get_u64(v, "requests")?,
+        bytes: get_u64(v, "bytes")?,
+        stall_cycles: get_u64(v, "stall_cycles")?,
+        hop_flits: get_u64(v, "hop_flits")?,
+        per_link: read_array(v, "per_link", read_dsm_link)?,
     })
 }
 
@@ -676,9 +315,9 @@ fn write_opt_dma(stats: &Option<DmaStats>) -> String {
     }
 }
 
-fn read_opt_dma(v: &Json) -> Result<Option<DmaStats>> {
+fn read_opt_dma(v: &Value) -> Result<Option<DmaStats>> {
     match v {
-        Json::Null => Ok(None),
+        Value::Null => Ok(None),
         other => Ok(Some(read_dma_stats(other)?)),
     }
 }
@@ -688,14 +327,14 @@ fn read_opt_dma(v: &Json) -> Result<Option<DmaStats>> {
 fn write_breakdown<E: fmt::Debug + Copy>(entries: &[(E, f64)]) -> String {
     let mut w = ObjWriter::new();
     for (e, value) in entries {
-        w.f64(&format!("{e:?}"), *value);
+        w.f64(&format!("{e:?}"), finite(*value));
     }
     w.finish()
 }
 
-fn read_breakdown<E: fmt::Debug + Copy>(v: &Json, variants: &[E]) -> Result<Vec<(E, f64)>> {
-    let o = v.as_object()?;
-    o.iter()
+fn read_breakdown<E: fmt::Debug + Copy>(v: &Value, variants: &[E]) -> Result<Vec<(E, f64)>> {
+    v.as_object()?
+        .iter()
         .map(|(name, value)| {
             let e = variants
                 .iter()
@@ -717,26 +356,25 @@ fn write_cluster_report(c: &ClusterReport) -> String {
         .raw("contention", &write_contention(&c.contention))
         .raw("dsm", &write_cluster_dsm(&c.dsm))
         .u64("performed_macs", c.performed_macs)
-        .f64("energy_mj", c.energy_mj)
+        .f64("energy_mj", finite(c.energy_mj))
         .raw("fault", &write_cluster_fault(&c.fault));
     w.finish()
 }
 
-fn read_cluster_report(v: &Json) -> Result<ClusterReport> {
-    let o = v.as_object()?;
+fn read_cluster_report(v: &Value) -> Result<ClusterReport> {
     Ok(ClusterReport {
-        cluster: u32::try_from(get_u64(o, "cluster")?)
+        cluster: u32::try_from(get_u64(v, "cluster")?)
             .map_err(|_| SnapshotError::new("cluster index overflows u32"))?,
-        core_stats: read_core_stats(get(o, "core_stats")?)?,
-        smem_stats: read_smem_stats(get(o, "smem_stats")?)?,
-        gmem_stats: read_gmem_stats(get(o, "gmem_stats")?)?,
-        dma_stats: read_opt_dma(get(o, "dma_stats")?)?,
-        cluster_stats: read_cluster_stats(get(o, "cluster_stats")?)?,
-        contention: read_contention(get(o, "contention")?)?,
-        dsm: read_cluster_dsm(get(o, "dsm")?)?,
-        performed_macs: get_u64(o, "performed_macs")?,
-        energy_mj: get_f64(o, "energy_mj")?,
-        fault: read_cluster_fault(get(o, "fault")?)?,
+        core_stats: read_core_stats(v.get("core_stats")?)?,
+        smem_stats: read_smem_stats(v.get("smem_stats")?)?,
+        gmem_stats: read_gmem_stats(v.get("gmem_stats")?)?,
+        dma_stats: read_opt_dma(v.get("dma_stats")?)?,
+        cluster_stats: read_cluster_stats(v.get("cluster_stats")?)?,
+        contention: read_contention(v.get("contention")?)?,
+        dsm: read_cluster_dsm(v.get("dsm")?)?,
+        performed_macs: get_u64(v, "performed_macs")?,
+        energy_mj: v.get("energy_mj")?.as_f64()?,
+        fault: read_cluster_fault(v.get("fault")?)?,
     })
 }
 
@@ -749,18 +387,17 @@ fn write_power(p: &PowerReport) -> String {
     w.finish()
 }
 
-fn read_power(v: &Json) -> Result<PowerReport> {
-    let o = v.as_object()?;
+fn read_power(v: &Value) -> Result<PowerReport> {
     Ok(PowerReport::from_parts(
-        Cycle::new(get_u64(o, "cycles")?),
-        read_frequency(o, "frequency_hz")?,
-        read_breakdown(get(o, "components")?, &Component::all())?,
-        read_breakdown(get(o, "matrix")?, &MatrixSubcomponent::all())?,
+        Cycle::new(get_u64(v, "cycles")?),
+        read_frequency(v, "frequency_hz")?,
+        read_breakdown(v.get("components")?, &Component::all())?,
+        read_breakdown(v.get("matrix")?, &MatrixSubcomponent::all())?,
     ))
 }
 
-fn read_frequency(o: &[(String, Json)], key: &str) -> Result<Frequency> {
-    let hz = get_u64(o, key)?;
+fn read_frequency(v: &Value, key: &str) -> Result<Frequency> {
+    let hz = get_u64(v, key)?;
     if hz == 0 {
         return Err(SnapshotError::new("zero clock frequency"));
     }
@@ -772,11 +409,6 @@ fn read_frequency(o: &[(String, Json)], key: &str) -> Result<Frequency> {
 // ---------------------------------------------------------------------------
 
 fn write_payload(report: &SimReport) -> String {
-    let per_cluster: Vec<String> = report
-        .per_cluster
-        .iter()
-        .map(write_cluster_report)
-        .collect();
     let mut w = ObjWriter::new();
     w.str("design", report.design.name())
         .str("kernel_name", &report.kernel_name)
@@ -789,26 +421,25 @@ fn write_payload(report: &SimReport) -> String {
         .raw("smem_stats", &write_smem_stats(&report.smem_stats))
         .raw("gmem_stats", &write_gmem_stats(&report.gmem_stats))
         .raw("dram_stats", &write_dram_stats(&report.dram_stats))
-        .raw("dram_channel_stats", &{
-            let channels: Vec<String> = report
-                .dram_channel_stats
-                .iter()
-                .map(write_dram_stats)
-                .collect();
-            format!("[{}]", channels.join(","))
-        })
+        .raw(
+            "dram_channel_stats",
+            &write_array(&report.dram_channel_stats, write_dram_stats),
+        )
         .raw("dma_stats", &write_opt_dma(&report.dma_stats))
         .raw("cluster_stats", &write_cluster_stats(&report.cluster_stats))
-        .raw("per_cluster", &format!("[{}]", per_cluster.join(",")))
+        .raw(
+            "per_cluster",
+            &write_array(&report.per_cluster, write_cluster_report),
+        )
         .u64(
             "dram_contention_stall_cycles",
             report.dram_contention_stall_cycles,
         )
         .raw("dsm_stats", &write_dsm_fabric(&report.dsm_stats))
-        .raw("dsm_link_stats", &{
-            let links: Vec<String> = report.dsm_link_stats.iter().map(write_dsm_link).collect();
-            format!("[{}]", links.join(","))
-        })
+        .raw(
+            "dsm_link_stats",
+            &write_array(&report.dsm_link_stats, write_dsm_link),
+        )
         .raw("fault", &write_fault_stats(&report.fault))
         .raw("sched", &write_sched_stats(&report.sched))
         .raw("power", &write_power(&report.power))
@@ -816,47 +447,35 @@ fn write_payload(report: &SimReport) -> String {
     w.finish()
 }
 
-fn read_payload(v: &Json) -> Result<SimReport> {
-    let o = v.as_object()?;
-    let design: DesignKind = get(o, "design")?
+fn read_payload(v: &Value) -> Result<SimReport> {
+    let design: DesignKind = v
+        .get("design")?
         .as_str()?
         .parse()
         .map_err(SnapshotError::new)?;
     Ok(SimReport {
         design,
-        kernel_name: get(o, "kernel_name")?.as_str()?.to_string(),
-        cycles: Cycle::new(get_u64(o, "cycles")?),
-        frequency: read_frequency(o, "frequency_hz")?,
-        kernel_macs: get_u64(o, "kernel_macs")?,
-        performed_macs: get_u64(o, "performed_macs")?,
-        peak_macs_per_cycle: get_u64(o, "peak_macs_per_cycle")?,
-        core_stats: read_core_stats(get(o, "core_stats")?)?,
-        smem_stats: read_smem_stats(get(o, "smem_stats")?)?,
-        gmem_stats: read_gmem_stats(get(o, "gmem_stats")?)?,
-        dram_stats: read_dram_stats(get(o, "dram_stats")?)?,
-        dram_channel_stats: get(o, "dram_channel_stats")?
-            .as_array()?
-            .iter()
-            .map(read_dram_stats)
-            .collect::<Result<Vec<_>>>()?,
-        dma_stats: read_opt_dma(get(o, "dma_stats")?)?,
-        cluster_stats: read_cluster_stats(get(o, "cluster_stats")?)?,
-        per_cluster: get(o, "per_cluster")?
-            .as_array()?
-            .iter()
-            .map(read_cluster_report)
-            .collect::<Result<Vec<_>>>()?,
-        dram_contention_stall_cycles: get_u64(o, "dram_contention_stall_cycles")?,
-        dsm_stats: read_dsm_fabric(get(o, "dsm_stats")?)?,
-        dsm_link_stats: get(o, "dsm_link_stats")?
-            .as_array()?
-            .iter()
-            .map(read_dsm_link)
-            .collect::<Result<Vec<_>>>()?,
-        fault: read_fault_stats(get(o, "fault")?)?,
-        sched: read_sched_stats(get(o, "sched")?)?,
-        power: read_power(get(o, "power")?)?,
-        area: AreaReport::from_entries(read_breakdown(get(o, "area")?, &Component::all())?),
+        kernel_name: v.get("kernel_name")?.as_str()?.to_string(),
+        cycles: Cycle::new(get_u64(v, "cycles")?),
+        frequency: read_frequency(v, "frequency_hz")?,
+        kernel_macs: get_u64(v, "kernel_macs")?,
+        performed_macs: get_u64(v, "performed_macs")?,
+        peak_macs_per_cycle: get_u64(v, "peak_macs_per_cycle")?,
+        core_stats: read_core_stats(v.get("core_stats")?)?,
+        smem_stats: read_smem_stats(v.get("smem_stats")?)?,
+        gmem_stats: read_gmem_stats(v.get("gmem_stats")?)?,
+        dram_stats: read_dram_stats(v.get("dram_stats")?)?,
+        dram_channel_stats: read_array(v, "dram_channel_stats", read_dram_stats)?,
+        dma_stats: read_opt_dma(v.get("dma_stats")?)?,
+        cluster_stats: read_cluster_stats(v.get("cluster_stats")?)?,
+        per_cluster: read_array(v, "per_cluster", read_cluster_report)?,
+        dram_contention_stall_cycles: get_u64(v, "dram_contention_stall_cycles")?,
+        dsm_stats: read_dsm_fabric(v.get("dsm_stats")?)?,
+        dsm_link_stats: read_array(v, "dsm_link_stats", read_dsm_link)?,
+        fault: read_fault_stats(v.get("fault")?)?,
+        sched: read_sched_stats(v.get("sched")?)?,
+        power: read_power(v.get("power")?)?,
+        area: AreaReport::from_entries(read_breakdown(v.get("area")?, &Component::all())?),
     })
 }
 
@@ -894,28 +513,27 @@ impl SimReport {
     /// malformed JSON, wrong format/version, a key mismatch, a checksum
     /// mismatch or a payload that does not describe a valid report.
     pub fn from_cache_json(text: &str, expected_key: &str) -> Result<SimReport> {
-        let doc = parse_document(text.trim_end())?;
-        let o = doc.as_object()?;
-        let format = get(o, "format")?.as_str()?;
+        let doc = json::parse(text.trim_end())?;
+        let format = doc.get("format")?.as_str()?;
         if format != FORMAT {
             return Err(SnapshotError::new(format!("wrong format tag {format:?}")));
         }
-        let version = get_u64(o, "version")?;
+        let version = get_u64(&doc, "version")?;
         if version != VERSION {
             return Err(SnapshotError::new(format!(
                 "unsupported snapshot version {version} (expected {VERSION})"
             )));
         }
-        let key = get(o, "key")?.as_str()?;
+        let key = doc.get("key")?.as_str()?;
         if key != expected_key {
             return Err(SnapshotError::new(format!(
                 "key mismatch: entry is {key}, expected {expected_key}"
             )));
         }
-        let payload = get(o, "payload")?;
+        let payload = doc.get("payload")?;
         let mut canonical = String::new();
         payload.render(&mut canonical);
-        let stored = get(o, "checksum")?.as_str()?;
+        let stored = doc.get("checksum")?.as_str()?;
         let computed = checksum(&canonical);
         if stored != computed {
             return Err(SnapshotError::new(format!(
@@ -1039,27 +657,5 @@ mod tests {
         let bumped = text.replace("\"version\":6", "\"version\":99");
         let err = SimReport::from_cache_json(&bumped, &key).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let doc = parse_document(r#"{"a":[1,2.5,-3],"b":"x\"y\\z\nw","c":null,"d":true}"#).unwrap();
-        let o = doc.as_object().unwrap();
-        assert_eq!(get(o, "b").unwrap().as_str().unwrap(), "x\"y\\z\nw");
-        let arr = get(o, "a").unwrap().as_array().unwrap();
-        assert_eq!(arr[0].as_u64().unwrap(), 1);
-        assert_eq!(arr[1].as_f64().unwrap(), 2.5);
-        assert_eq!(arr[2].as_f64().unwrap(), -3.0);
-        assert_eq!(get(o, "c").unwrap(), &Json::Null);
-        assert_eq!(get(o, "d").unwrap(), &Json::Bool(true));
-    }
-
-    #[test]
-    fn f64_text_roundtrips_exactly() {
-        for v in [0.1, 1.0 / 3.0, 6.02214076e23, 4.9e-324, -0.0] {
-            let text = fmt_f64(v);
-            let back: f64 = text.parse().unwrap();
-            assert_eq!(v.to_bits(), back.to_bits(), "{text}");
-        }
     }
 }

@@ -16,7 +16,10 @@
 //! * [`activity`] — the [`NextActivity`] trait behind the cycle-skipping
 //!   fast-forward engine,
 //! * [`sched`] — the deterministic [`sched::EventQueue`] driving the
-//!   event-driven fast-forward loop.
+//!   event-driven fast-forward loop,
+//! * [`json`] — the workspace's one JSON codec: a raw-number value model,
+//!   a parser and the compact writer used by report snapshots, the store's
+//!   STAT payload, report digests and the bench differ.
 //!
 //! The whole simulator is *cycle stepped*: every hardware component exposes a
 //! `tick`-style method that advances it by one clock cycle. There is no
@@ -44,6 +47,7 @@
 pub mod activity;
 pub mod cycle;
 pub mod fault;
+pub mod json;
 pub mod pipe;
 pub mod rng;
 pub mod sched;

@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use virgo_sim::json::ObjWriter;
+
 use crate::entries::{EntryDir, Loaded, StoreError};
 use crate::protocol::{read_request, write_response, Opcode, Request, Status};
 
@@ -55,25 +57,20 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Renders the counters as a small JSON object (the `STATS` payload).
+    /// Renders the counters as a compact JSON object (the `STATS` payload).
     pub fn to_json(&self) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\"connections\": {}, \"get_hits\": {}, \"get_misses\": {}, ",
-                "\"put_oks\": {}, \"put_rejects\": {}, \"quarantined\": {}, ",
-                "\"protocol_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}}}"
-            ),
-            g(&self.connections),
-            g(&self.get_hits),
-            g(&self.get_misses),
-            g(&self.put_oks),
-            g(&self.put_rejects),
-            g(&self.quarantined),
-            g(&self.protocol_errors),
-            g(&self.bytes_in),
-            g(&self.bytes_out),
-        )
+        let mut w = ObjWriter::new();
+        w.u64("connections", g(&self.connections))
+            .u64("get_hits", g(&self.get_hits))
+            .u64("get_misses", g(&self.get_misses))
+            .u64("put_oks", g(&self.put_oks))
+            .u64("put_rejects", g(&self.put_rejects))
+            .u64("quarantined", g(&self.quarantined))
+            .u64("protocol_errors", g(&self.protocol_errors))
+            .u64("bytes_in", g(&self.bytes_in))
+            .u64("bytes_out", g(&self.bytes_out));
+        w.finish()
     }
 }
 

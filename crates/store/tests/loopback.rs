@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use virgo::{Gpu, GpuConfig, SimKey, SimMode};
 use virgo_isa::{DataType, Kernel, KernelInfo, ProgramBuilder, WarpAssignment, WarpOp};
+use virgo_sim::json;
 use virgo_store::protocol::{checksum64, key_field, Opcode, MAGIC};
 use virgo_store::{EntryDir, StoreClient, StoreServer};
 
@@ -56,8 +57,9 @@ fn put_get_stat_roundtrip_over_tcp() {
     assert_eq!(other.get(&key).unwrap().as_deref(), Some(envelope.as_str()));
 
     let stats = other.stat().unwrap();
-    assert!(stats.contains("\"get_hits\": 2"), "stats: {stats}");
-    assert!(stats.contains("\"put_oks\": 1"), "stats: {stats}");
+    let doc = json::parse(&stats).unwrap_or_else(|e| panic!("{e}: {stats}"));
+    assert_eq!(doc.get("get_hits").unwrap().as_u64().unwrap(), 2, "{stats}");
+    assert_eq!(doc.get("put_oks").unwrap().as_u64().unwrap(), 1, "{stats}");
 
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
