@@ -271,6 +271,15 @@ impl LaneAccess {
         self.addr.eval(exec_count) + u64::from(lane) * u64::from(self.lane_stride)
     }
 
+    /// Byte addresses of every active lane, in lane order, on the
+    /// `exec_count`-th execution: [`LaneAccess::lane_addr`] for each lane,
+    /// with the address expression evaluated once.
+    pub fn lane_addrs(&self, exec_count: u64) -> impl Iterator<Item = u64> {
+        let base = self.addr.eval(exec_count);
+        let stride = u64::from(self.lane_stride);
+        (0..u64::from(self.active_lanes)).map(move |lane| base + lane * stride)
+    }
+
     /// Total bytes moved by one execution of the access across all lanes.
     pub fn total_bytes(&self) -> u64 {
         u64::from(self.bytes_per_lane) * u64::from(self.active_lanes)
@@ -340,6 +349,21 @@ mod tests {
         assert!(!a.is_coalescable());
         assert_eq!(a.lane_addr(2, 0), 256);
         assert_eq!(a.total_bytes(), 32);
+    }
+
+    #[test]
+    fn lane_addrs_match_lane_addr() {
+        for expr in [
+            AddrExpr::fixed(0x40),
+            AddrExpr::streaming(0x1000, 256),
+            AddrExpr::rotating(0x80, 0x400, 3),
+        ] {
+            let a = LaneAccess::strided(expr, 12, 4, 8);
+            for e in 0..7 {
+                let each: Vec<u64> = (0..8).map(|lane| a.lane_addr(lane, e)).collect();
+                assert_eq!(a.lane_addrs(e).collect::<Vec<_>>(), each);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A small DSL for constructing loop-structured warp programs.
 
 use crate::op::{OpId, WarpOp};
-use crate::program::{Program, ProgramItem};
+use crate::program::{Program, Step};
 
 /// Builder for [`Program`]s.
 ///
@@ -25,26 +25,22 @@ use crate::program::{Program, ProgramItem};
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
-    /// Stack of partially-built item lists; the last entry is the innermost
-    /// open scope.
-    scopes: Vec<Vec<ProgramItem>>,
+    /// The program's steps so far, loops bracketed by `Loop`/`End`.
+    steps: Vec<Step>,
     next_id: u32,
 }
 
 impl ProgramBuilder {
-    /// Creates a builder with an empty top-level scope.
+    /// Creates an empty builder.
     pub fn new() -> Self {
-        ProgramBuilder {
-            scopes: vec![Vec::new()],
-            next_id: 0,
-        }
+        ProgramBuilder::default()
     }
 
     /// Appends a single operation to the current scope.
     pub fn op(&mut self, op: WarpOp) -> &mut Self {
         let id = OpId(self.next_id);
         self.next_id += 1;
-        self.current_scope().push(ProgramItem::Op { id, op });
+        self.steps.push(Step::Op(id, op));
         self
     }
 
@@ -62,24 +58,23 @@ impl ProgramBuilder {
     /// Zero-trip loops are allowed and are skipped at execution time, which
     /// lets kernel generators express edge cases (e.g. a K-loop with a single
     /// iteration having no "next tile" prologue) without special cases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program grows beyond `u32::MAX` steps.
     pub fn repeat(&mut self, count: u64, f: impl FnOnce(&mut Self)) -> &mut Self {
-        self.scopes.push(Vec::new());
+        let start = self.next_step();
+        self.steps.push(Step::Loop { count, end: 0 });
         f(self);
-        let body = self.scopes.pop().expect("scope pushed above");
-        self.current_scope().push(ProgramItem::Loop { count, body });
+        let end = self.next_step();
+        self.steps.push(Step::End { start });
+        self.steps[start as usize] = Step::Loop { count, end };
         self
     }
 
     /// Finishes the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a `repeat` scope is still being built (cannot
-    /// happen through the public API, which closes scopes via closures).
-    pub fn build(mut self) -> Program {
-        assert_eq!(self.scopes.len(), 1, "unclosed loop scope");
-        let items = self.scopes.pop().expect("top-level scope");
-        Program::from_items(items, self.next_id)
+    pub fn build(self) -> Program {
+        Program::from_steps(self.steps, self.next_id)
     }
 
     /// Number of static operations added so far.
@@ -87,8 +82,9 @@ impl ProgramBuilder {
         self.next_id
     }
 
-    fn current_scope(&mut self) -> &mut Vec<ProgramItem> {
-        self.scopes.last_mut().expect("at least the root scope")
+    /// Index the next pushed step will get.
+    fn next_step(&self) -> u32 {
+        u32::try_from(self.steps.len()).expect("program exceeds u32::MAX steps")
     }
 }
 

@@ -50,4 +50,4 @@ pub use builder::ProgramBuilder;
 pub use kernel::{DataType, GridPartition, Kernel, KernelInfo, PartitionStrategy, WarpAssignment};
 pub use mmio::{DeviceId, DmaCopyCmd, MatrixComputeCmd, MemLoc, MmioCommand, WgmmaOp};
 pub use op::{OpId, WarpOp};
-pub use program::{Program, ProgramCursor, ProgramItem};
+pub use program::{Program, ProgramCursor};

@@ -1,10 +1,11 @@
 //! Loop-structured warp programs and their execution cursor.
 //!
-//! A [`Program`] is a tree of [`ProgramItem`]s: plain operations and counted
-//! loops. This keeps the memory footprint proportional to the *static* kernel
-//! size while the simulator still observes every *dynamic* instruction. A
-//! [`ProgramCursor`] walks the tree in execution order, maintaining the loop
-//! iteration state.
+//! A [`Program`] is one flat list of steps: plain operations plus the
+//! `Loop`/`End` markers bracketing each counted loop body. This keeps the
+//! memory footprint proportional to the *static* kernel size while the
+//! simulator still observes every *dynamic* instruction. A [`ProgramCursor`]
+//! walks the steps in execution order with a program counter and a stack of
+//! remaining trip counts, so each step costs O(1).
 
 use std::sync::Arc;
 
@@ -12,23 +13,42 @@ use virgo_sim::{StableHash, StableHasher};
 
 use crate::op::{OpId, WarpOp};
 
-/// One node of a loop-structured program.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProgramItem {
+/// One step of a flat program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Step {
     /// A single static operation with its program-unique id.
-    Op {
-        /// Identifier used for per-instruction execution counters.
-        id: OpId,
-        /// The operation itself.
-        op: WarpOp,
-    },
-    /// A counted loop over a nested body.
+    Op(OpId, WarpOp),
+    /// Opens a loop of `count` iterations whose matching [`Step::End`] sits
+    /// at index `end`; zero-iteration loops jump past it.
     Loop {
-        /// Number of iterations; zero-iteration loops are skipped entirely.
+        /// Number of iterations.
         count: u64,
-        /// The loop body.
-        body: Vec<ProgramItem>,
+        /// Index of the matching `End`.
+        end: u32,
     },
+    /// Closes the loop opened at index `start`.
+    End {
+        /// Index of the matching `Loop`.
+        start: u32,
+    },
+}
+
+impl StableHash for Step {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        match *self {
+            Step::Op(id, op) => {
+                h.write_u64(0);
+                id.stable_hash(h);
+                op.stable_hash(h);
+            }
+            // The bracket offsets follow from the order of the steps.
+            Step::Loop { count, .. } => {
+                h.write_u64(1);
+                h.write_u64(count);
+            }
+            Step::End { .. } => h.write_u64(2),
+        }
+    }
 }
 
 /// A complete per-warp program.
@@ -39,18 +59,14 @@ pub enum ProgramItem {
 /// requires that).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
-    items: Vec<ProgramItem>,
+    steps: Vec<Step>,
     num_ops: u32,
 }
 
 impl Program {
-    /// Creates a program from raw items.
-    ///
-    /// Prefer [`ProgramBuilder`](crate::ProgramBuilder), which assigns
-    /// [`OpId`]s automatically; this constructor is used by the builder and
-    /// by tests that need full control.
-    pub fn from_items(items: Vec<ProgramItem>, num_ops: u32) -> Self {
-        Program { items, num_ops }
+    /// Creates a program from builder-emitted steps.
+    pub(crate) fn from_steps(steps: Vec<Step>, num_ops: u32) -> Self {
+        Program { steps, num_ops }
     }
 
     /// The empty program; a warp running it retires immediately.
@@ -64,45 +80,34 @@ impl Program {
         self.num_ops
     }
 
-    /// Top-level items of the program tree.
-    pub fn items(&self) -> &[ProgramItem] {
-        &self.items
-    }
-
     /// Number of *dynamic* operations the program will execute (loop bodies
     /// multiplied by their trip counts).
     pub fn dynamic_len(&self) -> u64 {
-        fn count(items: &[ProgramItem]) -> u64 {
-            items
-                .iter()
-                .map(|item| match item {
-                    ProgramItem::Op { .. } => 1,
-                    ProgramItem::Loop { count: c, body } => c * count(body),
-                })
-                .sum()
+        // `sums[d]` accumulates the dynamic length of the body open at depth
+        // `d`; `End` folds it, times the trip count, into its parent.
+        let mut sums = vec![0u64];
+        for step in &self.steps {
+            match step {
+                Step::Op(..) => *sums.last_mut().expect("root sum") += 1,
+                Step::Loop { .. } => sums.push(0),
+                &Step::End { start } => {
+                    let body = sums.pop().expect("loop sum pushed at its start");
+                    let Step::Loop { count, .. } = self.steps[start as usize] else {
+                        unreachable!("End always points at its Loop");
+                    };
+                    *sums.last_mut().expect("root sum") += count * body;
+                }
+            }
         }
-        count(&self.items)
+        sums[0]
     }
 
     /// Creates a cursor positioned before the first dynamic operation.
     pub fn cursor(self: &Arc<Self>) -> ProgramCursor {
-        ProgramCursor::new(Arc::clone(self))
-    }
-}
-
-impl StableHash for ProgramItem {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        match self {
-            ProgramItem::Op { id, op } => {
-                h.write_u64(0);
-                id.stable_hash(h);
-                op.stable_hash(h);
-            }
-            ProgramItem::Loop { count, body } => {
-                h.write_u64(1);
-                h.write_u64(*count);
-                body.stable_hash(h);
-            }
+        ProgramCursor {
+            program: Arc::clone(self),
+            pc: 0,
+            remaining: Vec::new(),
         }
     }
 }
@@ -110,18 +115,8 @@ impl StableHash for ProgramItem {
 impl StableHash for Program {
     fn stable_hash(&self, h: &mut StableHasher) {
         h.write_u64(u64::from(self.num_ops));
-        self.items.stable_hash(h);
+        self.steps.stable_hash(h);
     }
-}
-
-/// One frame of the cursor's loop stack.
-#[derive(Debug, Clone)]
-struct Frame {
-    /// Index into the item list of this nesting level.
-    index: usize,
-    /// Remaining iterations of the enclosing loop (meaningful for frames
-    /// above the root).
-    remaining: u64,
 }
 
 /// A cursor that yields the dynamic operation stream of a [`Program`].
@@ -149,105 +144,49 @@ struct Frame {
 #[derive(Debug, Clone)]
 pub struct ProgramCursor {
     program: Arc<Program>,
-    /// Stack of loop frames; the root frame walks `program.items`.
-    stack: Vec<Frame>,
-    done: bool,
+    /// Index of the next step to execute.
+    pc: usize,
+    /// Remaining iterations (the current one included) of every open loop,
+    /// innermost last.
+    remaining: Vec<u64>,
 }
 
 impl ProgramCursor {
-    fn new(program: Arc<Program>) -> Self {
-        let done = program.items.is_empty();
-        ProgramCursor {
-            program,
-            stack: vec![Frame {
-                index: 0,
-                remaining: 1,
-            }],
-            done,
-        }
-    }
-
-    /// True when every dynamic operation has been yielded.
+    /// True once the cursor has stepped past the end of the program: every
+    /// dynamic operation has been yielded.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.pc >= self.program.steps.len()
     }
 
     /// Returns the next dynamic operation, or `None` when the program has
     /// finished.
     ///
-    /// The returned operation is copied out of the program tree (operations
-    /// are small `Copy` values), together with its static [`OpId`].
+    /// The returned operation is copied out of the program (operations are
+    /// small `Copy` values), together with its static [`OpId`].
     pub fn next_op(&mut self) -> Option<(OpId, WarpOp)> {
-        if self.done {
-            return None;
-        }
         loop {
-            // Resolve the item list of the current frame.
-            let depth = self.stack.len() - 1;
-            let items_len = self.current_items_len(depth);
-            let frame_index = self.stack[depth].index;
-
-            if frame_index >= items_len {
-                // Finished this item list: either retry the loop body or pop.
-                if depth == 0 {
-                    self.done = true;
-                    return None;
+            match self.program.steps.get(self.pc)? {
+                Step::Op(id, op) => {
+                    self.pc += 1;
+                    return Some((*id, *op));
                 }
-                let frame = &mut self.stack[depth];
-                frame.remaining -= 1;
-                if frame.remaining > 0 {
-                    frame.index = 0;
-                    continue;
+                Step::Loop { count: 0, end } => self.pc = *end as usize + 1,
+                Step::Loop { count, .. } => {
+                    self.remaining.push(*count);
+                    self.pc += 1;
                 }
-                self.stack.pop();
-                let parent = self.stack.last_mut().expect("root frame always present");
-                parent.index += 1;
-                continue;
-            }
-
-            // Inspect the item at the current position.
-            let (is_loop, count) = {
-                let item = self.item_at(depth, frame_index);
-                match item {
-                    ProgramItem::Op { id, op } => {
-                        let result = (*id, *op);
-                        self.stack[depth].index += 1;
-                        return Some(result);
+                &Step::End { start } => {
+                    let left = self.remaining.last_mut().expect("End inside an open loop");
+                    *left -= 1;
+                    if *left > 0 {
+                        self.pc = start as usize + 1;
+                    } else {
+                        self.remaining.pop();
+                        self.pc += 1;
                     }
-                    ProgramItem::Loop { count, .. } => (true, *count),
                 }
-            };
-            debug_assert!(is_loop);
-            if count == 0 {
-                self.stack[depth].index += 1;
-            } else {
-                self.stack.push(Frame {
-                    index: 0,
-                    remaining: count,
-                });
             }
         }
-    }
-
-    fn current_items_len(&self, depth: usize) -> usize {
-        self.items_for_depth(depth).len()
-    }
-
-    fn item_at(&self, depth: usize, index: usize) -> &ProgramItem {
-        &self.items_for_depth(depth)[index]
-    }
-
-    /// Walks the frame stack to find the item slice for `depth`.
-    fn items_for_depth(&self, depth: usize) -> &[ProgramItem] {
-        let mut items: &[ProgramItem] = &self.program.items;
-        for level in 1..=depth {
-            let parent_index = self.stack[level - 1].index;
-            match &items[parent_index] {
-                ProgramItem::Loop { body, .. } => items = body,
-                ProgramItem::Op { .. } => unreachable!("frame above an op"),
-            }
-        }
-        items
     }
 }
 
@@ -255,6 +194,7 @@ impl ProgramCursor {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use virgo_sim::SplitMix64;
 
     fn collect(program: Program) -> Vec<&'static str> {
         let program = Arc::new(program);
@@ -353,6 +293,191 @@ mod tests {
         });
         b.op(WarpOp::Barrier { id: 0 });
         assert_eq!(collect(b.build()), vec!["nop", "nop", "vx.bar"]);
+    }
+
+    /// A program tree for the cursor property test: the shape
+    /// [`ProgramBuilder`] calls describe, expanded here by plain recursion
+    /// as the reference for the flat cursor.
+    #[derive(Debug)]
+    enum Node {
+        Op(WarpOp),
+        Loop(u64, Vec<Node>),
+    }
+
+    fn random_op(rng: &mut SplitMix64) -> WarpOp {
+        match rng.next_below(4) {
+            0 => WarpOp::Nop,
+            1 => WarpOp::WaitLoads,
+            2 => WarpOp::Barrier {
+                id: rng.next_below(4) as u8,
+            },
+            _ => WarpOp::Alu {
+                rf_reads: rng.next_below(3) as u8,
+                rf_writes: rng.next_below(2) as u8,
+            },
+        }
+    }
+
+    /// A random body of up to four items; loops nest up to `depth` more
+    /// levels, have 0–3 trips and may be empty.
+    fn random_body(rng: &mut SplitMix64, depth: u32) -> Vec<Node> {
+        (0..rng.next_below(5))
+            .map(|_| {
+                if depth > 0 && rng.next_below(2) == 0 {
+                    Node::Loop(rng.next_below(4), random_body(rng, depth - 1))
+                } else {
+                    Node::Op(random_op(rng))
+                }
+            })
+            .collect()
+    }
+
+    fn build(b: &mut ProgramBuilder, nodes: &[Node]) {
+        for node in nodes {
+            match node {
+                Node::Op(op) => {
+                    b.op(*op);
+                }
+                Node::Loop(count, body) => {
+                    b.repeat(*count, |b| build(b, body));
+                }
+            }
+        }
+    }
+
+    /// Recursive reference expansion. Ids are assigned in pre-order, the
+    /// builder's construction order, whether or not a loop ever runs.
+    fn expand(nodes: &[Node], next_id: &mut u32, out: &mut Vec<(OpId, WarpOp)>) {
+        for node in nodes {
+            match node {
+                Node::Op(op) => {
+                    out.push((OpId(*next_id), *op));
+                    *next_id += 1;
+                }
+                Node::Loop(count, body) => {
+                    let first_id = *next_id;
+                    for _ in 0..*count {
+                        *next_id = first_id;
+                        expand(body, next_id, out);
+                    }
+                    *next_id = first_id + static_ops(body);
+                }
+            }
+        }
+    }
+
+    fn static_ops(nodes: &[Node]) -> u32 {
+        nodes
+            .iter()
+            .map(|n| match n {
+                Node::Op(_) => 1,
+                Node::Loop(_, body) => static_ops(body),
+            })
+            .sum()
+    }
+
+    /// Loop nesting depth of `nodes`, and how many of its loops have zero
+    /// trips or an empty body.
+    fn shape(nodes: &[Node]) -> (u32, u32, u32) {
+        let mut out = (0, 0, 0);
+        for node in nodes {
+            if let Node::Loop(count, body) = node {
+                let (depth, zero, empty) = shape(body);
+                out.0 = out.0.max(depth + 1);
+                out.1 += zero + u32::from(*count == 0);
+                out.2 += empty + u32::from(body.is_empty());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn flat_cursor_matches_recursive_expansion() {
+        let mut rng = SplitMix64::new(0xC0A5_0001);
+        let (mut zero_trip, mut empty_body, mut trailing_loop, mut deep) = (0, 0, 0, 0);
+        for case in 0..512 {
+            let mut tree = random_body(&mut rng, 5);
+            if case % 3 == 0 {
+                // A loop as the very last item of the program.
+                tree.push(Node::Loop(rng.next_below(3), random_body(&mut rng, 2)));
+            }
+            let (depth, zero, empty) = shape(&tree);
+            deep += u32::from(depth >= 4);
+            zero_trip += zero;
+            empty_body += empty;
+            trailing_loop += u32::from(matches!(tree.last(), Some(Node::Loop(..))));
+
+            let mut b = ProgramBuilder::new();
+            build(&mut b, &tree);
+            let program = Arc::new(b.build());
+            let mut expected = Vec::new();
+            let mut next_id = 0;
+            expand(&tree, &mut next_id, &mut expected);
+            assert_eq!(program.static_len(), next_id, "case {case}");
+
+            let mut cursor = program.cursor();
+            let mut got = Vec::new();
+            while let Some(step) = cursor.next_op() {
+                got.push(step);
+            }
+            assert!(cursor.is_done(), "case {case}");
+            assert_eq!(cursor.next_op(), None, "case {case}: stays finished");
+            assert_eq!(got, expected, "case {case}: {tree:?}");
+            assert_eq!(got.len() as u64, program.dynamic_len(), "case {case}");
+        }
+        assert!(zero_trip > 0 && empty_body > 0 && trailing_loop > 0 && deep > 0);
+    }
+
+    fn program_hash(f: impl FnOnce(&mut ProgramBuilder)) -> (u64, u64) {
+        let mut b = ProgramBuilder::new();
+        f(&mut b);
+        let mut h = StableHasher::new();
+        b.build().stable_hash(&mut h);
+        h.finish128()
+    }
+
+    #[test]
+    fn stable_hash_tells_loop_structure_apart() {
+        let op = WarpOp::Nop;
+        let looped = program_hash(|b| {
+            b.repeat(2, |b| {
+                b.op(op);
+            });
+        });
+        let unrolled = program_hash(|b| {
+            b.op_n(2, op);
+        });
+        let three_trips = program_hash(|b| {
+            b.repeat(3, |b| {
+                b.op(op);
+            });
+        });
+        let nested = program_hash(|b| {
+            b.repeat(2, |b| {
+                b.repeat(1, |b| {
+                    b.op(op);
+                });
+            });
+        });
+        let after = program_hash(|b| {
+            b.repeat(2, |_| {});
+            b.op(op);
+        });
+        let hashes = [looped, unrolled, three_trips, nested, after];
+        for (i, a) in hashes.iter().enumerate() {
+            for b in &hashes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(
+            looped,
+            program_hash(|b| {
+                b.repeat(2, |b| {
+                    b.op(op);
+                });
+            }),
+            "equal programs hash equally"
+        );
     }
 
     #[test]

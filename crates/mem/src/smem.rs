@@ -175,6 +175,8 @@ pub struct SharedMemory {
     /// so the per-lane conflict model allocates nothing on the SIMT
     /// load/store hot path.
     lane_scratch: Vec<(u32, u64)>,
+    /// Reusable per-lane bank indices for [`SharedMemory::access_simt`].
+    lane_banks: Vec<usize>,
 }
 
 impl SharedMemory {
@@ -197,6 +199,7 @@ impl SharedMemory {
             pending_reads: BinaryHeap::new(),
             next_stream_seq: 0,
             lane_scratch: Vec::new(),
+            lane_banks: Vec::new(),
         }
     }
 
@@ -260,20 +263,31 @@ impl SharedMemory {
             };
         }
 
-        // Distinct (subbank slot, word) pairs for the aligned lanes: sorting
-        // and deduplicating the reusable scratch yields the same distinct set
-        // per slot as a per-slot dedup, without allocating per access.
+        // One pass over the lanes computes each lane's bank once; it feeds
+        // both the start-cycle max and the occupancy update below. Aligned
+        // lanes also contribute their distinct (subbank slot, word) pair:
+        // sorting and deduplicating the reusable scratch yields the same
+        // distinct set per slot as a per-slot dedup, without allocating per
+        // access.
+        let bank_bytes = self.config.bank_bytes();
+        let banks = u64::from(self.config.banks);
+        let subbanks = u64::from(self.config.subbanks);
         let mut scratch = std::mem::take(&mut self.lane_scratch);
+        let mut lane_banks = std::mem::take(&mut self.lane_banks);
         scratch.clear();
+        lane_banks.clear();
+        let mut start = now;
         let mut unaligned = 0u64;
         for &addr in lane_addrs {
+            let bank = (addr / bank_bytes) % banks;
+            lane_banks.push(bank as usize);
+            start = start.max(self.bank_busy_until[bank as usize]);
             if addr % 4 != 0 {
                 unaligned += 1;
                 continue;
             }
-            let slot =
-                (self.bank_of(addr) * self.config.subbanks as usize + self.subbank_of(addr)) as u32;
-            scratch.push((slot, addr / 4));
+            let word = addr / 4;
+            scratch.push(((bank * subbanks + word % subbanks) as u32, word));
         }
         self.stats.unaligned_serialized += unaligned;
         scratch.sort_unstable();
@@ -298,18 +312,13 @@ impl SharedMemory {
         self.lane_scratch = scratch;
         let conflict_cycles = max_depth.saturating_sub(1) + unaligned;
 
-        // The access occupies every bank it touches. Duplicate banks fold to
-        // the same max on the first pass and write the same value on the
-        // second, so no dedup is needed.
-        let mut start = now;
-        for &addr in lane_addrs {
-            start = start.max(self.bank_busy_until[self.bank_of(addr)]);
-        }
+        // The access occupies every bank it touches; duplicate banks write
+        // the same value, so no dedup is needed.
         let busy_cycles = 1 + conflict_cycles;
-        for &addr in lane_addrs {
-            let bank = self.bank_of(addr);
+        for &bank in &lane_banks {
             self.bank_busy_until[bank] = start.plus(busy_cycles);
         }
+        self.lane_banks = lane_banks;
 
         let words = lane_addrs.len() as u64;
         let bytes = words * 4;
@@ -429,6 +438,7 @@ impl NextActivity for SharedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_sim::SplitMix64;
 
     fn smem() -> SharedMemory {
         SharedMemory::new(SmemConfig::default_cluster())
@@ -483,6 +493,137 @@ mod tests {
         let a = s.access_simt(Cycle::new(0), &addrs, false);
         assert_eq!(a.conflict_cycles, 3);
         assert_eq!(s.stats().unaligned_serialized, 3);
+    }
+
+    /// The three-pass `access_simt` body that the single-pass version
+    /// replaced (`bank_of` per lane for the slots, again for the start max
+    /// and again for the occupancy update), kept as the equivalence
+    /// reference.
+    fn reference_access_simt(
+        s: &mut SharedMemory,
+        now: Cycle,
+        lane_addrs: &[u64],
+        write: bool,
+    ) -> SmemAccess {
+        s.stats.simt_accesses += 1;
+        if lane_addrs.is_empty() {
+            return SmemAccess {
+                done: now.plus(s.config.latency),
+                conflict_cycles: 0,
+            };
+        }
+        let mut slots = Vec::new();
+        let mut unaligned = 0u64;
+        for &addr in lane_addrs {
+            if addr % 4 != 0 {
+                unaligned += 1;
+                continue;
+            }
+            let slot = (s.bank_of(addr) * s.config.subbanks as usize + s.subbank_of(addr)) as u32;
+            slots.push((slot, addr / 4));
+        }
+        s.stats.unaligned_serialized += unaligned;
+        slots.sort_unstable();
+        slots.dedup();
+        let mut max_depth = 0u64;
+        let mut run = 0u64;
+        let mut prev_slot = u32::MAX;
+        for &(slot, _) in &slots {
+            if slot == prev_slot {
+                run += 1;
+            } else {
+                prev_slot = slot;
+                run = 1;
+            }
+            max_depth = max_depth.max(run);
+        }
+        let conflict_cycles = max_depth.saturating_sub(1) + unaligned;
+        let mut start = now;
+        for &addr in lane_addrs {
+            start = start.max(s.bank_busy_until[s.bank_of(addr)]);
+        }
+        let busy_cycles = 1 + conflict_cycles;
+        for &addr in lane_addrs {
+            let bank = s.bank_of(addr);
+            s.bank_busy_until[bank] = start.plus(busy_cycles);
+        }
+        let words = lane_addrs.len() as u64;
+        let bytes = words * 4;
+        if write {
+            s.stats.words_written += words;
+            s.stats.bytes_written += bytes;
+        } else {
+            s.stats.words_read += words;
+            s.stats.bytes_read += bytes;
+        }
+        s.stats.conflict_cycles += conflict_cycles;
+        let ecc = s.ecc_penalty(now);
+        SmemAccess {
+            done: start.plus(busy_cycles + s.config.latency + ecc),
+            conflict_cycles,
+        }
+    }
+
+    /// Random lane addresses of one of five shapes: aligned words in one
+    /// bank, unaligned bytes, repeats of a few words, words spread over
+    /// several banks, or a lane-strided pattern.
+    fn random_lanes(rng: &mut SplitMix64, config: &SmemConfig) -> Vec<u64> {
+        let lanes = rng.next_below(33) as usize;
+        let cap = config.capacity_bytes;
+        let bank_base = rng.next_below(u64::from(config.banks)) * config.bank_bytes();
+        match rng.next_below(5) {
+            0 => (0..lanes)
+                .map(|_| bank_base + rng.next_below(256) * 4)
+                .collect(),
+            1 => (0..lanes).map(|_| rng.next_below(cap)).collect(),
+            2 => {
+                let words: Vec<u64> = (0..3).map(|_| rng.next_below(cap / 4) * 4).collect();
+                (0..lanes)
+                    .map(|_| words[rng.next_below(3) as usize])
+                    .collect()
+            }
+            3 => (0..lanes).map(|_| rng.next_below(cap / 4) * 4).collect(),
+            _ => {
+                let base = rng.next_below(cap / 2);
+                let stride = [4, 8, 32, 128, config.bank_bytes()][rng.next_below(5) as usize];
+                (0..lanes as u64)
+                    .map(|lane| (base + lane * stride) % cap)
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_simt_access_matches_reference() {
+        let mut rng = SplitMix64::new(0x5EED_03E3);
+        for config in [
+            SmemConfig::default_cluster(),
+            SmemConfig::virgo_cluster(),
+            SmemConfig::double_banked(),
+        ] {
+            let mut fast = SharedMemory::new(config);
+            let mut reference = SharedMemory::new(config);
+            let mut now = 0u64;
+            for step in 0..2000 {
+                now += rng.next_below(4);
+                let lanes = random_lanes(&mut rng, &config);
+                let write = rng.next_below(2) == 0;
+                let got = fast.access_simt(Cycle::new(now), &lanes, write);
+                let want = reference_access_simt(&mut reference, Cycle::new(now), &lanes, write);
+                assert_eq!(got, want, "step {step}: {lanes:?}");
+                assert_eq!(fast.stats(), reference.stats(), "step {step}");
+                // A follow-up access to every bank sees the same occupancy.
+                for bank in 0..u64::from(config.banks) {
+                    let probe = [bank * config.bank_bytes()];
+                    let at = Cycle::new(now);
+                    assert_eq!(
+                        fast.clone().access_simt(at, &probe, false).done,
+                        reference.clone().access_simt(at, &probe, false).done,
+                        "step {step}, bank {bank}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -384,12 +384,17 @@ impl SimtCore {
 
         let warp_count = self.warps.len();
         let mut scanned = 0;
-        let mut index = self.next_warp % warp_count;
+        // `next_warp` is always a scan index of this loop, and warps are
+        // never removed, so it is in range.
+        let mut index = self.next_warp;
 
         while issued < self.config.issue_width && scanned < warp_count {
             scanned += 1;
             let current = index;
-            index = (index + 1) % warp_count;
+            index += 1;
+            if index == warp_count {
+                index = 0;
+            }
 
             if !self.warps[current].is_runnable() {
                 // Blocked warps still contribute to the event horizon: a
@@ -593,7 +598,7 @@ impl SimtCore {
     ) -> Cycle {
         let mut lane_addrs = std::mem::take(&mut self.lane_scratch);
         lane_addrs.clear();
-        lane_addrs.extend((0..access.active_lanes).map(|lane| access.lane_addr(lane, exec_count)));
+        lane_addrs.extend(access.lane_addrs(exec_count));
         let done = if shared {
             port.shared_access(now, self.core_id, &lane_addrs, write)
         } else {

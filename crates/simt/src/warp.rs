@@ -5,6 +5,9 @@ use std::sync::Arc;
 use virgo_isa::{OpId, Program, ProgramCursor, WarpOp};
 use virgo_sim::Cycle;
 
+/// `WarpContext::earliest_load` while no load is in flight.
+const NO_LOAD: Cycle = Cycle::new(u64::MAX);
+
 /// Why a warp is currently unable to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
@@ -38,6 +41,9 @@ pub struct WarpContext {
     pending: Option<(OpId, WarpOp)>,
     /// Completion cycles of outstanding loads.
     outstanding_loads: Vec<Cycle>,
+    /// Minimum of `outstanding_loads` (`NO_LOAD` when empty), so the
+    /// per-tick retire check and the horizon fold need not scan the list.
+    earliest_load: Cycle,
     /// Why the warp is blocked, if it is.
     block: Option<BlockReason>,
     /// Cycle at which the warp last emitted a fence poll.
@@ -53,6 +59,7 @@ impl WarpContext {
             exec_counts: vec![0; program.static_len() as usize],
             pending: None,
             outstanding_loads: Vec::new(),
+            earliest_load: NO_LOAD,
             block: None,
             last_fence_poll: Cycle::ZERO,
         }
@@ -91,12 +98,22 @@ impl WarpContext {
     /// Registers an outstanding load completing at `done`.
     pub fn push_load(&mut self, done: Cycle) {
         self.outstanding_loads.push(done);
+        self.earliest_load = self.earliest_load.min(done);
     }
 
     /// Retires loads whose completion cycle has passed; returns how many.
     pub fn retire_loads(&mut self, now: Cycle) -> usize {
+        if self.earliest_load > now {
+            return 0;
+        }
         let before = self.outstanding_loads.len();
         self.outstanding_loads.retain(|&done| done > now);
+        self.earliest_load = self
+            .outstanding_loads
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(NO_LOAD);
         before - self.outstanding_loads.len()
     }
 
@@ -108,7 +125,7 @@ impl WarpContext {
     /// Completion cycle of the earliest outstanding load, if any — the next
     /// cycle at which [`WarpContext::retire_loads`] can retire something.
     pub fn earliest_load_done(&self) -> Option<Cycle> {
-        self.outstanding_loads.iter().copied().min()
+        (!self.outstanding_loads.is_empty()).then_some(self.earliest_load)
     }
 
     /// Marks the warp blocked for `reason`.
@@ -188,6 +205,7 @@ impl WarpContext {
 mod tests {
     use super::*;
     use virgo_isa::ProgramBuilder;
+    use virgo_sim::SplitMix64;
 
     fn warp_with(ops: u32) -> WarpContext {
         let mut b = ProgramBuilder::new();
@@ -232,6 +250,37 @@ mod tests {
         assert_eq!(w.loads_in_flight(), 1);
         assert_eq!(w.retire_loads(Cycle::new(10)), 1);
         assert!(w.is_finished());
+    }
+
+    #[test]
+    fn load_horizon_matches_a_brute_force_model() {
+        let mut rng = SplitMix64::new(0x10AD_0001);
+        for case in 0..64 {
+            let mut w = warp_with(0);
+            let mut model: Vec<Cycle> = Vec::new();
+            let mut now = 0u64;
+            for step in 0..200 {
+                if rng.next_below(3) > 0 {
+                    // Non-monotone completions, often repeating a cycle.
+                    let done = Cycle::new(now + rng.next_below(12));
+                    w.push_load(done);
+                    model.push(done);
+                } else {
+                    now += rng.next_below(4);
+                    let before = model.len();
+                    model.retain(|&done| done > Cycle::new(now));
+                    let retired = w.retire_loads(Cycle::new(now));
+                    assert_eq!(retired, before - model.len(), "case {case} step {step}");
+                }
+                assert_eq!(w.loads_in_flight(), model.len(), "case {case} step {step}");
+                assert_eq!(
+                    w.earliest_load_done(),
+                    model.iter().copied().min(),
+                    "case {case} step {step}"
+                );
+                assert_eq!(w.is_finished(), model.is_empty(), "case {case} step {step}");
+            }
+        }
     }
 
     #[test]
