@@ -34,8 +34,9 @@
 //!   *strictly decrease* as the channel count grows 1 → 2 → 4.
 
 use virgo::DesignKind;
-use virgo_bench::{print_cache_summary, print_table, sweep_service};
+use virgo_bench::{print_cache_summary, print_table, sweep_service, write_artifact};
 use virgo_kernels::GemmShape;
+use virgo_sim::json::{write_array, ObjWriter};
 use virgo_sweep::{Query, SweepOutcome};
 
 /// Cluster counts swept, per the ISSUE/Table 1 scaling study.
@@ -91,23 +92,17 @@ impl Point {
     }
 
     fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"design\": \"{}\", \"clusters\": {}, \"dram_channels\": {}, ",
-                "\"cycles\": {}, \"dram_contention_stall_cycles\": {}, ",
-                "\"mac_utilization_percent\": {:.3}, \"active_spread\": {:.4}, ",
-                "\"energy_mj\": {:.6}, \"energy_per_mac_pj\": {:.4}}}"
-            ),
-            self.design,
-            self.clusters,
-            self.dram_channels,
-            self.cycles,
-            self.dram_stall_cycles,
-            self.utilization_pct,
-            self.active_spread,
-            self.energy_mj,
-            self.energy_per_mac_pj,
-        )
+        let mut w = ObjWriter::new();
+        w.str("design", self.design.name())
+            .u64("clusters", self.clusters.into())
+            .u64("dram_channels", self.dram_channels.into())
+            .u64("cycles", self.cycles)
+            .u64("dram_contention_stall_cycles", self.dram_stall_cycles)
+            .f64("mac_utilization_percent", self.utilization_pct)
+            .f64("active_spread", self.active_spread)
+            .f64("energy_mj", self.energy_mj)
+            .f64("energy_per_mac_pj", self.energy_per_mac_pj);
+        w.finish()
     }
 }
 
@@ -127,11 +122,7 @@ fn main() {
     // A fixed-size problem: the whole point is to watch the same work split
     // across more clusters. 512³ gives every cluster real tile traffic at
     // N=8 while keeping the sweep quick.
-    let shape = std::env::var("VIRGO_CLUSTER_GEMM")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map(GemmShape::square)
-        .unwrap_or(GemmShape::square(512));
+    let shape = GemmShape::square(512);
 
     // The full design × cluster-count grid at one DRAM channel, followed by
     // the Virgo × channel-count grid for channels > 1, all sharded across
@@ -235,25 +226,16 @@ fn main() {
         }
     }
 
-    let entries: Vec<String> = points.iter().map(Point::json).collect();
-    let tall_entries: Vec<String> = tall_points.iter().map(Point::json).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"clusters_scaling\",\n  \"gemm\": \"{}\",\n",
-            "  \"points\": [\n{}\n  ],\n",
-            "  \"tall_skinny_gemm\": \"{}\",\n  \"tall_skinny_points\": [\n{}\n  ]\n}}\n"
-        ),
-        shape,
-        entries.join(",\n"),
-        tall,
-        tall_entries.join(",\n")
-    );
-    // Anchor on the workspace root: cargo runs bench binaries with the
-    // package directory (crates/bench) as cwd, but the artifact belongs next
-    // to the top-level Cargo.toml where CI picks it up.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_clusters.json");
-    std::fs::write(path, &json).expect("write BENCH_clusters.json");
-    println!("\nwrote {path}");
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "clusters_scaling")
+        .str("gemm", &shape.to_string())
+        .raw("points", &write_array(&points, Point::json))
+        .str("tall_skinny_gemm", &tall.to_string())
+        .raw(
+            "tall_skinny_points",
+            &write_array(&tall_points, Point::json),
+        );
+    write_artifact("clusters", &doc.finish());
 
     // ---- Scaling gate (Virgo design, N = 1 → 2 → 4) ------------------------
     // Cycles strictly decrease while DRAM-contention stalls increase: adding

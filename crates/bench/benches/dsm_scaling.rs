@@ -29,9 +29,10 @@
 //!   swept DRAM channel count — roughly 2x the all-to-one baseline.
 
 use virgo::{Gpu, GpuConfig, SimMode, SimReport};
-use virgo_bench::{print_table, MAX_CYCLES};
+use virgo_bench::{print_table, write_artifact, MAX_CYCLES};
 use virgo_isa::PartitionStrategy;
 use virgo_kernels::{build_split_k_gemm, build_split_k_gemm_with_strategy, GemmShape};
+use virgo_sim::json::{write_array, ObjWriter};
 
 /// Cluster counts swept.
 const CLUSTER_COUNTS: [u32; 3] = [2, 4, 8];
@@ -42,6 +43,15 @@ const JOINT_DRAM_CHANNELS: [u32; 2] = [2, 4];
 
 /// The cluster count the joint sweep and the utilization gate run at.
 const JOINT_CLUSTERS: u32 = 8;
+
+/// The split-K GEMM every point runs. A K-heavy shape: 2×4 output tiles
+/// over 8 K-tiles, so every cluster count in the sweep gets a non-empty
+/// K-slice and the reduction carries real tile traffic.
+const SPLIT_K_GEMM: GemmShape = GemmShape {
+    m: 256,
+    n: 256,
+    k: 1024,
+};
 
 /// The rotated N = 8 DSM path must reach this MAC utilization somewhere in
 /// the joint sweep (the contiguous all-to-one baseline peaks at ~22.7%).
@@ -144,34 +154,24 @@ impl Point {
     }
 
     fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"clusters\": {}, \"dsm\": {}, \"strategy\": \"{}\", ",
-                "\"dram_channels\": {}, \"cycles\": {}, ",
-                "\"dram_bytes\": {}, \"dram_contention_stall_cycles\": {}, ",
-                "\"dsm_bytes\": {}, \"dsm_stall_cycles\": {}, \"dsm_hop_flits\": {}, ",
-                "\"dsm_link_max_util_percent\": {:.3}, ",
-                "\"dsm_link_mean_util_percent\": {:.3}, ",
-                "\"active_spread\": {:.4}, \"dsm_ingress_spread\": {:.4}, ",
-                "\"mac_utilization_percent\": {:.3}, \"energy_mj\": {:.6}}}"
-            ),
-            self.clusters,
-            self.dsm,
-            self.strategy_tag(),
-            self.dram_channels,
-            self.cycles,
-            self.dram_bytes,
-            self.dram_stall_cycles,
-            self.dsm_bytes,
-            self.dsm_stall_cycles,
-            self.dsm_hop_flits,
-            self.link_max_util_pct,
-            self.link_mean_util_pct,
-            self.active_spread,
-            self.dsm_ingress_spread,
-            self.utilization_pct,
-            self.energy_mj,
-        )
+        let mut w = ObjWriter::new();
+        w.u64("clusters", self.clusters.into())
+            .bool("dsm", self.dsm)
+            .str("strategy", self.strategy_tag())
+            .u64("dram_channels", self.dram_channels.into())
+            .u64("cycles", self.cycles)
+            .u64("dram_bytes", self.dram_bytes)
+            .u64("dram_contention_stall_cycles", self.dram_stall_cycles)
+            .u64("dsm_bytes", self.dsm_bytes)
+            .u64("dsm_stall_cycles", self.dsm_stall_cycles)
+            .u64("dsm_hop_flits", self.dsm_hop_flits)
+            .f64("dsm_link_max_util_percent", self.link_max_util_pct)
+            .f64("dsm_link_mean_util_percent", self.link_mean_util_pct)
+            .f64("active_spread", self.active_spread)
+            .f64("dsm_ingress_spread", self.dsm_ingress_spread)
+            .f64("mac_utilization_percent", self.utilization_pct)
+            .f64("energy_mj", self.energy_mj);
+        w.finish()
     }
 }
 
@@ -192,25 +192,6 @@ const HEADERS: [&str; 13] = [
 ];
 
 fn main() {
-    // A K-heavy shape: 2×4 output tiles over 8 K-tiles, so every cluster
-    // count in the sweep gets a non-empty K-slice and the reduction carries
-    // real tile traffic. Overridable for smoke runs; K is clamped so even
-    // the smallest legal override (128) keeps the N=8 point's 8 K-tiles.
-    let max_clusters = *CLUSTER_COUNTS.iter().max().expect("non-empty sweep");
-    let shape = std::env::var("VIRGO_SPLITK_GEMM")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map(|n| GemmShape {
-            m: n,
-            n,
-            k: (4 * n).max(128 * max_clusters),
-        })
-        .unwrap_or(GemmShape {
-            m: 256,
-            n: 256,
-            k: 1024,
-        });
-
     let run_point = |clusters: u32, dsm: bool, strategy: PartitionStrategy, channels: u32| {
         let mut config = GpuConfig::virgo()
             .with_clusters(clusters)
@@ -219,8 +200,8 @@ fn main() {
             config = config.with_dsm_enabled();
         }
         let kernel = match strategy {
-            PartitionStrategy::Contiguous => build_split_k_gemm(&config, shape),
-            other => build_split_k_gemm_with_strategy(&config, shape, other),
+            PartitionStrategy::Contiguous => build_split_k_gemm(&config, SPLIT_K_GEMM),
+            other => build_split_k_gemm_with_strategy(&config, SPLIT_K_GEMM, other),
         };
         let link_bandwidth = config.dsm.link_bandwidth;
         let report = Gpu::new(config)
@@ -258,23 +239,18 @@ fn main() {
     }
 
     print_table(
-        &format!("Split-K GEMM {shape}: DSM fabric vs DRAM round trip, contiguous vs rotated"),
+        &format!(
+            "Split-K GEMM {SPLIT_K_GEMM}: DSM fabric vs DRAM round trip, contiguous vs rotated"
+        ),
         &HEADERS,
         &points.iter().map(Point::row).collect::<Vec<_>>(),
     );
 
-    let entries: Vec<String> = points.iter().map(Point::json).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"dsm_scaling\",\n  \"gemm\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        shape,
-        entries.join(",\n")
-    );
-    // Anchor on the workspace root: cargo runs bench binaries with the
-    // package directory (crates/bench) as cwd, but the artifact belongs next
-    // to the top-level Cargo.toml where CI picks it up.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dsm.json");
-    std::fs::write(path, &json).expect("write BENCH_dsm.json");
-    println!("\nwrote {path}");
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "dsm_scaling")
+        .str("gemm", &SPLIT_K_GEMM.to_string())
+        .raw("points", &write_array(&points, Point::json));
+    write_artifact("dsm", &doc.finish());
 
     let find = |clusters: u32, dsm: bool, strategy: PartitionStrategy, channels: u32| {
         points

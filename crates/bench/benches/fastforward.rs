@@ -8,18 +8,19 @@
 //!    well over the 3× target on DRAM/DMA-bound kernels.
 //!
 //! Besides the human-readable table, the run emits `BENCH_fastforward.json`
-//! (in the current directory) so the speedup can be tracked over time by CI
-//! and perf dashboards.
+//! at the workspace root so the speedup can be tracked over time by CI and
+//! perf dashboards.
 
 use std::sync::Arc;
 
 use virgo::{DesignKind, Gpu, GpuConfig, SchedStats, SimMode};
-use virgo_bench::{microbench, print_table, ReportDigest};
+use virgo_bench::{microbench, print_table, write_artifact, ReportDigest};
 use virgo_isa::{
     DataType, DeviceId, DmaCopyCmd, Kernel, KernelInfo, MemLoc, MmioCommand, ProgramBuilder,
     WarpAssignment, WarpOp,
 };
 use virgo_kernels::GemmShape;
+use virgo_sim::json::{write_array, ObjWriter};
 
 /// A deliberately stall-heavy kernel: one warp repeatedly programs a large
 /// DRAM-to-shared DMA tile load and fences on it, so nearly every simulated
@@ -84,6 +85,26 @@ impl Comparison {
         } else {
             parts.join(" · ")
         }
+    }
+
+    fn json(&self) -> String {
+        let s = &self.sched;
+        let mut w = ObjWriter::new();
+        w.str("workload", self.name)
+            .u64("simulated_cycles", self.cycles)
+            .f64("naive_ms", self.naive_ms)
+            .f64("fastforward_ms", self.fast_ms)
+            .f64("speedup", self.speedup())
+            .bool("bit_identical", self.identical)
+            .u64("processed_cycles", s.processed_cycles)
+            .u64("skipped_cycles", s.skipped_cycles)
+            .u64("simt_events", s.simt_events)
+            .u64("gemmini_events", s.gemmini_events)
+            .u64("tensor_events", s.tensor_events)
+            .u64("dma_events", s.dma_events)
+            .u64("dsm_events", s.dsm_events)
+            .u64("bailout_engagements", s.bailout_engagements);
+        w.finish()
     }
 }
 
@@ -165,47 +186,10 @@ fn main() {
         &rows,
     );
 
-    let entries: Vec<String> = comparisons
-        .iter()
-        .map(|c| {
-            format!(
-                concat!(
-                    "    {{\"workload\": \"{}\", \"simulated_cycles\": {}, ",
-                    "\"naive_ms\": {:.3}, \"fastforward_ms\": {:.3}, ",
-                    "\"speedup\": {:.2}, \"bit_identical\": {},\n",
-                    "     \"processed_cycles\": {}, \"skipped_cycles\": {}, ",
-                    "\"simt_events\": {}, \"gemmini_events\": {}, ",
-                    "\"tensor_events\": {}, \"dma_events\": {}, ",
-                    "\"dsm_events\": {}, ",
-                    "\"bailout_engagements\": {}}}"
-                ),
-                c.name,
-                c.cycles,
-                c.naive_ms,
-                c.fast_ms,
-                c.speedup(),
-                c.identical,
-                c.sched.processed_cycles,
-                c.sched.skipped_cycles,
-                c.sched.simt_events,
-                c.sched.gemmini_events,
-                c.sched.tensor_events,
-                c.sched.dma_events,
-                c.sched.dsm_events,
-                c.sched.bailout_engagements,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fastforward\",\n  \"comparisons\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    // Anchor on the workspace root: cargo runs bench binaries with the
-    // package directory (crates/bench) as cwd, but the artifact belongs next
-    // to the top-level Cargo.toml where CI picks it up.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fastforward.json");
-    std::fs::write(path, &json).expect("write BENCH_fastforward.json");
-    println!("\nwrote {path}");
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "fastforward")
+        .raw("comparisons", &write_array(&comparisons, Comparison::json));
+    write_artifact("fastforward", &doc.finish());
 
     let stall = &comparisons[0];
     assert!(

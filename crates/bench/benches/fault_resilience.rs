@@ -18,10 +18,11 @@
 //! if the degraded machine's behavior drifts at all.
 
 use virgo::{FaultKind, FaultPlan, Gpu, GpuConfig, SimMode, SimReport};
-use virgo_bench::{print_table, ReportDigest, MAX_CYCLES};
+use virgo_bench::{print_table, write_artifact, ReportDigest, MAX_CYCLES};
 use virgo_kernels::{build_split_k_gemm, GemmShape};
 use virgo_mem::DsmConfig;
 use virgo_sim::fault::PERMANENT;
+use virgo_sim::json::ObjWriter;
 
 /// Cluster count: the paper's largest scale-out point, and the one where a
 /// ring-link loss forces the longest detour.
@@ -30,6 +31,14 @@ const CLUSTERS: u32 = 8;
 /// Ring segment killed (between clusters 2 and 3 — interior, so both the
 /// short and long detours carry real traffic).
 const KILLED_LINK: u32 = 2;
+
+/// The split-K GEMM both runs use: the dsm_scaling bench's K-heavy shape,
+/// so the reduction carries real inter-cluster traffic.
+const SPLIT_K_GEMM: GemmShape = GemmShape {
+    m: 256,
+    n: 256,
+    k: 1024,
+};
 
 /// Hard ceiling on the cycle cost of losing one of eight ring links.
 const MAX_OVERHEAD: f64 = 2.5;
@@ -74,38 +83,21 @@ impl Point {
     }
 }
 
-fn run(config: &GpuConfig, shape: GemmShape, mode: SimMode) -> SimReport {
-    let kernel = build_split_k_gemm(config, shape);
+fn run(config: &GpuConfig, mode: SimMode) -> SimReport {
+    let kernel = build_split_k_gemm(config, SPLIT_K_GEMM);
     Gpu::new(config.clone())
         .run_with_mode(&kernel, MAX_CYCLES, mode)
         .unwrap_or_else(|e| panic!("{} must finish: {e}", kernel.info.name))
 }
 
 fn main() {
-    // Same K-heavy family as the dsm_scaling bench so the reduction carries
-    // real inter-cluster traffic; overridable for smoke runs, with K clamped
-    // so every cluster keeps a non-empty K-slice.
-    let shape = std::env::var("VIRGO_SPLITK_GEMM")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map(|n| GemmShape {
-            m: n,
-            n,
-            k: (4 * n).max(128 * CLUSTERS),
-        })
-        .unwrap_or(GemmShape {
-            m: 256,
-            n: 256,
-            k: 1024,
-        });
-
     // The *ring* fabric: the topology with an alternate route, so a dead
     // segment is survivable (on the crossbar a dead ingress port can only
     // park traffic until the window closes).
     let clean_config = GpuConfig::virgo()
         .with_clusters(CLUSTERS)
         .with_dsm(DsmConfig::enabled_ring());
-    let clean = run(&clean_config, shape, SimMode::FastForward);
+    let clean = run(&clean_config, SimMode::FastForward);
     eprintln!("  clean run: {} cycles", clean.cycles().get());
 
     // Kill the link a quarter of the way into the clean run's schedule:
@@ -118,13 +110,13 @@ fn main() {
         PERMANENT,
     );
     let fault_config = clean_config.clone().with_faults(plan);
-    let degraded = run(&fault_config, shape, SimMode::FastForward);
+    let degraded = run(&fault_config, SimMode::FastForward);
     eprintln!("  degraded run: {} cycles", degraded.cycles().get());
-    let degraded_naive = run(&fault_config, shape, SimMode::Naive);
+    let degraded_naive = run(&fault_config, SimMode::Naive);
 
     print_table(
         &format!(
-            "Split-K GEMM {shape}, N={CLUSTERS}: ring link {KILLED_LINK} down at cycle {kill_at}"
+            "Split-K GEMM {SPLIT_K_GEMM}, N={CLUSTERS}: ring link {KILLED_LINK} down at cycle {kill_at}"
         ),
         &[
             "machine",
@@ -170,53 +162,30 @@ fn main() {
         fault.dsm_rerouted_transfers
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fault_resilience\",\n",
-            "  \"gemm\": \"{}\",\n",
-            "  \"clusters\": {},\n",
-            "  \"killed_link\": {},\n",
-            "  \"kill_at_cycle\": {},\n",
-            "  \"baseline_cycles\": {},\n",
-            "  \"link_kill\": {{\n",
-            "    \"cycles\": {},\n",
-            "    \"cycle_overhead_ratio\": {:.6},\n",
-            "    \"faults_injected\": {},\n",
-            "    \"degraded_cycles\": {},\n",
-            "    \"rerouted_transfers\": {},\n",
-            "    \"dsm_blocked_cycles\": {},\n",
-            "    \"restriped_accesses\": {},\n",
-            "    \"recovery_cycles\": {},\n",
-            "    \"dram_bytes\": {},\n",
-            "    \"dsm_bytes\": {},\n",
-            "    \"mac_utilization_percent\": {:.3},\n",
-            "    \"bit_identical\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        shape,
-        CLUSTERS,
-        KILLED_LINK,
-        kill_at,
-        clean.cycles().get(),
-        degraded.cycles().get(),
-        overhead,
-        fault.injected,
-        fault.degraded_cycles,
-        fault.dsm_rerouted_transfers,
-        fault.dsm_blocked_cycles,
-        fault.dram_restriped_accesses,
-        fault.recovery_cycles,
-        degraded.dram_bytes(),
-        degraded.dsm_bytes(),
-        degraded.mac_utilization().as_percent(),
-        bit_identical,
-    );
-    // Anchor on the workspace root: cargo runs bench binaries with the
-    // package directory (crates/bench) as cwd, but the artifact belongs next
-    // to the top-level Cargo.toml where CI picks it up.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(path, &json).expect("write BENCH_faults.json");
-    println!("wrote {path}");
+    let mut link_kill = ObjWriter::new();
+    link_kill
+        .u64("cycles", degraded.cycles().get())
+        .f64("cycle_overhead_ratio", overhead)
+        .u64("faults_injected", fault.injected)
+        .u64("degraded_cycles", fault.degraded_cycles)
+        .u64("rerouted_transfers", fault.dsm_rerouted_transfers)
+        .u64("dsm_blocked_cycles", fault.dsm_blocked_cycles)
+        .u64("restriped_accesses", fault.dram_restriped_accesses)
+        .u64("recovery_cycles", fault.recovery_cycles)
+        .u64("dram_bytes", degraded.dram_bytes())
+        .u64("dsm_bytes", degraded.dsm_bytes())
+        .f64(
+            "mac_utilization_percent",
+            degraded.mac_utilization().as_percent(),
+        )
+        .bool("bit_identical", bit_identical);
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "fault_resilience")
+        .str("gemm", &SPLIT_K_GEMM.to_string())
+        .u64("clusters", CLUSTERS.into())
+        .u64("killed_link", KILLED_LINK.into())
+        .u64("kill_at_cycle", kill_at)
+        .u64("baseline_cycles", clean.cycles().get())
+        .raw("link_kill", &link_kill.finish());
+    write_artifact("faults", &doc.finish());
 }

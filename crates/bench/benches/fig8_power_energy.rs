@@ -2,20 +2,13 @@
 //! the four designs, at 512³ and 1024³.
 
 use virgo::DesignKind;
-use virgo_bench::{mw, print_table, run_gemm_all_designs};
+use virgo_bench::{mw, print_table, run_gemm_all_designs, sizes_from_env};
 use virgo_kernels::GemmShape;
 
 fn main() {
-    let sizes: Vec<GemmShape> = match std::env::var("VIRGO_GEMM_SIZES") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<u32>().ok())
-            .map(GemmShape::square)
-            .collect(),
-        Err(_) => vec![GemmShape::square(512), GemmShape::square(1024)],
-    };
-
-    for shape in sizes {
+    let sizes = std::env::var("VIRGO_GEMM_SIZES").ok();
+    let defaults = [GemmShape::square(512), GemmShape::square(1024)];
+    for shape in sizes_from_env(sizes.as_deref(), &defaults) {
         let results = run_gemm_all_designs(shape);
         let rows: Vec<Vec<String>> = results
             .iter()

@@ -1,23 +1,10 @@
 //! Figure 9: active power breakdown by SoC component for the GEMM kernel.
 
-use virgo_bench::{mw, print_table, run_gemm_all_designs};
+use virgo_bench::{mw, print_table, run_gemm_all_designs, sizes_from_env};
 use virgo_energy::Component;
 use virgo_kernels::GemmShape;
 
-/// Reads the breakdown GEMM size from `VIRGO_BREAKDOWN_SIZE` (default 512;
-/// the paper uses 1024).
-fn breakdown_size() -> GemmShape {
-    let n = std::env::var("VIRGO_BREAKDOWN_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(512);
-    GemmShape::square(n)
-}
-
 fn main() {
-    let shape = breakdown_size();
-    let results = run_gemm_all_designs(shape);
-
     // Figure 9 grouping: core stages merged into "Vortex Core".
     let groups = [
         ("L2 Cache", vec![Component::L2Cache]),
@@ -39,30 +26,35 @@ fn main() {
         ("DMA & Other", vec![Component::DmaOther]),
     ];
 
-    let mut rows = Vec::new();
-    for (design, report) in &results {
-        for (label, components) in &groups {
-            let power: f64 = components
-                .iter()
-                .map(|&c| report.power().component_power_mw(c))
-                .sum();
+    // The paper uses 1024³; the default 512³ keeps the run short.
+    let sizes = std::env::var("VIRGO_BREAKDOWN_SIZE").ok();
+    for shape in sizes_from_env(sizes.as_deref(), &[GemmShape::square(512)]) {
+        let results = run_gemm_all_designs(shape);
+        let mut rows = Vec::new();
+        for (design, report) in &results {
+            for (label, components) in &groups {
+                let power: f64 = components
+                    .iter()
+                    .map(|&c| report.power().component_power_mw(c))
+                    .sum();
+                rows.push(vec![
+                    design.name().to_string(),
+                    (*label).to_string(),
+                    mw(power),
+                ]);
+            }
             rows.push(vec![
                 design.name().to_string(),
-                (*label).to_string(),
-                mw(power),
+                "TOTAL".to_string(),
+                mw(report.active_power_mw()),
             ]);
         }
-        rows.push(vec![
-            design.name().to_string(),
-            "TOTAL".to_string(),
-            mw(report.active_power_mw()),
-        ]);
+        print_table(
+            &format!("Figure 9: SoC active power breakdown, GEMM {shape}"),
+            &["Design", "Component", "Active power"],
+            &rows,
+        );
     }
-    print_table(
-        &format!("Figure 9: SoC active power breakdown, GEMM {shape}"),
-        &["Design", "Component", "Active power"],
-        &rows,
-    );
     println!("\nPaper reference (Figure 9, 1024^3 GEMM): the Vortex core dominates the");
     println!("core-coupled designs' power; Virgo's core power collapses because instruction");
     println!("processing and register-file traffic are removed, leaving the matrix unit and");

@@ -11,11 +11,12 @@
 use std::sync::Arc;
 
 use virgo::{DesignKind, GpuConfig};
-use virgo_bench::{microbench, run_gemm};
+use virgo_bench::{microbench, run};
 use virgo_isa::{ProgramBuilder, WarpOp};
 use virgo_kernels::GemmShape;
 use virgo_mem::{Cache, CacheConfig, SharedMemory, SmemConfig};
 use virgo_sim::Cycle;
+use virgo_sweep::Query;
 
 fn bench_smem() -> Vec<microbench::Measurement> {
     let simt = {
@@ -74,7 +75,7 @@ fn bench_cursor() -> microbench::Measurement {
 
 fn bench_end_to_end() -> Vec<microbench::Measurement> {
     let gemm = microbench::time("virgo_gemm_128_simulation", 10, || {
-        run_gemm(DesignKind::Virgo, GemmShape::square(128))
+        run(&Query::new(DesignKind::Virgo, GemmShape::square(128)))
     });
     let config = GpuConfig::virgo();
     let kernel_gen = microbench::time("kernel_generation_virgo_1024", 10, move || {

@@ -15,12 +15,14 @@
 //! goodput.
 
 use virgo::{GpuConfig, SchedStats, SimMode};
+use virgo_bench::write_artifact;
 use virgo_kernels::{AttentionShape, GemmShape};
 use virgo_serve::{
     generate_trace, ArbitrationPolicy, BatchingMode, RequestClass, ServeConfig, ServeReport,
     Server, TenantSpec,
 };
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
+use virgo_sim::json::{write_array, ObjWriter};
 
 const CLUSTERS: u32 = 4;
 const SEED: u64 = 0x5E27E;
@@ -81,36 +83,20 @@ fn arm_json(report: &ServeReport) -> String {
             .map(|r| count(r.sched_stats()))
             .sum()
     };
-    format!(
-        concat!(
-            "{{\n",
-            "        \"completed\": {},\n",
-            "        \"timed_out\": {},\n",
-            "        \"makespan_cycles\": {},\n",
-            "        \"p50_latency_cycles\": {},\n",
-            "        \"p99_latency_cycles\": {},\n",
-            "        \"p999_latency_cycles\": {},\n",
-            "        \"goodput_rps\": {:.3},\n",
-            "        \"active_energy_mj\": {:.6},\n",
-            "        \"static_energy_mj\": {:.6},\n",
-            "        \"energy_per_request_mj\": {:.6},\n",
-            "        \"processed_cycles\": {},\n",
-            "        \"skipped_cycles\": {}\n",
-            "      }}"
-        ),
-        report.completed(),
-        report.timed_out(),
-        report.makespan_cycles,
-        report.p50_latency_cycles,
-        report.p99_latency_cycles,
-        report.p999_latency_cycles,
-        report.goodput_rps,
-        report.active_energy_mj,
-        report.static_energy_mj,
-        report.energy_per_request_mj,
-        sched(|s| s.processed_cycles),
-        sched(|s| s.skipped_cycles),
-    )
+    let mut w = ObjWriter::new();
+    w.u64("completed", report.completed() as u64)
+        .u64("timed_out", report.timed_out() as u64)
+        .u64("makespan_cycles", report.makespan_cycles)
+        .u64("p50_latency_cycles", report.p50_latency_cycles)
+        .u64("p99_latency_cycles", report.p99_latency_cycles)
+        .u64("p999_latency_cycles", report.p999_latency_cycles)
+        .f64("goodput_rps", report.goodput_rps)
+        .f64("active_energy_mj", report.active_energy_mj)
+        .f64("static_energy_mj", report.static_energy_mj)
+        .f64("energy_per_request_mj", report.energy_per_request_mj)
+        .u64("processed_cycles", sched(|s| s.processed_cycles))
+        .u64("skipped_cycles", sched(|s| s.skipped_cycles));
+    w.finish()
 }
 
 fn print_arm(label: &str, report: &ServeReport) {
@@ -166,22 +152,14 @@ fn main() {
                 serial_fifo.goodput_rps,
             ));
         }
-        sweep_entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"mean_interarrival\": {},\n",
-                "      \"serial_fifo\": {},\n",
-                "      \"continuous_fifo\": {},\n",
-                "      \"continuous_sjf\": {},\n",
-                "      \"continuous_fair\": {}\n",
-                "    }}"
-            ),
-            load,
-            arm_json(&serial_fifo),
-            arm_json(&continuous_fifo),
-            arm_json(&continuous_sjf),
-            arm_json(&continuous_fair),
-        ));
+        let mut entry = ObjWriter::new();
+        entry
+            .u64("mean_interarrival", load)
+            .raw("serial_fifo", &arm_json(&serial_fifo))
+            .raw("continuous_fifo", &arm_json(&continuous_fifo))
+            .raw("continuous_sjf", &arm_json(&continuous_sjf))
+            .raw("continuous_fair", &arm_json(&continuous_fair));
+        sweep_entries.push(entry.finish());
     }
 
     // The tentpole gate: with requests overlapping, sharing the machine
@@ -229,28 +207,17 @@ fn main() {
         "a throttled DRAM channel must degrade, not wedge, the serving path"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"serving\",\n",
-            "  \"clusters\": {},\n",
-            "  \"tenants\": 2,\n",
-            "  \"requests_per_tenant\": {},\n",
-            "  \"sweep\": [\n{}\n  ],\n",
-            "  \"faulted_dram_throttle\": {{\n",
-            "    \"mean_interarrival\": {},\n",
-            "    \"latency_multiplier\": 4,\n",
-            "    \"continuous_fifo\": {}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        CLUSTERS,
-        PER_TENANT,
-        sweep_entries.join(",\n"),
-        LOADS[0],
-        arm_json(&faulted),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    let mut faulted_entry = ObjWriter::new();
+    faulted_entry
+        .u64("mean_interarrival", LOADS[0])
+        .u64("latency_multiplier", 4)
+        .raw("continuous_fifo", &arm_json(&faulted));
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "serving")
+        .u64("clusters", CLUSTERS.into())
+        .u64("tenants", 2)
+        .u64("requests_per_tenant", PER_TENANT as u64)
+        .raw("sweep", &write_array(&sweep_entries, String::clone))
+        .raw("faulted_dram_throttle", &faulted_entry.finish());
+    write_artifact("serve", &doc.finish());
 }

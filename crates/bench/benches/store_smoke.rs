@@ -89,10 +89,7 @@ fn run_phase(addr: &str, phase: &str) {
 }
 
 fn main() {
-    let configured = std::env::var("VIRGO_SWEEP_STORE")
-        .ok()
-        .filter(|v| !v.is_empty() && !v.eq_ignore_ascii_case("off"));
-    match configured {
+    match StoreConfig::from_env().remote_addr {
         Some(addr) => {
             // CI mode: the server lives in another process; which side of
             // the contract to gate comes from the environment.

@@ -28,7 +28,9 @@
 use std::time::Instant;
 
 use virgo::DesignKind;
-use virgo_bench::{gemm_sizes_from_env, print_table, ReportDigest};
+use virgo_bench::{print_table, sizes_from_env, write_artifact, ReportDigest};
+use virgo_kernels::GemmShape;
+use virgo_sim::json::{write_array, ObjWriter};
 use virgo_store::{EntryDir, StoreServer};
 use virgo_sweep::{host_parallelism, Query, RemoteStore, ReportStore, StoreConfig, SweepService};
 
@@ -37,7 +39,8 @@ const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
 fn grid() -> Vec<Query> {
     let mut points = Vec::new();
-    for shape in gemm_sizes_from_env() {
+    let sizes = std::env::var("VIRGO_GEMM_SIZES").ok();
+    for shape in sizes_from_env(sizes.as_deref(), &GemmShape::paper_sizes()) {
         for design in DesignKind::all() {
             points.push(Query::new(design, shape));
         }
@@ -252,58 +255,41 @@ fn main() {
     );
 
     // ---- Machine-readable artifact --------------------------------------
-    let scaling_entries: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"pool_size\": {}, \"workers\": {}, \"seconds\": {:.6}, \"speedup_vs_pool1\": {:.4}}}",
-                r.pool_size,
-                r.workers,
-                r.seconds,
-                pool1 / r.seconds.max(1e-9)
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"sweep\",\n",
-            "  \"host_parallelism\": {},\n",
-            "  \"grid_points\": {},\n",
-            "  \"pool_scaling\": [\n{}\n  ],\n",
-            "  \"cache\": {{\"cold_seconds\": {:.6}, \"warm_seconds\": {:.6}, ",
-            "\"warm_speedup\": {:.2}, \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n",
-            "  \"store\": {{\"warm_seconds\": {:.6}, \"remote_hits\": {}, ",
-            "\"remote_misses\": {}, \"remote_hit_rate\": {:.4}, \"warm_unreachable\": {}, ",
-            "\"bytes_read\": {}, \"read_micros\": {}, ",
-            "\"degraded_completed\": {}, \"degraded_unreachable\": {}}}\n",
-            "}}\n"
-        ),
-        host,
-        points.len(),
-        scaling_entries.join(",\n"),
-        cold_seconds,
-        warm_seconds,
-        warm_speedup,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        store_seconds,
-        rstats.remote_hits,
-        rstats.misses,
-        rstats.hit_rate(),
-        rstats.store_unreachable,
-        remote_io.bytes_read,
-        remote_io.read_micros,
-        degraded_completed,
-        dstats.store_unreachable,
-    );
-    // Anchor on the workspace root: cargo runs bench binaries with the
-    // package directory (crates/bench) as cwd, but the artifact belongs next
-    // to the top-level Cargo.toml where CI picks it up.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    std::fs::write(path, &json).expect("write BENCH_sweep.json");
-    println!("\nwrote {path}");
+    let pool_scaling = write_array(&runs, |r| {
+        let mut w = ObjWriter::new();
+        w.u64("pool_size", r.pool_size as u64)
+            .u64("workers", r.workers as u64)
+            .f64("seconds", r.seconds)
+            .f64("speedup_vs_pool1", pool1 / r.seconds.max(1e-9));
+        w.finish()
+    });
+    let mut cache = ObjWriter::new();
+    cache
+        .f64("cold_seconds", cold_seconds)
+        .f64("warm_seconds", warm_seconds)
+        .f64("warm_speedup", warm_speedup)
+        .u64("hits", stats.hits)
+        .u64("misses", stats.misses)
+        .f64("hit_rate", stats.hit_rate());
+    let mut shared = ObjWriter::new();
+    shared
+        .f64("warm_seconds", store_seconds)
+        .u64("remote_hits", rstats.remote_hits)
+        .u64("remote_misses", rstats.misses)
+        .f64("remote_hit_rate", rstats.hit_rate())
+        .u64("warm_unreachable", rstats.store_unreachable)
+        .u64("bytes_read", remote_io.bytes_read)
+        .u64("read_micros", remote_io.read_micros)
+        .bool("degraded_completed", degraded_completed)
+        .u64("degraded_unreachable", dstats.store_unreachable);
+    let mut doc = ObjWriter::new();
+    doc.str("bench", "sweep")
+        .u64("host_parallelism", host as u64)
+        .u64("grid_points", points.len() as u64)
+        .raw("pool_scaling", &pool_scaling)
+        .raw("cache", &cache.finish())
+        .raw("store", &shared.finish());
+    write_artifact("sweep", &doc.finish());
 
     // ---- Gates -----------------------------------------------------------
     assert!(

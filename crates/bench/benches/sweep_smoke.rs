@@ -10,31 +10,30 @@
 //! * when the first invocation was genuinely cold (no disk entries yet), the
 //!   second must be ≥ 5× faster wall-clock.
 //!
-//! CI persists `target/sweep-cache/` across runs (keyed on the source tree,
-//! so a simulator change starts cold), so on a cache-restored run the
-//! *first* invocation is already disk-warm; the speedup gate is then
-//! meaningless (both passes are fast) and is skipped — the hit-rate gate
-//! still applies.
+//! CI persists `target/sweep-cache/` across runs, so on a cache-restored
+//! run the *first* invocation is already disk-warm; the speedup gate is
+//! then meaningless (both passes are fast) and is skipped — the hit-rate
+//! gate still applies. A simulator change still starts cold: `SimKey`s
+//! digest the model crates' source (`VIRGO_SOURCE_DIGEST`), so entries
+//! written by an older build miss.
 //!
-//! This bench opts into the disk layer explicitly (it is off by default —
-//! `SimKey`s digest simulation inputs, not the simulator's source, so a
-//! persistent cache is only sound while the binary is fixed, which is true
-//! within one smoke run). `VIRGO_SWEEP_CACHE` still overrides: `off` aborts
-//! the gate loudly rather than silently measuring nothing, and a path
-//! relocates the cache.
+//! The disk layer is on by default and `VIRGO_SWEEP_CACHE` is read through
+//! [`StoreConfig`](virgo_sweep::StoreConfig): a path relocates the cache,
+//! and any spelling of "off" aborts the gate loudly rather than silently
+//! measuring nothing.
 
 use std::time::Instant;
 
 use virgo::DesignKind;
 use virgo_kernels::GemmShape;
 use virgo_sweep::{
-    default_disk_dir, workspace_cache_dir, Query, ReportCache, SweepPool, SweepService,
-    DEFAULT_MAX_CYCLES,
+    default_disk_dir, Query, ReportCache, SweepPool, SweepService, DEFAULT_MAX_CYCLES,
 };
 
 /// A fresh "invocation": empty memory cache over the shared disk directory.
 fn invocation() -> SweepService {
-    let dir = default_disk_dir().unwrap_or_else(workspace_cache_dir);
+    let dir = default_disk_dir()
+        .expect("sweep-smoke gates the disk cache; run without turning VIRGO_SWEEP_CACHE off");
     SweepService::new(
         SweepPool::with_host_parallelism(),
         ReportCache::new(ReportCache::DEFAULT_CAPACITY, Some(dir)),
@@ -43,9 +42,6 @@ fn invocation() -> SweepService {
 }
 
 fn main() {
-    if std::env::var("VIRGO_SWEEP_CACHE").is_ok_and(|v| v.eq_ignore_ascii_case("off")) {
-        panic!("sweep-smoke gates the disk cache; run without VIRGO_SWEEP_CACHE=off");
-    }
     // The sharded 256³ GEMM sweep: every design at N ∈ {1, 2, 4} clusters.
     let shape = GemmShape::square(256);
     let points: Vec<Query> = DesignKind::all()

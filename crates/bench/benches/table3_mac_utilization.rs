@@ -2,10 +2,12 @@
 //! and the three problem sizes, plus the Section 6.1.1 retired-instruction
 //! comparison.
 
-use virgo_bench::{gemm_sizes_from_env, pct, print_table, run_gemm_all_designs};
+use virgo_bench::{pct, print_table, run_gemm_all_designs, sizes_from_env};
+use virgo_kernels::GemmShape;
 
 fn main() {
-    let sizes = gemm_sizes_from_env();
+    let sizes = std::env::var("VIRGO_GEMM_SIZES").ok();
+    let sizes = sizes_from_env(sizes.as_deref(), &GemmShape::paper_sizes());
     let mut rows = Vec::new();
     let mut instr_rows = Vec::new();
 

@@ -2,8 +2,9 @@
 //! across the three matrix-unit integration styles.
 
 use virgo::DesignKind;
-use virgo_bench::{print_table, run_gemm};
+use virgo_bench::{print_table, run};
 use virgo_kernels::GemmShape;
+use virgo_sweep::Query;
 
 fn main() {
     let shape = GemmShape::square(256);
@@ -22,7 +23,7 @@ fn main() {
     ];
     let reports: Vec<_> = designs
         .iter()
-        .map(|(label, design, frag)| (*label, *frag, run_gemm(*design, shape)))
+        .map(|(label, design, frag)| (*label, *frag, run(&Query::new(*design, shape))))
         .collect();
     let virgo_bytes = reports
         .last()

@@ -181,21 +181,21 @@ impl ReportDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_gemm_with_mode;
-    use virgo::{DesignKind, SimMode};
+    use crate::run;
+    use virgo::DesignKind;
     use virgo_kernels::GemmShape;
+    use virgo_sweep::Query;
 
     #[test]
     fn digest_roundtrips_basic_quantities() {
-        let report = run_gemm_with_mode(
+        let report = run(&Query::new(
             DesignKind::Virgo,
             GemmShape {
                 m: 128,
                 n: 128,
                 k: 128,
             },
-            SimMode::FastForward,
-        );
+        ));
         let digest = ReportDigest::of(&report);
         assert_eq!(digest.cycles, report.cycles().get());
         assert_eq!(digest.design, "Virgo");

@@ -7,10 +7,12 @@
 //! simulation requests flow through the process-wide
 //! [`virgo_sweep::SweepService`]: grids are sharded across its bounded
 //! worker pool and every report is memoized by content digest — in memory
-//! within a process, and across invocations in `target/sweep-cache/` when
-//! `VIRGO_SWEEP_CACHE=on` opts the disk layer in — so a figure bench never
-//! re-simulates points a table bench already answered. The benches
-//! use `harness = false`, so `cargo bench` simply executes them as programs;
+//! within a process, and across invocations in `target/sweep-cache/` unless
+//! `VIRGO_SWEEP_CACHE=off` turns the disk layer off — so a figure bench
+//! never re-simulates points a table bench already answered. The benches
+//! that CI gates write their `BENCH_*.json` artifacts through
+//! [`write_artifact`]. The benches use `harness = false`, so `cargo bench`
+//! simply executes them as programs;
 //! the `micro_criterion`, `fastforward` and `sweep` targets additionally
 //! provide micro-benchmarks of the simulator itself via the dependency-free
 //! [`microbench`] harness.
@@ -22,8 +24,9 @@ pub mod diff;
 pub mod digest;
 pub mod microbench;
 
-use virgo::{DesignKind, SimMode, SimReport};
-use virgo_kernels::{AttentionShape, GemmShape};
+use virgo::{DesignKind, SimReport};
+use virgo_kernels::GemmShape;
+use virgo_sim::json;
 use virgo_sweep::{Query, SweepService};
 
 pub use digest::ReportDigest;
@@ -39,64 +42,15 @@ pub fn sweep_service() -> &'static SweepService {
     SweepService::global()
 }
 
-/// Runs the GEMM kernel for `shape` on the given design point.
+/// Runs one query through the process-wide sweep service and returns its
+/// report.
 ///
 /// # Panics
 ///
 /// Panics if the simulation does not complete (which would indicate a kernel
 /// generation bug, not a user error).
-pub fn run_gemm(design: DesignKind, shape: GemmShape) -> SimReport {
-    run_gemm_with_mode(design, shape, SimMode::FastForward)
-}
-
-/// Runs the GEMM kernel for `shape` on the given design point with an
-/// explicit simulation-loop mode — used by the fast-forward equivalence test
-/// and the `fastforward` benchmark.
-///
-/// # Panics
-///
-/// Panics if the simulation does not complete.
-pub fn run_gemm_with_mode(design: DesignKind, shape: GemmShape, mode: SimMode) -> SimReport {
-    run_gemm_clusters(design, shape, 1, mode)
-}
-
-/// Runs the GEMM kernel for `shape` on `clusters` clusters of the given
-/// design point with an explicit simulation-loop mode — the entry point of
-/// the `clusters_scaling` bench and the multi-cluster equivalence tests.
-///
-/// # Panics
-///
-/// Panics if the simulation does not complete.
-pub fn run_gemm_clusters(
-    design: DesignKind,
-    shape: GemmShape,
-    clusters: u32,
-    mode: SimMode,
-) -> SimReport {
-    (*sweep_service()
-        .run(&Query::new(design, shape).clusters(clusters).mode(mode))
-        .report)
-        .clone()
-}
-
-/// Runs the FlashAttention-3 kernel for `shape` on `clusters` clusters of a
-/// design point (Virgo or Ampere-style) with an explicit simulation-loop
-/// mode.
-///
-/// # Panics
-///
-/// Panics if the design point is not Virgo or Ampere-style, or the
-/// simulation does not complete.
-pub fn run_flash_attention_clusters(
-    design: DesignKind,
-    shape: AttentionShape,
-    clusters: u32,
-    mode: SimMode,
-) -> SimReport {
-    (*sweep_service()
-        .run(&Query::new(design, shape).clusters(clusters).mode(mode))
-        .report)
-        .clone()
+pub fn run(query: &Query) -> SimReport {
+    (*sweep_service().run(query).report).clone()
 }
 
 /// Runs the GEMM kernel for `shape` on every design point, sharded across
@@ -115,27 +69,6 @@ pub fn run_gemm_all_designs(shape: GemmShape) -> Vec<(DesignKind, SimReport)> {
             (design, (*outcome.report).clone())
         })
         .collect()
-}
-
-/// Runs the FlashAttention-3 kernel (paper configuration) on a design point
-/// using its FP32 configuration.
-///
-/// # Panics
-///
-/// Panics if the design point is not Virgo or Ampere-style, or the simulation
-/// does not complete.
-pub fn run_flash_attention(design: DesignKind) -> SimReport {
-    run_flash_attention_with_mode(design, SimMode::FastForward)
-}
-
-/// Runs the FlashAttention-3 kernel with an explicit simulation-loop mode.
-///
-/// # Panics
-///
-/// Panics if the design point is not Virgo or Ampere-style, or the simulation
-/// does not complete.
-pub fn run_flash_attention_with_mode(design: DesignKind, mode: SimMode) -> SimReport {
-    run_flash_attention_clusters(design, AttentionShape::paper_default(), 1, mode)
 }
 
 /// Prints a fixed-width table with a title, headers and rows.
@@ -198,32 +131,48 @@ pub fn uj(value: f64) -> String {
     format!("{value:.1} uJ")
 }
 
-/// Reads the GEMM sizes to sweep from the `VIRGO_GEMM_SIZES` environment
-/// variable (comma-separated), defaulting to the paper's 256/512/1024.
+/// Parses a comma-separated list of square GEMM sizes, the value of a size
+/// knob such as `VIRGO_GEMM_SIZES`; `None` (the knob unset) yields
+/// `defaults`.
 ///
 /// Setting e.g. `VIRGO_GEMM_SIZES=256` makes the long benches fast for smoke
 /// testing. A value with no parseable sizes falls back to the defaults (with
 /// a warning) rather than silently producing an empty sweep.
-pub fn gemm_sizes_from_env() -> Vec<GemmShape> {
-    match std::env::var("VIRGO_GEMM_SIZES") {
-        Ok(value) => {
-            let sizes: Vec<GemmShape> = value
-                .split(',')
-                .filter_map(|s| s.trim().parse::<u32>().ok())
-                .map(GemmShape::square)
-                .collect();
-            if sizes.is_empty() {
-                eprintln!(
-                    "warning: VIRGO_GEMM_SIZES={value:?} contains no sizes; \
-                     using the paper defaults"
-                );
-                GemmShape::paper_sizes().to_vec()
-            } else {
-                sizes
-            }
-        }
-        Err(_) => GemmShape::paper_sizes().to_vec(),
+pub fn sizes_from_env(value: Option<&str>, defaults: &[GemmShape]) -> Vec<GemmShape> {
+    let Some(value) = value else {
+        return defaults.to_vec();
+    };
+    let sizes: Vec<GemmShape> = value
+        .split(',')
+        .filter_map(|s| s.trim().parse::<u32>().ok())
+        .map(GemmShape::square)
+        .collect();
+    if sizes.is_empty() {
+        eprintln!("warning: {value:?} lists no GEMM sizes; using the defaults");
+        return defaults.to_vec();
     }
+    sizes
+}
+
+/// Writes the bench artifact `BENCH_<name>.json` at the workspace root
+/// from `doc`, a compact JSON document, rendered with
+/// [`Value::render_pretty`](json::Value::render_pretty).
+///
+/// Cargo runs bench binaries with the package directory (`crates/bench`)
+/// as cwd, so the path is anchored on the manifest instead: the artifact
+/// belongs next to the top-level `Cargo.toml`, where CI picks it up.
+///
+/// # Panics
+///
+/// Panics if `doc` is not valid JSON or the file cannot be written.
+pub fn write_artifact(name: &str, doc: &str) {
+    let value = json::parse(doc).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
+    let mut text = String::new();
+    value.render_pretty(&mut text);
+    text.push('\n');
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
 }
 
 #[cfg(test)]
@@ -239,10 +188,19 @@ mod tests {
 
     #[test]
     fn default_gemm_sizes_match_paper() {
-        std::env::remove_var("VIRGO_GEMM_SIZES");
-        let sizes = gemm_sizes_from_env();
-        assert_eq!(sizes.len(), 3);
-        assert_eq!(sizes[0], GemmShape::square(256));
+        let paper = GemmShape::paper_sizes();
+        assert_eq!(sizes_from_env(None, &paper), paper);
+        assert_eq!(
+            sizes_from_env(Some(" 128, 64"), &paper),
+            [GemmShape::square(128), GemmShape::square(64)]
+        );
+        for fallback in ["", "garbage", ",x,"] {
+            assert_eq!(
+                sizes_from_env(Some(fallback), &paper),
+                paper,
+                "{fallback:?}"
+            );
+        }
     }
 
     #[test]
@@ -261,7 +219,7 @@ mod tests {
             assert!(report.performed_macs() > 0, "{design}");
         }
         // The single-point helper answers from the same cache, bit-identical.
-        let again = run_gemm(results[0].0, shape);
+        let again = run(&Query::new(results[0].0, shape));
         assert_eq!(
             ReportDigest::of(&again),
             ReportDigest::of(&results[0].1),

@@ -305,15 +305,6 @@ impl Gpu {
         self.run_with_mode(kernel, max_cycles, SimMode::FastForward)
     }
 
-    /// Simulates `kernel` with the naive one-cycle-at-a-time reference loop.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gpu::run`].
-    pub fn run_naive(&mut self, kernel: &Kernel, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_with_mode(kernel, max_cycles, SimMode::Naive)
-    }
-
     /// Simulates `kernel` to completion, up to `max_cycles`, with an explicit
     /// time-advance mode.
     ///

@@ -4,7 +4,7 @@
 //! A cache entry is a plain JSON document with a small envelope:
 //!
 //! ```json
-//! {"format":"virgo-simreport","version":1,"key":"<32-hex SimKey>",
+//! {"format":"virgo-simreport","version":6,"key":"<32-hex SimKey>",
 //!  "checksum":"<16-hex>","payload":{...}}
 //! ```
 //!
@@ -30,7 +30,7 @@ use virgo_mem::{
     ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
     DsmFabricStats, DsmLinkStats, GlobalMemoryStats, SmemStats,
 };
-use virgo_sim::json::{self, ObjWriter, Value};
+use virgo_sim::json::{self, write_array, ObjWriter, Value};
 use virgo_sim::{ClusterFaultStats, Cycle, FaultStats, Frequency, StableHasher};
 use virgo_simt::CoreStats;
 
@@ -87,11 +87,6 @@ fn get_u64(v: &Value, key: &str) -> Result<u64> {
 
 fn read_array<T>(v: &Value, key: &str, read: fn(&Value) -> Result<T>) -> Result<Vec<T>> {
     v.get(key)?.as_array()?.iter().map(read).collect()
-}
-
-fn write_array<T>(items: &[T], write: fn(&T) -> String) -> String {
-    let items: Vec<String> = items.iter().map(write).collect();
-    format!("[{}]", items.join(","))
 }
 
 /// Every float in a report is finite; a non-finite one is a simulator bug,

@@ -124,14 +124,6 @@ impl PowerReport {
         &self.component_energy_uj
     }
 
-    /// Per-component active power breakdown (mW), in report order.
-    pub fn power_breakdown_mw(&self) -> Vec<(Component, f64)> {
-        self.component_energy_uj
-            .iter()
-            .map(|(c, _)| (*c, self.component_power_mw(*c)))
-            .collect()
-    }
-
     /// Active energy of the whole "Vortex Core" group (Figure 9 grouping).
     pub fn core_energy_uj(&self) -> f64 {
         self.component_energy_uj

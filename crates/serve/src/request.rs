@@ -121,13 +121,6 @@ impl TenantSpec {
         self.clusters_per_request = clusters.max(1);
         self
     }
-
-    /// Sets the per-request residency budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = budget.max(1);
-        self
-    }
 }
 
 /// A uniform draw in the half-open unit interval `(0, 1]` — open at zero so

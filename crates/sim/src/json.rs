@@ -1,6 +1,7 @@
-//! The workspace's one JSON codec: a value model, a parser, a compact
-//! renderer and a compact object writer, shared by report snapshots, the
-//! store's STAT payload, report digests and the bench regression differ.
+//! The workspace's one JSON codec: a value model, a parser, a compact and a
+//! pretty renderer, and compact object and array writers, shared by report
+//! snapshots, the store's STAT payload, report digests, the bench artifacts
+//! and the bench regression differ.
 //!
 //! Numbers keep their raw text in [`Value::Num`]. That keeps `u64` counters
 //! exact up to `u64::MAX` (an `f64` is exact only to 2^53) and makes
@@ -157,6 +158,51 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Null => out.push_str("null"),
         }
+    }
+
+    /// Appends the value in a readable multi-line form with the same
+    /// content as [`Value::render`]: a container whose children are all
+    /// leaves stays on one line, anything else breaks with a two-space
+    /// indent per level.
+    pub fn render_pretty(&self, out: &mut String) {
+        self.pretty(out, 0);
+    }
+
+    fn pretty(&self, out: &mut String, indent: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Object(fields) => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            Value::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            leaf => return leaf.render(out),
+        };
+        let flat = items
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Object(_) | Value::Array(_)));
+        out.push(open);
+        for (i, (key, v)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if !flat {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', indent + 2));
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(key) = key {
+                write_string(key, out);
+                out.push_str(": ");
+            }
+            v.pretty(out, indent + 2);
+        }
+        if !flat {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', indent));
+        }
+        out.push(close);
     }
 }
 
@@ -376,6 +422,12 @@ pub fn fmt_f64(value: f64) -> String {
     }
 }
 
+/// Renders `items` as one compact JSON array, each element through `write`.
+pub fn write_array<I: IntoIterator>(items: I, write: impl FnMut(I::Item) -> String) -> String {
+    let items: Vec<String> = items.into_iter().map(write).collect();
+    format!("[{}]", items.join(","))
+}
+
 /// Builds one compact JSON object (no whitespace) field by field.
 #[derive(Debug, Default)]
 pub struct ObjWriter {
@@ -410,6 +462,11 @@ impl ObjWriter {
     /// Adds a float field via [`fmt_f64`].
     pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {
         self.raw(key, &fmt_f64(value))
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.raw(key, if value { "true" } else { "false" })
     }
 
     /// Adds a string field via [`write_string`].
@@ -518,9 +575,36 @@ mod tests {
         write_string("a\"b\\c\nd\t\u{1f}é", &mut out);
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0009\\u001fé\"");
         let mut w = ObjWriter::new();
-        w.raw("xs", "[1,2]").str("k", "v");
-        assert_eq!(w.finish(), r#"{"xs":[1,2],"k":"v"}"#);
+        w.raw("xs", &write_array([1, 2], |n| n.to_string()))
+            .str("k", "v")
+            .bool("b", false);
+        assert_eq!(w.finish(), r#"{"xs":[1,2],"k":"v","b":false}"#);
         assert_eq!(ObjWriter::new().finish(), "{}");
+    }
+
+    #[test]
+    fn pretty_layout_breaks_only_nested_containers() {
+        let doc = parse(r#"{"bench":"x","points":[{"a":1,"ok":true},{"a":2.50}],"xs":[],"o":{}}"#)
+            .unwrap();
+        let mut out = String::new();
+        doc.render_pretty(&mut out);
+        assert_eq!(
+            out,
+            concat!(
+                "{\n",
+                "  \"bench\": \"x\",\n",
+                "  \"points\": [\n",
+                "    {\"a\": 1, \"ok\": true},\n",
+                "    {\"a\": 2.50}\n",
+                "  ],\n",
+                "  \"xs\": [],\n",
+                "  \"o\": {}\n",
+                "}"
+            )
+        );
+        let mut flat = String::new();
+        parse("[1,\"a\",null]").unwrap().render_pretty(&mut flat);
+        assert_eq!(flat, "[1, \"a\", null]");
     }
 
     /// A generated document with the exact values it was written from.
@@ -576,10 +660,7 @@ mod tests {
                 }
                 w.finish()
             }
-            Gen::Arr(items) => {
-                let items: Vec<String> = items.iter().map(write).collect();
-                format!("[{}]", items.join(","))
-            }
+            Gen::Arr(items) => write_array(items, write),
         }
     }
 
@@ -627,6 +708,16 @@ mod tests {
             assert_eq!(
                 rendered, text,
                 "write -> parse -> render must be byte-identical"
+            );
+            let mut pretty = String::new();
+            parsed.render_pretty(&mut pretty);
+            let mut compact = String::new();
+            parse(&pretty)
+                .unwrap_or_else(|e| panic!("{e}: {pretty}"))
+                .render(&mut compact);
+            assert_eq!(
+                compact, text,
+                "render_pretty -> parse -> render must be byte-identical"
             );
             check(&doc, &parsed);
         }

@@ -4,10 +4,10 @@
 //! every other crate in the workspace:
 //!
 //! * [`Cycle`] and [`Frequency`] — strongly-typed simulated time,
-//! * [`stats`] — counters and derived statistics used for utilization and
-//!   energy accounting,
-//! * [`pipe`] — latency pipes and bounded queues used to model pipelined
-//!   hardware structures (caches, DRAM, execution units),
+//! * [`stats`] — derived statistics used for utilization and energy
+//!   accounting,
+//! * [`pipe`] — bounded queues used to model hardware buffers that exert
+//!   back-pressure,
 //! * [`rng`] — a tiny deterministic pseudo-random generator used where the
 //!   model needs arbitrary-but-reproducible choices,
 //! * [`fault`] — deterministic, cycle-windowed fault-injection plans
@@ -59,8 +59,8 @@ pub use cycle::{Cycle, Frequency};
 pub use fault::{
     ClusterFaultStats, EccInjector, EccStats, FaultEvent, FaultKind, FaultPlan, FaultStats,
 };
-pub use pipe::{BoundedQueue, DelayPipe};
+pub use pipe::BoundedQueue;
 pub use rng::SplitMix64;
 pub use sched::EventQueue;
 pub use stablehash::{StableHash, StableHasher};
-pub use stats::{Counter, Ratio, RunningStats};
+pub use stats::Ratio;

@@ -1,112 +1,9 @@
-//! Latency pipes and bounded queues used to model pipelined hardware.
+//! Bounded queues used to model hardware buffers.
 //!
-//! Two structures cover nearly every timing element in the simulator:
-//!
-//! * [`DelayPipe`] — items become visible a fixed or per-item number of
-//!   cycles after insertion; models pipelined SRAMs, caches, floating-point
-//!   units and DRAM access latency.
-//! * [`BoundedQueue`] — a FIFO with finite capacity; models decoupling
-//!   queues, load/store queues and operand buffers, providing back-pressure.
+//! [`BoundedQueue`] is a FIFO with finite capacity; it models decoupling
+//! queues, load/store queues and operand buffers, providing back-pressure.
 
 use std::collections::VecDeque;
-
-use crate::Cycle;
-
-/// A FIFO whose entries become available a configurable number of cycles
-/// after they are pushed.
-///
-/// The pipe is unbounded: back-pressure, where needed, is modelled by the
-/// producer checking a separate [`BoundedQueue`] or an occupancy limit before
-/// pushing.
-///
-/// # Example
-///
-/// ```
-/// use virgo_sim::{Cycle, DelayPipe};
-///
-/// let mut pipe: DelayPipe<&'static str> = DelayPipe::new(3);
-/// pipe.push(Cycle::new(10), "req");
-/// assert_eq!(pipe.pop_ready(Cycle::new(12)), None);
-/// assert_eq!(pipe.pop_ready(Cycle::new(13)), Some("req"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DelayPipe<T> {
-    latency: u64,
-    entries: VecDeque<(Cycle, T)>,
-}
-
-impl<T> DelayPipe<T> {
-    /// Creates a pipe with a fixed `latency` in cycles applied to every item.
-    pub fn new(latency: u64) -> Self {
-        DelayPipe {
-            latency,
-            entries: VecDeque::new(),
-        }
-    }
-
-    /// The fixed latency applied by [`DelayPipe::push`].
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Inserts an item at cycle `now`; it becomes ready at `now + latency`.
-    pub fn push(&mut self, now: Cycle, item: T) {
-        self.push_with_latency(now, self.latency, item);
-    }
-
-    /// Inserts an item with an explicit per-item latency, overriding the
-    /// pipe's default. Items must still be pushed in non-decreasing ready
-    /// order for FIFO semantics to hold; this is asserted in debug builds.
-    pub fn push_with_latency(&mut self, now: Cycle, latency: u64, item: T) {
-        let ready = now.plus(latency);
-        debug_assert!(
-            self.entries.back().is_none_or(|(r, _)| *r <= ready),
-            "DelayPipe entries must be pushed in non-decreasing ready order"
-        );
-        self.entries.push_back((ready, item));
-    }
-
-    /// Removes and returns the oldest item if it is ready at cycle `now`.
-    pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        if self.front_ready(now) {
-            self.entries.pop_front().map(|(_, item)| item)
-        } else {
-            None
-        }
-    }
-
-    /// Returns a reference to the oldest item if it is ready at cycle `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        if self.front_ready(now) {
-            self.entries.front().map(|(_, item)| item)
-        } else {
-            None
-        }
-    }
-
-    fn front_ready(&self, now: Cycle) -> bool {
-        self.entries.front().is_some_and(|(ready, _)| *ready <= now)
-    }
-
-    /// Number of in-flight items (ready or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no items are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drains every item that is ready at cycle `now`, preserving order.
-    pub fn drain_ready(&mut self, now: Cycle) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(item) = self.pop_ready(now) {
-            out.push(item);
-        }
-        out
-    }
-}
 
 /// A FIFO queue with a hard capacity, used to model hardware buffers that
 /// exert back-pressure when full.
@@ -197,47 +94,6 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delay_pipe_respects_latency() {
-        let mut p = DelayPipe::new(5);
-        p.push(Cycle::new(0), 'a');
-        p.push(Cycle::new(1), 'b');
-        assert!(p.peek_ready(Cycle::new(4)).is_none());
-        assert_eq!(p.pop_ready(Cycle::new(5)), Some('a'));
-        assert_eq!(p.pop_ready(Cycle::new(5)), None);
-        assert_eq!(p.pop_ready(Cycle::new(6)), Some('b'));
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn delay_pipe_zero_latency_is_same_cycle() {
-        let mut p = DelayPipe::new(0);
-        p.push(Cycle::new(7), 42u32);
-        assert_eq!(p.peek_ready(Cycle::new(7)), Some(&42));
-        assert_eq!(p.pop_ready(Cycle::new(7)), Some(42));
-    }
-
-    #[test]
-    fn delay_pipe_drain_ready_preserves_order() {
-        let mut p = DelayPipe::new(1);
-        for i in 0..4 {
-            p.push(Cycle::new(i), i);
-        }
-        assert_eq!(p.drain_ready(Cycle::new(2)), vec![0, 1]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.drain_ready(Cycle::new(100)), vec![2, 3]);
-    }
-
-    #[test]
-    fn delay_pipe_per_item_latency() {
-        let mut p = DelayPipe::new(2);
-        p.push_with_latency(Cycle::new(0), 1, "fast");
-        p.push_with_latency(Cycle::new(0), 10, "slow");
-        assert_eq!(p.pop_ready(Cycle::new(1)), Some("fast"));
-        assert_eq!(p.pop_ready(Cycle::new(9)), None);
-        assert_eq!(p.pop_ready(Cycle::new(10)), Some("slow"));
-    }
 
     #[test]
     fn bounded_queue_backpressure() {

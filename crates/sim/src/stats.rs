@@ -1,69 +1,10 @@
-//! Counters and derived statistics used throughout the simulator.
+//! Derived statistics used throughout the simulator.
 //!
-//! Hardware utilization and energy accounting both reduce to counting events
-//! (instructions issued, MACs performed, SRAM words accessed, ...). The types
-//! in this module keep that counting explicit and cheap.
+//! Hardware utilization and energy accounting both reduce to ratios of
+//! event counts (MACs performed over MAC slots, issue slots used over
+//! cycles, ...).
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use virgo_sim::Counter;
-///
-/// let mut issued = Counter::new();
-/// issued.add(3);
-/// issued.incr();
-/// assert_eq!(issued.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    #[inline]
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` events to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the current count as `f64` for ratio computations.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::ops::AddAssign<u64> for Counter {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
-    }
-}
 
 /// A ratio of two event counts, typically "useful work / capacity".
 ///
@@ -118,124 +59,9 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// Streaming mean / min / max statistics over a sequence of samples.
-///
-/// Used by the benchmark harness to summarize per-iteration measurements
-/// (e.g. fence-poll interval lengths, Section 4.5.1 of the paper).
-///
-/// # Example
-///
-/// ```
-/// use virgo_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [250.0, 260.0, 270.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 260.0).abs() < 1e-12);
-/// assert_eq!(s.min(), Some(250.0));
-/// assert_eq!(s.max(), Some(270.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl RunningStats {
-    /// Creates an empty statistics accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        self.sum_sq += sample * sample;
-        self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
-        self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of the samples; zero if no samples have been observed.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Population variance of the samples; zero if fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.mean();
-        (self.sum_sq / n - mean * mean).max(0.0)
-    }
-
-    /// Population standard deviation of the samples.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, if any samples were observed.
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Largest sample, if any samples were observed.
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-}
-
-impl Extend<f64> for RunningStats {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for RunningStats {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = RunningStats::new();
-        s.extend(iter);
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        c += 10;
-        assert_eq!(c.get(), 20);
-        assert_eq!(format!("{c}"), "20");
-    }
 
     #[test]
     fn ratio_handles_zero_denominator() {
@@ -247,33 +73,5 @@ mod tests {
     fn ratio_percent_formatting() {
         let r = Ratio::new(1.0, 3.0);
         assert_eq!(format!("{r}"), "33.3%");
-    }
-
-    #[test]
-    fn running_stats_mean_and_extremes() {
-        let s: RunningStats = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert!((s.std_dev() - 1.25f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_empty_is_zero() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn running_stats_single_sample_has_zero_variance() {
-        let mut s = RunningStats::new();
-        s.push(42.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.mean(), 42.0);
     }
 }

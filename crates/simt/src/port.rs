@@ -43,11 +43,8 @@ pub trait ClusterPort {
     /// This powers the fast-forward engine's structural-hazard refinement:
     /// when every runnable warp of a core is retrying an HMMA step against a
     /// busy unit, the core's event horizon can jump to this cycle instead of
-    /// pinning to `now`. The default is the conservative `None`, which keeps
-    /// hazard-blocked cores cycle-stepped.
-    fn hmma_busy_until(&self, _now: Cycle, _core: u32) -> Option<Cycle> {
-        None
-    }
+    /// pinning to `now`.
+    fn hmma_busy_until(&self, now: Cycle, core: u32) -> Option<Cycle>;
 
     /// Attempts to enqueue a Hopper-style asynchronous `wgmma` operation on
     /// `core`'s operand-decoupled tensor unit. `exec_count` is the issuing

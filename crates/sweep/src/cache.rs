@@ -115,15 +115,6 @@ impl ReportCache {
         }
     }
 
-    /// Wraps an explicit store (e.g. a hand-built tiering for tests).
-    pub fn with_store(store: Box<dyn ReportStore>) -> Self {
-        ReportCache {
-            store,
-            counters: Mutex::new(LookupCounters::default()),
-            disk_dir: None,
-        }
-    }
-
     /// The storage hierarchy behind this cache.
     pub fn store(&self) -> &dyn ReportStore {
         self.store.as_ref()

@@ -117,17 +117,6 @@ impl SweepPoint {
         }
     }
 
-    /// A single-cluster fast-forward FlashAttention point.
-    pub fn flash_attention(design: DesignKind, shape: AttentionShape) -> Self {
-        SweepPoint {
-            design,
-            workload: SweepWorkload::FlashAttention(shape),
-            clusters: 1,
-            dram_channels: 1,
-            mode: SimMode::FastForward,
-        }
-    }
-
     /// Scales the point to `clusters` clusters.
     #[must_use]
     pub fn with_clusters(mut self, clusters: u32) -> Self {

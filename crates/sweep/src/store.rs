@@ -686,13 +686,6 @@ impl StoreConfig {
         }
     }
 
-    /// Overrides the memory capacity.
-    #[must_use]
-    pub fn with_memory_capacity(mut self, capacity: usize) -> Self {
-        self.memory_capacity = capacity;
-        self
-    }
-
     /// Sets (or disables) the disk tier.
     #[must_use]
     pub fn with_disk_dir(mut self, dir: Option<PathBuf>) -> Self {

@@ -19,14 +19,13 @@
 use std::sync::Arc;
 
 use virgo::{DesignKind, Gpu, GpuConfig, SimMode, SimReport};
-use virgo_bench::{
-    run_flash_attention_clusters, run_gemm_clusters, run_gemm_with_mode, ReportDigest,
-};
+use virgo_bench::{run, ReportDigest};
 use virgo_isa::{
     AddrExpr, DataType, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
     ProgramBuilder, WarpAssignment, WarpOp,
 };
 use virgo_kernels::{AttentionShape, GemmShape};
+use virgo_sweep::Query;
 
 /// Pre-refactor fingerprint of one report: every integer metric the digest
 /// covers plus the exact bit patterns of the derived floating-point values.
@@ -144,7 +143,7 @@ fn single_cluster_gemm_reports_match_pre_refactor_fingerprints() {
         },
     ];
     for fp in &fingerprints {
-        let report = run_gemm_with_mode(fp.design, shape, SimMode::FastForward);
+        let report = run(&Query::new(fp.design, shape).mode(SimMode::FastForward));
         fp.assert_matches(&report);
         // The single-cluster report has exactly one per-cluster slice and it
         // agrees with the aggregates.
@@ -186,7 +185,7 @@ fn single_cluster_flash_attention_matches_pre_refactor_fingerprints() {
         },
     ];
     for fp in &fingerprints {
-        let report = run_flash_attention_clusters(fp.design, shape, 1, SimMode::FastForward);
+        let report = run(&Query::new(fp.design, shape).mode(SimMode::FastForward));
         fp.assert_matches(&report);
     }
 }
@@ -202,14 +201,9 @@ fn multi_cluster_gemm_is_bit_identical_across_modes() {
     };
     for clusters in [2u32, 4] {
         for design in DesignKind::all() {
-            let naive =
-                ReportDigest::of(&run_gemm_clusters(design, shape, clusters, SimMode::Naive));
-            let fast = ReportDigest::of(&run_gemm_clusters(
-                design,
-                shape,
-                clusters,
-                SimMode::FastForward,
-            ));
+            let query = Query::new(design, shape).clusters(clusters);
+            let naive = ReportDigest::of(&run(&query.clone().mode(SimMode::Naive)));
+            let fast = ReportDigest::of(&run(&query.mode(SimMode::FastForward)));
             assert_eq!(naive, fast, "{design} x{clusters} GEMM digests diverge");
             assert!(naive.performed_macs > 0, "{design} x{clusters}");
         }
@@ -229,18 +223,9 @@ fn multi_cluster_flash_attention_is_bit_identical_across_modes() {
     };
     for clusters in [2u32, 4] {
         for design in [DesignKind::AmpereStyle, DesignKind::Virgo] {
-            let naive = ReportDigest::of(&run_flash_attention_clusters(
-                design,
-                shape,
-                clusters,
-                SimMode::Naive,
-            ));
-            let fast = ReportDigest::of(&run_flash_attention_clusters(
-                design,
-                shape,
-                clusters,
-                SimMode::FastForward,
-            ));
+            let query = Query::new(design, shape).clusters(clusters);
+            let naive = ReportDigest::of(&run(&query.clone().mode(SimMode::Naive)));
+            let fast = ReportDigest::of(&run(&query.mode(SimMode::FastForward)));
             assert_eq!(
                 naive, fast,
                 "{design} x{clusters} FlashAttention digests diverge"
@@ -339,7 +324,11 @@ fn cluster_scaling_trades_cycles_for_dram_contention() {
     };
     let reports: Vec<SimReport> = [1u32, 2, 4]
         .iter()
-        .map(|&n| run_gemm_clusters(DesignKind::Virgo, shape, n, SimMode::FastForward))
+        .map(|&n| {
+            run(&Query::new(DesignKind::Virgo, shape)
+                .clusters(n)
+                .mode(SimMode::FastForward))
+        })
         .collect();
     for pair in reports.windows(2) {
         assert!(

@@ -19,7 +19,7 @@
 //!    `crates/mem/src/backend.rs` pins that edge.)
 
 use virgo::{DesignKind, SimMode};
-use virgo_bench::{run_gemm_clusters, ReportDigest};
+use virgo_bench::{run, ReportDigest};
 use virgo_kernels::GemmShape;
 use virgo_mem::{DramConfig, DramModel, DramStats, MultiChannelDram};
 use virgo_sim::{Cycle, SplitMix64};
@@ -243,7 +243,9 @@ fn helper_and_service_answers_agree() {
         n: 128,
         k: 128,
     };
-    let via_helper = run_gemm_clusters(DesignKind::Virgo, shape, 2, SimMode::FastForward);
+    let via_helper = run(&Query::new(DesignKind::Virgo, shape)
+        .clusters(2)
+        .mode(SimMode::FastForward));
     let via_channels = run_gemm_clusters_channels(DesignKind::Virgo, shape, 2, 1);
     assert_eq!(
         ReportDigest::of(&via_helper),

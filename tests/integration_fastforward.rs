@@ -11,12 +11,13 @@
 use std::sync::Arc;
 
 use virgo::{DesignKind, Gpu, GpuConfig, SimError, SimMode};
-use virgo_bench::{run_flash_attention_with_mode, run_gemm_with_mode, ReportDigest};
+use virgo_bench::{run, ReportDigest};
 use virgo_isa::{
     AddrExpr, DataType, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
     ProgramBuilder, WarpAssignment, WarpOp,
 };
-use virgo_kernels::GemmShape;
+use virgo_kernels::{AttentionShape, GemmShape};
+use virgo_sweep::Query;
 
 /// Every design point, on a representative GEMM, in both modes.
 #[test]
@@ -27,8 +28,9 @@ fn gemm_reports_are_bit_identical_across_modes_and_designs() {
         k: 128,
     };
     for design in DesignKind::all() {
-        let naive = ReportDigest::of(&run_gemm_with_mode(design, shape, SimMode::Naive));
-        let fast = ReportDigest::of(&run_gemm_with_mode(design, shape, SimMode::FastForward));
+        let query = Query::new(design, shape);
+        let naive = ReportDigest::of(&run(&query.clone().mode(SimMode::Naive)));
+        let fast = ReportDigest::of(&run(&query.mode(SimMode::FastForward)));
         assert_eq!(naive, fast, "{design} GEMM digests diverge");
         assert!(naive.cycles > 0 && naive.performed_macs > 0, "{design}");
     }
@@ -39,8 +41,9 @@ fn gemm_reports_are_bit_identical_across_modes_and_designs() {
 #[test]
 fn flash_attention_reports_are_bit_identical_across_modes() {
     for design in [DesignKind::AmpereStyle, DesignKind::Virgo] {
-        let naive = ReportDigest::of(&run_flash_attention_with_mode(design, SimMode::Naive));
-        let fast = ReportDigest::of(&run_flash_attention_with_mode(design, SimMode::FastForward));
+        let query = Query::new(design, AttentionShape::paper_default());
+        let naive = ReportDigest::of(&run(&query.clone().mode(SimMode::Naive)));
+        let fast = ReportDigest::of(&run(&query.mode(SimMode::FastForward)));
         assert_eq!(naive, fast, "{design} FlashAttention digests diverge");
         assert!(naive.fence_wait_cycles > 0 || naive.cycles > 0, "{design}");
     }
