@@ -7,7 +7,7 @@ use virgo_mem::{
     AccumulatorMemory, Coalescer, DmaEngine, DmaTransfer, DsmFabric, GlobalMemory, MemoryBackend,
     SharedMemory,
 };
-use virgo_sim::{earliest, Cycle, NextActivity};
+use virgo_sim::{earliest, Counters, Cycle, NextActivity};
 use virgo_simt::{
     ClusterPort, ClusterSynchronizer, CoreStats, SimtCore, TickOutcome, WarpSnapshot,
 };
@@ -27,16 +27,12 @@ pub struct ClusterStats {
     /// Asynchronous operations completed.
     pub async_ops_completed: u64,
 }
-
-impl ClusterStats {
-    /// Adds the counts of `other` into `self` (used to aggregate clusters).
-    pub fn merge(&mut self, other: &ClusterStats) {
-        self.mmio_writes += other.mmio_writes;
-        self.mmio_rejects += other.mmio_rejects;
-        self.async_ops_launched += other.async_ops_launched;
-        self.async_ops_completed += other.async_ops_completed;
-    }
-}
+virgo_sim::counters!(ClusterStats {
+    mmio_writes,
+    mmio_rejects,
+    async_ops_launched,
+    async_ops_completed,
+});
 
 /// Everything in the cluster that is *not* a SIMT core: memories,
 /// matrix units, DMA, synchronizer and the MMIO/async-tracking glue.
@@ -722,14 +718,15 @@ impl Cluster {
         self.cores[core].fast_forward(from, cycles);
     }
 
-    /// Signature of submissions into the cluster devices (see
-    /// [`ClusterDevices::inbox_mark`]).
+    /// Signature of submissions into the cluster devices: bumps when a core
+    /// performs an MMIO write or enqueues into a decoupled tensor unit.
     pub fn inbox_mark(&self) -> u64 {
         self.devices.inbox_mark()
     }
 
-    /// Signature of asynchronous completions (see
-    /// [`ClusterDevices::completion_mark`]).
+    /// Signature of asynchronous completions: bumps when the DMA engine or a
+    /// matrix unit retires an async op, or a decoupled tensor unit retires a
+    /// wgmma.
     pub fn completion_mark(&self) -> u64 {
         self.devices.completion_mark()
     }

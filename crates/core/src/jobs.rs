@@ -41,7 +41,7 @@
 
 use virgo_isa::{Kernel, KernelInfo};
 use virgo_mem::{BackendAttribution, FabricAttribution};
-use virgo_sim::Cycle;
+use virgo_sim::{Counters, Cycle};
 
 use crate::config::GpuConfig;
 use crate::machine::Machine;
@@ -745,6 +745,58 @@ mod tests {
                     })
                     .collect::<Vec<_>>(),
             );
+        }
+        assert_eq!(per_mode[0], per_mode[1]);
+    }
+
+    /// One warp on `from` that runs `alu` ALU ops, then pushes `stores`
+    /// fire-and-forget 128-byte SIMT stores into `to`'s scratchpad.
+    fn remote_store_kernel(from: u32, to: u32, alu: u32, stores: u32) -> Kernel {
+        let mut b = ProgramBuilder::new();
+        b.op_n(
+            alu,
+            WarpOp::Alu {
+                rf_reads: 2,
+                rf_writes: 1,
+            },
+        );
+        let remote = virgo_isa::AddrExpr::fixed(virgo_isa::remote_smem_addr(to, 0));
+        b.op_n(
+            stores,
+            WarpOp::StoreShared {
+                access: virgo_isa::LaneAccess::contiguous_words(remote, 32),
+            },
+        );
+        Kernel::new(
+            KernelInfo::new("remote", 0, DataType::Fp16),
+            vec![WarpAssignment::on_cluster(from, 0, 0, Arc::new(b.build()))],
+        )
+    }
+
+    #[test]
+    fn concurrent_dsm_job_retires_at_its_own_cycle() {
+        // A on {0,1} floods link 1 with remote stores whose deliveries
+        // trail long after B on {2,3} has finished and its one remote store
+        // has landed; B must retire then, not when A's traffic drains.
+        let config = GpuConfig::virgo().with_clusters(4).with_dsm_enabled();
+        let a = remote_store_kernel(0, 1, 0, 256);
+        let b = remote_store_kernel(2, 3, 8, 1);
+        let mut per_mode = Vec::new();
+        for mode in [SimMode::Naive, SimMode::FastForward] {
+            let standalone = Gpu::new(config.clone())
+                .run_with_mode(&b, 100_000, mode)
+                .unwrap();
+            let mut table = JobTable::new(config.clone(), mode);
+            table.admit("a", &a, &[0, 1], 100_000).unwrap();
+            table.admit("b", &b, &[2, 3], 100_000).unwrap();
+            let mut done = Vec::new();
+            while !table.is_idle() {
+                done.extend(table.advance_until(u64::MAX));
+            }
+            done.sort_by_key(|c| c.id);
+            assert_eq!(done[1].residency(), standalone.cycles().get(), "{mode}");
+            assert!(done[1].retired < done[0].retired, "{mode}");
+            per_mode.push((done[0].retired, done[1].retired));
         }
         assert_eq!(per_mode[0], per_mode[1]);
     }

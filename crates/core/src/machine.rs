@@ -96,15 +96,11 @@ impl Machine {
         (self.backend, self.fabric) = cold_shared(config);
     }
 
-    /// Whether the job occupying the cluster slots in `ids` has finished.
-    ///
-    /// The fabric has no per-endpoint in-flight tracking, so its global
-    /// quiescence stands in for the job's: conservative (another job's DSM
-    /// traffic delays retirement by its delivery latency) but exact for
-    /// jobs that never touch the DSM — which includes every workload the
-    /// serving layer generates.
+    /// Whether the job occupying the cluster slots in `ids` has finished:
+    /// its clusters are done and no DSM transfer from or to them is still
+    /// in flight. Other jobs' DSM traffic does not delay it.
     pub(crate) fn finished_on(&self, ids: &[u32]) -> bool {
-        ids.iter().all(|&id| self.clusters[id as usize].finished()) && self.fabric.quiescent()
+        ids.iter().all(|&id| self.clusters[id as usize].finished()) && self.fabric.quiescent_on(ids)
     }
 
     pub(crate) fn tick(&mut self, now: Cycle) {

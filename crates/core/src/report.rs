@@ -10,7 +10,9 @@ use virgo_mem::{
     BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
     DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, SmemStats,
 };
-use virgo_sim::{ClusterFaultStats, Cycle, FaultPlan, FaultStats, Frequency, Ratio};
+use virgo_sim::{
+    ClusterFaultStats, Counters, Cycle, EccStats, FaultPlan, FaultStats, Frequency, Ratio,
+};
 use virgo_simt::CoreStats;
 
 use crate::cluster::{Cluster, ClusterStats};
@@ -52,6 +54,16 @@ pub struct SchedStats {
     /// stepping any more. Kept so existing readers of the field still build.
     pub bailout_engagements: u64,
 }
+virgo_sim::counters!(SchedStats {
+    processed_cycles,
+    skipped_cycles,
+    simt_events,
+    gemmini_events,
+    tensor_events,
+    dma_events,
+    dsm_events,
+    bailout_engagements,
+});
 
 /// Per-cluster slice of a [`SimReport`].
 ///
@@ -236,7 +248,7 @@ impl SimReport {
         // ledger is their merge plus the shared back-end's DRAM traffic.
         let mut machine_ledger = EnergyLedger::new();
         let mut per_cluster = Vec::with_capacity(view.clusters.len());
-        let mut ecc_total = virgo_sim::EccStats::default();
+        let mut ecc_total = EccStats::default();
         for &cluster in &view.clusters {
             let id = cluster.cluster_id();
             let contention = view.backend.per_cluster[id as usize].clone();
@@ -244,9 +256,7 @@ impl SimReport {
             let ledger = build_cluster_ledger(cluster, &contention, &dsm);
             let devices = cluster.devices();
             let ecc = devices.smem.ecc_stats();
-            ecc_total.injected += ecc.injected;
-            ecc_total.detected += ecc.detected;
-            ecc_total.corrected += ecc.corrected;
+            ecc_total.merge(&ecc);
             per_cluster.push(ClusterReport {
                 cluster: id,
                 core_stats: cluster.core_stats(),
@@ -310,14 +320,7 @@ impl SimReport {
         let mut dma_stats: Option<DmaStats> = None;
         let mut performed_macs = 0u64;
         let mut dram_contention_stall_cycles = 0u64;
-        let links = view
-            .fabric
-            .per_cluster
-            .iter()
-            .map(|c| c.per_link.len())
-            .max()
-            .unwrap_or(0);
-        let mut dsm_link_stats = vec![DsmLinkStats::default(); links];
+        let mut dsm_link_stats: Vec<DsmLinkStats> = Vec::new();
         for slice in &per_cluster {
             core_stats.merge(&slice.core_stats);
             smem_stats.merge(&slice.smem_stats);
@@ -328,9 +331,7 @@ impl SimReport {
             }
             performed_macs += slice.performed_macs;
             dram_contention_stall_cycles += slice.contention.dram_stall_cycles;
-            for (link, stats) in dsm_link_stats.iter_mut().zip(&slice.dsm.per_link) {
-                link.merge(stats);
-            }
+            dsm_link_stats.merge(&slice.dsm.per_link);
         }
         gmem_stats.l2_accesses = view.backend.stats.l2_accesses;
         gmem_stats.l2_misses = view.backend.stats.l2_misses;

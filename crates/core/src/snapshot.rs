@@ -20,23 +20,20 @@
 //! The JSON itself goes through [`virgo_sim::json`]: its compact
 //! [`ObjWriter`] writes the payload, and its parser keeps every number's raw
 //! text, so re-rendering the parsed payload reproduces the written bytes and
-//! the checksum can be verified. This module holds only the envelope and the
-//! per-struct codecs.
+//! the checksum can be verified. Every counter struct writes and reads its
+//! own object through [`Counters`], generated from the field list beside its
+//! declaration; this module holds the envelope and the codecs of the parts
+//! with floats, strings or an `Option` (per-cluster slices, power, area).
 
 use std::fmt;
 
 use virgo_energy::{AreaReport, Component, MatrixSubcomponent, PowerReport};
-use virgo_mem::{
-    ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
-    DsmFabricStats, DsmLinkStats, GlobalMemoryStats, SmemStats,
-};
+use virgo_mem::DmaStats;
 use virgo_sim::json::{self, write_array, ObjWriter, Value};
-use virgo_sim::{ClusterFaultStats, Cycle, FaultStats, Frequency, StableHasher};
-use virgo_simt::CoreStats;
+use virgo_sim::{Counters, Cycle, Frequency, StableHasher};
 
-use crate::cluster::ClusterStats;
 use crate::config::DesignKind;
-use crate::report::{ClusterReport, SchedStats, SimReport};
+use crate::report::{ClusterReport, SimReport};
 
 /// Why a cache entry could not be rehydrated. The sweep cache treats every
 /// variant as a miss (the entry is re-simulated and rewritten).
@@ -81,8 +78,8 @@ impl From<json::Error> for SnapshotError {
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Result<u64> {
-    Ok(v.get(key)?.as_u64()?)
+fn read<T: Counters>(v: &Value, key: &str) -> Result<T> {
+    Ok(T::from_json(v.get(key)?)?)
 }
 
 fn read_array<T>(v: &Value, key: &str, read: fn(&Value) -> Result<T>) -> Result<Vec<T>> {
@@ -97,215 +94,13 @@ fn finite(value: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Per-struct (de)serializers. The flat all-`u64` stats structs are handled
-// by one macro; everything else is written out by hand.
+// The counter structs encode themselves through `Counters`; the codecs below
+// cover what holds floats, strings or an `Option`.
 // ---------------------------------------------------------------------------
-
-macro_rules! u64_stats_codec {
-    ($ty:ident, $write:ident, $read:ident, [$($field:ident),+ $(,)?]) => {
-        fn $write(s: &$ty) -> String {
-            let mut w = ObjWriter::new();
-            $(w.u64(stringify!($field), s.$field);)+
-            w.finish()
-        }
-
-        fn $read(v: &Value) -> Result<$ty> {
-            Ok($ty {
-                $($field: get_u64(v, stringify!($field))?,)+
-            })
-        }
-    };
-}
-
-u64_stats_codec!(
-    CoreStats,
-    write_core_stats,
-    read_core_stats,
-    [
-        instrs_issued,
-        rf_reads,
-        rf_writes,
-        alu_lane_ops,
-        fpu_lane_ops,
-        lsu_lane_ops,
-        writebacks,
-        icache_accesses,
-        hmma_steps,
-        wgmma_ops,
-        mmio_writes,
-        fence_poll_instrs,
-        fence_wait_cycles,
-        barrier_arrivals,
-        active_cycles,
-        stall_cycles,
-        idle_cycles,
-        total_cycles,
-    ]
-);
-
-u64_stats_codec!(
-    SmemStats,
-    write_smem_stats,
-    read_smem_stats,
-    [
-        words_read,
-        words_written,
-        bytes_read,
-        bytes_written,
-        simt_accesses,
-        wide_accesses,
-        conflict_cycles,
-        unaligned_serialized,
-    ]
-);
-
-u64_stats_codec!(
-    GlobalMemoryStats,
-    write_gmem_stats,
-    read_gmem_stats,
-    [l1_accesses, l1_misses, l2_accesses, l2_misses, dma_bytes,]
-);
-
-u64_stats_codec!(
-    DramStats,
-    write_dram_stats,
-    read_dram_stats,
-    [reads, writes, bytes, bursts,]
-);
-
-u64_stats_codec!(
-    DmaStats,
-    write_dma_stats,
-    read_dma_stats,
-    [transfers, bytes_moved, beats, busy_cycles,]
-);
-
-u64_stats_codec!(
-    ClusterStats,
-    write_cluster_stats,
-    read_cluster_stats,
-    [
-        mmio_writes,
-        mmio_rejects,
-        async_ops_launched,
-        async_ops_completed,
-    ]
-);
-
-u64_stats_codec!(
-    ChannelContentionStats,
-    write_channel_contention,
-    read_channel_contention,
-    [requests, stall_cycles,]
-);
-
-u64_stats_codec!(
-    DsmLinkStats,
-    write_dsm_link,
-    read_dsm_link,
-    [requests, bytes, stall_cycles,]
-);
-
-u64_stats_codec!(
-    DsmFabricStats,
-    write_dsm_fabric,
-    read_dsm_fabric,
-    [transfers, bytes, hop_flits, stall_cycles,]
-);
-
-u64_stats_codec!(
-    FaultStats,
-    write_fault_stats,
-    read_fault_stats,
-    [
-        injected,
-        detected,
-        corrected,
-        degraded_cycles,
-        dsm_rerouted_transfers,
-        dsm_blocked_cycles,
-        dram_restriped_accesses,
-        recovery_cycles,
-    ]
-);
-
-u64_stats_codec!(
-    ClusterFaultStats,
-    write_cluster_fault,
-    read_cluster_fault,
-    [injected, detected, corrected, degraded_cycles,]
-);
-
-u64_stats_codec!(
-    SchedStats,
-    write_sched_stats,
-    read_sched_stats,
-    [
-        processed_cycles,
-        skipped_cycles,
-        simt_events,
-        gemmini_events,
-        tensor_events,
-        dma_events,
-        dsm_events,
-        bailout_engagements,
-    ]
-);
-
-// `ClusterContentionStats` carries a per-channel array, so it cannot use the
-// flat-`u64` macro.
-fn write_contention(s: &ClusterContentionStats) -> String {
-    let mut w = ObjWriter::new();
-    w.u64("l2_accesses", s.l2_accesses)
-        .u64("l2_misses", s.l2_misses)
-        .u64("dma_bytes", s.dma_bytes)
-        .u64("dram_requests", s.dram_requests)
-        .u64("dram_bytes", s.dram_bytes)
-        .u64("dram_stall_cycles", s.dram_stall_cycles)
-        .raw(
-            "per_channel",
-            &write_array(&s.per_channel, write_channel_contention),
-        );
-    w.finish()
-}
-
-fn read_contention(v: &Value) -> Result<ClusterContentionStats> {
-    Ok(ClusterContentionStats {
-        l2_accesses: get_u64(v, "l2_accesses")?,
-        l2_misses: get_u64(v, "l2_misses")?,
-        dma_bytes: get_u64(v, "dma_bytes")?,
-        dram_requests: get_u64(v, "dram_requests")?,
-        dram_bytes: get_u64(v, "dram_bytes")?,
-        dram_stall_cycles: get_u64(v, "dram_stall_cycles")?,
-        per_channel: read_array(v, "per_channel", read_channel_contention)?,
-    })
-}
-
-// `ClusterDsmStats` carries a per-link array, so it cannot use the
-// flat-`u64` macro either.
-fn write_cluster_dsm(s: &ClusterDsmStats) -> String {
-    let mut w = ObjWriter::new();
-    w.u64("requests", s.requests)
-        .u64("bytes", s.bytes)
-        .u64("stall_cycles", s.stall_cycles)
-        .u64("hop_flits", s.hop_flits)
-        .raw("per_link", &write_array(&s.per_link, write_dsm_link));
-    w.finish()
-}
-
-fn read_cluster_dsm(v: &Value) -> Result<ClusterDsmStats> {
-    Ok(ClusterDsmStats {
-        requests: get_u64(v, "requests")?,
-        bytes: get_u64(v, "bytes")?,
-        stall_cycles: get_u64(v, "stall_cycles")?,
-        hop_flits: get_u64(v, "hop_flits")?,
-        per_link: read_array(v, "per_link", read_dsm_link)?,
-    })
-}
 
 fn write_opt_dma(stats: &Option<DmaStats>) -> String {
     match stats {
-        Some(s) => write_dma_stats(s),
+        Some(s) => s.to_json(),
         None => "null".to_string(),
     }
 }
@@ -313,7 +108,7 @@ fn write_opt_dma(stats: &Option<DmaStats>) -> String {
 fn read_opt_dma(v: &Value) -> Result<Option<DmaStats>> {
     match v {
         Value::Null => Ok(None),
-        other => Ok(Some(read_dma_stats(other)?)),
+        other => Ok(Some(DmaStats::from_json(other)?)),
     }
 }
 
@@ -343,33 +138,33 @@ fn read_breakdown<E: fmt::Debug + Copy>(v: &Value, variants: &[E]) -> Result<Vec
 fn write_cluster_report(c: &ClusterReport) -> String {
     let mut w = ObjWriter::new();
     w.u64("cluster", u64::from(c.cluster))
-        .raw("core_stats", &write_core_stats(&c.core_stats))
-        .raw("smem_stats", &write_smem_stats(&c.smem_stats))
-        .raw("gmem_stats", &write_gmem_stats(&c.gmem_stats))
+        .raw("core_stats", &c.core_stats.to_json())
+        .raw("smem_stats", &c.smem_stats.to_json())
+        .raw("gmem_stats", &c.gmem_stats.to_json())
         .raw("dma_stats", &write_opt_dma(&c.dma_stats))
-        .raw("cluster_stats", &write_cluster_stats(&c.cluster_stats))
-        .raw("contention", &write_contention(&c.contention))
-        .raw("dsm", &write_cluster_dsm(&c.dsm))
+        .raw("cluster_stats", &c.cluster_stats.to_json())
+        .raw("contention", &c.contention.to_json())
+        .raw("dsm", &c.dsm.to_json())
         .u64("performed_macs", c.performed_macs)
         .f64("energy_mj", finite(c.energy_mj))
-        .raw("fault", &write_cluster_fault(&c.fault));
+        .raw("fault", &c.fault.to_json());
     w.finish()
 }
 
 fn read_cluster_report(v: &Value) -> Result<ClusterReport> {
     Ok(ClusterReport {
-        cluster: u32::try_from(get_u64(v, "cluster")?)
+        cluster: u32::try_from(read::<u64>(v, "cluster")?)
             .map_err(|_| SnapshotError::new("cluster index overflows u32"))?,
-        core_stats: read_core_stats(v.get("core_stats")?)?,
-        smem_stats: read_smem_stats(v.get("smem_stats")?)?,
-        gmem_stats: read_gmem_stats(v.get("gmem_stats")?)?,
+        core_stats: read(v, "core_stats")?,
+        smem_stats: read(v, "smem_stats")?,
+        gmem_stats: read(v, "gmem_stats")?,
         dma_stats: read_opt_dma(v.get("dma_stats")?)?,
-        cluster_stats: read_cluster_stats(v.get("cluster_stats")?)?,
-        contention: read_contention(v.get("contention")?)?,
-        dsm: read_cluster_dsm(v.get("dsm")?)?,
-        performed_macs: get_u64(v, "performed_macs")?,
+        cluster_stats: read(v, "cluster_stats")?,
+        contention: read(v, "contention")?,
+        dsm: read(v, "dsm")?,
+        performed_macs: read(v, "performed_macs")?,
         energy_mj: v.get("energy_mj")?.as_f64()?,
-        fault: read_cluster_fault(v.get("fault")?)?,
+        fault: read(v, "fault")?,
     })
 }
 
@@ -384,7 +179,7 @@ fn write_power(p: &PowerReport) -> String {
 
 fn read_power(v: &Value) -> Result<PowerReport> {
     Ok(PowerReport::from_parts(
-        Cycle::new(get_u64(v, "cycles")?),
+        Cycle::new(read(v, "cycles")?),
         read_frequency(v, "frequency_hz")?,
         read_breakdown(v.get("components")?, &Component::all())?,
         read_breakdown(v.get("matrix")?, &MatrixSubcomponent::all())?,
@@ -392,7 +187,7 @@ fn read_power(v: &Value) -> Result<PowerReport> {
 }
 
 fn read_frequency(v: &Value, key: &str) -> Result<Frequency> {
-    let hz = get_u64(v, key)?;
+    let hz: u64 = read(v, key)?;
     if hz == 0 {
         return Err(SnapshotError::new("zero clock frequency"));
     }
@@ -412,16 +207,13 @@ fn write_payload(report: &SimReport) -> String {
         .u64("kernel_macs", report.kernel_macs)
         .u64("performed_macs", report.performed_macs)
         .u64("peak_macs_per_cycle", report.peak_macs_per_cycle)
-        .raw("core_stats", &write_core_stats(&report.core_stats))
-        .raw("smem_stats", &write_smem_stats(&report.smem_stats))
-        .raw("gmem_stats", &write_gmem_stats(&report.gmem_stats))
-        .raw("dram_stats", &write_dram_stats(&report.dram_stats))
-        .raw(
-            "dram_channel_stats",
-            &write_array(&report.dram_channel_stats, write_dram_stats),
-        )
+        .raw("core_stats", &report.core_stats.to_json())
+        .raw("smem_stats", &report.smem_stats.to_json())
+        .raw("gmem_stats", &report.gmem_stats.to_json())
+        .raw("dram_stats", &report.dram_stats.to_json())
+        .raw("dram_channel_stats", &report.dram_channel_stats.to_json())
         .raw("dma_stats", &write_opt_dma(&report.dma_stats))
-        .raw("cluster_stats", &write_cluster_stats(&report.cluster_stats))
+        .raw("cluster_stats", &report.cluster_stats.to_json())
         .raw(
             "per_cluster",
             &write_array(&report.per_cluster, write_cluster_report),
@@ -430,13 +222,10 @@ fn write_payload(report: &SimReport) -> String {
             "dram_contention_stall_cycles",
             report.dram_contention_stall_cycles,
         )
-        .raw("dsm_stats", &write_dsm_fabric(&report.dsm_stats))
-        .raw(
-            "dsm_link_stats",
-            &write_array(&report.dsm_link_stats, write_dsm_link),
-        )
-        .raw("fault", &write_fault_stats(&report.fault))
-        .raw("sched", &write_sched_stats(&report.sched))
+        .raw("dsm_stats", &report.dsm_stats.to_json())
+        .raw("dsm_link_stats", &report.dsm_link_stats.to_json())
+        .raw("fault", &report.fault.to_json())
+        .raw("sched", &report.sched.to_json())
         .raw("power", &write_power(&report.power))
         .raw("area", &write_breakdown(report.area.breakdown()));
     w.finish()
@@ -451,24 +240,24 @@ fn read_payload(v: &Value) -> Result<SimReport> {
     Ok(SimReport {
         design,
         kernel_name: v.get("kernel_name")?.as_str()?.to_string(),
-        cycles: Cycle::new(get_u64(v, "cycles")?),
+        cycles: Cycle::new(read(v, "cycles")?),
         frequency: read_frequency(v, "frequency_hz")?,
-        kernel_macs: get_u64(v, "kernel_macs")?,
-        performed_macs: get_u64(v, "performed_macs")?,
-        peak_macs_per_cycle: get_u64(v, "peak_macs_per_cycle")?,
-        core_stats: read_core_stats(v.get("core_stats")?)?,
-        smem_stats: read_smem_stats(v.get("smem_stats")?)?,
-        gmem_stats: read_gmem_stats(v.get("gmem_stats")?)?,
-        dram_stats: read_dram_stats(v.get("dram_stats")?)?,
-        dram_channel_stats: read_array(v, "dram_channel_stats", read_dram_stats)?,
+        kernel_macs: read(v, "kernel_macs")?,
+        performed_macs: read(v, "performed_macs")?,
+        peak_macs_per_cycle: read(v, "peak_macs_per_cycle")?,
+        core_stats: read(v, "core_stats")?,
+        smem_stats: read(v, "smem_stats")?,
+        gmem_stats: read(v, "gmem_stats")?,
+        dram_stats: read(v, "dram_stats")?,
+        dram_channel_stats: read(v, "dram_channel_stats")?,
         dma_stats: read_opt_dma(v.get("dma_stats")?)?,
-        cluster_stats: read_cluster_stats(v.get("cluster_stats")?)?,
+        cluster_stats: read(v, "cluster_stats")?,
         per_cluster: read_array(v, "per_cluster", read_cluster_report)?,
-        dram_contention_stall_cycles: get_u64(v, "dram_contention_stall_cycles")?,
-        dsm_stats: read_dsm_fabric(v.get("dsm_stats")?)?,
-        dsm_link_stats: read_array(v, "dsm_link_stats", read_dsm_link)?,
-        fault: read_fault_stats(v.get("fault")?)?,
-        sched: read_sched_stats(v.get("sched")?)?,
+        dram_contention_stall_cycles: read(v, "dram_contention_stall_cycles")?,
+        dsm_stats: read(v, "dsm_stats")?,
+        dsm_link_stats: read(v, "dsm_link_stats")?,
+        fault: read(v, "fault")?,
+        sched: read(v, "sched")?,
         power: read_power(v.get("power")?)?,
         area: AreaReport::from_entries(read_breakdown(v.get("area")?, &Component::all())?),
     })
@@ -513,7 +302,7 @@ impl SimReport {
         if format != FORMAT {
             return Err(SnapshotError::new(format!("wrong format tag {format:?}")));
         }
-        let version = get_u64(&doc, "version")?;
+        let version: u64 = read(&doc, "version")?;
         if version != VERSION {
             return Err(SnapshotError::new(format!(
                 "unsupported snapshot version {version} (expected {VERSION})"
@@ -542,11 +331,19 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterStats;
     use crate::config::GpuConfig;
     use crate::key::SimKey;
+    use crate::report::SchedStats;
     use crate::run::{Gpu, SimMode};
     use std::sync::Arc;
     use virgo_isa::{DataType, Kernel, KernelInfo, ProgramBuilder, WarpAssignment, WarpOp};
+    use virgo_mem::{
+        ClusterContentionStats, ClusterDsmStats, DramStats, DsmFabricStats, DsmLinkStats,
+        GlobalMemoryStats, SmemStats,
+    };
+    use virgo_sim::{ClusterFaultStats, FaultStats};
+    use virgo_simt::CoreStats;
 
     fn sample_report(clusters: u32) -> (SimReport, String) {
         sample_report_channels(clusters, 1)
@@ -643,6 +440,103 @@ mod tests {
         assert!(SimReport::from_cache_json("", &key).is_err());
         assert!(SimReport::from_cache_json("not json at all", &key).is_err());
         assert!(SimReport::from_cache_json("{\"format\":\"other\"}", &key).is_err());
+    }
+
+    /// Renumbers every integer in `v` with a distinct non-zero value, in
+    /// document order; floats and strings are left as they are.
+    fn renumber(v: &mut Value, next: &mut u64) {
+        match v {
+            Value::Object(fields) => fields.iter_mut().for_each(|(_, f)| renumber(f, next)),
+            Value::Array(items) => items.iter_mut().for_each(|i| renumber(i, next)),
+            Value::Num(raw) if !raw.contains(['.', 'e', 'E']) => {
+                *next += 1;
+                *raw = next.to_string();
+            }
+            _ => {}
+        }
+    }
+
+    /// A two-cluster, two-channel report with every counter distinct and
+    /// non-zero: a shape template (non-empty per-channel and per-link
+    /// arrays, DMA stats present, distinct floats) whose integers are then
+    /// renumbered through the payload codec.
+    fn synthetic_report() -> SimReport {
+        let cluster = |id: u32| ClusterReport {
+            cluster: id,
+            core_stats: CoreStats::default(),
+            smem_stats: SmemStats::default(),
+            gmem_stats: GlobalMemoryStats::default(),
+            dma_stats: Some(DmaStats::default()),
+            cluster_stats: ClusterStats::default(),
+            contention: ClusterContentionStats::for_channels(2),
+            dsm: ClusterDsmStats::for_links(2),
+            performed_macs: 0,
+            energy_mj: 0.25 + f64::from(id),
+            fault: ClusterFaultStats::default(),
+        };
+        let breakdown = |scale: f64| -> Vec<(Component, f64)> {
+            (0..)
+                .zip(Component::all())
+                .map(|(i, c)| (c, scale * f64::from(i + 1)))
+                .collect()
+        };
+        let matrix = (0..)
+            .zip(MatrixSubcomponent::all())
+            .map(|(i, m)| (m, 0.5 + f64::from(i)))
+            .collect();
+        let template = SimReport {
+            design: DesignKind::Virgo,
+            kernel_name: "synthetic".to_string(),
+            cycles: Cycle::new(1),
+            frequency: Frequency::from_hz(1),
+            kernel_macs: 0,
+            performed_macs: 0,
+            peak_macs_per_cycle: 0,
+            core_stats: CoreStats::default(),
+            smem_stats: SmemStats::default(),
+            gmem_stats: GlobalMemoryStats::default(),
+            dram_stats: DramStats::default(),
+            dram_channel_stats: vec![DramStats::default(); 2],
+            dma_stats: Some(DmaStats::default()),
+            cluster_stats: ClusterStats::default(),
+            per_cluster: vec![cluster(0), cluster(1)],
+            dram_contention_stall_cycles: 0,
+            dsm_stats: DsmFabricStats::default(),
+            dsm_link_stats: vec![DsmLinkStats::default(); 2],
+            fault: FaultStats::default(),
+            sched: SchedStats::default(),
+            power: PowerReport::from_parts(
+                Cycle::new(1),
+                Frequency::from_hz(1),
+                breakdown(1.5),
+                matrix,
+            ),
+            area: AreaReport::from_entries(breakdown(0.125)),
+        };
+        let mut payload = json::parse(&write_payload(&template)).unwrap();
+        renumber(&mut payload, &mut 0);
+        read_payload(&payload).unwrap()
+    }
+
+    /// Pins the payload layout: any field dropped, renamed, reordered or
+    /// re-encoded changes the checksum. Re-pin only together with a
+    /// `VERSION` bump.
+    #[test]
+    fn synthetic_report_payload_is_pinned() {
+        let report = synthetic_report();
+        let debug = format!("{report:?}");
+        assert!(
+            !debug.contains(": 0,") && !debug.contains(": 0 }"),
+            "every counter must be non-zero: {debug}"
+        );
+        let key = "0123456789abcdef0123456789abcdef";
+        let text = report.to_cache_json(key);
+        assert_identical(&SimReport::from_cache_json(&text, key).unwrap(), &report);
+        let envelope = json::parse(text.trim_end()).unwrap();
+        assert_eq!(
+            envelope.get("checksum").unwrap().as_str().unwrap(),
+            "de273c8366488d59"
+        );
     }
 
     #[test]

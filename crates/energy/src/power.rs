@@ -47,7 +47,7 @@ impl PowerReport {
     }
 
     /// Reassembles a report from its parts — the inverse of the accessors,
-    /// used when rehydrating a cached [`SimReport`] snapshot. The entry
+    /// used when rehydrating a cached `SimReport` snapshot. The entry
     /// vectors must be in the same order the accessors report
     /// ([`Component::all`] / [`MatrixSubcomponent::all`]).
     pub fn from_parts(

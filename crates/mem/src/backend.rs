@@ -29,6 +29,11 @@ pub struct MemoryBackendStats {
     /// Bytes moved by DMA transfers through the L2.
     pub dma_bytes: u64,
 }
+virgo_sim::counters!(MemoryBackendStats {
+    l2_accesses,
+    l2_misses,
+    dma_bytes
+});
 
 /// One cluster's contention counters on a single DRAM channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,6 +44,10 @@ pub struct ChannelContentionStats {
     /// channel (see [`ClusterContentionStats::dram_stall_cycles`]).
     pub stall_cycles: u64,
 }
+virgo_sim::counters!(ChannelContentionStats {
+    requests,
+    stall_cycles
+});
 
 /// Per-cluster contention counters kept by the shared back-end.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -83,6 +92,15 @@ pub struct ClusterContentionStats {
     /// channel).
     pub per_channel: Vec<ChannelContentionStats>,
 }
+virgo_sim::counters!(ClusterContentionStats {
+    l2_accesses,
+    l2_misses,
+    dma_bytes,
+    dram_requests,
+    dram_bytes,
+    dram_stall_cycles,
+    per_channel,
+});
 
 impl ClusterContentionStats {
     /// An empty counter set sized for `channels` DRAM channels.
@@ -92,57 +110,14 @@ impl ClusterContentionStats {
             ..Default::default()
         }
     }
-
-    /// The counters accumulated since `base` was captured (saturating, so a
-    /// mismatched base degrades to the absolute counters instead of
-    /// panicking). The per-channel vectors must have the same geometry.
-    pub fn since(&self, base: &ClusterContentionStats) -> ClusterContentionStats {
-        ClusterContentionStats {
-            l2_accesses: self.l2_accesses.saturating_sub(base.l2_accesses),
-            l2_misses: self.l2_misses.saturating_sub(base.l2_misses),
-            dma_bytes: self.dma_bytes.saturating_sub(base.dma_bytes),
-            dram_requests: self.dram_requests.saturating_sub(base.dram_requests),
-            dram_bytes: self.dram_bytes.saturating_sub(base.dram_bytes),
-            dram_stall_cycles: self
-                .dram_stall_cycles
-                .saturating_sub(base.dram_stall_cycles),
-            per_channel: self
-                .per_channel
-                .iter()
-                .zip(&base.per_channel)
-                .map(|(now, then)| now.since(then))
-                .collect(),
-        }
-    }
-}
-
-impl ChannelContentionStats {
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &ChannelContentionStats) -> ChannelContentionStats {
-        ChannelContentionStats {
-            requests: self.requests.saturating_sub(base.requests),
-            stall_cycles: self.stall_cycles.saturating_sub(base.stall_cycles),
-        }
-    }
-}
-
-impl MemoryBackendStats {
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &MemoryBackendStats) -> MemoryBackendStats {
-        MemoryBackendStats {
-            l2_accesses: self.l2_accesses.saturating_sub(base.l2_accesses),
-            l2_misses: self.l2_misses.saturating_sub(base.l2_misses),
-            dma_bytes: self.dma_bytes.saturating_sub(base.dma_bytes),
-        }
-    }
 }
 
 /// Everything the shared back-end has counted, captured at one instant: the
 /// aggregate stats, the DRAM interface and fault counters (total and
 /// per-channel) and the per-cluster contention slices. A job-residency
 /// session captures one at admission and subtracts it from the one at
-/// retirement ([`BackendAttribution::since`]) to attribute the window's
-/// traffic to the job.
+/// retirement ([`Counters::since`](virgo_sim::Counters::since)) to
+/// attribute the window's traffic to the job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendAttribution {
     /// Aggregate L2/DMA counters.
@@ -156,30 +131,15 @@ pub struct BackendAttribution {
     /// Per-cluster contention counters, in cluster order.
     pub per_cluster: Vec<ClusterContentionStats>,
 }
+virgo_sim::counters!(BackendAttribution {
+    stats,
+    dram,
+    dram_channels,
+    dram_fault,
+    per_cluster,
+});
 
 impl BackendAttribution {
-    /// The counters accumulated since `base` was captured (saturating,
-    /// element-wise; both snapshots must come from the same back-end).
-    pub fn since(&self, base: &BackendAttribution) -> BackendAttribution {
-        BackendAttribution {
-            stats: self.stats.since(&base.stats),
-            dram: self.dram.since(&base.dram),
-            dram_channels: self
-                .dram_channels
-                .iter()
-                .zip(&base.dram_channels)
-                .map(|(now, then)| now.since(then))
-                .collect(),
-            dram_fault: self.dram_fault.since(&base.dram_fault),
-            per_cluster: self
-                .per_cluster
-                .iter()
-                .zip(&base.per_cluster)
-                .map(|(now, then)| now.since(then))
-                .collect(),
-        }
-    }
-
     /// Total DRAM queueing delay across clusters within this window.
     pub fn total_dram_stall_cycles(&self) -> u64 {
         self.per_cluster.iter().map(|c| c.dram_stall_cycles).sum()

@@ -72,17 +72,12 @@ pub struct DmaStats {
     /// Cycles the engine spent with an active transfer.
     pub busy_cycles: u64,
 }
-
-impl DmaStats {
-    /// Adds the counts of `other` into `self` (used to aggregate the
-    /// per-cluster engines into a machine-wide view).
-    pub fn merge(&mut self, other: &DmaStats) {
-        self.transfers += other.transfers;
-        self.bytes_moved += other.bytes_moved;
-        self.beats += other.beats;
-        self.busy_cycles += other.busy_cycles;
-    }
-}
+virgo_sim::counters!(DmaStats {
+    transfers,
+    bytes_moved,
+    beats,
+    busy_cycles
+});
 
 /// The cluster DMA engine.
 ///

@@ -2,7 +2,7 @@
 //! address-interleaved multi-channel subsystem built from it.
 
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
-use virgo_sim::{Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Counters, Cycle, NextActivity, StableHash, StableHasher};
 
 /// Configuration of the DRAM interface.
 ///
@@ -77,26 +77,12 @@ pub struct DramStats {
     /// default SoC configuration).
     pub bursts: u64,
 }
-
-impl DramStats {
-    /// Adds the counts of `other` into `self` (used to aggregate channels).
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.bytes += other.bytes;
-        self.bursts += other.bursts;
-    }
-
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads.saturating_sub(base.reads),
-            writes: self.writes.saturating_sub(base.writes),
-            bytes: self.bytes.saturating_sub(base.bytes),
-            bursts: self.bursts.saturating_sub(base.bursts),
-        }
-    }
-}
+virgo_sim::counters!(DramStats {
+    reads,
+    writes,
+    bytes,
+    bursts
+});
 
 /// The DRAM model: a single channel with fixed latency and finite bandwidth.
 ///
@@ -214,18 +200,10 @@ pub struct DramFaultStats {
     /// it served afterwards (recovery latency), summed over channels.
     pub recovery_cycles: u64,
 }
-
-impl DramFaultStats {
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &DramFaultStats) -> DramFaultStats {
-        DramFaultStats {
-            restriped_accesses: self
-                .restriped_accesses
-                .saturating_sub(base.restriped_accesses),
-            recovery_cycles: self.recovery_cycles.saturating_sub(base.recovery_cycles),
-        }
-    }
-}
+virgo_sim::counters!(DramFaultStats {
+    restriped_accesses,
+    recovery_cycles
+});
 
 /// One DRAM channel fault window, resolved against the subsystem.
 #[derive(Debug, Clone, Copy)]

@@ -25,7 +25,7 @@
 //! counter of a kernel that never issues remote accesses.
 
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
-use virgo_sim::{Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Counters, Cycle, NextActivity, StableHash, StableHasher};
 
 /// Bytes per link flit; hop-traversal energy is charged per flit per hop.
 pub const DSM_FLIT_BYTES: u64 = 32;
@@ -132,24 +132,11 @@ pub struct DsmLinkStats {
     /// link (the part of the port backlog the hop latency did not hide).
     pub stall_cycles: u64,
 }
-
-impl DsmLinkStats {
-    /// Adds the counts of `other` into `self`.
-    pub fn merge(&mut self, other: &DsmLinkStats) {
-        self.requests += other.requests;
-        self.bytes += other.bytes;
-        self.stall_cycles += other.stall_cycles;
-    }
-
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &DsmLinkStats) -> DsmLinkStats {
-        DsmLinkStats {
-            requests: self.requests.saturating_sub(base.requests),
-            bytes: self.bytes.saturating_sub(base.bytes),
-            stall_cycles: self.stall_cycles.saturating_sub(base.stall_cycles),
-        }
-    }
-}
+virgo_sim::counters!(DsmLinkStats {
+    requests,
+    bytes,
+    stall_cycles
+});
 
 /// Per-requester-cluster DSM counters kept by the fabric.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -169,6 +156,13 @@ pub struct ClusterDsmStats {
     /// Per-ingress-link breakdown, in link (= destination cluster) order.
     pub per_link: Vec<DsmLinkStats>,
 }
+virgo_sim::counters!(ClusterDsmStats {
+    requests,
+    bytes,
+    stall_cycles,
+    hop_flits,
+    per_link,
+});
 
 impl ClusterDsmStats {
     /// An empty counter set sized for a `links`-port fabric.
@@ -176,40 +170,6 @@ impl ClusterDsmStats {
         ClusterDsmStats {
             per_link: vec![DsmLinkStats::default(); links as usize],
             ..Default::default()
-        }
-    }
-
-    /// Adds the counts of `other` into `self` (used to aggregate requester
-    /// slices into a machine-wide view). Both sides must describe the same
-    /// fabric geometry.
-    pub fn merge(&mut self, other: &ClusterDsmStats) {
-        self.requests += other.requests;
-        self.bytes += other.bytes;
-        self.stall_cycles += other.stall_cycles;
-        self.hop_flits += other.hop_flits;
-        if self.per_link.len() < other.per_link.len() {
-            self.per_link
-                .resize(other.per_link.len(), DsmLinkStats::default());
-        }
-        for (mine, theirs) in self.per_link.iter_mut().zip(&other.per_link) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// The counters accumulated since `base` was captured (saturating; both
-    /// sides must describe the same fabric geometry).
-    pub fn since(&self, base: &ClusterDsmStats) -> ClusterDsmStats {
-        ClusterDsmStats {
-            requests: self.requests.saturating_sub(base.requests),
-            bytes: self.bytes.saturating_sub(base.bytes),
-            stall_cycles: self.stall_cycles.saturating_sub(base.stall_cycles),
-            hop_flits: self.hop_flits.saturating_sub(base.hop_flits),
-            per_link: self
-                .per_link
-                .iter()
-                .zip(&base.per_link)
-                .map(|(now, then)| now.since(then))
-                .collect(),
         }
     }
 }
@@ -228,19 +188,11 @@ pub struct DsmFaultStats {
     /// end to the first transfer that crossed the recovered link.
     pub recovery_cycles: u64,
 }
-
-impl DsmFaultStats {
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &DsmFaultStats) -> DsmFaultStats {
-        DsmFaultStats {
-            rerouted_transfers: self
-                .rerouted_transfers
-                .saturating_sub(base.rerouted_transfers),
-            blocked_cycles: self.blocked_cycles.saturating_sub(base.blocked_cycles),
-            recovery_cycles: self.recovery_cycles.saturating_sub(base.recovery_cycles),
-        }
-    }
-}
+virgo_sim::counters!(DsmFaultStats {
+    rerouted_transfers,
+    blocked_cycles,
+    recovery_cycles,
+});
 
 /// One scheduled link fault, resolved against this fabric's geometry.
 #[derive(Debug, Clone, Copy)]
@@ -279,6 +231,14 @@ struct RouteChoice {
     rerouted: bool,
 }
 
+/// A transfer accepted but not yet delivered.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    done: Cycle,
+    from: u32,
+    to: u32,
+}
+
 /// Machine-wide fabric aggregates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DsmFabricStats {
@@ -291,23 +251,17 @@ pub struct DsmFabricStats {
     /// Exposed link-queueing cycles, summed over requesters.
     pub stall_cycles: u64,
 }
-
-impl DsmFabricStats {
-    /// The counters accumulated since `base` was captured (saturating).
-    pub fn since(&self, base: &DsmFabricStats) -> DsmFabricStats {
-        DsmFabricStats {
-            transfers: self.transfers.saturating_sub(base.transfers),
-            bytes: self.bytes.saturating_sub(base.bytes),
-            hop_flits: self.hop_flits.saturating_sub(base.hop_flits),
-            stall_cycles: self.stall_cycles.saturating_sub(base.stall_cycles),
-        }
-    }
-}
+virgo_sim::counters!(DsmFabricStats {
+    transfers,
+    bytes,
+    hop_flits,
+    stall_cycles,
+});
 
 /// Everything the fabric has counted, captured at one instant — the
 /// fabric-side counterpart of [`crate::BackendAttribution`], captured at job
-/// admission and diffed at retirement ([`FabricAttribution::since`]) for
-/// per-job attribution.
+/// admission and diffed at retirement ([`Counters::since`]) for per-job
+/// attribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricAttribution {
     /// Machine-wide fabric aggregates.
@@ -317,41 +271,11 @@ pub struct FabricAttribution {
     /// Degraded-mode counters.
     pub fault: DsmFaultStats,
 }
-
-impl FabricAttribution {
-    /// The counters accumulated since `base` was captured (saturating,
-    /// element-wise; both snapshots must come from the same fabric).
-    pub fn since(&self, base: &FabricAttribution) -> FabricAttribution {
-        FabricAttribution {
-            stats: self.stats.since(&base.stats),
-            per_cluster: self
-                .per_cluster
-                .iter()
-                .zip(&base.per_cluster)
-                .map(|(now, then)| now.since(then))
-                .collect(),
-            fault: self.fault.since(&base.fault),
-        }
-    }
-
-    /// Machine-wide per-link traffic within this window, summed over
-    /// requesters, in link order.
-    pub fn per_link_stats(&self) -> Vec<DsmLinkStats> {
-        let links = self
-            .per_cluster
-            .iter()
-            .map(|c| c.per_link.len())
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![DsmLinkStats::default(); links];
-        for requester in &self.per_cluster {
-            for (link, stats) in out.iter_mut().zip(&requester.per_link) {
-                link.merge(stats);
-            }
-        }
-        out
-    }
-}
+virgo_sim::counters!(FabricAttribution {
+    stats,
+    per_cluster,
+    fault
+});
 
 /// The inter-cluster DSM fabric: one ingress port per cluster, arbitrated
 /// like the DRAM channels, with per-requester contention accounting.
@@ -377,10 +301,10 @@ pub struct DsmFabric {
     link_busy_until: Vec<Cycle>,
     per_cluster: Vec<ClusterDsmStats>,
     stats: DsmFabricStats,
-    /// Completion cycles of transfers still in flight, drained by
-    /// [`DsmFabric::tick`]; exposes the fabric's event horizon to the
+    /// Transfers still in flight, drained by [`DsmFabric::tick`]; their
+    /// delivery cycles expose the fabric's event horizon to the
     /// fast-forward driver.
-    in_flight: Vec<Cycle>,
+    in_flight: Vec<InFlight>,
     /// Transfers fully delivered (drained from `in_flight`).
     delivered: u64,
     /// Scheduled link faults (empty — the zero-cost path — by default).
@@ -496,11 +420,9 @@ impl DsmFabric {
 
     /// Machine-wide per-link traffic, summed over requesters, in link order.
     pub fn per_link_stats(&self) -> Vec<DsmLinkStats> {
-        let mut links = vec![DsmLinkStats::default(); self.clusters as usize];
+        let mut links = Vec::new();
         for requester in &self.per_cluster {
-            for (link, stats) in links.iter_mut().zip(&requester.per_link) {
-                link.merge(stats);
-            }
+            links.merge(&requester.per_link);
         }
         links
     }
@@ -721,7 +643,7 @@ impl DsmFabric {
         self.stats.bytes += bytes;
         self.stats.hop_flits += hops * flits;
         self.stats.stall_cycles += stall;
-        self.in_flight.push(done);
+        self.in_flight.push(InFlight { done, from, to });
         done
     }
 
@@ -741,13 +663,17 @@ impl DsmFabric {
             return;
         }
         let before = self.in_flight.len();
-        self.in_flight.retain(|&done| done > now);
+        self.in_flight.retain(|t| t.done > now);
         self.delivered += (before - self.in_flight.len()) as u64;
     }
 
-    /// True when no transfer is in flight.
-    pub fn quiescent(&self) -> bool {
-        self.in_flight.is_empty()
+    /// True when no in-flight transfer starts or ends at a cluster in
+    /// `ids`: other clusters' traffic does not count.
+    pub fn quiescent_on(&self, ids: &[u32]) -> bool {
+        !self
+            .in_flight
+            .iter()
+            .any(|t| ids.contains(&t.from) || ids.contains(&t.to))
     }
 }
 
@@ -755,7 +681,11 @@ impl NextActivity for DsmFabric {
     /// The fabric next acts when its earliest in-flight transfer delivers;
     /// an idle fabric contributes no self-driven events.
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.in_flight.iter().copied().min().map(|t| t.max(now))
+        self.in_flight
+            .iter()
+            .map(|t| t.done)
+            .min()
+            .map(|t| t.max(now))
     }
 }
 
@@ -834,7 +764,7 @@ mod tests {
         f.tick(done);
         assert_eq!(f.in_flight(), 0);
         assert_eq!(f.delivered(), 1);
-        assert!(f.quiescent());
+        assert_eq!(f.in_flight(), 0);
         assert_eq!(f.next_activity(done), None);
     }
 
@@ -877,7 +807,7 @@ mod tests {
         let mut f = fabric(2);
         assert_eq!(f.transfer(Cycle::new(9), 0, 1, 0), Cycle::new(9));
         assert_eq!(f.stats().transfers, 0);
-        assert!(f.quiescent());
+        assert_eq!(f.in_flight(), 0);
     }
 
     #[test]

@@ -58,17 +58,13 @@ pub struct GlobalMemoryStats {
     /// Bytes moved by DMA transfers through the L2 (see `l2_accesses`).
     pub dma_bytes: u64,
 }
-
-impl GlobalMemoryStats {
-    /// Adds the counts of `other` into `self` (used to aggregate clusters).
-    pub fn merge(&mut self, other: &GlobalMemoryStats) {
-        self.l1_accesses += other.l1_accesses;
-        self.l1_misses += other.l1_misses;
-        self.l2_accesses += other.l2_accesses;
-        self.l2_misses += other.l2_misses;
-        self.dma_bytes += other.dma_bytes;
-    }
-}
+virgo_sim::counters!(GlobalMemoryStats {
+    l1_accesses,
+    l1_misses,
+    l2_accesses,
+    l2_misses,
+    dma_bytes,
+});
 
 /// One cluster's global-memory front-end: the private per-core L1 caches.
 ///
@@ -236,23 +232,6 @@ mod tests {
         assert!((g.l1_hit_rate(0) - 0.5).abs() < 1e-12);
         assert_eq!(g.l1_hit_rate(9), 0.0);
         assert!(b.l2_hit_rate() >= 0.0);
-    }
-
-    #[test]
-    fn stats_merge_across_clusters() {
-        let mut a = GlobalMemoryStats {
-            l1_accesses: 3,
-            l1_misses: 1,
-            ..Default::default()
-        };
-        let b = GlobalMemoryStats {
-            l1_accesses: 2,
-            l1_misses: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.l1_accesses, 5);
-        assert_eq!(a.l1_misses, 3);
     }
 
     #[test]

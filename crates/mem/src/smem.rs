@@ -106,21 +106,16 @@ pub struct SmemStats {
     /// Unaligned SIMT lane accesses serialized before the crossbar.
     pub unaligned_serialized: u64,
 }
-
-impl SmemStats {
-    /// Adds the counts of `other` into `self` (used to aggregate the
-    /// per-cluster scratchpads into a machine-wide view).
-    pub fn merge(&mut self, other: &SmemStats) {
-        self.words_read += other.words_read;
-        self.words_written += other.words_written;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.simt_accesses += other.simt_accesses;
-        self.wide_accesses += other.wide_accesses;
-        self.conflict_cycles += other.conflict_cycles;
-        self.unaligned_serialized += other.unaligned_serialized;
-    }
-}
+virgo_sim::counters!(SmemStats {
+    words_read,
+    words_written,
+    bytes_read,
+    bytes_written,
+    simt_accesses,
+    wide_accesses,
+    conflict_cycles,
+    unaligned_serialized,
+});
 
 /// Completion information for one shared-memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

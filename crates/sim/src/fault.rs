@@ -396,6 +396,11 @@ pub struct EccStats {
     /// The detected subset that was correctable (single-bit).
     pub corrected: u64,
 }
+crate::counters!(EccStats {
+    injected,
+    detected,
+    corrected
+});
 
 #[derive(Debug, Clone)]
 struct EccWindow {
@@ -479,6 +484,16 @@ pub struct FaultStats {
     /// the first request serviced by the recovered resource.
     pub recovery_cycles: u64,
 }
+crate::counters!(FaultStats {
+    injected,
+    detected,
+    corrected,
+    degraded_cycles,
+    dsm_rerouted_transfers,
+    dsm_blocked_cycles,
+    dram_restriped_accesses,
+    recovery_cycles,
+});
 
 /// Per-cluster slice of the fault counters (the cluster-scoped events:
 /// scratchpad ECC and late starts).
@@ -493,6 +508,12 @@ pub struct ClusterFaultStats {
     /// Cycles with a cluster-scoped fault window active.
     pub degraded_cycles: u64,
 }
+crate::counters!(ClusterFaultStats {
+    injected,
+    detected,
+    corrected,
+    degraded_cycles,
+});
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,10 @@
 //! every other crate in the workspace:
 //!
 //! * [`Cycle`] and [`Frequency`] — strongly-typed simulated time,
-//! * [`stats`] — derived statistics used for utilization and energy
-//!   accounting,
+//! * [`stats`] — the [`Counters`] trait behind every event-counter struct
+//!   (aggregation, per-job windows and the snapshot JSON, generated from
+//!   one field list by [`counters!`]) and the [`Ratio`] used for
+//!   utilization,
 //! * [`pipe`] — bounded queues used to model hardware buffers that exert
 //!   back-pressure,
 //! * [`rng`] — a tiny deterministic pseudo-random generator used where the
@@ -63,4 +65,4 @@ pub use pipe::BoundedQueue;
 pub use rng::SplitMix64;
 pub use sched::EventQueue;
 pub use stablehash::{StableHash, StableHasher};
-pub use stats::Ratio;
+pub use stats::{Counters, Ratio};

@@ -288,8 +288,9 @@ impl SimtCore {
     }
 
     /// Bulk-replays `cycles` ticks of a quiescent window starting at `from`,
-    /// during which the caller guarantees (via [`SimtCore::next_activity`])
-    /// that no warp can issue, unblock, or retire a load.
+    /// during which no warp can issue, unblock, or retire a load: the caller
+    /// parks the core until the [`TickOutcome::horizon`] its last tick
+    /// reported, or until another component wakes it.
     ///
     /// Produces statistics bit-identical to ticking the core `cycles` times:
     /// total cycles, the stall/idle classification (which is constant across

@@ -42,6 +42,26 @@ pub struct CoreStats {
     /// Total cycles the core was ticked.
     pub total_cycles: u64,
 }
+virgo_sim::counters!(CoreStats {
+    instrs_issued,
+    rf_reads,
+    rf_writes,
+    alu_lane_ops,
+    fpu_lane_ops,
+    lsu_lane_ops,
+    writebacks,
+    icache_accesses,
+    hmma_steps,
+    wgmma_ops,
+    mmio_writes,
+    fence_poll_instrs,
+    fence_wait_cycles,
+    barrier_arrivals,
+    active_cycles,
+    stall_cycles,
+    idle_cycles,
+    total_cycles,
+});
 
 impl CoreStats {
     /// Fraction of cycles in which the core issued at least one instruction.
@@ -52,55 +72,11 @@ impl CoreStats {
             self.active_cycles as f64 / self.total_cycles as f64
         }
     }
-
-    /// Adds the counts of `other` into `self` (used to aggregate cores).
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.instrs_issued += other.instrs_issued;
-        self.rf_reads += other.rf_reads;
-        self.rf_writes += other.rf_writes;
-        self.alu_lane_ops += other.alu_lane_ops;
-        self.fpu_lane_ops += other.fpu_lane_ops;
-        self.lsu_lane_ops += other.lsu_lane_ops;
-        self.writebacks += other.writebacks;
-        self.icache_accesses += other.icache_accesses;
-        self.hmma_steps += other.hmma_steps;
-        self.wgmma_ops += other.wgmma_ops;
-        self.mmio_writes += other.mmio_writes;
-        self.fence_poll_instrs += other.fence_poll_instrs;
-        self.fence_wait_cycles += other.fence_wait_cycles;
-        self.barrier_arrivals += other.barrier_arrivals;
-        self.active_cycles += other.active_cycles;
-        self.stall_cycles += other.stall_cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.total_cycles += other.total_cycles;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = CoreStats {
-            instrs_issued: 10,
-            rf_reads: 20,
-            active_cycles: 5,
-            total_cycles: 10,
-            ..Default::default()
-        };
-        let b = CoreStats {
-            instrs_issued: 1,
-            rf_reads: 2,
-            active_cycles: 1,
-            total_cycles: 10,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.instrs_issued, 11);
-        assert_eq!(a.rf_reads, 22);
-        assert_eq!(a.total_cycles, 20);
-    }
 
     #[test]
     fn issue_utilization_handles_zero_cycles() {

@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use virgo::{SimKey, SimReport};
+use virgo_sim::Counters;
 use virgo_store::{ClientConfig, EntryDir, Loaded, StoreClient};
 
 /// Which level of the storage hierarchy an implementation (or a hit) lives
@@ -85,26 +86,19 @@ pub struct StoreStats {
     /// Wall-clock microseconds spent in saves.
     pub write_micros: u64,
 }
-
-impl StoreStats {
-    /// Element-wise sum (used by [`TieredStore`] aggregation).
-    #[must_use]
-    pub fn merged(self, other: StoreStats) -> StoreStats {
-        StoreStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            puts: self.puts + other.puts,
-            evictions: self.evictions + other.evictions,
-            rejects: self.rejects + other.rejects,
-            quarantined: self.quarantined + other.quarantined,
-            unreachable: self.unreachable + other.unreachable,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            read_micros: self.read_micros + other.read_micros,
-            write_micros: self.write_micros + other.write_micros,
-        }
-    }
-}
+virgo_sim::counters!(StoreStats {
+    hits,
+    misses,
+    puts,
+    evictions,
+    rejects,
+    quarantined,
+    unreachable,
+    bytes_read,
+    bytes_written,
+    read_micros,
+    write_micros,
+});
 
 /// A successful load: the report and the tier that answered.
 #[derive(Debug, Clone)]
@@ -569,15 +563,19 @@ impl ReportStore for TieredStore {
     }
 
     fn stats(&self) -> StoreStats {
-        self.tiers
-            .iter()
-            .fold(StoreStats::default(), |acc, t| acc.merged(t.stats()))
+        let mut total = StoreStats::default();
+        for t in &self.tiers {
+            total.merge(&t.stats());
+        }
+        total
     }
 
     fn stats_for(&self, tier: StoreTier) -> StoreStats {
-        self.tiers.iter().fold(StoreStats::default(), |acc, t| {
-            acc.merged(t.stats_for(tier))
-        })
+        let mut total = StoreStats::default();
+        for t in &self.tiers {
+            total.merge(&t.stats_for(tier));
+        }
+        total
     }
 
     fn clear_volatile(&self) {

@@ -22,7 +22,7 @@ use virgo::{DesignKind, SimMode};
 use virgo_bench::{run, ReportDigest};
 use virgo_kernels::GemmShape;
 use virgo_mem::{DramConfig, DramModel, DramStats, MultiChannelDram};
-use virgo_sim::{Cycle, SplitMix64};
+use virgo_sim::{Counters, Cycle, SplitMix64};
 use virgo_sweep::{Query, SweepPoint, SweepService};
 
 /// One pseudo-random DRAM request.
