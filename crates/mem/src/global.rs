@@ -184,6 +184,7 @@ impl NextActivity for GlobalMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_sim::Counters;
 
     fn setup() -> (GlobalMemory, MemoryBackend) {
         let config = GlobalMemoryConfig::default_soc(2);
@@ -232,6 +233,23 @@ mod tests {
         assert!((g.l1_hit_rate(0) - 0.5).abs() < 1e-12);
         assert_eq!(g.l1_hit_rate(9), 0.0);
         assert!(b.l2_hit_rate() >= 0.0);
+    }
+
+    #[test]
+    fn stats_merge_across_clusters() {
+        let mut a = GlobalMemoryStats {
+            l1_accesses: 3,
+            l1_misses: 1,
+            ..Default::default()
+        };
+        let b = GlobalMemoryStats {
+            l1_accesses: 2,
+            l1_misses: 2,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.l1_accesses, 5);
+        assert_eq!(a.l1_misses, 3);
     }
 
     #[test]

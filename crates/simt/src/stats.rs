@@ -77,6 +77,7 @@ impl CoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_sim::Counters;
 
     #[test]
     fn issue_utilization_handles_zero_cycles() {
@@ -88,5 +89,27 @@ mod tests {
             ..Default::default()
         };
         assert!((s2.issue_utilization() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_adds_fields() {
+        let mut a = CoreStats {
+            instrs_issued: 10,
+            rf_reads: 20,
+            active_cycles: 5,
+            total_cycles: 10,
+            ..Default::default()
+        };
+        let b = CoreStats {
+            instrs_issued: 1,
+            rf_reads: 2,
+            active_cycles: 1,
+            total_cycles: 10,
+            ..Default::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.instrs_issued, 11);
+        assert_eq!(a.rf_reads, 22);
+        assert_eq!(a.total_cycles, 20);
     }
 }
