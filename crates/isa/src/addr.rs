@@ -106,6 +106,13 @@ pub fn decode_remote_smem(addr: u64) -> Option<(u32, u64)> {
 /// `modulo == 2` models double buffering in shared memory; `modulo == 0`
 /// models streaming over fresh global-memory tiles.
 ///
+/// The execution count belongs to one *static* op: every op a
+/// [`ProgramBuilder`](crate::ProgramBuilder) appends keeps its own counter.
+/// Two ops built from the same expression therefore both start at `base`
+/// and advance independently (they do not share a stream), an op inside a
+/// `repeat` advances across iterations, and unrolling a loop into static
+/// copies restarts the count in every copy.
+///
 /// # Example
 ///
 /// ```
@@ -140,7 +147,8 @@ impl AddrExpr {
         }
     }
 
-    /// An address that advances by `stride` bytes on every execution.
+    /// An address that advances by `stride` bytes on every execution of the
+    /// static op that holds it (each op holding a copy has its own count).
     pub const fn streaming(base: u64, stride: u64) -> Self {
         AddrExpr {
             base,
@@ -151,7 +159,10 @@ impl AddrExpr {
 
     /// An address that alternates between two buffers (`base`, `base +
     /// offset`) on successive executions — the classic double-buffering
-    /// pattern of software-pipelined GEMM kernels.
+    /// pattern of software-pipelined GEMM kernels. The buffer alternates
+    /// per execution of the static op that holds it, so two ops built from
+    /// one expression pick the same buffer only while their own execution
+    /// counts have the same parity.
     pub const fn double_buffered(base: u64, offset: u64) -> Self {
         AddrExpr {
             base,
@@ -170,7 +181,8 @@ impl AddrExpr {
     }
 
     /// Evaluates the address for the `exec_count`-th execution of the
-    /// instruction (starting at zero).
+    /// static instruction that holds it (starting at zero). The count is
+    /// per static op, never shared between ops.
     pub fn eval(&self, exec_count: u64) -> u64 {
         let idx = if self.modulo == 0 {
             exec_count

@@ -37,6 +37,11 @@ impl ProgramBuilder {
     }
 
     /// Appends a single operation to the current scope.
+    ///
+    /// The op is a new static instruction with its own execution counter,
+    /// which drives its [`AddrExpr`](crate::AddrExpr)s: appending the same
+    /// op twice gives two counters that both start at zero, and an op inside
+    /// a [`repeat`](Self::repeat) counts across the loop's iterations.
     pub fn op(&mut self, op: WarpOp) -> &mut Self {
         let id = OpId(self.next_id);
         self.next_id += 1;

@@ -6,9 +6,10 @@ use std::sync::Arc;
 use virgo::GpuConfig;
 use virgo_isa::{
     AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
-    ProgramBuilder, WarpAssignment, WarpOp,
+    ProgramBuilder, WarpOp,
 };
 
+use crate::place_warps;
 use crate::workload::AttentionShape;
 
 use super::{BLOCK, SOFTMAX_FLOPS_PER_ELEM};
@@ -186,18 +187,9 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
     for cluster in partition.cluster_ids().collect::<Vec<_>>() {
         let cluster_rows = partition.count(cluster);
         let gbase = crate::cluster_addr_offset(cluster);
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * warps_per_core + u64::from(warp);
-                let leader = warp_index == 0;
-                warps.push(WarpAssignment::on_cluster(
-                    cluster,
-                    core,
-                    warp,
-                    build_program(leader, warp_index, cluster_rows, gbase),
-                ));
-            }
-        }
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            build_program(warp_index == 0, warp_index, cluster_rows, gbase)
+        });
     }
 
     Kernel::new(

@@ -4,33 +4,98 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MatrixComputeCmd, MemLoc,
-    MmioCommand, ProgramBuilder, WarpAssignment, WarpOp,
+    AddrExpr, Kernel, KernelInfo, LaneAccess, MemLoc, Program, ProgramBuilder, WarpOp,
 };
 
 use crate::workload::AttentionShape;
+use crate::{cluster_addr_offset, cluster_suffix, dma, matrix_compute, place_warps};
 
 use super::{BLOCK, SOFTMAX_FLOPS_PER_ELEM};
 
 /// Global-memory bases for the Q, K, V and O matrices.
-const GLOBAL_Q: u64 = 0x4000_0000;
-const GLOBAL_K: u64 = 0x5000_0000;
-const GLOBAL_V: u64 = 0x6000_0000;
-const GLOBAL_O: u64 = 0x7000_0000;
+pub(super) const GLOBAL_Q: u64 = 0x4000_0000;
+pub(super) const GLOBAL_K: u64 = 0x5000_0000;
+pub(super) const GLOBAL_V: u64 = 0x6000_0000;
+pub(super) const GLOBAL_O: u64 = 0x7000_0000;
 
 /// Shared-memory layout (FP32 64×64 tiles are 16 KiB each): Q, double
 /// buffered K and V, double buffered S/P score tiles, and the O staging tile.
-const SMEM_Q: u64 = 0x0;
-const SMEM_K0: u64 = 0x4000;
-const SMEM_KV_STRIDE: u64 = 0x4000;
-const SMEM_V0: u64 = 0xC000;
-const SMEM_S0: u64 = 0x1_4000;
-const SMEM_S_STRIDE: u64 = 0x4000;
+pub(super) const SMEM_Q: u64 = 0x0;
+pub(super) const SMEM_K0: u64 = 0x4000;
+pub(super) const SMEM_KV_STRIDE: u64 = 0x4000;
+pub(super) const SMEM_V0: u64 = 0xC000;
+pub(super) const SMEM_S0: u64 = 0x1_4000;
+pub(super) const SMEM_S_STRIDE: u64 = 0x4000;
 const SMEM_O: u64 = 0x1_C000;
 
 /// Accumulator-memory layout: the S score tile and the O output accumulator.
-const ACC_S: u64 = 0;
-const ACC_O: u64 = 16 * 1024;
+pub(super) const ACC_S: u64 = 0;
+pub(super) const ACC_O: u64 = 16 * 1024;
+
+/// Asserts that the sequence length and head dimension tile by the 64-element
+/// block.
+pub(super) fn assert_tileable(shape: AttentionShape) {
+    assert!(
+        shape.seq_len.is_multiple_of(BLOCK) && shape.head_dim.is_multiple_of(BLOCK),
+        "attention shape {shape} not tileable by {BLOCK}"
+    );
+}
+
+/// Builds one online-softmax warp of the Virgo mappings, `warp_index` of
+/// its cluster. For each of the `rows × col_blocks` block iterations it
+/// waits at barrier 0 for the orchestrator's score tile, runs the online
+/// softmax over its slice of S (running row max, 2nd-order Taylor
+/// exponential, running sum), rescales its slice of the O staging tile by
+/// the updated row statistics and releases the orchestrator at barrier 1;
+/// barrier 2 closes each row block. The S slice alternates between the two
+/// score buffers per execution, i.e. per column block.
+pub(super) fn softmax_warp(
+    config: &GpuConfig,
+    warp_index: u64,
+    rows: u64,
+    col_blocks: u64,
+) -> Arc<Program> {
+    let lanes = config.core.lanes;
+    let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
+    let elems_per_warp = u64::from(BLOCK) * u64::from(BLOCK) / total_warps;
+    let vector_iters = (elems_per_warp / u64::from(lanes)).max(1);
+    let offset = |i: u64| warp_index * elems_per_warp * 4 + i * u64::from(lanes) * 4;
+    let words = |addr: AddrExpr| LaneAccess::contiguous_words(addr, lanes);
+    let mut p = ProgramBuilder::new();
+    p.repeat(rows, |b| {
+        b.repeat(col_blocks, |b| {
+            b.op(WarpOp::Barrier { id: 0 });
+            for i in 0..vector_iters {
+                let s = AddrExpr::double_buffered(SMEM_S0 + offset(i), SMEM_S_STRIDE);
+                b.op(WarpOp::LoadShared { access: words(s) });
+                b.op(WarpOp::WaitLoads);
+                b.op_n(
+                    SOFTMAX_FLOPS_PER_ELEM,
+                    WarpOp::Fpu {
+                        rf_reads: 2,
+                        rf_writes: 1,
+                        flops_per_lane: 1,
+                    },
+                );
+                b.op(WarpOp::StoreShared { access: words(s) });
+            }
+            for i in 0..vector_iters {
+                let o = AddrExpr::fixed(SMEM_O + offset(i));
+                b.op(WarpOp::LoadShared { access: words(o) });
+                b.op(WarpOp::WaitLoads);
+                b.op(WarpOp::Fpu {
+                    rf_reads: 2,
+                    rf_writes: 1,
+                    flops_per_lane: 2,
+                });
+                b.op(WarpOp::StoreShared { access: words(o) });
+            }
+            b.op(WarpOp::Barrier { id: 1 });
+        });
+        b.op(WarpOp::Barrier { id: 2 });
+    });
+    Arc::new(p.build())
+}
 
 /// Builds the Virgo FlashAttention-3 forward kernel, splitting the row
 /// blocks of the attention grid across the configuration's clusters.
@@ -40,14 +105,9 @@ const ACC_O: u64 = 16 * 1024;
 /// Panics if the sequence length or head dimension is not a multiple of the
 /// 64-element block.
 pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
-    assert!(
-        shape.seq_len.is_multiple_of(BLOCK) && shape.head_dim.is_multiple_of(BLOCK),
-        "attention shape {shape} not tileable by {BLOCK}"
-    );
+    assert_tileable(shape);
     let dtype = config.dtype;
     let elem = u64::from(dtype.bytes());
-    let lanes = config.core.lanes;
-    let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
 
     let row_blocks = u64::from(shape.seq_len / BLOCK) * u64::from(shape.heads * shape.batch);
     let col_blocks = u64::from(shape.seq_len / BLOCK);
@@ -55,50 +115,37 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
     let partition = config.partition(row_blocks);
     let tile_bytes = u64::from(BLOCK) * u64::from(shape.head_dim) * elem;
     let score_bytes = u64::from(BLOCK) * u64::from(BLOCK) * 4;
-
-    let dma = |src: MemLoc, dst: MemLoc, bytes: u64| WarpOp::MmioWrite {
-        device: DeviceId::DMA0,
-        cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(src, dst, bytes)),
+    let k_buf = AddrExpr::double_buffered(SMEM_K0, SMEM_KV_STRIDE);
+    let v_buf = AddrExpr::double_buffered(SMEM_V0, SMEM_KV_STRIDE);
+    let s_buf = AddrExpr::double_buffered(SMEM_S0, SMEM_S_STRIDE);
+    let compute = |a, b, acc_addr, accumulate| {
+        matrix_compute(
+            a,
+            b,
+            acc_addr,
+            (BLOCK, BLOCK, shape.head_dim),
+            accumulate,
+            dtype,
+        )
     };
-    let compute =
-        |a: AddrExpr, b: AddrExpr, acc_addr: u64, k: u32, accumulate: bool| WarpOp::MmioWrite {
-            device: DeviceId::MATRIX0,
-            cmd: MmioCommand::MatrixCompute(MatrixComputeCmd {
-                a,
-                b,
-                acc_addr,
-                m: BLOCK,
-                n: BLOCK,
-                k,
-                accumulate,
-                dtype,
-            }),
-        };
 
     let mut warps = Vec::new();
     for cluster in partition.cluster_ids().collect::<Vec<_>>() {
         let cluster_rows = partition.count(cluster);
-        let gbase = crate::cluster_addr_offset(cluster);
+        let gbase = cluster_addr_offset(cluster);
+        let stream = |base: u64| MemLoc::global(AddrExpr::streaming(base + gbase, tile_bytes));
 
         // ---- Orchestrator warp (core 0, warp 0) --------------------------------
         let mut orch = ProgramBuilder::new();
         orch.repeat(cluster_rows, |b| {
             // Load the Q row block and the first K/V column blocks.
             b.op(dma(
-                MemLoc::global(AddrExpr::streaming(GLOBAL_Q + gbase, tile_bytes)),
+                stream(GLOBAL_Q),
                 MemLoc::shared(AddrExpr::fixed(SMEM_Q)),
                 tile_bytes,
             ));
-            b.op(dma(
-                MemLoc::global(AddrExpr::streaming(GLOBAL_K + gbase, tile_bytes)),
-                MemLoc::shared(AddrExpr::double_buffered(SMEM_K0, SMEM_KV_STRIDE)),
-                tile_bytes,
-            ));
-            b.op(dma(
-                MemLoc::global(AddrExpr::streaming(GLOBAL_V + gbase, tile_bytes)),
-                MemLoc::shared(AddrExpr::double_buffered(SMEM_V0, SMEM_KV_STRIDE)),
-                tile_bytes,
-            ));
+            b.op(dma(stream(GLOBAL_K), MemLoc::shared(k_buf), tile_bytes));
+            b.op(dma(stream(GLOBAL_V), MemLoc::shared(v_buf), tile_bytes));
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
 
             // Inner loop over K/V column blocks (Listing 1).
@@ -108,38 +155,18 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
                 b.op(WarpOp::FenceAsync { max_outstanding: 0 });
                 b.op(WarpOp::Barrier { id: 0 });
                 // GEMM-2: O += P·V (previous iteration's probability tile).
-                b.op(compute(
-                    AddrExpr::double_buffered(SMEM_S0, SMEM_S_STRIDE),
-                    AddrExpr::double_buffered(SMEM_V0, SMEM_KV_STRIDE),
-                    ACC_O,
-                    shape.head_dim,
-                    true,
-                ));
+                b.op(compute(s_buf, v_buf, ACC_O, true));
                 // GEMM-1: S = Q·Kᵀ for this iteration.
-                b.op(compute(
-                    AddrExpr::fixed(SMEM_Q),
-                    AddrExpr::double_buffered(SMEM_K0, SMEM_KV_STRIDE),
-                    ACC_S,
-                    shape.head_dim,
-                    false,
-                ));
+                b.op(compute(AddrExpr::fixed(SMEM_Q), k_buf, ACC_S, false));
                 // Prefetch the next K and V column blocks.
-                b.op(dma(
-                    MemLoc::global(AddrExpr::streaming(GLOBAL_K + gbase, tile_bytes)),
-                    MemLoc::shared(AddrExpr::double_buffered(SMEM_K0, SMEM_KV_STRIDE)),
-                    tile_bytes,
-                ));
-                b.op(dma(
-                    MemLoc::global(AddrExpr::streaming(GLOBAL_V + gbase, tile_bytes)),
-                    MemLoc::shared(AddrExpr::double_buffered(SMEM_V0, SMEM_KV_STRIDE)),
-                    tile_bytes,
-                ));
+                b.op(dma(stream(GLOBAL_K), MemLoc::shared(k_buf), tile_bytes));
+                b.op(dma(stream(GLOBAL_V), MemLoc::shared(v_buf), tile_bytes));
                 // Wait for GEMM-1 (all but the two most recent DMAs), then drain
                 // the fresh score tile into shared memory for the softmax warps.
                 b.op(WarpOp::FenceAsync { max_outstanding: 2 });
                 b.op(dma(
                     MemLoc::accumulator(AddrExpr::fixed(ACC_S)),
-                    MemLoc::shared(AddrExpr::double_buffered(SMEM_S0, SMEM_S_STRIDE)),
+                    MemLoc::shared(s_buf),
                     score_bytes,
                 ));
                 b.op(WarpOp::Barrier { id: 1 });
@@ -149,7 +176,7 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
             b.op(dma(
                 MemLoc::accumulator(AddrExpr::fixed(ACC_O)),
-                MemLoc::global(AddrExpr::streaming(GLOBAL_O + gbase, tile_bytes)),
+                stream(GLOBAL_O),
                 tile_bytes,
             ));
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
@@ -158,91 +185,18 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
         let orchestrator = Arc::new(orch.build());
 
         // ---- Softmax warps ------------------------------------------------------
-        // Every warp processes its slice of the 64×64 score tile: running row
-        // max, 2nd-order Taylor exponential, running sum, and the rescale of the
-        // output tile.
-        let elems = u64::from(BLOCK) * u64::from(BLOCK);
-        let elems_per_warp = elems / total_warps;
-        let vector_iters = (elems_per_warp / u64::from(lanes)).max(1);
-        let build_softmax = |warp_index: u64| {
-            let mut p = ProgramBuilder::new();
-            p.repeat(cluster_rows, |b| {
-                b.repeat(col_blocks, |b| {
-                    b.op(WarpOp::Barrier { id: 0 });
-                    // Online softmax over this warp's slice of S.
-                    for i in 0..vector_iters {
-                        let offset = warp_index * elems_per_warp * 4 + i * u64::from(lanes) * 4;
-                        b.op(WarpOp::LoadShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::double_buffered(SMEM_S0 + offset, SMEM_S_STRIDE),
-                                lanes,
-                            ),
-                        });
-                        b.op(WarpOp::WaitLoads);
-                        b.op_n(
-                            SOFTMAX_FLOPS_PER_ELEM,
-                            WarpOp::Fpu {
-                                rf_reads: 2,
-                                rf_writes: 1,
-                                flops_per_lane: 1,
-                            },
-                        );
-                        b.op(WarpOp::StoreShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::double_buffered(SMEM_S0 + offset, SMEM_S_STRIDE),
-                                lanes,
-                            ),
-                        });
-                    }
-                    // Rescale this warp's slice of the O staging tile by the
-                    // updated row statistics.
-                    for i in 0..vector_iters {
-                        let offset = warp_index * elems_per_warp * 4 + i * u64::from(lanes) * 4;
-                        b.op(WarpOp::LoadShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(SMEM_O + offset),
-                                lanes,
-                            ),
-                        });
-                        b.op(WarpOp::WaitLoads);
-                        b.op(WarpOp::Fpu {
-                            rf_reads: 2,
-                            rf_writes: 1,
-                            flops_per_lane: 2,
-                        });
-                        b.op(WarpOp::StoreShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(SMEM_O + offset),
-                                lanes,
-                            ),
-                        });
-                    }
-                    b.op(WarpOp::Barrier { id: 1 });
-                });
-                b.op(WarpOp::Barrier { id: 2 });
-            });
-            Arc::new(p.build())
-        };
-
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
-                let program = if warp_index == 0 {
-                    Arc::clone(&orchestrator)
-                } else {
-                    build_softmax(warp_index)
-                };
-                warps.push(WarpAssignment::on_cluster(cluster, core, warp, program));
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            if warp_index == 0 {
+                Arc::clone(&orchestrator)
+            } else {
+                softmax_warp(config, warp_index, cluster_rows, col_blocks)
             }
-        }
+        });
     }
 
     Kernel::new(
         KernelInfo::new(
-            format!(
-                "flash_attention_virgo_{shape}{}",
-                crate::cluster_suffix(clusters)
-            ),
+            format!("flash_attention_virgo_{shape}{}", cluster_suffix(clusters)),
             shape.gemm_mac_ops(),
             dtype,
         ),
@@ -253,6 +207,7 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_isa::DeviceId;
 
     #[test]
     fn matrix_commands_cover_both_gemms() {

@@ -17,16 +17,13 @@
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
-    ProgramBuilder, WarpAssignment, WarpOp,
-};
+use virgo_isa::{AddrExpr, Kernel, KernelInfo, LaneAccess, MemLoc, ProgramBuilder, WarpOp};
 
 use crate::workload::GemmShape;
 
 use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix};
+use crate::{cluster_addr_offset, cluster_suffix, dma, place_warps};
 
 /// Thread-block tile M dimension.
 pub const TILE_M: u32 = 64;
@@ -37,11 +34,28 @@ pub const TILE_K: u32 = 32;
 /// `wmma` instruction tile (Section 5.1.1).
 pub const WMMA: (u32, u32, u32) = (8, 8, 16);
 
-/// Shared-memory layout: double-buffered A and B tiles.
-const SMEM_A0: u64 = 0x0;
-const SMEM_A_STRIDE: u64 = 0x1000; // 4 KiB per A buffer (64×32 fp16)
-const SMEM_B0: u64 = 0x8000;
-const SMEM_B_STRIDE: u64 = 0x2000; // 8 KiB per B buffer (32×128 fp16)
+/// Shared-memory layout: double-buffered A and B tiles (shared with the
+/// Hopper-style kernel, which uses the same thread-block tile).
+pub(super) const SMEM_A0: u64 = 0x0;
+pub(super) const SMEM_A_STRIDE: u64 = 0x1000; // 4 KiB per A buffer (64×32 fp16)
+pub(super) const SMEM_B0: u64 = 0x8000;
+pub(super) const SMEM_B_STRIDE: u64 = 0x2000; // 8 KiB per B buffer (32×128 fp16)
+
+/// Emits the leader's DMA copies of one K chunk's A and B tiles from the
+/// cluster's global-memory partition at `base` into the next pair of
+/// double buffers.
+pub(super) fn dma_tile_loads(b: &mut ProgramBuilder, base: u64, a_bytes: u64, b_bytes: u64) {
+    for (global, smem_base, smem_stride, bytes) in [
+        (GLOBAL_A + base, SMEM_A0, SMEM_A_STRIDE, a_bytes),
+        (GLOBAL_B + base, SMEM_B0, SMEM_B_STRIDE, b_bytes),
+    ] {
+        b.op(dma(
+            MemLoc::global(AddrExpr::streaming(global, bytes)),
+            MemLoc::shared(AddrExpr::double_buffered(smem_base, smem_stride)),
+            bytes,
+        ));
+    }
+}
 
 /// Builds the Volta-style (`use_dma == false`) or Ampere-style
 /// (`use_dma == true`) GEMM kernel, splitting the output-tile space across
@@ -79,29 +93,13 @@ pub fn build(config: &GpuConfig, shape: GemmShape, use_dma: bool) -> Kernel {
     let hmma_steps_per_wmma = (WMMA.0 * WMMA.1 * WMMA.2) / 64;
     let hmma_macs = 64u32;
 
-    let dma_tile_loads = |b: &mut ProgramBuilder, base: u64| {
-        for (global, smem_base, smem_stride, bytes) in [
-            (GLOBAL_A + base, SMEM_A0, SMEM_A_STRIDE, a_tile_bytes),
-            (GLOBAL_B + base, SMEM_B0, SMEM_B_STRIDE, b_tile_bytes),
-        ] {
-            b.op(WarpOp::MmioWrite {
-                device: DeviceId::DMA0,
-                cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::global(AddrExpr::streaming(global, bytes)),
-                    MemLoc::shared(AddrExpr::double_buffered(smem_base, smem_stride)),
-                    bytes,
-                )),
-            });
-        }
-    };
-
     let build_program = |leader: bool, warp_index: u64, cluster_tiles: u64, base: u64| {
         let mut p = ProgramBuilder::new();
         p.repeat(cluster_tiles, |b| {
             // Ampere-style: the leader programs the Asynchronous Data Copy
             // for the first K chunk before entering the pipelined loop.
             if use_dma && leader {
-                dma_tile_loads(b, base);
+                dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
             }
             b.repeat(kt, |b| {
                 // ---- Operand delivery: global -> shared -----------------
@@ -112,7 +110,7 @@ pub fn build(config: &GpuConfig, shape: GemmShape, use_dma: bool) -> Kernel {
                         // next K chunk so it overlaps with this iteration's
                         // tensor-core work (double buffering).
                         b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                        dma_tile_loads(b, base);
+                        dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
                     }
                 } else {
                     // Each warp copies its slice of the A and B tiles with
@@ -220,18 +218,9 @@ pub fn build(config: &GpuConfig, shape: GemmShape, use_dma: bool) -> Kernel {
     for cluster in partition.cluster_ids().collect::<Vec<_>>() {
         let cluster_tiles = partition.count(cluster);
         let base = cluster_addr_offset(cluster);
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
-                let leader = core == 0 && warp == 0;
-                warps.push(WarpAssignment::on_cluster(
-                    cluster,
-                    core,
-                    warp,
-                    build_program(leader, warp_index, cluster_tiles, base),
-                ));
-            }
-        }
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            build_program(warp_index == 0, warp_index, cluster_tiles, base)
+        });
     }
 
     let style = if use_dma { "ampere" } else { "volta" };

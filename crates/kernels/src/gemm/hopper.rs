@@ -4,16 +4,14 @@
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
-    ProgramBuilder, WarpAssignment, WarpOp, WgmmaOp,
-};
+use virgo_isa::{AddrExpr, Kernel, KernelInfo, LaneAccess, ProgramBuilder, WarpOp, WgmmaOp};
 
 use crate::workload::GemmShape;
 
-use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
+use super::coupled::{dma_tile_loads, SMEM_A0, SMEM_A_STRIDE, SMEM_B0, SMEM_B_STRIDE};
+use super::GLOBAL_C;
 
-use crate::{cluster_addr_offset, cluster_suffix};
+use crate::{cluster_addr_offset, cluster_suffix, place_warps};
 
 /// Thread-block tile M dimension.
 pub const TILE_M: u32 = 64;
@@ -24,12 +22,6 @@ pub const TILE_K: u32 = 32;
 /// Per-warp `wgmma` tile (Section 5.1.3: the 1 KiB register budget holds a
 /// single 16×16 FP32 accumulator; the K extent is 32).
 pub const WGMMA: (u32, u32, u32) = (16, 16, 32);
-
-/// Shared-memory layout: double-buffered A and B tiles.
-const SMEM_A0: u64 = 0x0;
-const SMEM_A_STRIDE: u64 = 0x1000; // 4 KiB per A buffer (64×32 fp16)
-const SMEM_B0: u64 = 0x8000;
-const SMEM_B_STRIDE: u64 = 0x2000; // 8 KiB per B buffer (32×128 fp16)
 
 /// Builds the Hopper-style GEMM kernel, splitting the output-tile space
 /// across the configuration's clusters.
@@ -66,28 +58,12 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
     let warp_tiles = u64::from(TILE_M / WGMMA.0) * u64::from(TILE_N / WGMMA.1);
     let tiles_per_warp = warp_tiles.div_ceil(total_warps).max(1);
 
-    let dma_tile_loads = |b: &mut ProgramBuilder, base: u64| {
-        for (global, smem_base, smem_stride, bytes) in [
-            (GLOBAL_A + base, SMEM_A0, SMEM_A_STRIDE, a_tile_bytes),
-            (GLOBAL_B + base, SMEM_B0, SMEM_B_STRIDE, b_tile_bytes),
-        ] {
-            b.op(WarpOp::MmioWrite {
-                device: DeviceId::DMA0,
-                cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::global(AddrExpr::streaming(global, bytes)),
-                    MemLoc::shared(AddrExpr::double_buffered(smem_base, smem_stride)),
-                    bytes,
-                )),
-            });
-        }
-    };
-
     let build_program = |leader: bool, warp_index: u64, cluster_tiles: u64, base: u64| {
         let mut p = ProgramBuilder::new();
         p.repeat(cluster_tiles, |b| {
             // The leader stages the first K chunk before the pipelined loop.
             if leader {
-                dma_tile_loads(b, base);
+                dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
             }
             b.repeat(kt, |b| {
                 if leader {
@@ -95,7 +71,7 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
                     // next chunk so the TMA-style copy overlaps with the
                     // wgmma work of this iteration.
                     b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                    dma_tile_loads(b, base);
+                    dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
                 }
                 b.op(WarpOp::Barrier { id: 0 });
 
@@ -163,18 +139,9 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
     for cluster in partition.cluster_ids().collect::<Vec<_>>() {
         let cluster_tiles = partition.count(cluster);
         let base = cluster_addr_offset(cluster);
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
-                let leader = core == 0 && warp == 0;
-                warps.push(WarpAssignment::on_cluster(
-                    cluster,
-                    core,
-                    warp,
-                    build_program(leader, warp_index, cluster_tiles, base),
-                ));
-            }
-        }
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            build_program(warp_index == 0, warp_index, cluster_tiles, base)
+        });
     }
 
     Kernel::new(

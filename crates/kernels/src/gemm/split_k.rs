@@ -3,21 +3,23 @@
 //! Where the plain multi-cluster Virgo GEMM ([`super::virgo`]) splits the
 //! *output-tile* grid (clusters never share data), this kernel splits the
 //! *reduction* dimension: every cluster computes a partial sum of every
-//! output tile over its own K-slice, and the partials are then reduced on a
-//! single consumer cluster (cluster 0). That reduction is exactly the
-//! producer-consumer traffic the inter-cluster DSM fabric exists for, so the
-//! kernel is generated in two A/B variants selected by
-//! `GpuConfig::dsm.enabled`:
+//! output tile over its own K-slice, and the partials are then reduced on
+//! the tile's *owner*. [`build`] makes cluster 0 the owner of every tile (a
+//! single consumer); [`build_with_strategy`] can instead deal ownership
+//! across all clusters, so every cluster is producer for some tiles and
+//! consumer for others. That reduction is exactly the producer-consumer
+//! traffic the inter-cluster DSM fabric exists for, so the kernel is
+//! generated in two A/B variants selected by `GpuConfig::dsm.enabled`:
 //!
 //! * **DSM path** — each producer pushes its partial C tile straight from
-//!   its accumulator into the consumer's scratchpad with a `DmaRemote`
-//!   command over the fabric; DRAM never sees the partials.
+//!   its accumulator into the owner's scratchpad with a `DmaRemote` command
+//!   over the fabric; DRAM never sees the partials.
 //! * **DRAM path** — each producer stores its partial C tile to a global
-//!   scratch region and the consumer loads it back, paying the full
-//!   write + read round trip through the shared L2/DRAM back-end.
+//!   scratch region and the owner loads it back, paying the full write +
+//!   read round trip through the shared L2/DRAM back-end.
 //!
-//! The consumer's SIMT warps then reduce the staged partials with FPU adds
-//! and the final tile is written to global memory once — identical in both
+//! The owner's SIMT warps then reduce the staged partials with FPU adds and
+//! the final tile is written to global memory once — identical in both
 //! variants, so any difference in DRAM traffic and cycles is attributable to
 //! the reduction path alone. As everywhere in this model, the schedule is
 //! static: inter-cluster arrival is modelled by the fabric/DRAM timing, not
@@ -28,29 +30,27 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, GridPartition, Kernel, KernelInfo, LaneAccess,
-    MatrixComputeCmd, MemLoc, MmioCommand, PartitionStrategy, ProgramBuilder, WarpAssignment,
-    WarpOp,
+    AddrExpr, DataType, GridPartition, Kernel, KernelInfo, LaneAccess, MemLoc, PartitionStrategy,
+    Program, ProgramBuilder, WarpOp,
 };
 
 use crate::workload::GemmShape;
 
-use super::virgo::{TILE_K, TILE_M, TILE_N};
+use super::virgo::{
+    assert_tileable, k_loop, k_loop_barriers, tile_bytes, Operands, SMEM_A0, SMEM_A_STRIDE, TILE_K,
+    TILE_M, TILE_N,
+};
 use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix};
+use crate::{cluster_addr_offset, cluster_suffix, dma, dma_remote, place_warps, Steps};
 
 /// Global-memory base of the partial-sum scratch region the DRAM path spills
-/// through (producer `p` writes its tile-`t` partial at
-/// `GLOBAL_PARTIAL + (p - 1) · region + t · tile_bytes`).
+/// through, one `region` of `out_tiles` C tiles per producer. The
+/// single-consumer kernel ([`build`]) streams producer `p`'s partials
+/// through `GLOBAL_PARTIAL + (p - 1) · region`; the distributed kernels
+/// ([`build_with_strategy`]) put cluster `p`'s tile-`t` partial at
+/// `GLOBAL_PARTIAL + p · region + t · tile_bytes`.
 pub const GLOBAL_PARTIAL: u64 = 0x8000_0000;
-
-/// Shared-memory double-buffer base addresses (same layout as the plain
-/// Virgo GEMM kernel).
-const SMEM_A0: u64 = 0x0;
-const SMEM_A_STRIDE: u64 = 0x8000;
-const SMEM_B0: u64 = 0x1_0000;
-const SMEM_B_STRIDE: u64 = 0x4000;
 
 /// Byte address of the consumer's partial-tile staging slot `p`.
 ///
@@ -72,8 +72,74 @@ fn stage_slot(p: u64, c_tile_bytes: u64) -> u64 {
     }
 }
 
+/// The split-K problem on a configuration, shared by every ownership plan.
+#[derive(Debug)]
+struct Geometry {
+    clusters: u32,
+    out_tiles: u64,
+    k_partition: GridPartition,
+    c_tile_bytes: u64,
+    partial_region: u64,
+    use_dsm: bool,
+    dtype: DataType,
+    lanes: u32,
+    /// Output-tile elements each warp reduces.
+    elems_per_warp: u64,
+    /// Lane-wide vectors per warp slice.
+    vector_iters: u64,
+}
+
+impl Geometry {
+    fn new(config: &GpuConfig, shape: GemmShape) -> Self {
+        assert_tileable(shape);
+        let clusters = config.clusters.max(1);
+        assert!(
+            clusters >= 2,
+            "split-K GEMM needs at least one producer cluster plus the consumer"
+        );
+        let kt_total = u64::from(shape.k / TILE_K);
+        assert!(
+            kt_total >= u64::from(clusters),
+            "split-K over {clusters} clusters needs at least {clusters} K-tiles, \
+             shape {shape} has {kt_total}"
+        );
+        let out_tiles = u64::from(shape.m / TILE_M) * u64::from(shape.n / TILE_N);
+        let (_, _, c_tile_bytes) = tile_bytes(config.dtype);
+        let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
+        let elems_per_warp = u64::from(TILE_M) * u64::from(TILE_N) / total_warps;
+        Geometry {
+            clusters,
+            out_tiles,
+            k_partition: GridPartition::new(kt_total, clusters),
+            c_tile_bytes,
+            partial_region: out_tiles * c_tile_bytes,
+            use_dsm: config.dsm.enabled,
+            dtype: config.dtype,
+            lanes: config.core.lanes,
+            elems_per_warp,
+            vector_iters: (elems_per_warp / u64::from(config.core.lanes)).max(1),
+        }
+    }
+}
+
+/// One output tile as one cluster's warps see it.
+#[derive(Debug)]
+struct TileStep {
+    /// The cluster that reduces the tile and writes it out.
+    owner: u32,
+    /// Where this cluster's A/B K-tiles of the tile stream from.
+    operands: Operands,
+    /// Every other cluster in ascending order, with the global address its
+    /// partial of the tile is spilled to on the DRAM path. The `i`-th
+    /// producer's partial lands in the owner's staging slot `i + 1`.
+    producers: Vec<(u32, AddrExpr)>,
+    /// Where the owner writes the reduced tile.
+    out: AddrExpr,
+}
+
 /// Builds the split-K GEMM kernel for `shape` on `config`'s clusters,
-/// choosing the partial-sum path from `config.dsm.enabled`.
+/// choosing the partial-sum path from `config.dsm.enabled`. Cluster 0 owns
+/// every output tile: the other clusters only produce partials.
 ///
 /// # Panics
 ///
@@ -82,258 +148,32 @@ fn stage_slot(p: u64, c_tile_bytes: u64) -> u64 {
 /// one producer and the consumer), or if the K dimension has fewer tiles
 /// than clusters (an empty K-slice).
 pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
-    assert!(
-        shape.m.is_multiple_of(TILE_M)
-            && shape.n.is_multiple_of(TILE_N)
-            && shape.k.is_multiple_of(TILE_K),
-        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
-    );
-    let clusters = config.clusters.max(1);
-    assert!(
-        clusters >= 2,
-        "split-K GEMM needs at least one producer cluster plus the consumer"
-    );
-    let kt_total = u64::from(shape.k / TILE_K);
-    assert!(
-        kt_total >= u64::from(clusters),
-        "split-K over {clusters} clusters needs at least {clusters} K-tiles, \
-         shape {shape} has {kt_total}"
-    );
-    let use_dsm = config.dsm.enabled;
-    let dtype = config.dtype;
-    let elem = u64::from(dtype.bytes());
-    let lanes = config.core.lanes;
-    let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
-
-    let tiles_m = u64::from(shape.m / TILE_M);
-    let tiles_n = u64::from(shape.n / TILE_N);
-    let out_tiles = tiles_m * tiles_n;
-    let k_partition = GridPartition::new(kt_total, clusters);
-
-    let a_tile_bytes = u64::from(TILE_M) * u64::from(TILE_K) * elem;
-    let b_tile_bytes = u64::from(TILE_K) * u64::from(TILE_N) * elem;
-    let c_tile_bytes = u64::from(TILE_M) * u64::from(TILE_N) * 4;
-    let partial_region = out_tiles * c_tile_bytes;
-
-    let mmio = |cmd: MmioCommand| WarpOp::MmioWrite {
-        device: match cmd {
-            MmioCommand::DmaCopy(_) | MmioCommand::DmaRemote(_) => DeviceId::DMA0,
-            MmioCommand::MatrixCompute(_) => DeviceId::MATRIX0,
-        },
-        cmd,
-    };
-
-    let mut warps = Vec::new();
-    for cluster in 0..clusters {
-        let kt = k_partition.count(cluster);
+    let g = Geometry::new(config, shape);
+    // One tile body, repeated: its operand, spill and output streams advance
+    // once per output tile.
+    let producers: Vec<(u32, AddrExpr)> = (1..g.clusters)
+        .map(|p| {
+            let spill = GLOBAL_PARTIAL + u64::from(p - 1) * g.partial_region;
+            (p, AddrExpr::streaming(spill, g.c_tile_bytes))
+        })
+        .collect();
+    let plan = |cluster: u32| {
         let base = cluster_addr_offset(cluster);
-
-        let dma_a = mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-            MemLoc::global(AddrExpr::streaming(GLOBAL_A + base, a_tile_bytes)),
-            MemLoc::shared(AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE)),
-            a_tile_bytes,
-        )));
-        let dma_b = mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-            MemLoc::global(AddrExpr::streaming(GLOBAL_B + base, b_tile_bytes)),
-            MemLoc::shared(AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE)),
-            b_tile_bytes,
-        )));
-        let compute = |accumulate: bool| {
-            mmio(MmioCommand::MatrixCompute(MatrixComputeCmd {
-                a: AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE),
-                b: AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE),
-                acc_addr: 0,
-                m: TILE_M,
-                n: TILE_N,
-                k: TILE_K,
-                accumulate,
-                dtype,
-            }))
+        let step = TileStep {
+            owner: 0,
+            operands: Operands::streaming(GLOBAL_A + base, GLOBAL_B + base, g.dtype),
+            producers: producers.clone(),
+            out: AddrExpr::streaming(GLOBAL_C + base, g.c_tile_bytes),
         };
-
-        // ---- Orchestrator warp ---------------------------------------------
-        let mut orch = ProgramBuilder::new();
-        orch.repeat(out_tiles, |b| {
-            // K-slice loop: the same DMA/compute software pipeline as the
-            // plain Virgo GEMM, over this cluster's kt K-tiles.
-            b.op(WarpOp::Alu {
-                rf_reads: 2,
-                rf_writes: 1,
-            });
-            b.op(dma_a);
-            b.op(dma_b);
-            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            b.op(compute(false));
-            if kt > 1 {
-                b.op(dma_a);
-                b.op(dma_b);
-            }
-            if kt > 2 {
-                b.repeat(kt - 2, |b| {
-                    b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                    b.op(WarpOp::Barrier { id: 0 });
-                    b.op(compute(true));
-                    b.op(dma_a);
-                    b.op(dma_b);
-                });
-            }
-            if kt > 1 {
-                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                b.op(WarpOp::Barrier { id: 0 });
-                b.op(compute(true));
-            }
-            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-
-            if cluster > 0 {
-                // Producer epilogue: ship this tile's partial sum to the
-                // consumer — over the DSM fabric, or through global memory.
-                let slot = stage_slot(u64::from(cluster), c_tile_bytes);
-                let ship = if use_dsm {
-                    MmioCommand::DmaRemote(DmaCopyCmd::new(
-                        MemLoc::accumulator(AddrExpr::fixed(0)),
-                        MemLoc::remote_shared(0, AddrExpr::fixed(slot)),
-                        c_tile_bytes,
-                    ))
-                } else {
-                    MmioCommand::DmaCopy(DmaCopyCmd::new(
-                        MemLoc::accumulator(AddrExpr::fixed(0)),
-                        MemLoc::global(AddrExpr::streaming(
-                            GLOBAL_PARTIAL + (u64::from(cluster) - 1) * partial_region,
-                            c_tile_bytes,
-                        )),
-                        c_tile_bytes,
-                    ))
-                };
-                b.op(mmio(ship));
-                // The accumulator is overwritten by the next output tile, so
-                // the shipment must drain before this tile ends.
-                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            } else {
-                // Consumer epilogue: stage every partial in shared memory,
-                // let the follower warps reduce them, and write the final
-                // tile to global memory.
-                b.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::accumulator(AddrExpr::fixed(0)),
-                    MemLoc::shared(AddrExpr::fixed(stage_slot(0, c_tile_bytes))),
-                    c_tile_bytes,
-                ))));
-                if !use_dsm {
-                    for p in 1..u64::from(clusters) {
-                        b.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                            MemLoc::global(AddrExpr::streaming(
-                                GLOBAL_PARTIAL + (p - 1) * partial_region,
-                                c_tile_bytes,
-                            )),
-                            MemLoc::shared(AddrExpr::fixed(stage_slot(p, c_tile_bytes))),
-                            c_tile_bytes,
-                        ))));
-                    }
-                }
-                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                b.op(WarpOp::Barrier { id: 2 });
-                // Followers run the FPU reduction between barriers 2 and 3.
-                b.op(WarpOp::Barrier { id: 3 });
-                b.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::shared(AddrExpr::fixed(stage_slot(0, c_tile_bytes))),
-                    MemLoc::global(AddrExpr::streaming(GLOBAL_C + base, c_tile_bytes)),
-                    c_tile_bytes,
-                ))));
-                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            }
-            b.op(WarpOp::Barrier { id: 1 });
-        });
-        let orchestrator = Arc::new(orch.build());
-
-        // ---- Follower warps ------------------------------------------------
-        let inner_barriers = kt.saturating_sub(1);
-        let elems = u64::from(TILE_M) * u64::from(TILE_N);
-        let elems_per_warp = elems / total_warps;
-        let vector_iters = (elems_per_warp / u64::from(lanes)).max(1);
-        let build_follower = |warp_index: u64| {
-            let mut f = ProgramBuilder::new();
-            f.repeat(out_tiles, |b| {
-                b.repeat(inner_barriers, |b| {
-                    b.op(WarpOp::Barrier { id: 0 });
-                });
-                if cluster == 0 {
-                    // The cross-cluster reduction: each warp owns a slice of
-                    // the output tile, loads its own partial once and folds
-                    // every producer's staged partial onto it.
-                    b.op(WarpOp::Barrier { id: 2 });
-                    for i in 0..vector_iters {
-                        let offset = warp_index * elems_per_warp * 4 + i * u64::from(lanes) * 4;
-                        b.op(WarpOp::LoadShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(stage_slot(0, c_tile_bytes) + offset),
-                                lanes,
-                            ),
-                        });
-                        b.op(WarpOp::WaitLoads);
-                        for p in 1..u64::from(clusters) {
-                            b.op(WarpOp::LoadShared {
-                                access: LaneAccess::contiguous_words(
-                                    AddrExpr::fixed(stage_slot(p, c_tile_bytes) + offset),
-                                    lanes,
-                                ),
-                            });
-                            b.op(WarpOp::WaitLoads);
-                            b.op(WarpOp::Fpu {
-                                rf_reads: 2,
-                                rf_writes: 1,
-                                flops_per_lane: 1,
-                            });
-                        }
-                        b.op(WarpOp::StoreShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(stage_slot(0, c_tile_bytes) + offset),
-                                lanes,
-                            ),
-                        });
-                    }
-                    b.op(WarpOp::Barrier { id: 3 });
-                }
-                b.op(WarpOp::Barrier { id: 1 });
-            });
-            Arc::new(f.build())
-        };
-
-        // Producer followers only count barriers, so every warp of a
-        // producer cluster shares one program; consumer followers each own a
-        // warp_index-dependent slice of the reduction.
-        let shared_follower = (cluster != 0).then(|| build_follower(0));
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
-                let program = if warp_index == 0 {
-                    Arc::clone(&orchestrator)
-                } else if let Some(shared) = &shared_follower {
-                    Arc::clone(shared)
-                } else {
-                    build_follower(warp_index)
-                };
-                warps.push(WarpAssignment::on_cluster(cluster, core, warp, program));
-            }
-        }
-    }
-
-    Kernel::new(
-        KernelInfo::new(
-            format!(
-                "gemm_splitk_{shape}{}_{}",
-                cluster_suffix(clusters),
-                if use_dsm { "dsm" } else { "dram" }
-            ),
-            shape.mac_ops(),
-            dtype,
-        ),
-        warps,
-    )
+        Steps::Repeat(g.out_tiles, step)
+    };
+    build_kernel(config, shape, &g, plan, "")
 }
 
 /// Builds the split-K GEMM kernel with an explicit output-tile ownership
 /// strategy.
 ///
-/// [`PartitionStrategy::Contiguous`] delegates to [`build`] — the historical
+/// [`PartitionStrategy::Contiguous`] delegates to [`build`] — the
 /// single-consumer kernel, byte-identical programs and name, so existing
 /// fingerprints and cached reports are untouched. The `Interleaved` and
 /// `Rotated` strategies build the *distributed-reduction* variant instead:
@@ -343,7 +183,8 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
 /// owner's scratchpad (or spill it through DRAM on the no-DSM path) and the
 /// owner's SIMT warps reduce it — so the reduction traffic lands on all N
 /// DSM ingress links concurrently instead of funnelling into cluster 0's
-/// single link.
+/// single link. Roles change per tile, so the tile loop is unrolled and
+/// each tile's operand streams carry their own bases.
 ///
 /// # Panics
 ///
@@ -353,294 +194,183 @@ pub fn build_with_strategy(
     shape: GemmShape,
     strategy: PartitionStrategy,
 ) -> Kernel {
-    if strategy == PartitionStrategy::Contiguous {
-        return build(config, shape);
-    }
-    assert!(
-        shape.m.is_multiple_of(TILE_M)
-            && shape.n.is_multiple_of(TILE_N)
-            && shape.k.is_multiple_of(TILE_K),
-        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
-    );
-    let clusters = config.clusters.max(1);
-    assert!(
-        clusters >= 2,
-        "split-K GEMM needs at least one producer cluster plus the consumer"
-    );
-    let kt_total = u64::from(shape.k / TILE_K);
-    assert!(
-        kt_total >= u64::from(clusters),
-        "split-K over {clusters} clusters needs at least {clusters} K-tiles, \
-         shape {shape} has {kt_total}"
-    );
-    let use_dsm = config.dsm.enabled;
-    let dtype = config.dtype;
-    let elem = u64::from(dtype.bytes());
-    let lanes = config.core.lanes;
-    let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
-
-    let tiles_m = u64::from(shape.m / TILE_M);
-    let tiles_n = u64::from(shape.n / TILE_N);
-    let out_tiles = tiles_m * tiles_n;
-    let k_partition = GridPartition::new(kt_total, clusters);
-    let c_partition = GridPartition::with_strategy(out_tiles, clusters, strategy);
-
-    let a_tile_bytes = u64::from(TILE_M) * u64::from(TILE_K) * elem;
-    let b_tile_bytes = u64::from(TILE_K) * u64::from(TILE_N) * elem;
-    let c_tile_bytes = u64::from(TILE_M) * u64::from(TILE_N) * 4;
-    let partial_region = out_tiles * c_tile_bytes;
-
-    let mmio = |cmd: MmioCommand| WarpOp::MmioWrite {
-        device: match cmd {
-            MmioCommand::DmaCopy(_) | MmioCommand::DmaRemote(_) => DeviceId::DMA0,
-            MmioCommand::MatrixCompute(_) => DeviceId::MATRIX0,
-        },
-        cmd,
+    let tag = match strategy {
+        PartitionStrategy::Contiguous => return build(config, shape),
+        PartitionStrategy::Interleaved => "_int",
+        PartitionStrategy::Rotated => "_rot",
     };
-
-    // Staging slot of a non-owner's partial in the owner's scratchpad: the
-    // producers of a tile are numbered by skipping the owner, which keeps
-    // the slot indices in the same 1..N ping-pong range the contiguous
-    // kernel uses (`stage_slot` folds them onto two buffers).
-    let producer_slot = |producer: u32, owner: u32| {
-        let p_idx = if producer < owner {
-            u64::from(producer)
-        } else {
-            u64::from(producer - 1)
-        };
-        stage_slot(p_idx + 1, c_tile_bytes)
-    };
-
-    let mut warps = Vec::new();
-    for cluster in 0..clusters {
-        let kt = k_partition.count(cluster);
+    let g = Geometry::new(config, shape);
+    let owners = GridPartition::with_strategy(g.out_tiles, g.clusters, strategy);
+    let (a_tile_bytes, b_tile_bytes, c_tile_bytes) = tile_bytes(g.dtype);
+    let plan = |cluster: u32| {
+        let kt = g.k_partition.count(cluster);
         let base = cluster_addr_offset(cluster);
-
-        let compute = |accumulate: bool| {
-            mmio(MmioCommand::MatrixCompute(MatrixComputeCmd {
-                a: AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE),
-                b: AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE),
-                acc_addr: 0,
-                m: TILE_M,
-                n: TILE_N,
-                k: TILE_K,
-                accumulate,
-                dtype,
-            }))
+        let tile_step = |tile: u64| {
+            let owner = owners.owner(tile);
+            let spill =
+                |p: u32| GLOBAL_PARTIAL + u64::from(p) * g.partial_region + tile * c_tile_bytes;
+            TileStep {
+                owner,
+                operands: Operands::staggered(
+                    GLOBAL_A + base + tile * kt * a_tile_bytes,
+                    GLOBAL_B + base + tile * kt * b_tile_bytes,
+                    g.dtype,
+                ),
+                producers: (0..g.clusters)
+                    .filter(|&p| p != owner)
+                    .map(|p| (p, AddrExpr::fixed(spill(p))))
+                    .collect(),
+                out: AddrExpr::fixed(GLOBAL_C + tile * c_tile_bytes),
+            }
         };
+        Steps::Unrolled((0..g.out_tiles).map(tile_step).collect())
+    };
+    build_kernel(config, shape, &g, plan, tag)
+}
 
-        // ---- Orchestrator warp ---------------------------------------------
-        // Roles rotate per output tile, so the tile loop is unrolled into
-        // static ops instead of a `repeat` (the K pipeline inside each tile
-        // still uses one). Each static DMA executes once, so the operand
-        // streams carry explicit per-tile bases.
+/// Builds the kernel from each cluster's tile schedule, `plan(cluster)`
+/// (built as the cluster is emitted and dropped after it).
+fn build_kernel(
+    config: &GpuConfig,
+    shape: GemmShape,
+    g: &Geometry,
+    plan: impl Fn(u32) -> Steps<TileStep>,
+    tag: &str,
+) -> Kernel {
+    let mut warps = Vec::new();
+    for cluster in 0..g.clusters {
+        let steps = &plan(cluster);
+        let kt = g.k_partition.count(cluster);
         let mut orch = ProgramBuilder::new();
-        for tile in 0..out_tiles {
-            let owner = c_partition.owner(tile);
-            let a_base = GLOBAL_A + base + tile * kt * a_tile_bytes;
-            let b_base = GLOBAL_B + base + tile * kt * b_tile_bytes;
-            let dma_a = |step: u64| {
-                mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::global(AddrExpr::streaming(
-                        a_base + step * a_tile_bytes,
-                        a_tile_bytes,
-                    )),
-                    MemLoc::shared(AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE)),
-                    a_tile_bytes,
-                )))
-            };
-            let dma_b = |step: u64| {
-                mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::global(AddrExpr::streaming(
-                        b_base + step * b_tile_bytes,
-                        b_tile_bytes,
-                    )),
-                    MemLoc::shared(AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE)),
-                    b_tile_bytes,
-                )))
-            };
-
-            orch.op(WarpOp::Alu {
-                rf_reads: 2,
-                rf_writes: 1,
-            });
-            orch.op(dma_a(0));
-            orch.op(dma_b(0));
-            orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            orch.op(compute(false));
-            if kt > 1 {
-                orch.op(dma_a(1));
-                orch.op(dma_b(1));
-            }
-            if kt > 2 {
-                orch.repeat(kt - 2, |b| {
-                    b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                    b.op(WarpOp::Barrier { id: 0 });
-                    b.op(compute(true));
-                    b.op(dma_a(2));
-                    b.op(dma_b(2));
-                });
-            }
-            if kt > 1 {
-                orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                orch.op(WarpOp::Barrier { id: 0 });
-                orch.op(compute(true));
-            }
-            orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-
-            if cluster != owner {
-                // Producer for this tile: ship the partial into the owner's
-                // scratchpad over the fabric, or spill it through DRAM.
-                let slot = producer_slot(cluster, owner);
-                let ship = if use_dsm {
-                    MmioCommand::DmaRemote(DmaCopyCmd::new(
-                        MemLoc::accumulator(AddrExpr::fixed(0)),
-                        MemLoc::remote_shared(owner, AddrExpr::fixed(slot)),
-                        c_tile_bytes,
-                    ))
-                } else {
-                    MmioCommand::DmaCopy(DmaCopyCmd::new(
-                        MemLoc::accumulator(AddrExpr::fixed(0)),
-                        MemLoc::global(AddrExpr::fixed(
-                            GLOBAL_PARTIAL
-                                + u64::from(cluster) * partial_region
-                                + tile * c_tile_bytes,
-                        )),
-                        c_tile_bytes,
-                    ))
-                };
-                orch.op(mmio(ship));
-                orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            } else {
-                // Owner of this tile: stage the local partial, gather the
-                // spills on the DRAM path, reduce, write the final tile.
-                orch.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::accumulator(AddrExpr::fixed(0)),
-                    MemLoc::shared(AddrExpr::fixed(stage_slot(0, c_tile_bytes))),
-                    c_tile_bytes,
-                ))));
-                if !use_dsm {
-                    for p in 0..clusters {
-                        if p == cluster {
-                            continue;
-                        }
-                        orch.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                            MemLoc::global(AddrExpr::fixed(
-                                GLOBAL_PARTIAL
-                                    + u64::from(p) * partial_region
-                                    + tile * c_tile_bytes,
-                            )),
-                            MemLoc::shared(AddrExpr::fixed(producer_slot(p, owner))),
-                            c_tile_bytes,
-                        ))));
-                    }
-                }
-                orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                orch.op(WarpOp::Barrier { id: 2 });
-                // Followers run the FPU reduction between barriers 2 and 3.
-                orch.op(WarpOp::Barrier { id: 3 });
-                orch.op(mmio(MmioCommand::DmaCopy(DmaCopyCmd::new(
-                    MemLoc::shared(AddrExpr::fixed(stage_slot(0, c_tile_bytes))),
-                    MemLoc::global(AddrExpr::fixed(GLOBAL_C + tile * c_tile_bytes)),
-                    c_tile_bytes,
-                ))));
-                orch.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            }
-            orch.op(WarpOp::Barrier { id: 1 });
-        }
+        steps.emit(&mut orch, |b, step| {
+            orchestrate_tile(b, cluster, kt, step, g)
+        });
         let orchestrator = Arc::new(orch.build());
 
-        // ---- Follower warps ------------------------------------------------
-        let inner_barriers = kt.saturating_sub(1);
-        let elems = u64::from(TILE_M) * u64::from(TILE_N);
-        let elems_per_warp = elems / total_warps;
-        let vector_iters = (elems_per_warp / u64::from(lanes)).max(1);
-        let owned_tiles = c_partition.items(cluster);
-        let build_follower = |warp_index: u64| {
-            let mut f = ProgramBuilder::new();
-            for tile in 0..out_tiles {
-                f.repeat(inner_barriers, |b| {
-                    b.op(WarpOp::Barrier { id: 0 });
-                });
-                if c_partition.owner(tile) == cluster {
-                    f.op(WarpOp::Barrier { id: 2 });
-                    for i in 0..vector_iters {
-                        let offset = warp_index * elems_per_warp * 4 + i * u64::from(lanes) * 4;
-                        f.op(WarpOp::LoadShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(stage_slot(0, c_tile_bytes) + offset),
-                                lanes,
-                            ),
-                        });
-                        f.op(WarpOp::WaitLoads);
-                        for p in 1..u64::from(clusters) {
-                            f.op(WarpOp::LoadShared {
-                                access: LaneAccess::contiguous_words(
-                                    AddrExpr::fixed(stage_slot(p, c_tile_bytes) + offset),
-                                    lanes,
-                                ),
-                            });
-                            f.op(WarpOp::WaitLoads);
-                            f.op(WarpOp::Fpu {
-                                rf_reads: 2,
-                                rf_writes: 1,
-                                flops_per_lane: 1,
-                            });
-                        }
-                        f.op(WarpOp::StoreShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::fixed(stage_slot(0, c_tile_bytes) + offset),
-                                lanes,
-                            ),
-                        });
-                    }
-                    f.op(WarpOp::Barrier { id: 3 });
-                }
-                f.op(WarpOp::Barrier { id: 1 });
+        // A cluster that owns no tile never reduces, so all its followers
+        // share one barrier-only program; an owner's followers each reduce a
+        // warp_index-dependent slice.
+        let owns_none = steps.items().iter().all(|step| step.owner != cluster);
+        let shared = owns_none.then(|| follower(cluster, kt, steps, 0, g));
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            if warp_index == 0 {
+                Arc::clone(&orchestrator)
+            } else if let Some(shared) = &shared {
+                Arc::clone(shared)
+            } else {
+                follower(cluster, kt, steps, warp_index, g)
             }
-            Arc::new(f.build())
-        };
-
-        // A cluster that owns no tiles (more clusters than output tiles)
-        // never reduces, so all its followers share one barrier-only program.
-        let shared_follower = owned_tiles.is_empty().then(|| build_follower(0));
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
-                let program = if warp_index == 0 {
-                    Arc::clone(&orchestrator)
-                } else if let Some(shared) = &shared_follower {
-                    Arc::clone(shared)
-                } else {
-                    build_follower(warp_index)
-                };
-                warps.push(WarpAssignment::on_cluster(cluster, core, warp, program));
-            }
-        }
+        });
     }
 
-    let strategy_tag = match strategy {
-        PartitionStrategy::Contiguous => unreachable!("contiguous delegates to build()"),
-        PartitionStrategy::Interleaved => "int",
-        PartitionStrategy::Rotated => "rot",
-    };
+    let path = if g.use_dsm { "dsm" } else { "dram" };
     Kernel::new(
         KernelInfo::new(
             format!(
-                "gemm_splitk_{shape}{}_{}_{strategy_tag}",
-                cluster_suffix(clusters),
-                if use_dsm { "dsm" } else { "dram" }
+                "gemm_splitk_{shape}{}_{path}{tag}",
+                cluster_suffix(g.clusters)
             ),
             shape.mac_ops(),
-            dtype,
+            g.dtype,
         ),
         warps,
     )
 }
 
+/// Emits one output tile on `cluster`'s orchestrator: the K-slice pipeline
+/// over the cluster's `kt` K-tiles, then either the producer epilogue (ship
+/// the partial to the owner) or the owner epilogue (stage every partial,
+/// let the followers reduce, write the final tile).
+fn orchestrate_tile(b: &mut ProgramBuilder, cluster: u32, kt: u64, step: &TileStep, g: &Geometry) {
+    let c = g.c_tile_bytes;
+    let slot = |i: usize| AddrExpr::fixed(stage_slot(i as u64, c));
+    let acc = MemLoc::accumulator(AddrExpr::fixed(0));
+    k_loop(b, kt, &step.operands, g.dtype);
+    if let Some(i) = step.producers.iter().position(|&(p, _)| p == cluster) {
+        // Producer: ship the partial into the owner's scratchpad over the
+        // fabric, or spill it through DRAM.
+        b.op(if g.use_dsm {
+            dma_remote(acc, MemLoc::remote_shared(step.owner, slot(i + 1)), c)
+        } else {
+            dma(acc, MemLoc::global(step.producers[i].1), c)
+        });
+        // The accumulator is overwritten by the next output tile, so the
+        // shipment must drain before this tile ends.
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+    } else {
+        // Owner: stage the local partial, gather the spills on the DRAM
+        // path, let the followers reduce, write the final tile.
+        b.op(dma(acc, MemLoc::shared(slot(0)), c));
+        if !g.use_dsm {
+            for (i, &(_, spill)) in step.producers.iter().enumerate() {
+                b.op(dma(MemLoc::global(spill), MemLoc::shared(slot(i + 1)), c));
+            }
+        }
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+        b.op(WarpOp::Barrier { id: 2 });
+        // Followers run the FPU reduction between barriers 2 and 3.
+        b.op(WarpOp::Barrier { id: 3 });
+        b.op(dma(MemLoc::shared(slot(0)), MemLoc::global(step.out), c));
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+    }
+    b.op(WarpOp::Barrier { id: 1 });
+}
+
+/// Builds one follower warp of `cluster`: per output tile the K-step
+/// barriers, and on the tiles the cluster owns the cross-cluster reduction
+/// of the warp's slice — load its own partial once and fold every
+/// producer's staged partial onto it.
+fn follower(
+    cluster: u32,
+    kt: u64,
+    steps: &Steps<TileStep>,
+    warp_index: u64,
+    g: &Geometry,
+) -> Arc<Program> {
+    let lanes = g.lanes;
+    let words = |p: u64, offset: u64| {
+        LaneAccess::contiguous_words(
+            AddrExpr::fixed(stage_slot(p, g.c_tile_bytes) + offset),
+            lanes,
+        )
+    };
+    let mut f = ProgramBuilder::new();
+    steps.emit(&mut f, |b, step| {
+        k_loop_barriers(b, kt);
+        if step.owner == cluster {
+            b.op(WarpOp::Barrier { id: 2 });
+            for i in 0..g.vector_iters {
+                let offset = warp_index * g.elems_per_warp * 4 + i * u64::from(lanes) * 4;
+                b.op(WarpOp::LoadShared {
+                    access: words(0, offset),
+                });
+                b.op(WarpOp::WaitLoads);
+                for p in 1..u64::from(g.clusters) {
+                    b.op(WarpOp::LoadShared {
+                        access: words(p, offset),
+                    });
+                    b.op(WarpOp::WaitLoads);
+                    b.op(WarpOp::Fpu {
+                        rf_reads: 2,
+                        rf_writes: 1,
+                        flops_per_lane: 1,
+                    });
+                }
+                b.op(WarpOp::StoreShared {
+                    access: words(0, offset),
+                });
+            }
+            b.op(WarpOp::Barrier { id: 3 });
+        }
+        b.op(WarpOp::Barrier { id: 1 });
+    });
+    Arc::new(f.build())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_isa::MmioCommand;
 
     fn shape() -> GemmShape {
         GemmShape {

@@ -4,16 +4,13 @@
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, MatrixComputeCmd, MemLoc, MmioCommand,
-    ProgramBuilder, WarpAssignment, WarpOp,
-};
+use virgo_isa::{AddrExpr, DataType, Kernel, KernelInfo, MemLoc, ProgramBuilder, WarpOp};
 
 use crate::workload::GemmShape;
 
 use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix};
+use crate::{cluster_addr_offset, cluster_suffix, dma, matrix_compute, place_warps};
 
 /// Thread-block tile exposed by the matrix unit (Section 4.4.1).
 pub const TILE_M: u32 = 128;
@@ -23,10 +20,132 @@ pub const TILE_N: u32 = 64;
 pub const TILE_K: u32 = 128;
 
 /// Shared-memory double-buffer base addresses for the A and B tiles.
-const SMEM_A0: u64 = 0x0;
-const SMEM_A_STRIDE: u64 = 0x8000; // 32 KiB per A buffer
+pub(super) const SMEM_A0: u64 = 0x0;
+pub(super) const SMEM_A_STRIDE: u64 = 0x8000; // 32 KiB per A buffer
 const SMEM_B0: u64 = 0x1_0000;
 const SMEM_B_STRIDE: u64 = 0x4000; // 16 KiB per B buffer
+
+/// Byte sizes of the A and B operand tiles and of the FP32 C tile.
+pub(super) fn tile_bytes(dtype: DataType) -> (u64, u64, u64) {
+    let elem = u64::from(dtype.bytes());
+    (
+        u64::from(TILE_M) * u64::from(TILE_K) * elem,
+        u64::from(TILE_K) * u64::from(TILE_N) * elem,
+        u64::from(TILE_M) * u64::from(TILE_N) * 4,
+    )
+}
+
+/// Asserts that `shape` tiles evenly by the 128×64×128 thread-block tile.
+pub(super) fn assert_tileable(shape: GemmShape) {
+    assert!(
+        shape.m.is_multiple_of(TILE_M)
+            && shape.n.is_multiple_of(TILE_N)
+            && shape.k.is_multiple_of(TILE_K),
+        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
+    );
+}
+
+/// Global-memory sources of one output tile's A and B K-tiles, one per
+/// static DMA site of [`k_loop`]: the prologue fetch, the first prefetch and
+/// the steady-state prefetch. Each site's address advances per execution of
+/// that site alone.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Operands {
+    a: [AddrExpr; 3],
+    b: [AddrExpr; 3],
+}
+
+impl Operands {
+    /// Every site streams from the same expression, one tile per execution
+    /// of that site.
+    pub(super) fn streaming(a_base: u64, b_base: u64, dtype: DataType) -> Self {
+        let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+        Operands {
+            a: [AddrExpr::streaming(a_base, a_bytes); 3],
+            b: [AddrExpr::streaming(b_base, b_bytes); 3],
+        }
+    }
+
+    /// Site `s` starts `s` tiles past the base, so one unrolled output tile
+    /// walks its K-tiles in order.
+    pub(super) fn staggered(a_base: u64, b_base: u64, dtype: DataType) -> Self {
+        let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+        let site = |base: u64, bytes: u64, s: u64| AddrExpr::streaming(base + s * bytes, bytes);
+        Operands {
+            a: [0, 1, 2].map(|s| site(a_base, a_bytes, s)),
+            b: [0, 1, 2].map(|s| site(b_base, b_bytes, s)),
+        }
+    }
+}
+
+/// Emits one output tile's K-loop software pipeline on the orchestrator:
+/// fetch the first A/B K-tiles and launch the first compute while the next
+/// K-tiles prefetch into the other shared-memory buffers; each later K-step
+/// waits for the previous compute and prefetch, joins barrier 0, launches
+/// its compute and prefetches the next K-tiles. Ends with a fence, so the
+/// accumulator holds the tile's result.
+pub(super) fn k_loop(b: &mut ProgramBuilder, kt: u64, src: &Operands, dtype: DataType) {
+    let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+    let fetch = |b: &mut ProgramBuilder, site: usize| {
+        b.op(dma(
+            MemLoc::global(src.a[site]),
+            MemLoc::shared(AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE)),
+            a_bytes,
+        ));
+        b.op(dma(
+            MemLoc::global(src.b[site]),
+            MemLoc::shared(AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE)),
+            b_bytes,
+        ));
+    };
+    let compute = |accumulate: bool| {
+        matrix_compute(
+            AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE),
+            AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE),
+            0,
+            (TILE_M, TILE_N, TILE_K),
+            accumulate,
+            dtype,
+        )
+    };
+    b.op(WarpOp::Alu {
+        rf_reads: 2,
+        rf_writes: 1,
+    });
+    fetch(b, 0);
+    b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+    // First compute overwrites the accumulator; prefetch the next K-tiles
+    // while it runs.
+    b.op(compute(false));
+    if kt > 1 {
+        fetch(b, 1);
+    }
+    // Steady state: wait for the previous compute and prefetch, launch this
+    // iteration's compute, prefetch the next K-tiles.
+    if kt > 2 {
+        b.repeat(kt - 2, |b| {
+            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+            b.op(WarpOp::Barrier { id: 0 });
+            b.op(compute(true));
+            fetch(b, 2);
+        });
+    }
+    // Final K iteration: no further prefetch.
+    if kt > 1 {
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+        b.op(WarpOp::Barrier { id: 0 });
+        b.op(compute(true));
+    }
+    b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+}
+
+/// Emits the follower side of [`k_loop`]: the `kt - 1` per-K-step barriers
+/// the orchestrator joins for one output tile.
+pub(super) fn k_loop_barriers(b: &mut ProgramBuilder, kt: u64) {
+    b.repeat(kt.saturating_sub(1), |b| {
+        b.op(WarpOp::Barrier { id: 0 });
+    });
+}
 
 /// Builds the Virgo GEMM kernel for `shape`, splitting the output-tile space
 /// across the configuration's clusters.
@@ -44,142 +163,59 @@ const SMEM_B_STRIDE: u64 = 0x4000; // 16 KiB per B buffer
 ///
 /// Panics if the shape is not divisible by the 128×64×128 thread-block tile.
 pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
-    assert!(
-        shape.m.is_multiple_of(TILE_M)
-            && shape.n.is_multiple_of(TILE_N)
-            && shape.k.is_multiple_of(TILE_K),
-        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
-    );
-    let tiles_m = u64::from(shape.m / TILE_M);
-    let tiles_n = u64::from(shape.n / TILE_N);
-    let out_tiles = tiles_m * tiles_n;
+    assert_tileable(shape);
+    let out_tiles = u64::from(shape.m / TILE_M) * u64::from(shape.n / TILE_N);
     let kt = u64::from(shape.k / TILE_K);
     let clusters = config.active_clusters();
     let partition = config.partition(out_tiles);
     let dtype = config.dtype;
-    let elem = u64::from(dtype.bytes());
-
-    let a_tile_bytes = u64::from(TILE_M) * u64::from(TILE_K) * elem;
-    let b_tile_bytes = u64::from(TILE_K) * u64::from(TILE_N) * elem;
-    let c_tile_bytes = u64::from(TILE_M) * u64::from(TILE_N) * 4;
-
-    let mmio = |cmd: MmioCommand| WarpOp::MmioWrite {
-        device: match cmd {
-            MmioCommand::DmaCopy(_) | MmioCommand::DmaRemote(_) => DeviceId::DMA0,
-            MmioCommand::MatrixCompute(_) => DeviceId::MATRIX0,
-        },
-        cmd,
-    };
+    let (_, _, c_tile_bytes) = tile_bytes(dtype);
 
     let mut warps = Vec::new();
     for cluster in partition.cluster_ids().collect::<Vec<_>>() {
         let cluster_tiles = partition.count(cluster);
         let base = cluster_addr_offset(cluster);
 
-        // Addresses: the operand tiles stream through global memory (distinct
-        // addresses per execution, so cache and DRAM behaviour is realistic)
-        // and ping-pong between two shared-memory buffers.
-        let dma_a = |stride: u64| {
-            MmioCommand::DmaCopy(DmaCopyCmd::new(
-                MemLoc::global(AddrExpr::streaming(GLOBAL_A + base, stride)),
-                MemLoc::shared(AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE)),
-                a_tile_bytes,
-            ))
-        };
-        let dma_b = |stride: u64| {
-            MmioCommand::DmaCopy(DmaCopyCmd::new(
-                MemLoc::global(AddrExpr::streaming(GLOBAL_B + base, stride)),
-                MemLoc::shared(AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE)),
-                b_tile_bytes,
-            ))
-        };
-        let compute = |accumulate: bool| {
-            MmioCommand::MatrixCompute(MatrixComputeCmd {
-                a: AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE),
-                b: AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE),
-                acc_addr: 0,
-                m: TILE_M,
-                n: TILE_N,
-                k: TILE_K,
-                accumulate,
-                dtype,
-            })
-        };
-        let dma_store_c = MmioCommand::DmaCopy(DmaCopyCmd::new(
-            MemLoc::accumulator(AddrExpr::fixed(0)),
-            MemLoc::global(AddrExpr::streaming(GLOBAL_C + base, c_tile_bytes)),
-            c_tile_bytes,
-        ));
-
-        // ---- Orchestrator warp ---------------------------------------------
+        // The operand tiles stream through this cluster's partition of global
+        // memory and ping-pong between two shared-memory buffers. The
+        // pipeline's three DMA sites stream from the same base, each with its
+        // own execution counter, so a tile's prologue fetch and first
+        // prefetch read the same global address (the second one hits in L2)
+        // rather than distinct K-tiles.
+        let operands = Operands::streaming(GLOBAL_A + base, GLOBAL_B + base, dtype);
         let mut orch = ProgramBuilder::new();
         orch.repeat(cluster_tiles, |b| {
-            // Prologue: fetch the first K-tile of A and B.
-            b.op(WarpOp::Alu {
-                rf_reads: 2,
-                rf_writes: 1,
-            });
-            b.op(mmio(dma_a(a_tile_bytes)));
-            b.op(mmio(dma_b(b_tile_bytes)));
-            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            // First compute overwrites the accumulator; prefetch the next tile
-            // while it runs.
-            b.op(mmio(compute(false)));
-            if kt > 1 {
-                b.op(mmio(dma_a(a_tile_bytes)));
-                b.op(mmio(dma_b(b_tile_bytes)));
-            }
-            // Steady-state software pipeline: wait for the previous compute and
-            // prefetch, launch this iteration's compute, prefetch the next tile.
-            if kt > 2 {
-                b.repeat(kt - 2, |b| {
-                    b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                    b.op(WarpOp::Barrier { id: 0 });
-                    b.op(mmio(compute(true)));
-                    b.op(mmio(dma_a(a_tile_bytes)));
-                    b.op(mmio(dma_b(b_tile_bytes)));
-                });
-            }
-            // Final K iteration: no further prefetch.
-            if kt > 1 {
-                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                b.op(WarpOp::Barrier { id: 0 });
-                b.op(mmio(compute(true)));
-            }
-            // Epilogue: drain the accumulator tile to global memory. The store is
-            // left asynchronous so it overlaps with the next output tile's
-            // prologue DMA loads; the fence at the top of the next tile (and the
-            // cluster drain at kernel end) provides the required ordering before
-            // the accumulator is overwritten.
-            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            b.op(mmio(dma_store_c));
+            k_loop(b, kt, &operands, dtype);
+            // Epilogue: drain the accumulator tile to global memory. The
+            // store is left asynchronous so it overlaps with the next output
+            // tile's prologue DMA loads; the fence at the top of the next
+            // tile (and the cluster drain at kernel end) provides the
+            // required ordering before the accumulator is overwritten.
+            b.op(dma(
+                MemLoc::accumulator(AddrExpr::fixed(0)),
+                MemLoc::global(AddrExpr::streaming(GLOBAL_C + base, c_tile_bytes)),
+                c_tile_bytes,
+            ));
             b.op(WarpOp::Barrier { id: 1 });
         });
         let orchestrator = Arc::new(orch.build());
 
-        // ---- Follower warps ------------------------------------------------
-        // Followers join the per-K-iteration barrier (issued `kt - 1` times
-        // per output tile for kt > 1) and the per-tile epilogue barrier.
-        let inner_barriers = kt.saturating_sub(1);
+        // Followers join the per-K-iteration barriers and the per-tile
+        // epilogue barrier.
         let mut foll = ProgramBuilder::new();
         foll.repeat(cluster_tiles, |b| {
-            b.repeat(inner_barriers, |b| {
-                b.op(WarpOp::Barrier { id: 0 });
-            });
+            k_loop_barriers(b, kt);
             b.op(WarpOp::Barrier { id: 1 });
         });
         let follower = Arc::new(foll.build());
 
-        for core in 0..config.cores {
-            for warp in 0..config.core.warps {
-                let program = if core == 0 && warp == 0 {
-                    Arc::clone(&orchestrator)
-                } else {
-                    Arc::clone(&follower)
-                };
-                warps.push(WarpAssignment::on_cluster(cluster, core, warp, program));
-            }
-        }
+        place_warps(&mut warps, config, cluster, |warp_index| {
+            Arc::clone(if warp_index == 0 {
+                &orchestrator
+            } else {
+                &follower
+            })
+        });
     }
 
     Kernel::new(
@@ -195,6 +231,7 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use virgo_isa::DeviceId;
 
     #[test]
     fn kernel_structure_matches_tiling() {

@@ -34,6 +34,14 @@ pub use gemm::split_k::build_with_strategy as build_split_k_gemm_with_strategy;
 pub use hetero::{build_heterogeneous_parallel, build_heterogeneous_serial};
 pub use workload::{AttentionShape, GemmShape};
 
+use std::sync::Arc;
+
+use virgo::GpuConfig;
+use virgo_isa::{
+    AddrExpr, DataType, DeviceId, DmaCopyCmd, MatrixComputeCmd, MemLoc, MmioCommand, Program,
+    ProgramBuilder, WarpAssignment, WarpOp,
+};
+
 /// Global-memory offset separating the operand partitions of adjacent
 /// clusters (64 GiB apart, so tiles streamed by different clusters never
 /// alias in the shared L2). Cluster 0's offset is zero, which keeps
@@ -53,5 +61,114 @@ pub(crate) fn cluster_suffix(clusters: u32) -> String {
         format!("_c{clusters}")
     } else {
         String::new()
+    }
+}
+
+/// An `MmioWrite` programming the cluster DMA engine with a local copy.
+pub(crate) fn dma(src: MemLoc, dst: MemLoc, bytes: u64) -> WarpOp {
+    WarpOp::MmioWrite {
+        device: DeviceId::DMA0,
+        cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(src, dst, bytes)),
+    }
+}
+
+/// An `MmioWrite` programming the cluster DMA engine with a copy that has a
+/// peer cluster's scratchpad at one end (it crosses the DSM fabric).
+pub(crate) fn dma_remote(src: MemLoc, dst: MemLoc, bytes: u64) -> WarpOp {
+    WarpOp::MmioWrite {
+        device: DeviceId::DMA0,
+        cmd: MmioCommand::DmaRemote(DmaCopyCmd::new(src, dst, bytes)),
+    }
+}
+
+/// An `MmioWrite` launching an `m×n×k` operation on the cluster's first
+/// matrix unit, reading A and B from shared memory.
+pub(crate) fn matrix_compute(
+    a: AddrExpr,
+    b: AddrExpr,
+    acc_addr: u64,
+    (m, n, k): (u32, u32, u32),
+    accumulate: bool,
+    dtype: DataType,
+) -> WarpOp {
+    WarpOp::MmioWrite {
+        device: DeviceId::MATRIX0,
+        cmd: MmioCommand::MatrixCompute(MatrixComputeCmd {
+            a,
+            b,
+            acc_addr,
+            m,
+            n,
+            k,
+            accumulate,
+            dtype,
+        }),
+    }
+}
+
+/// Places one warp on every hardware warp slot of `cluster`, core-major;
+/// `program` receives the warp's index within the cluster (index 0 — core
+/// 0, warp 0 — is the orchestrator or leader in every mapping).
+pub(crate) fn place_warps(
+    warps: &mut Vec<WarpAssignment>,
+    config: &GpuConfig,
+    cluster: u32,
+    mut program: impl FnMut(u64) -> Arc<Program>,
+) {
+    for core in 0..config.cores {
+        for warp in 0..config.core.warps {
+            let warp_index = u64::from(core) * u64::from(config.core.warps) + u64::from(warp);
+            warps.push(WarpAssignment::on_cluster(
+                cluster,
+                core,
+                warp,
+                program(warp_index),
+            ));
+        }
+    }
+}
+
+/// A loop over work items (output tiles, column blocks) as a generator
+/// emits it.
+///
+/// Every static op keeps its own execution counter, and address
+/// expressions advance per execution of *that* op, so the loop shape is
+/// part of the program: a `Repeat` body is emitted once and its addresses
+/// advance across items, while `Unrolled` emits one static copy per item
+/// (each copy's counters start at zero) so each item can carry its own
+/// role and addresses.
+#[derive(Debug)]
+pub(crate) enum Steps<T> {
+    /// The same item `count` times, as one `repeat`.
+    Repeat(u64, T),
+    /// One item per iteration, unrolled into static ops.
+    Unrolled(Vec<T>),
+}
+
+impl<T> Steps<T> {
+    /// Emits the loop into `b`, building each item's body with `body`.
+    pub(crate) fn emit(
+        &self,
+        b: &mut ProgramBuilder,
+        mut body: impl FnMut(&mut ProgramBuilder, &T),
+    ) {
+        match self {
+            Steps::Repeat(count, item) => {
+                b.repeat(*count, |b| body(b, item));
+            }
+            Steps::Unrolled(items) => {
+                for item in items {
+                    body(b, item);
+                }
+            }
+        }
+    }
+
+    /// Every distinct item of the loop.
+    pub(crate) fn items(&self) -> &[T] {
+        match self {
+            Steps::Repeat(_, item) => std::slice::from_ref(item),
+            Steps::Unrolled(items) => items,
+        }
     }
 }
