@@ -12,9 +12,10 @@
 //! perf dashboards.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use virgo::{DesignKind, Gpu, GpuConfig, SchedStats, SimMode};
-use virgo_bench::{microbench, print_table, write_artifact, ReportDigest};
+use virgo_bench::{print_table, write_artifact, ReportDigest};
 use virgo_isa::{
     DataType, DeviceId, DmaCopyCmd, Kernel, KernelInfo, MemLoc, MmioCommand, ProgramBuilder,
     WarpAssignment, WarpOp,
@@ -49,8 +50,11 @@ fn dma_stall_kernel(tiles: u64, tile_bytes: u64) -> Kernel {
 struct Comparison {
     name: &'static str,
     cycles: u64,
+    /// Fastest and median host time of each mode over the measured pairs.
     naive_ms: f64,
     fast_ms: f64,
+    naive_median_ms: f64,
+    fast_median_ms: f64,
     identical: bool,
     /// Scheduler counters of the fast-forward run: how many cycles were
     /// processed vs jumped, and which component class pinned each event.
@@ -94,6 +98,8 @@ impl Comparison {
             .u64("simulated_cycles", self.cycles)
             .f64("naive_ms", self.naive_ms)
             .f64("fastforward_ms", self.fast_ms)
+            .f64("naive_median_ms", self.naive_median_ms)
+            .f64("fastforward_median_ms", self.fast_median_ms)
             .f64("speedup", self.speedup())
             .bool("bit_identical", self.identical)
             .u64("processed_cycles", s.processed_cycles)
@@ -118,22 +124,40 @@ fn compare_kernel(name: &'static str, config: &GpuConfig, kernel: &Kernel) -> Co
         .expect("fast-forward run finishes");
     let identical = ReportDigest::of(&naive) == ReportDigest::of(&fast);
 
-    // Five measured iterations (min-of-N): the dense-GEMM comparisons sit
-    // near 1.0x by design, so the >= 1.0 gate below needs low-noise minima.
-    let naive_time = microbench::time(name, 5, || {
-        Gpu::new(config.clone()).run_with_mode(kernel, BUDGET, SimMode::Naive)
-    });
-    let fast_time = microbench::time(name, 5, || {
-        Gpu::new(config.clone()).run_with_mode(kernel, BUDGET, SimMode::FastForward)
-    });
+    // Five measured pairs (min-of-N): the dense-GEMM comparisons sit near
+    // 1.0x by design, so the floors below need low-noise minima. Naive and
+    // fast-forward alternate inside each pair, so host drift during the
+    // measurement hits both modes alike; the two runs above are the warmup.
+    let (mut naive_ms, mut fast_ms) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        for (mode, samples) in [
+            (SimMode::Naive, &mut naive_ms),
+            (SimMode::FastForward, &mut fast_ms),
+        ] {
+            let start = Instant::now();
+            let report = Gpu::new(config.clone()).run_with_mode(kernel, BUDGET, mode);
+            std::hint::black_box(report.expect("measured run finishes"));
+            samples.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let (naive_min, naive_median) = min_and_median(&mut naive_ms);
+    let (fast_min, fast_median) = min_and_median(&mut fast_ms);
     Comparison {
         name,
         cycles: naive.cycles().get(),
-        naive_ms: naive_time.min_ms(),
-        fast_ms: fast_time.min_ms(),
+        naive_ms: naive_min,
+        fast_ms: fast_min,
+        naive_median_ms: naive_median,
+        fast_median_ms: fast_median,
         identical,
         sched: *fast.sched_stats(),
     }
+}
+
+/// The fastest and the median of an odd number of samples.
+fn min_and_median(samples: &mut [f64]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    (samples[0], samples[samples.len() / 2])
 }
 
 fn compare_gemm(name: &'static str, design: DesignKind, size: u32) -> Comparison {
@@ -158,8 +182,8 @@ fn main() {
             vec![
                 c.name.to_string(),
                 c.cycles.to_string(),
-                format!("{:.2}", c.naive_ms),
-                format!("{:.2}", c.fast_ms),
+                format!("{:.2} / {:.2}", c.naive_ms, c.naive_median_ms),
+                format!("{:.2} / {:.2}", c.fast_ms, c.fast_median_ms),
                 format!("{:.1}x", c.speedup()),
                 if c.identical { "yes" } else { "NO" }.to_string(),
                 format!(
@@ -176,8 +200,8 @@ fn main() {
         &[
             "workload",
             "sim cycles",
-            "naive ms",
-            "ff ms",
+            "naive ms min / med",
+            "ff ms min / med",
             "speedup",
             "bit-identical",
             "proc/total",

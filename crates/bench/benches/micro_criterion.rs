@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use virgo::{DesignKind, GpuConfig};
 use virgo_bench::{microbench, run};
-use virgo_isa::{ProgramBuilder, WarpOp};
+use virgo_isa::{AddrExpr, LaneAccess, ProgramBuilder, WarpOp};
 use virgo_kernels::GemmShape;
 use virgo_mem::{Cache, CacheConfig, SharedMemory, SmemConfig};
 use virgo_sim::Cycle;
@@ -52,9 +52,13 @@ fn bench_cache() -> microbench::Measurement {
 }
 
 fn bench_cursor() -> microbench::Measurement {
+    // One op of the body carries a streaming address, so the traversal
+    // includes resolving it at every execution.
+    let access = LaneAccess::contiguous_words(AddrExpr::streaming(0x1000, 32), 8);
     let mut builder = ProgramBuilder::new();
     builder.repeat(64, |b| {
         b.repeat(16, |b| {
+            b.op(WarpOp::LoadShared { access });
             b.op(WarpOp::Nop);
             b.op(WarpOp::Alu {
                 rf_reads: 2,

@@ -483,6 +483,20 @@ mod tests {
             classify("comparisons[1].skipped_cycles", &num),
             Rule::LowerWorse(0.001)
         );
+        // Host times, minima and medians alike, are informational: only the
+        // min-based `speedup` is gated.
+        for key in [
+            "naive_ms",
+            "fastforward_ms",
+            "naive_median_ms",
+            "fastforward_median_ms",
+        ] {
+            assert_eq!(
+                classify(&format!("comparisons[2].{key}"), &num),
+                Rule::Info,
+                "{key}"
+            );
+        }
         // More events than baseline fails; fewer passes.
         let (r, rows) = diff(r#"{"simt_events": 500}"#, r#"{"simt_events": 600}"#);
         assert_eq!(r, 1);

@@ -1,7 +1,7 @@
 //! One cluster of the machine: SIMT cores plus the cluster-level devices
 //! they share, executing against the machine-wide shared memory back-end.
 
-use virgo_gemmini::{GemminiCommand, GemminiUnit};
+use virgo_gemmini::GemminiUnit;
 use virgo_isa::{decode_remote_smem, DeviceId, Kernel, MmioCommand, WgmmaOp};
 use virgo_mem::{
     AccumulatorMemory, Coalescer, DmaEngine, DmaTransfer, DsmFabric, GlobalMemory, MemoryBackend,
@@ -266,7 +266,7 @@ impl ClusterDevices {
                 .sum::<u64>()
     }
 
-    fn submit_dma(&mut self, cmd: &virgo_isa::DmaCopyCmd, exec_count: u64) -> bool {
+    fn submit_dma(&mut self, cmd: &virgo_isa::DmaCopyCmd) -> bool {
         let Some(dma) = &mut self.dma else {
             // A design without a DMA engine silently drops the command; the
             // kernels generated for such designs never issue one.
@@ -274,9 +274,9 @@ impl ClusterDevices {
         };
         let transfer = DmaTransfer {
             src_region: cmd.src.region,
-            src_addr: cmd.src.addr.eval(exec_count),
+            src_addr: cmd.src.addr.resolved(),
             dst_region: cmd.dst.region,
-            dst_addr: cmd.dst.addr.eval(exec_count),
+            dst_addr: cmd.dst.addr.resolved(),
             bytes: cmd.bytes,
             tag: self.next_dma_tag,
         };
@@ -294,16 +294,11 @@ impl ClusterDevices {
         }
     }
 
-    fn submit_matrix(
-        &mut self,
-        unit: u8,
-        cmd: &virgo_isa::MatrixComputeCmd,
-        exec_count: u64,
-    ) -> bool {
+    fn submit_matrix(&mut self, unit: u8, cmd: &virgo_isa::MatrixComputeCmd) -> bool {
         let Some(target) = self.gemmini_units.get_mut(unit as usize) else {
             return true;
         };
-        if target.try_submit(GemminiCommand::resolve(cmd, exec_count)) {
+        if target.try_submit(*cmd) {
             self.async_outstanding += 1;
             self.stats.async_ops_launched += 1;
             true
@@ -394,11 +389,11 @@ impl ClusterPort for ClusterCtx<'_> {
             .and_then(|unit| unit.next_activity(now))
     }
 
-    fn try_wgmma(&mut self, _now: Cycle, core: u32, op: &WgmmaOp, exec_count: u64) -> bool {
+    fn try_wgmma(&mut self, _now: Cycle, core: u32, op: &WgmmaOp) -> bool {
         self.devices
             .decoupled_units
             .get_mut(core as usize)
-            .is_some_and(|unit| unit.try_enqueue(op, exec_count))
+            .is_some_and(|unit| unit.try_enqueue(op))
     }
 
     fn wgmma_pending(&self, core: u32) -> u32 {
@@ -408,21 +403,14 @@ impl ClusterPort for ClusterCtx<'_> {
             .map_or(0, OperandDecoupledUnit::pending)
     }
 
-    fn mmio_write(
-        &mut self,
-        _now: Cycle,
-        _core: u32,
-        device: DeviceId,
-        cmd: &MmioCommand,
-        exec_count: u64,
-    ) -> bool {
+    fn mmio_write(&mut self, _now: Cycle, _core: u32, device: DeviceId, cmd: &MmioCommand) -> bool {
         self.devices.stats.mmio_writes += 1;
         match (device, cmd) {
             (DeviceId::Dma(_), MmioCommand::DmaCopy(copy) | MmioCommand::DmaRemote(copy)) => {
-                self.devices.submit_dma(copy, exec_count)
+                self.devices.submit_dma(copy)
             }
             (DeviceId::MatrixUnit(idx), MmioCommand::MatrixCompute(compute)) => {
-                self.devices.submit_matrix(idx, compute, exec_count)
+                self.devices.submit_matrix(idx, compute)
             }
             // A mismatched command (e.g. a compute command written to the DMA
             // engine) is accepted and ignored, like a store to a reserved

@@ -10,13 +10,13 @@
 //!
 //! The SIMT cores program the unit through memory-mapped control registers
 //! ([`GemminiUnit::try_submit`]) and synchronize with it by polling a busy
-//! register (`virgo_fence` in the kernel API).
+//! register (`virgo_fence` in the kernel API). A submitted
+//! [`MatrixComputeCmd`](virgo_isa::MatrixComputeCmd) carries the operand
+//! addresses latched when its MMIO store issued.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod command;
 pub mod unit;
 
-pub use command::GemminiCommand;
 pub use unit::{GemminiConfig, GemminiStats, GemminiUnit};

@@ -1,9 +1,8 @@
 //! The Gemmini-derived systolic matrix unit and its coarse-grain FSM.
 
+use virgo_isa::MatrixComputeCmd;
 use virgo_mem::{AccumulatorMemory, SharedMemory};
 use virgo_sim::{BoundedQueue, Cycle, NextActivity, StableHash, StableHasher};
-
-use crate::command::GemminiCommand;
 
 /// Configuration of one disaggregated matrix unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +95,7 @@ pub struct GemminiStats {
 /// Execution state of the command currently in the FSM.
 #[derive(Debug, Clone, Copy)]
 struct ActiveCommand {
-    cmd: GemminiCommand,
+    cmd: MatrixComputeCmd,
     /// Column blocks of `dim` output columns.
     total_blocks: u32,
     /// Index of the column block currently streaming.
@@ -118,16 +117,16 @@ struct ActiveCommand {
 /// # Example
 ///
 /// ```
-/// use virgo_gemmini::{GemminiCommand, GemminiConfig, GemminiUnit};
-/// use virgo_isa::DataType;
+/// use virgo_gemmini::{GemminiConfig, GemminiUnit};
+/// use virgo_isa::{AddrExpr, DataType, MatrixComputeCmd};
 /// use virgo_mem::{AccumulatorMemory, SharedMemory, SmemConfig};
 /// use virgo_sim::Cycle;
 ///
 /// let mut unit = GemminiUnit::new(GemminiConfig::fp16_16x16());
 /// let mut smem = SharedMemory::new(SmemConfig::virgo_cluster());
 /// let mut acc = AccumulatorMemory::default_virgo();
-/// let cmd = GemminiCommand {
-///     a_addr: 0, b_addr: 0x10000, acc_addr: 0,
+/// let cmd = MatrixComputeCmd {
+///     a: AddrExpr::fixed(0), b: AddrExpr::fixed(0x10000), acc_addr: 0,
 ///     m: 32, n: 32, k: 32, accumulate: false, dtype: DataType::Fp16,
 /// };
 /// assert!(unit.try_submit(cmd));
@@ -141,7 +140,7 @@ struct ActiveCommand {
 #[derive(Debug, Clone)]
 pub struct GemminiUnit {
     config: GemminiConfig,
-    queue: BoundedQueue<GemminiCommand>,
+    queue: BoundedQueue<MatrixComputeCmd>,
     active: Option<ActiveCommand>,
     stats: GemminiStats,
 }
@@ -183,9 +182,11 @@ impl GemminiUnit {
         self.pending() > 0
     }
 
-    /// Attempts to latch a command into the MMIO command registers.
-    /// Returns `false` when the command queue is full.
-    pub fn try_submit(&mut self, cmd: GemminiCommand) -> bool {
+    /// Attempts to latch a command into the MMIO command registers. Its
+    /// operand addresses must be resolved ([`virgo_isa::AddrExpr::fixed`]
+    /// form), as the program cursor yields them. Returns `false` when the
+    /// command queue is full.
+    pub fn try_submit(&mut self, cmd: MatrixComputeCmd) -> bool {
         self.queue.push(cmd).is_ok()
     }
 
@@ -273,7 +274,7 @@ impl GemminiUnit {
     }
 
     /// Builds the execution schedule for a command latched at cycle `now`.
-    fn start_command(&self, cmd: GemminiCommand, now: Cycle) -> ActiveCommand {
+    fn start_command(&self, cmd: MatrixComputeCmd, now: Cycle) -> ActiveCommand {
         let dim = u64::from(self.config.dim);
         let total_blocks = cmd.n.div_ceil(self.config.dim).max(1);
         // Weight-stationary schedule: each column block holds `dim` output
@@ -334,9 +335,9 @@ impl GemminiUnit {
                 break;
             }
             let addr = if issued < b_block_bytes {
-                active.cmd.b_addr + u64::from(active.block) * b_block_bytes + issued
+                active.cmd.b.resolved() + u64::from(active.block) * b_block_bytes + issued
             } else {
-                active.cmd.a_addr + (issued - b_block_bytes) % active.cmd.a_bytes().max(1)
+                active.cmd.a.resolved() + (issued - b_block_bytes) % active.cmd.a_bytes().max(1)
             };
             smem.stream_read(Cycle::new(active.block_start + tick), addr, chunk);
             self.stats.smem_words_read += chunk.div_ceil(4);
@@ -390,7 +391,8 @@ impl NextActivity for GemminiUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virgo_isa::DataType;
+    use std::sync::Arc;
+    use virgo_isa::{AddrExpr, DataType, DeviceId, MmioCommand, ProgramBuilder, WarpOp};
     use virgo_mem::SmemConfig;
 
     fn setup() -> (GemminiUnit, SharedMemory, AccumulatorMemory) {
@@ -401,10 +403,10 @@ mod tests {
         )
     }
 
-    fn cmd(m: u32, n: u32, k: u32, accumulate: bool) -> GemminiCommand {
-        GemminiCommand {
-            a_addr: 0,
-            b_addr: 64 * 1024,
+    fn cmd(m: u32, n: u32, k: u32, accumulate: bool) -> MatrixComputeCmd {
+        MatrixComputeCmd {
+            a: AddrExpr::fixed(0),
+            b: AddrExpr::fixed(64 * 1024),
             acc_addr: 0,
             m,
             n,
@@ -442,6 +444,41 @@ mod tests {
         // well below 2x.
         assert!(cycles >= 4096, "too fast: {cycles}");
         assert!(cycles < 8192, "too slow: {cycles}");
+    }
+
+    #[test]
+    fn resolve_applies_execution_count() {
+        // A double-buffered compute command in a loop reaches the unit with
+        // the buffers of its iteration latched.
+        let cmd = MatrixComputeCmd {
+            a: AddrExpr::double_buffered(0, 0x8000),
+            b: AddrExpr::double_buffered(0x10000, 0x4000),
+            ..cmd(16, 16, 16, true)
+        };
+        let mut b = ProgramBuilder::new();
+        b.repeat(3, |b| {
+            b.op(WarpOp::MmioWrite {
+                device: DeviceId::MATRIX0,
+                cmd: MmioCommand::MatrixCompute(cmd),
+            });
+        });
+        let program = Arc::new(b.build());
+        let mut cursor = program.cursor();
+        let (mut unit, mut smem, mut acc) = setup();
+        let mut latched = Vec::new();
+        while let Some(WarpOp::MmioWrite { cmd, .. }) = cursor.next_op() {
+            let resolved = *cmd.as_matrix_compute().expect("compute command");
+            latched.push((resolved.a.resolved(), resolved.b.resolved()));
+            assert_eq!((resolved.m, resolved.accumulate), (16, true));
+            assert!(unit.try_submit(resolved));
+        }
+        run_to_idle(&mut unit, &mut smem, &mut acc, 100_000);
+        assert_eq!(unit.stats().commands, 3);
+        assert_eq!(
+            latched,
+            [(0, 0x10000), (0x8000, 0x14000), (0, 0x10000)],
+            "addresses alternate with the loop iteration"
+        );
     }
 
     #[test]
@@ -554,7 +591,7 @@ mod tests {
     /// batched FSM's closed-form schedule must reproduce this bit-for-bit.
     fn reference_run(
         config: &GemminiConfig,
-        cmds: &[GemminiCommand],
+        cmds: &[MatrixComputeCmd],
         smem: &mut SharedMemory,
         acc: &mut AccumulatorMemory,
     ) -> (GemminiStats, u64) {
@@ -575,9 +612,9 @@ mod tests {
                     if issued < block_bytes && issued < block_bytes * (j + 1) / block_cycles {
                         let chunk = config.smem_read_bytes.min(block_bytes - issued);
                         let addr = if issued < b_block_bytes {
-                            cmd.b_addr + u64::from(block) * b_block_bytes + issued
+                            cmd.b.resolved() + u64::from(block) * b_block_bytes + issued
                         } else {
-                            cmd.a_addr + (issued - b_block_bytes) % cmd.a_bytes().max(1)
+                            cmd.a.resolved() + (issued - b_block_bytes) % cmd.a_bytes().max(1)
                         };
                         smem.access_wide(Cycle::new(block_start + j), addr, chunk, false);
                         stats.smem_words_read += chunk.div_ceil(4);
@@ -623,9 +660,9 @@ mod tests {
             };
             let mut cmds = Vec::new();
             for _ in 0..=(splitmix64(&mut state) % 2) {
-                cmds.push(GemminiCommand {
-                    a_addr: 0,
-                    b_addr: 64 * 1024,
+                cmds.push(MatrixComputeCmd {
+                    a: AddrExpr::fixed(0),
+                    b: AddrExpr::fixed(64 * 1024),
                     acc_addr: 0,
                     m: (splitmix64(&mut state) % 40 + 1) as u32,
                     n: (splitmix64(&mut state) % 40 + 1) as u32,

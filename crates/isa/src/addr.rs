@@ -3,8 +3,8 @@
 //! Kernels are loop structured, so a single static instruction executes many
 //! times with different addresses (streaming over the K dimension, alternating
 //! double buffers, ...). [`AddrExpr`] captures the address as a function of
-//! the instruction's *execution count*, which the warp tracks per static
-//! instruction.
+//! the instruction's *execution index*, which the program cursor evaluates
+//! when it yields the op.
 
 use virgo_sim::{StableHash, StableHasher};
 
@@ -93,8 +93,8 @@ pub fn decode_remote_smem(addr: u64) -> Option<(u32, u64)> {
     Some((cluster, addr & REMOTE_OFFSET_MASK))
 }
 
-/// A byte address as a function of how many times the owning static
-/// instruction has already executed.
+/// A byte address as a function of the owning static instruction's
+/// execution index.
 ///
 /// The effective address for the `e`-th execution (`e` starting at 0) is:
 ///
@@ -106,12 +106,14 @@ pub fn decode_remote_smem(addr: u64) -> Option<(u32, u64)> {
 /// `modulo == 2` models double buffering in shared memory; `modulo == 0`
 /// models streaming over fresh global-memory tiles.
 ///
-/// The execution count belongs to one *static* op: every op a
-/// [`ProgramBuilder`](crate::ProgramBuilder) appends keeps its own counter.
-/// Two ops built from the same expression therefore both start at `base`
-/// and advance independently (they do not share a stream), an op inside a
-/// `repeat` advances across iterations, and unrolling a loop into static
-/// copies restarts the count in every copy.
+/// An op's `e`-th execution is its position in its enclosing loops: with
+/// trip counts `c1, c2, …` (outermost first) and iteration indices
+/// `i1, i2, …`, `e = (i1·c2 + i2)·c3 + …`, and an op outside every loop
+/// has `e = 0`. Unrolled copies are separate ops, and each starts at 0, so
+/// two ops built from the same expression both start at `base`.
+/// [`ProgramCursor::next_op`](crate::ProgramCursor::next_op) applies the
+/// rule: every op it yields carries [`AddrExpr::fixed`] addresses, which
+/// devices read with [`AddrExpr::resolved`].
 ///
 /// # Example
 ///
@@ -148,7 +150,7 @@ impl AddrExpr {
     }
 
     /// An address that advances by `stride` bytes on every execution of the
-    /// static op that holds it (each op holding a copy has its own count).
+    /// static op that holds it.
     pub const fn streaming(base: u64, stride: u64) -> Self {
         AddrExpr {
             base,
@@ -161,8 +163,8 @@ impl AddrExpr {
     /// offset`) on successive executions — the classic double-buffering
     /// pattern of software-pipelined GEMM kernels. The buffer alternates
     /// per execution of the static op that holds it, so two ops built from
-    /// one expression pick the same buffer only while their own execution
-    /// counts have the same parity.
+    /// one expression pick the same buffer only while their execution
+    /// indices have the same parity.
     pub const fn double_buffered(base: u64, offset: u64) -> Self {
         AddrExpr {
             base,
@@ -180,16 +182,28 @@ impl AddrExpr {
         }
     }
 
-    /// Evaluates the address for the `exec_count`-th execution of the
-    /// static instruction that holds it (starting at zero). The count is
-    /// per static op, never shared between ops.
-    pub fn eval(&self, exec_count: u64) -> u64 {
+    /// Evaluates the address for the `n`-th execution of the static
+    /// instruction that holds it (starting at zero).
+    pub fn eval(&self, n: u64) -> u64 {
         let idx = if self.modulo == 0 {
-            exec_count
+            n
         } else {
-            exec_count % u64::from(self.modulo)
+            n % u64::from(self.modulo)
         };
         self.base + idx * self.stride
+    }
+
+    /// The address of an expression already resolved to
+    /// [`AddrExpr::fixed`] form, as latched when its op issued.
+    ///
+    /// Debug builds assert the form, so a hand-built command that bypassed
+    /// the program cursor fails loudly.
+    pub fn resolved(&self) -> u64 {
+        debug_assert!(
+            self.stride == 0 && self.modulo == 0,
+            "address {self:?} was not resolved by the program cursor"
+        );
+        self.base
     }
 }
 
@@ -228,9 +242,11 @@ impl StableHash for LaneAccess {
 
 /// A per-lane SIMT memory access pattern.
 ///
-/// Each active lane `i` of the warp accesses
-/// `addr.eval(e) + i * lane_stride` for `bytes_per_lane` bytes, where `e` is
-/// the execution count of the static instruction.
+/// Each active lane `i` of the warp accesses `a + i * lane_stride` for
+/// `bytes_per_lane` bytes, where `a` is `addr.eval(e)` and `e` the op's
+/// execution index: its position in its enclosing loops (unrolled copies
+/// are separate ops, and each starts at 0). The program cursor resolves
+/// `addr` before the op issues, so the lane methods read it fixed.
 ///
 /// # Example
 ///
@@ -240,13 +256,13 @@ impl StableHash for LaneAccess {
 /// // 8 lanes each loading a consecutive 4-byte word: a fully coalescable
 /// // 32-byte access.
 /// let a = LaneAccess::contiguous_words(AddrExpr::fixed(0x100), 8);
-/// assert_eq!(a.lane_addr(0, 0), 0x100);
-/// assert_eq!(a.lane_addr(7, 0), 0x100 + 28);
+/// assert_eq!(a.lane_addr(0), 0x100);
+/// assert_eq!(a.lane_addr(7), 0x100 + 28);
 /// assert_eq!(a.total_bytes(), 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneAccess {
-    /// Address of lane 0 as a function of execution count.
+    /// Address of lane 0 as a function of the execution index.
     pub addr: AddrExpr,
     /// Byte distance between consecutive lanes.
     pub lane_stride: u32,
@@ -278,16 +294,15 @@ impl LaneAccess {
         }
     }
 
-    /// Byte address accessed by `lane` on the `exec_count`-th execution.
-    pub fn lane_addr(&self, lane: u32, exec_count: u64) -> u64 {
-        self.addr.eval(exec_count) + u64::from(lane) * u64::from(self.lane_stride)
+    /// Byte address accessed by `lane` of a resolved access.
+    pub fn lane_addr(&self, lane: u32) -> u64 {
+        self.addr.resolved() + u64::from(lane) * u64::from(self.lane_stride)
     }
 
-    /// Byte addresses of every active lane, in lane order, on the
-    /// `exec_count`-th execution: [`LaneAccess::lane_addr`] for each lane,
-    /// with the address expression evaluated once.
-    pub fn lane_addrs(&self, exec_count: u64) -> impl Iterator<Item = u64> {
-        let base = self.addr.eval(exec_count);
+    /// Byte addresses of every active lane of a resolved access, in lane
+    /// order: [`LaneAccess::lane_addr`] for each lane.
+    pub fn lane_addrs(&self) -> impl Iterator<Item = u64> {
+        let base = self.addr.resolved();
         let stride = u64::from(self.lane_stride);
         (0..u64::from(self.active_lanes)).map(move |lane| base + lane * stride)
     }
@@ -352,14 +367,14 @@ mod tests {
         let a = LaneAccess::contiguous_words(AddrExpr::fixed(0), 8);
         assert!(a.is_coalescable());
         assert_eq!(a.total_bytes(), 32);
-        assert_eq!(a.lane_addr(3, 0), 12);
+        assert_eq!(a.lane_addr(3), 12);
     }
 
     #[test]
     fn strided_lane_access_is_not_coalescable() {
         let a = LaneAccess::strided(AddrExpr::fixed(0), 128, 4, 8);
         assert!(!a.is_coalescable());
-        assert_eq!(a.lane_addr(2, 0), 256);
+        assert_eq!(a.lane_addr(2), 256);
         assert_eq!(a.total_bytes(), 32);
     }
 
@@ -370,12 +385,20 @@ mod tests {
             AddrExpr::streaming(0x1000, 256),
             AddrExpr::rotating(0x80, 0x400, 3),
         ] {
-            let a = LaneAccess::strided(expr, 12, 4, 8);
             for e in 0..7 {
-                let each: Vec<u64> = (0..8).map(|lane| a.lane_addr(lane, e)).collect();
-                assert_eq!(a.lane_addrs(e).collect::<Vec<_>>(), each);
+                let a = LaneAccess::strided(AddrExpr::fixed(expr.eval(e)), 12, 4, 8);
+                let each: Vec<u64> = (0..8).map(|lane| a.lane_addr(lane)).collect();
+                assert_eq!(a.lane_addrs().collect::<Vec<_>>(), each);
+                assert_eq!(each[0], expr.eval(e));
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not resolved")]
+    fn unresolved_address_is_rejected_in_debug_builds() {
+        let _ = AddrExpr::streaming(0x1000, 256).resolved();
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! A small DSL for constructing loop-structured warp programs.
 
-use crate::op::{OpId, WarpOp};
+use crate::op::WarpOp;
 use crate::program::{Program, Step};
 
 /// Builder for [`Program`]s.
-///
-/// The builder assigns dense [`OpId`]s in construction order, which warps use
-/// to index their per-instruction execution counters.
 ///
 /// # Example
 ///
@@ -20,14 +17,12 @@ use crate::program::{Program, Step};
 ///     b.op(WarpOp::Barrier { id: 0 });
 /// });
 /// let p = b.build();
-/// assert_eq!(p.static_len(), 3);
 /// assert_eq!(p.dynamic_len(), 1 + 16 * 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     /// The program's steps so far, loops bracketed by `Loop`/`End`.
     steps: Vec<Step>,
-    next_id: u32,
 }
 
 impl ProgramBuilder {
@@ -38,19 +33,20 @@ impl ProgramBuilder {
 
     /// Appends a single operation to the current scope.
     ///
-    /// The op is a new static instruction with its own execution counter,
-    /// which drives its [`AddrExpr`](crate::AddrExpr)s: appending the same
-    /// op twice gives two counters that both start at zero, and an op inside
-    /// a [`repeat`](Self::repeat) counts across the loop's iterations.
+    /// The op is a new static instruction. Its [`AddrExpr`](crate::AddrExpr)s
+    /// are evaluated at its execution index: the op's n-th execution is its
+    /// position in its enclosing loops, so an op inside a
+    /// [`repeat`](Self::repeat) advances across the loop's iterations.
+    /// Unrolled copies are separate ops, and each starts at 0: appending the
+    /// same op twice gives two ops that both start at `base`.
     pub fn op(&mut self, op: WarpOp) -> &mut Self {
-        let id = OpId(self.next_id);
-        self.next_id += 1;
-        self.steps.push(Step::Op(id, op));
+        self.steps.push(Step::Op(op));
         self
     }
 
-    /// Appends `n` copies of the same operation (as distinct static
-    /// instructions, so each keeps its own execution counter).
+    /// Appends `n` copies of the same operation as distinct static
+    /// instructions: an op's n-th execution is its position in its
+    /// enclosing loops, and each unrolled copy starts at 0.
     pub fn op_n(&mut self, n: u32, op: WarpOp) -> &mut Self {
         for _ in 0..n {
             self.op(op);
@@ -79,12 +75,7 @@ impl ProgramBuilder {
 
     /// Finishes the program.
     pub fn build(self) -> Program {
-        Program::from_steps(self.steps, self.next_id)
-    }
-
-    /// Number of static operations added so far.
-    pub fn static_len(&self) -> u32 {
-        self.next_id
+        Program::from_steps(self.steps)
     }
 
     /// Index the next pushed step will get.
@@ -96,6 +87,9 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::{AddrExpr, LaneAccess};
+    use std::sync::Arc;
+    use virgo_sim::{StableHash, StableHasher};
 
     #[test]
     fn builder_assigns_dense_ids() {
@@ -104,18 +98,41 @@ mod tests {
         b.repeat(2, |b| {
             b.op(WarpOp::Nop);
         });
-        assert_eq!(b.static_len(), 3);
-        let p = b.build();
-        assert_eq!(p.static_len(), 3);
+        let mut h = StableHasher::new();
+        b.build().stable_hash(&mut h);
+        // The digest layout: the op count, the step count, then each step,
+        // ops carrying their ordinal in construction order.
+        let mut expected = StableHasher::new();
+        for word in [3, 5, 0, 0] {
+            expected.write_u64(word);
+        }
+        WarpOp::Nop.stable_hash(&mut expected);
+        expected.write_u64(0);
+        expected.write_u64(1);
+        WarpOp::Nop.stable_hash(&mut expected);
+        for word in [1, 2, 0, 2] {
+            expected.write_u64(word);
+        }
+        WarpOp::Nop.stable_hash(&mut expected);
+        expected.write_u64(2);
+        assert_eq!(h.finish128(), expected.finish128());
     }
 
     #[test]
     fn op_n_adds_distinct_static_ops() {
+        let access = LaneAccess::contiguous_words(AddrExpr::streaming(0x40, 0x100), 8);
         let mut b = ProgramBuilder::new();
-        b.op_n(5, WarpOp::Nop);
-        let p = b.build();
-        assert_eq!(p.static_len(), 5);
+        b.op_n(5, WarpOp::LoadShared { access });
+        let p = Arc::new(b.build());
         assert_eq!(p.dynamic_len(), 5);
+        // Each copy is its own op, at its first execution.
+        let mut cursor = p.cursor();
+        while let Some(op) = cursor.next_op() {
+            let WarpOp::LoadShared { access } = op else {
+                panic!("{op:?}");
+            };
+            assert_eq!(access.addr, AddrExpr::fixed(0x40));
+        }
     }
 
     #[test]
@@ -128,14 +145,13 @@ mod tests {
             b.op(WarpOp::WaitLoads);
         });
         let p = b.build();
-        assert_eq!(p.static_len(), 2);
         assert_eq!(p.dynamic_len(), 4 * (3 + 1));
     }
 
     #[test]
     fn empty_builder_builds_empty_program() {
         let p = ProgramBuilder::new().build();
-        assert_eq!(p.static_len(), 0);
         assert_eq!(p.dynamic_len(), 0);
+        assert_eq!(p, crate::Program::empty());
     }
 }

@@ -49,5 +49,5 @@ pub use addr::{
 pub use builder::ProgramBuilder;
 pub use kernel::{DataType, GridPartition, Kernel, KernelInfo, PartitionStrategy, WarpAssignment};
 pub use mmio::{DeviceId, DmaCopyCmd, MatrixComputeCmd, MemLoc, MmioCommand, WgmmaOp};
-pub use op::{OpId, WarpOp};
+pub use op::WarpOp;
 pub use program::{Program, ProgramCursor};

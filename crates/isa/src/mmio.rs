@@ -5,6 +5,12 @@
 //! interconnect. The SIMT core programs both the disaggregated matrix unit and
 //! the cluster DMA engine by issuing ordinary stores to this MMIO region; the
 //! types below are the decoded form of those stores.
+//!
+//! In a program a command's addresses are [`AddrExpr`]s over its op's
+//! execution index. The program cursor evaluates them when it yields the
+//! op, so the devices receive commands whose addresses were latched at
+//! issue, in [`AddrExpr::fixed`] form, and read them with
+//! [`AddrExpr::resolved`].
 
 use virgo_sim::{StableHash, StableHasher};
 
@@ -34,7 +40,7 @@ pub struct MemLoc {
     /// Which memory the transfer endpoint lives in.
     pub region: MemRegion,
     /// Byte address of the endpoint, as a function of the issuing
-    /// instruction's execution count.
+    /// instruction's execution index.
     pub addr: AddrExpr,
 }
 
@@ -140,10 +146,14 @@ impl MatrixComputeCmd {
         u64::from(self.m) * u64::from(self.n) * u64::from(self.k)
     }
 
-    /// Bytes of operand data read from shared memory (A and B tiles).
-    pub fn operand_bytes(&self) -> u64 {
-        let elem = self.dtype.bytes() as u64;
-        (u64::from(self.m) * u64::from(self.k) + u64::from(self.k) * u64::from(self.n)) * elem
+    /// Bytes of the A operand tile (row-major `m × k`).
+    pub fn a_bytes(&self) -> u64 {
+        u64::from(self.m) * u64::from(self.k) * u64::from(self.dtype.bytes())
+    }
+
+    /// Bytes of the B operand tile (row-major `k × n`).
+    pub fn b_bytes(&self) -> u64 {
+        u64::from(self.k) * u64::from(self.n) * u64::from(self.dtype.bytes())
     }
 
     /// Bytes of accumulator data produced (the output tile, 4-byte
@@ -303,9 +313,8 @@ impl StableHash for MmioCommand {
 mod tests {
     use super::*;
 
-    #[test]
-    fn matrix_compute_counts() {
-        let cmd = MatrixComputeCmd {
+    fn tile_cmd() -> MatrixComputeCmd {
+        MatrixComputeCmd {
             a: AddrExpr::fixed(0),
             b: AddrExpr::fixed(0x8000),
             acc_addr: 0,
@@ -314,10 +323,27 @@ mod tests {
             k: 128,
             accumulate: true,
             dtype: DataType::Fp16,
-        };
+        }
+    }
+
+    #[test]
+    fn matrix_compute_counts() {
+        let cmd = tile_cmd();
         assert_eq!(cmd.mac_ops(), 128 * 64 * 128);
-        assert_eq!(cmd.operand_bytes(), (128 * 128 + 128 * 64) * 2);
+        assert_eq!(cmd.a_bytes() + cmd.b_bytes(), (128 * 128 + 128 * 64) * 2);
         assert_eq!(cmd.accumulator_bytes(), 128 * 64 * 4);
+    }
+
+    #[test]
+    fn byte_counts_match_tile_geometry() {
+        let cmd = tile_cmd();
+        assert_eq!(cmd.a_bytes(), 128 * 128 * 2);
+        assert_eq!(cmd.b_bytes(), 128 * 64 * 2);
+        let fp32 = MatrixComputeCmd {
+            dtype: DataType::Fp32,
+            ..cmd
+        };
+        assert_eq!(fp32.a_bytes() + fp32.b_bytes(), (128 * 128 + 128 * 64) * 4);
     }
 
     #[test]

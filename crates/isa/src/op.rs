@@ -5,20 +5,6 @@ use virgo_sim::{StableHash, StableHasher};
 use crate::addr::LaneAccess;
 use crate::mmio::{DeviceId, MmioCommand, WgmmaOp};
 
-/// Index of a static instruction within its [`Program`](crate::Program).
-///
-/// Warps use this to keep per-instruction execution counters (needed to
-/// evaluate [`AddrExpr`](crate::AddrExpr)s) without hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OpId(pub u32);
-
-impl OpId {
-    /// Returns the id as a `usize` index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A warp-level operation.
 ///
 /// Register-file traffic is described by *counts* of 32-bit register reads and
@@ -190,12 +176,6 @@ impl WarpOp {
             WarpOp::Barrier { .. } => "vx.bar",
             WarpOp::Nop => "nop",
         }
-    }
-}
-
-impl StableHash for OpId {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(u64::from(self.0));
     }
 }
 

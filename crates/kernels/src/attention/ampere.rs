@@ -217,7 +217,7 @@ mod tests {
         let mut macs = 0u64;
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::HmmaStep { macs: m, .. } = op {
                     macs += u64::from(m);
                 }
@@ -240,7 +240,7 @@ mod tests {
         let kernel = build(&config, AttentionShape::paper_default());
         let mut cursor = kernel.warps[3].program.cursor();
         let (mut hmma, mut fpu) = (0u64, 0u64);
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             match op {
                 WarpOp::HmmaStep { .. } => hmma += 1,
                 WarpOp::Fpu { .. } => fpu += 1,

@@ -285,7 +285,7 @@ mod tests {
         let mut macs = 0u64;
         for warp in kernel.warps.iter().filter(|w| w.warp == 0 && w.core == 0) {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::MmioWrite { cmd, .. } = op {
                     if let Some(c) = cmd.as_matrix_compute() {
                         macs += c.mac_ops();
@@ -303,7 +303,7 @@ mod tests {
             let mut kv_loads = 0;
             let mut remote_pushes = 0;
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::MmioWrite { cmd, .. } = op {
                     match cmd {
                         MmioCommand::DmaCopy(copy) => {
@@ -343,7 +343,7 @@ mod tests {
             let mut kv_loads = 0u64;
             let mut remote_pushes = 0u64;
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::MmioWrite { cmd, .. } = op {
                     match cmd {
                         MmioCommand::DmaCopy(copy) => {

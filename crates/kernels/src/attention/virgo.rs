@@ -215,7 +215,7 @@ mod tests {
         let kernel = build(&GpuConfig::virgo().to_fp32(), shape);
         let mut macs = 0u64;
         let mut cursor = kernel.warps[0].program.cursor();
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             if let WarpOp::MmioWrite {
                 device: DeviceId::MatrixUnit(_),
                 cmd,
@@ -237,7 +237,7 @@ mod tests {
         );
         let mut cursor = kernel.warps[10].program.cursor();
         let mut fpu = 0u64;
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             if matches!(op, WarpOp::Fpu { .. }) {
                 fpu += 1;
             }

@@ -244,7 +244,7 @@ mod tests {
         let program = &kernel.warps[5].program;
         let mut cursor = program.cursor();
         let (mut global_loads, mut hmma, mut dma) = (0u64, 0u64, 0u64);
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             match op {
                 WarpOp::LoadGlobal { .. } => global_loads += 1,
                 WarpOp::HmmaStep { .. } => hmma += 1,
@@ -265,7 +265,7 @@ mod tests {
         let count = |program: &Arc<virgo_isa::Program>, pred: fn(&WarpOp) -> bool| {
             let mut cursor = program.cursor();
             let mut n = 0u64;
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if pred(&op) {
                     n += 1;
                 }
@@ -288,7 +288,7 @@ mod tests {
         let mut total_macs = 0u64;
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::HmmaStep { macs, .. } = op {
                     total_macs += u64::from(macs);
                 }

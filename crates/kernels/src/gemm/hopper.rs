@@ -166,7 +166,7 @@ mod tests {
         let mut total = 0u64;
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::WgmmaInit(op) = op {
                     total += op.mac_ops();
                 }
@@ -180,7 +180,7 @@ mod tests {
         let kernel = build(&GpuConfig::hopper_style(), GemmShape::square(256));
         let has_dma = |i: usize| {
             let mut cursor = kernel.warps[i].program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if matches!(op, WarpOp::MmioWrite { .. }) {
                     return true;
                 }

@@ -409,7 +409,7 @@ mod tests {
             .expect("cluster 1 exists");
         let mut remote = 0;
         let mut cursor = producer.program.cursor();
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             if let WarpOp::MmioWrite {
                 cmd: MmioCommand::DmaRemote(copy),
                 ..
@@ -428,7 +428,7 @@ mod tests {
         let kernel = build(&GpuConfig::virgo().with_clusters(4), shape());
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 assert!(
                     !matches!(
                         op,
@@ -498,7 +498,7 @@ mod tests {
                 .expect("orchestrator exists");
             let mut destinations = Vec::new();
             let mut cursor = orch.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::MmioWrite {
                     cmd: MmioCommand::DmaRemote(copy),
                     ..
@@ -535,7 +535,7 @@ mod tests {
         );
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 assert!(
                     !matches!(
                         op,

@@ -178,10 +178,10 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
 
         // The operand tiles stream through this cluster's partition of global
         // memory and ping-pong between two shared-memory buffers. The
-        // pipeline's three DMA sites stream from the same base, each with its
-        // own execution counter, so a tile's prologue fetch and first
-        // prefetch read the same global address (the second one hits in L2)
-        // rather than distinct K-tiles.
+        // pipeline's three DMA sites stream from the same base, each at its
+        // own position in its enclosing loops, so a tile's prologue fetch
+        // and first prefetch read the same global address (the second one
+        // hits in L2) rather than distinct K-tiles.
         let operands = Operands::streaming(GLOBAL_A + base, GLOBAL_B + base, dtype);
         let mut orch = ProgramBuilder::new();
         orch.repeat(cluster_tiles, |b| {
@@ -247,7 +247,7 @@ mod tests {
         // Count MMIO matrix commands in the dynamic stream.
         let mut cursor = orchestrator.cursor();
         let mut count = 0;
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             if let WarpOp::MmioWrite {
                 device: DeviceId::MatrixUnit(_),
                 ..

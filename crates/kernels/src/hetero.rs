@@ -174,7 +174,7 @@ mod tests {
         let mut devices = Vec::new();
         for warp in &kernel.warps {
             let mut cursor = warp.program.cursor();
-            while let Some((_, op)) = cursor.next_op() {
+            while let Some(op) = cursor.next_op() {
                 if let WarpOp::MmioWrite {
                     device: DeviceId::MatrixUnit(i),
                     ..

@@ -131,12 +131,13 @@ pub(crate) fn place_warps(
 /// A loop over work items (output tiles, column blocks) as a generator
 /// emits it.
 ///
-/// Every static op keeps its own execution counter, and address
-/// expressions advance per execution of *that* op, so the loop shape is
-/// part of the program: a `Repeat` body is emitted once and its addresses
-/// advance across items, while `Unrolled` emits one static copy per item
-/// (each copy's counters start at zero) so each item can carry its own
-/// role and addresses.
+/// Address expressions are evaluated at an op's execution index: its n-th
+/// execution is its position in its enclosing loops, and unrolled copies
+/// are separate ops, each starting at 0. So the loop shape is part of the
+/// program: a `Repeat` body is emitted once and its addresses advance
+/// across items, while `Unrolled` emits one static copy per item (each
+/// copy at its first execution) so each item can carry its own role and
+/// addresses.
 #[derive(Debug)]
 pub(crate) enum Steps<T> {
     /// The same item `count` times, as one `repeat`.

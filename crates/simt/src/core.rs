@@ -246,12 +246,10 @@ impl SimtCore {
                         // Structural-hazard refinement: an HMMA step retrying
                         // against a busy tightly-coupled unit does nothing
                         // observable until the unit frees.
-                        Some((_, WarpOp::HmmaStep { .. })) => {
-                            match port.hmma_busy_until(now, core_id) {
-                                Some(t) if t > now => next = earliest(next, Some(t)),
-                                _ => return Some(now),
-                            }
-                        }
+                        Some(WarpOp::HmmaStep { .. }) => match port.hmma_busy_until(now, core_id) {
+                            Some(t) if t > now => next = earliest(next, Some(t)),
+                            _ => return Some(now),
+                        },
                         Some(_) => return Some(now),
                         None => {}
                     }
@@ -409,7 +407,7 @@ impl SimtCore {
                 }
                 continue;
             }
-            let Some((op_id, op)) = self.warps[current].peek() else {
+            let Some(op) = self.warps[current].peek() else {
                 // Program drained but loads still in flight: the warp can
                 // only finish (and flip the stall classification) when they
                 // retire.
@@ -418,7 +416,6 @@ impl SimtCore {
                 }
                 continue;
             };
-            let exec_count = self.warps[current].exec_count(op_id);
 
             match op {
                 // Synchronization pseudo-operations: resolved without
@@ -505,8 +502,7 @@ impl SimtCore {
                     } else {
                         lsu_slots -= 1;
                         let shared = matches!(op, WarpOp::LoadShared { .. });
-                        let done =
-                            self.memory_access(now, port, &access, exec_count, shared, false);
+                        let done = self.memory_access(now, port, &access, shared, false);
                         self.warps[current].push_load(done);
                         self.stats.lsu_lane_ops += u64::from(access.active_lanes);
                         true
@@ -518,7 +514,7 @@ impl SimtCore {
                     } else {
                         lsu_slots -= 1;
                         let shared = matches!(op, WarpOp::StoreShared { .. });
-                        let _ = self.memory_access(now, port, &access, exec_count, shared, true);
+                        let _ = self.memory_access(now, port, &access, shared, true);
                         self.stats.lsu_lane_ops += u64::from(access.active_lanes);
                         true
                     }
@@ -532,7 +528,7 @@ impl SimtCore {
                     }
                 }
                 WarpOp::WgmmaInit(wgmma) => {
-                    if port.try_wgmma(now, self.core_id, &wgmma, exec_count) {
+                    if port.try_wgmma(now, self.core_id, &wgmma) {
                         self.stats.wgmma_ops += 1;
                         true
                     } else {
@@ -540,7 +536,7 @@ impl SimtCore {
                     }
                 }
                 WarpOp::MmioWrite { device, cmd } => {
-                    if port.mmio_write(now, self.core_id, device, &cmd, exec_count) {
+                    if port.mmio_write(now, self.core_id, device, &cmd) {
                         self.stats.mmio_writes += 1;
                         true
                     } else {
@@ -593,13 +589,12 @@ impl SimtCore {
         now: Cycle,
         port: &mut dyn ClusterPort,
         access: &LaneAccess,
-        exec_count: u64,
         shared: bool,
         write: bool,
     ) -> Cycle {
         let mut lane_addrs = std::mem::take(&mut self.lane_scratch);
         lane_addrs.clear();
-        lane_addrs.extend(access.lane_addrs(exec_count));
+        lane_addrs.extend(access.lane_addrs());
         let done = if shared {
             port.shared_access(now, self.core_id, &lane_addrs, write)
         } else {
@@ -623,7 +618,7 @@ impl SimtCore {
         outcome: &mut TickOutcome,
     ) {
         match self.warps[current].peek() {
-            Some((_, WarpOp::HmmaStep { .. })) => match port.hmma_busy_until(now, self.core_id) {
+            Some(WarpOp::HmmaStep { .. }) => match port.hmma_busy_until(now, self.core_id) {
                 Some(t) if t > now => outcome.fold_horizon(t),
                 _ => outcome.retry_next = true,
             },
@@ -704,7 +699,7 @@ mod tests {
         fn hmma_busy_until(&self, _now: Cycle, _core: u32) -> Option<Cycle> {
             self.hmma_free_at
         }
-        fn try_wgmma(&mut self, _now: Cycle, _core: u32, _op: &WgmmaOp, _exec: u64) -> bool {
+        fn try_wgmma(&mut self, _now: Cycle, _core: u32, _op: &WgmmaOp) -> bool {
             self.wgmma_calls += 1;
             true
         }
@@ -717,7 +712,6 @@ mod tests {
             _core: u32,
             _device: DeviceId,
             _cmd: &MmioCommand,
-            _exec: u64,
         ) -> bool {
             self.mmio_calls += 1;
             true

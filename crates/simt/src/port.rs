@@ -12,6 +12,8 @@ use virgo_sim::Cycle;
 /// synchronizer.
 ///
 /// Every method takes the current cycle so the callee can model occupancy.
+/// Commands and accesses arrive with their addresses already resolved by
+/// the issuing warp's program cursor (latched at issue).
 pub trait ClusterPort {
     /// Serves one warp shared-memory access (4 bytes per lane); returns the
     /// completion cycle.
@@ -47,24 +49,16 @@ pub trait ClusterPort {
     fn hmma_busy_until(&self, now: Cycle, core: u32) -> Option<Cycle>;
 
     /// Attempts to enqueue a Hopper-style asynchronous `wgmma` operation on
-    /// `core`'s operand-decoupled tensor unit. `exec_count` is the issuing
-    /// instruction's execution count, used to evaluate tile addresses.
-    /// Returns `false` when the unit's queue is full.
-    fn try_wgmma(&mut self, now: Cycle, core: u32, op: &WgmmaOp, exec_count: u64) -> bool;
+    /// `core`'s operand-decoupled tensor unit. Returns `false` when the
+    /// unit's queue is full.
+    fn try_wgmma(&mut self, now: Cycle, core: u32, op: &WgmmaOp) -> bool;
 
     /// Number of `wgmma` operations still outstanding on `core`'s unit.
     fn wgmma_pending(&self, core: u32) -> u32;
 
     /// Writes an MMIO command to a cluster device (matrix unit or DMA).
     /// Returns `false` when the device cannot accept the command this cycle.
-    fn mmio_write(
-        &mut self,
-        now: Cycle,
-        core: u32,
-        device: DeviceId,
-        cmd: &MmioCommand,
-        exec_count: u64,
-    ) -> bool;
+    fn mmio_write(&mut self, now: Cycle, core: u32, device: DeviceId, cmd: &MmioCommand) -> bool;
 
     /// Number of asynchronous cluster operations (DMA transfers and
     /// disaggregated matrix operations) issued by the thread block that have

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use virgo_isa::{OpId, Program, ProgramCursor, WarpOp};
+use virgo_isa::{Program, ProgramCursor, WarpOp};
 use virgo_sim::Cycle;
 
 /// `WarpContext::earliest_load` while no load is in flight.
@@ -35,10 +35,9 @@ pub struct WarpContext {
     /// Cluster-unique warp id (used for barrier arrival bookkeeping).
     pub global_id: u32,
     cursor: ProgramCursor,
-    /// Per-static-instruction execution counts, indexed by [`OpId`].
-    exec_counts: Vec<u64>,
-    /// The next operation to issue, if already fetched from the cursor.
-    pending: Option<(OpId, WarpOp)>,
+    /// The next operation to issue, if already fetched from the cursor
+    /// (its addresses already resolved).
+    pending: Option<WarpOp>,
     /// Completion cycles of outstanding loads.
     outstanding_loads: Vec<Cycle>,
     /// Minimum of `outstanding_loads` (`NO_LOAD` when empty), so the
@@ -56,7 +55,6 @@ impl WarpContext {
         WarpContext {
             global_id,
             cursor: program.cursor(),
-            exec_counts: vec![0; program.static_len() as usize],
             pending: None,
             outstanding_loads: Vec::new(),
             earliest_load: NO_LOAD,
@@ -67,32 +65,25 @@ impl WarpContext {
 
     /// Returns the next operation to issue without consuming it, fetching
     /// from the program cursor if necessary.
-    pub fn peek(&mut self) -> Option<(OpId, WarpOp)> {
+    pub fn peek(&mut self) -> Option<WarpOp> {
         if self.pending.is_none() {
             self.pending = self.cursor.next_op();
         }
         self.pending
     }
 
-    /// Consumes the pending operation (after it has issued or been resolved)
-    /// and increments its execution counter.
+    /// Consumes the pending operation (after it has issued or been
+    /// resolved).
     ///
     /// # Panics
     ///
     /// Panics if there is no pending operation.
-    pub fn consume(&mut self) -> (OpId, WarpOp) {
-        let (id, op) = self.pending.take().expect("consume without pending op");
-        self.exec_counts[id.index()] += 1;
+    pub fn consume(&mut self) -> WarpOp {
+        let op = self.pending.take().expect("consume without pending op");
         // Eagerly prefetch the next operation so that `is_finished` reflects
         // the program end as soon as the last instruction retires.
         self.pending = self.cursor.next_op();
-        (id, op)
-    }
-
-    /// Execution count of the pending operation (how many times it has
-    /// already executed), used to evaluate address expressions.
-    pub fn exec_count(&self, id: OpId) -> u64 {
-        self.exec_counts[id.index()]
+        op
     }
 
     /// Registers an outstanding load completing at `done`.
@@ -204,7 +195,7 @@ impl WarpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virgo_isa::ProgramBuilder;
+    use virgo_isa::{AddrExpr, LaneAccess, ProgramBuilder};
     use virgo_sim::SplitMix64;
 
     fn warp_with(ops: u32) -> WarpContext {
@@ -225,15 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn exec_counts_increment_per_consume() {
+    fn addresses_advance_per_consume() {
+        let access = LaneAccess::contiguous_words(AddrExpr::double_buffered(0x100, 0x800), 8);
         let mut b = ProgramBuilder::new();
         b.repeat(3, |b| {
-            b.op(WarpOp::Nop);
+            b.op(WarpOp::StoreShared { access });
         });
         let mut w = WarpContext::new(0, &Arc::new(b.build()));
-        for expected in 0..3 {
-            let (id, _) = w.peek().unwrap();
-            assert_eq!(w.exec_count(id), expected);
+        for expected in [0x100, 0x900, 0x100] {
+            let Some(WarpOp::StoreShared { access }) = w.peek() else {
+                panic!("expected the pending store");
+            };
+            // Peeking again does not advance the address.
+            assert_eq!(w.peek(), Some(WarpOp::StoreShared { access }));
+            assert_eq!(access.addr, AddrExpr::fixed(expected));
             w.consume();
         }
         assert!(w.is_finished());

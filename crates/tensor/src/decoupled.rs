@@ -122,21 +122,13 @@ impl OperandDecoupledUnit {
         (self.queue.len() + usize::from(self.active.is_some())) as u32
     }
 
-    /// Attempts to enqueue an asynchronous operation. `exec_count` is the
-    /// issuing instruction's execution count, used to evaluate the tile
-    /// addresses.
+    /// Attempts to enqueue an asynchronous operation whose tile addresses
+    /// were latched at issue ([`virgo_isa::AddrExpr::fixed`] form, as the
+    /// program cursor yields them).
     ///
     /// Returns `false` when the operation queue is full.
-    pub fn try_enqueue(&mut self, op: &WgmmaOp, exec_count: u64) -> bool {
-        // Resolve the double-buffered addresses now, when the instruction
-        // issues, exactly as the hardware would latch them into the command
-        // registers.
-        let resolved = WgmmaOp {
-            a: virgo_isa::AddrExpr::fixed(op.a.eval(exec_count)),
-            b: virgo_isa::AddrExpr::fixed(op.b.eval(exec_count)),
-            ..*op
-        };
-        self.queue.push(resolved).is_ok()
+    pub fn try_enqueue(&mut self, op: &WgmmaOp) -> bool {
+        self.queue.push(*op).is_ok()
     }
 
     /// Advances the unit by one cycle, issuing shared-memory reads for the
@@ -194,7 +186,7 @@ impl OperandDecoupledUnit {
         let a_bytes = u64::from(op.m) * u64::from(op.k) * u64::from(op.dtype.bytes());
         let b_bytes = u64::from(op.k) * u64::from(op.n) * u64::from(op.dtype.bytes());
         let mut ready = now;
-        for (base, bytes) in [(op.a.eval(0), a_bytes), (op.b.eval(0), b_bytes)] {
+        for (base, bytes) in [(op.a.resolved(), a_bytes), (op.b.resolved(), b_bytes)] {
             let mut offset = 0;
             while offset < bytes {
                 let chunk = (bytes - offset).min(self.config.smem_read_bytes);
@@ -248,7 +240,8 @@ impl NextActivity for OperandDecoupledUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virgo_isa::{AddrExpr, DataType};
+    use std::sync::Arc;
+    use virgo_isa::{AddrExpr, DataType, ProgramBuilder, WarpOp};
     use virgo_mem::SmemConfig;
 
     fn wgmma(m: u32, n: u32, k: u32) -> WgmmaOp {
@@ -276,7 +269,7 @@ mod tests {
     fn operation_completes_and_counts_macs() {
         let mut unit = OperandDecoupledUnit::new(DecoupledConfig::default());
         let mut smem = SharedMemory::new(SmemConfig::default_cluster());
-        assert!(unit.try_enqueue(&wgmma(16, 16, 32), 0));
+        assert!(unit.try_enqueue(&wgmma(16, 16, 32)));
         assert_eq!(unit.pending(), 1);
         let cycles = run_until_idle(&mut unit, &mut smem, 10_000);
         assert_eq!(unit.stats().ops, 1);
@@ -290,7 +283,7 @@ mod tests {
     fn accumulator_traffic_hits_register_file() {
         let mut unit = OperandDecoupledUnit::new(DecoupledConfig::default());
         let mut smem = SharedMemory::new(SmemConfig::default_cluster());
-        unit.try_enqueue(&wgmma(16, 16, 32), 0);
+        unit.try_enqueue(&wgmma(16, 16, 32));
         run_until_idle(&mut unit, &mut smem, 10_000);
         assert_eq!(unit.stats().rf_accum_reads, 256);
         assert_eq!(unit.stats().rf_accum_writes, 256);
@@ -302,9 +295,9 @@ mod tests {
             queue_depth: 2,
             ..Default::default()
         });
-        assert!(unit.try_enqueue(&wgmma(16, 16, 32), 0));
-        assert!(unit.try_enqueue(&wgmma(16, 16, 32), 1));
-        assert!(!unit.try_enqueue(&wgmma(16, 16, 32), 2));
+        assert!(unit.try_enqueue(&wgmma(16, 16, 32)));
+        assert!(unit.try_enqueue(&wgmma(16, 16, 32)));
+        assert!(!unit.try_enqueue(&wgmma(16, 16, 32)));
         assert_eq!(unit.pending(), 2);
     }
 
@@ -320,22 +313,29 @@ mod tests {
             k: 16,
             dtype: DataType::Fp16,
         };
-        // Two enqueues with different execution counts touch both buffers.
-        unit.try_enqueue(&op, 0);
-        run_until_idle(&mut unit, &mut smem, 10_000);
-        let first_bytes = smem.stats().bytes_read;
-        unit.try_enqueue(&op, 1);
-        run_until_idle(&mut unit, &mut smem, 10_000);
+        let mut b = ProgramBuilder::new();
+        b.repeat(2, |b| {
+            b.op(WarpOp::WgmmaInit(op));
+        });
+        let program = Arc::new(b.build());
+        let mut cursor = program.cursor();
+        // The two iterations reach the unit latched to the two buffers.
+        let mut latched = Vec::new();
+        while let Some(WarpOp::WgmmaInit(resolved)) = cursor.next_op() {
+            latched.push((resolved.a.resolved(), resolved.b.resolved()));
+            assert!(unit.try_enqueue(&resolved));
+            run_until_idle(&mut unit, &mut smem, 10_000);
+        }
+        assert_eq!(latched, [(0, 0x8000), (0x4000, 0xC000)]);
         assert_eq!(unit.stats().ops, 2);
-        assert!(smem.stats().bytes_read > first_bytes);
     }
 
     #[test]
     fn back_to_back_ops_pipeline() {
         let mut unit = OperandDecoupledUnit::new(DecoupledConfig::default());
         let mut smem = SharedMemory::new(SmemConfig::double_banked());
-        for i in 0..4 {
-            assert!(unit.try_enqueue(&wgmma(16, 16, 32), i));
+        for _ in 0..4 {
+            assert!(unit.try_enqueue(&wgmma(16, 16, 32)));
         }
         let cycles = run_until_idle(&mut unit, &mut smem, 100_000);
         assert_eq!(unit.stats().ops, 4);

@@ -104,7 +104,7 @@ fn total_remote_bytes(kernel: &Kernel) -> u64 {
     let mut total = 0u64;
     for warp in &kernel.warps {
         let mut cursor = warp.program.cursor();
-        while let Some((_, op)) = cursor.next_op() {
+        while let Some(op) = cursor.next_op() {
             if let WarpOp::MmioWrite {
                 cmd: MmioCommand::DmaRemote(copy),
                 ..
