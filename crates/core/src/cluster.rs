@@ -396,6 +396,13 @@ impl ClusterPort for ClusterCtx<'_> {
             .is_some_and(|unit| unit.try_enqueue(op))
     }
 
+    fn wgmma_accept_at(&self, now: Cycle, core: u32) -> Option<Cycle> {
+        self.devices
+            .decoupled_units
+            .get(core as usize)
+            .map(|unit| unit.accept_at(now))
+    }
+
     fn wgmma_pending(&self, core: u32) -> u32 {
         self.devices
             .decoupled_units

@@ -1,16 +1,20 @@
-//! The event-queue scheduler: the one fast-forward engine, owned by a
+//! The event scheduler: the one fast-forward engine, owned by a
 //! [`crate::jobs::JobTable`] and persisting across its
 //! [`crate::jobs::JobTable::advance_until`] calls. [`crate::run::Gpu::run`]
 //! drives it too, as a one-job session.
 //!
 //! Components are identified by dense ids in the naive loop's tick order —
 //! id 0 is the DSM fabric, then per cluster slot the devices followed by
-//! each core — and all components due at a cycle are processed in ascending
-//! id order, so execution visits components in exactly the reference
-//! sequence. `synced[id]` is the first cycle a component has not yet
-//! accounted; the gap up to the dispatched cycle is bulk-replayed
-//! (`fast_forward_*`) before the tick, which by the `virgo_sim::activity`
-//! contract only contains time-uniform stall/idle accounting.
+//! each core. The calendar is one array, `next_at[id]`: the cycle of each
+//! component's next event (`NEVER` while it is parked with none). Each
+//! step dispatches the minimum cycle, visiting the components due there in
+//! ascending id order, so execution visits components in exactly the
+//! reference sequence. A machine has a few dozen components at most, so a
+//! linear scan for the minimum is cheaper than keeping a heap ordered.
+//! `synced[id]` is the first cycle a component has not yet accounted; the
+//! gap up to the dispatched cycle is bulk-replayed (`fast_forward_*`)
+//! before the tick, which by the `virgo_sim::activity` contract only
+//! contains time-uniform stall/idle accounting.
 //!
 //! A job's components are registered at its start cycle when it is admitted
 //! and dropped when it leaves; cluster slots no job owns are never
@@ -25,14 +29,21 @@
 //! * an async completion during a devices tick re-dispatches that
 //!   cluster's cores the same cycle (they tick after the devices);
 //! * new DSM traffic registers the fabric at its next delivery cycle.
+//!
+//! A wake only ever moves a component's event earlier. Every tick clears
+//! the component's entry and re-registers the whole horizon it reports, so
+//! an event superseded by an earlier wake never fires on its own.
 
-use virgo_sim::{Cycle, EventQueue, NextActivity};
+use virgo_sim::{Cycle, NextActivity};
 
 use crate::machine::Machine;
 use crate::report::SchedStats;
 
 /// Component id of the DSM fabric.
 const FABRIC: usize = 0;
+
+/// `Scheduler::next_at` of a component with no pending event.
+const NEVER: u64 = u64::MAX;
 
 /// One resident job's scheduler counters, kept on its lead (lowest) cluster
 /// slot so a multi-cluster job counts each processed cycle once.
@@ -58,17 +69,10 @@ impl Tally {
 /// Dispatch state of the event-driven time advance.
 #[derive(Debug)]
 pub(crate) struct Scheduler {
-    queue: EventQueue,
+    /// Cycle of each component's next event, `NEVER` when it has none.
+    next_at: Vec<u64>,
     /// First cycle each component has not yet accounted.
     synced: Vec<u64>,
-    due: Vec<bool>,
-    /// Fast path for the overwhelmingly common "due again next cycle" case:
-    /// a bool per component instead of a heap round-trip. Invariant:
-    /// `due_next` marks components due at cycle `resume_at`.
-    due_next: Vec<bool>,
-    any_next: bool,
-    /// First cycle not yet dispatched.
-    resume_at: u64,
     cores: usize,
     /// The lead cluster slot of the job owning each slot.
     lead: Vec<usize>,
@@ -83,12 +87,8 @@ impl Scheduler {
     pub(crate) fn new(clusters: usize, cores: usize) -> Self {
         let total = 1 + clusters * (1 + cores);
         Scheduler {
-            queue: EventQueue::new(total),
+            next_at: vec![NEVER; total],
             synced: vec![0; total],
-            due: vec![false; total],
-            due_next: vec![false; total],
-            any_next: false,
-            resume_at: 0,
             cores,
             lead: vec![0; clusters],
             tally: vec![Tally::default(); clusters],
@@ -114,10 +114,8 @@ impl Scheduler {
             self.lead[k] = lead;
             let start = machine.clusters[k].start_at();
             let base = self.devices_id(k);
-            for id in base..=base + self.cores {
-                self.synced[id] = start;
-                self.queue.schedule(id as u32, Cycle::new(start));
-            }
+            self.synced[base..=base + self.cores].fill(start);
+            self.wake_all(base..=base + self.cores, start);
         }
     }
 
@@ -149,34 +147,34 @@ impl Scheduler {
                 }
                 self.synced[id] = now;
             }
-            self.due_next[base..=base + self.cores].fill(false);
+            self.next_at[base..=base + self.cores].fill(NEVER);
         }
-        let span = 1 + self.cores as u32;
-        self.queue
-            .cancel(|id| id != FABRIC as u32 && ids.contains(&((id - 1) / span)));
         let lead = ids[0] as usize;
         self.resident.retain(|&l| l != lead);
         if self.resident.is_empty() {
             // The table rebuilds the fabric cold when it empties: forget its
             // pending deliveries too.
-            self.queue.clear();
-            self.due_next.fill(false);
+            self.next_at[FABRIC] = NEVER;
         }
-        self.any_next = self.due_next.contains(&true);
         let mut stats = self.tally[lead].stats;
         stats.skipped_cycles = (now - admitted).saturating_sub(stats.processed_cycles);
         stats
     }
 
-    /// Marks component `id`, whose next event is at `t`, due: on the
-    /// `due_next` fast path when that is the next cycle, on the heap
-    /// otherwise.
-    fn wake(&mut self, id: usize, t: Cycle, next: Cycle) {
-        if t <= next {
-            self.due_next[id] = true;
-            self.any_next = true;
-        } else {
-            self.queue.schedule(id as u32, t);
+    /// Makes component `id` due at `t`, or at `at` if that is later (a
+    /// component that already ticked this cycle acts next at `c + 1`),
+    /// unless it is due earlier already.
+    fn wake(&mut self, id: usize, t: u64, at: u64) {
+        let t = t.max(at);
+        if t < self.next_at[id] {
+            self.next_at[id] = t;
+        }
+    }
+
+    /// Makes components `ids` due at `at` unless they are due earlier.
+    fn wake_all(&mut self, ids: std::ops::RangeInclusive<usize>, at: u64) {
+        for next in &mut self.next_at[ids] {
+            *next = (*next).min(at);
         }
     }
 
@@ -194,29 +192,13 @@ impl Scheduler {
         horizon: u64,
         finished: impl Fn(&Machine) -> bool,
     ) -> u64 {
-        let mut due = std::mem::take(&mut self.due);
-        let reached = loop {
-            let next_c = if self.any_next {
-                Some(self.resume_at)
-            } else {
-                self.queue.next_cycle()
-            };
-            let c = match next_c {
-                Some(c) if c < horizon => c,
-                _ => break horizon,
-            };
-            // `due_next` (marks for this cycle) becomes `due`; the recycled
-            // buffer is cleared for the upcoming cycle's marks. Heap events
-            // landing on the same cycle are merged in.
-            std::mem::swap(&mut due, &mut self.due_next);
-            self.due_next.fill(false);
-            self.any_next = false;
-            if self.queue.next_cycle() == Some(c) {
-                self.queue.pop_due(c, &mut due);
+        loop {
+            let c = self.next_at.iter().copied().min().unwrap_or(NEVER);
+            if c >= horizon {
+                return horizon;
             }
-            self.resume_at = c + 1;
             let now = Cycle::new(c);
-            let next = Cycle::new(c + 1);
+            let next = c + 1;
             let mut check_finish = false;
 
             let Machine {
@@ -224,20 +206,23 @@ impl Scheduler {
                 backend,
                 fabric,
             } = &mut *machine;
-            if due[FABRIC] {
+            if self.next_at[FABRIC] == c {
+                self.next_at[FABRIC] = NEVER;
                 fabric.tick(now);
                 for &lead in &self.resident {
                     self.tally[lead].at(c).dsm_events += 1;
                 }
                 check_finish = true;
                 if let Some(t) = fabric.next_activity(now) {
-                    self.wake(FABRIC, t, next);
+                    self.wake(FABRIC, t.get(), next);
                 }
             }
             for (k, cluster) in clusters.iter_mut().enumerate() {
                 let base = self.devices_id(k);
+                let last = base + self.cores;
                 let lead = self.lead[k];
-                if due[base] {
+                if self.next_at[base] == c {
+                    self.next_at[base] = NEVER;
                     let lag = c.saturating_sub(self.synced[base]);
                     if lag > 0 {
                         cluster.fast_forward_devices(Cycle::new(self.synced[base]), lag);
@@ -253,22 +238,24 @@ impl Scheduler {
                     self.synced[base] = c + 1;
                     check_finish = true;
                     if cluster.completion_mark() != completions {
-                        due[base + 1..=base + self.cores].fill(true);
+                        // The cores tick after the devices: same cycle.
+                        self.wake_all(base + 1..=last, c);
                     }
                     if fabric.stats().transfers != transfers {
                         if let Some(t) = fabric.next_activity(now) {
-                            self.wake(FABRIC, t, next);
+                            self.wake(FABRIC, t.get(), next);
                         }
                     }
                     if let Some(t) = cluster.devices_next_activity(now) {
-                        self.wake(base, t, next);
+                        self.wake(base, t.get(), next);
                     }
                 }
                 for i in 0..self.cores {
                     let id = base + 1 + i;
-                    if !due[id] {
+                    if self.next_at[id] != c {
                         continue;
                     }
+                    self.next_at[id] = NEVER;
                     let lag = c.saturating_sub(self.synced[id]);
                     if lag > 0 {
                         cluster.fast_forward_core(i, Cycle::new(self.synced[id]), lag);
@@ -285,41 +272,56 @@ impl Scheduler {
                         // anything outside the core, so the signature checks
                         // are skipped on all other ticks.
                         if cluster.barrier_release_events() != releases {
-                            due[id + 1..=base + self.cores].fill(true);
-                            self.due_next[base + 1..=id].fill(true);
-                            self.any_next = true;
+                            // Later cores see the release this cycle, this
+                            // one and earlier ones on the next.
+                            self.wake_all(id + 1..=last, c);
+                            self.wake_all(base + 1..=id, next);
                         }
                         if cluster.inbox_mark() != inbox {
-                            self.due_next[base] = true;
-                            self.any_next = true;
+                            self.wake(base, next, next);
                         }
                         if fabric.stats().transfers != transfers {
                             if let Some(t) = fabric.next_activity(now) {
-                                self.wake(FABRIC, t, next);
+                                self.wake(FABRIC, t.get(), next);
                             }
                         }
                     }
                     if outcome.retry_next {
                         // A ready warp lost slot arbitration this cycle and
                         // retries next cycle.
-                        self.due_next[id] = true;
-                        self.any_next = true;
+                        self.wake(id, next, next);
                     } else {
                         // The tick folded the core's event horizon from the
                         // warp walk it performed anyway — no separate
                         // `next_activity` probe.
                         match outcome.horizon {
-                            Some(t) => self.wake(id, t, next),
+                            Some(t) => self.wake(id, t.get(), next),
                             None => check_finish = true,
                         }
                     }
                 }
             }
             if check_finish && finished(machine) {
-                break c + 1;
+                return c + 1;
             }
-        };
-        self.due = due;
-        reached
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wakes_only_move_an_event_earlier() {
+        // Fabric, one devices block and two cores.
+        let mut s = Scheduler::new(1, 2);
+        s.wake(2, 10, 1);
+        s.wake(2, 20, 1);
+        assert_eq!(s.next_at[2], 10, "a later wake leaves the earlier event");
+        s.wake(2, 0, 5);
+        assert_eq!(s.next_at[2], 5, "a wake never lands before `at`");
+        s.wake_all(1..=3, 7);
+        assert_eq!(s.next_at, [NEVER, 7, 5, 7]);
     }
 }

@@ -185,10 +185,14 @@ impl AddrExpr {
     /// Evaluates the address for the `n`-th execution of the static
     /// instruction that holds it (starting at zero).
     pub fn eval(&self, n: u64) -> u64 {
-        let idx = if self.modulo == 0 {
+        let modulo = u64::from(self.modulo);
+        let idx = if modulo == 0 {
             n
+        } else if modulo.is_power_of_two() {
+            // Double buffering (`modulo == 2`) is the common case.
+            n & (modulo - 1)
         } else {
-            n % u64::from(self.modulo)
+            n % modulo
         };
         self.base + idx * self.stride
     }
@@ -354,6 +358,11 @@ mod tests {
         assert_eq!(a.eval(0), 1000);
         assert_eq!(a.eval(3), 1300);
         assert_eq!(a.eval(4), 1000);
+        // A count that is not a power of two takes the modulo path.
+        let b = AddrExpr::rotating(1000, 100, 3);
+        assert_eq!(b.eval(2), 1200);
+        assert_eq!(b.eval(3), 1000);
+        assert_eq!(b.eval(7), 1100);
     }
 
     #[test]

@@ -138,6 +138,62 @@ struct StreamRead {
     bytes: u64,
 }
 
+/// The bank geometry as shifts and masks, chosen once in
+/// [`SharedMemory::new`] when the bank size, the bank count and the subbank
+/// count are all powers of two (every shipped configuration) and there are
+/// at most 64 banks (one bit each in a touched-bank mask).
+#[derive(Debug, Clone, Copy)]
+struct Pow2Geometry {
+    /// `log2(bank_bytes)`.
+    bank_shift: u32,
+    /// `banks - 1`.
+    bank_mask: u64,
+    /// `log2(subbanks)`.
+    subbank_shift: u32,
+    /// `subbanks - 1`.
+    subbank_mask: u64,
+}
+
+impl Pow2Geometry {
+    fn of(config: &SmemConfig) -> Option<Self> {
+        let bank_bytes = config.bank_bytes();
+        (bank_bytes.is_power_of_two()
+            && config.banks.is_power_of_two()
+            && config.banks <= 64
+            && config.subbanks.is_power_of_two())
+        .then(|| Pow2Geometry {
+            bank_shift: bank_bytes.trailing_zeros(),
+            bank_mask: u64::from(config.banks) - 1,
+            subbank_shift: config.subbanks.trailing_zeros(),
+            subbank_mask: u64::from(config.subbanks) - 1,
+        })
+    }
+
+    fn bank_of(&self, addr: u64) -> u64 {
+        (addr >> self.bank_shift) & self.bank_mask
+    }
+}
+
+/// Sorts and deduplicates `(subbank slot, word)` pairs and returns the
+/// deepest slot queue: each subbank serves one distinct word per cycle, and
+/// after sorting a slot's queue is its contiguous run.
+fn deepest_slot_queue(slots: &mut [(u32, u64)]) -> u64 {
+    slots.sort_unstable();
+    let mut max_depth = 0u64;
+    let mut run = 0u64;
+    let mut prev = None;
+    for &pair in slots.iter() {
+        match prev {
+            Some(p) if p == pair => continue,
+            Some((slot, _)) if slot == pair.0 => run += 1,
+            _ => run = 1,
+        }
+        prev = Some(pair);
+        max_depth = max_depth.max(run);
+    }
+    max_depth
+}
+
 /// The banked shared memory.
 ///
 /// # Example
@@ -156,6 +212,8 @@ struct StreamRead {
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     config: SmemConfig,
+    /// Shift-and-mask bank geometry, when the configuration allows it.
+    pow2: Option<Pow2Geometry>,
     /// Per-bank cycle at which the bank's ports are next free.
     bank_busy_until: Vec<Cycle>,
     stats: SmemStats,
@@ -170,7 +228,8 @@ pub struct SharedMemory {
     /// so the per-lane conflict model allocates nothing on the SIMT
     /// load/store hot path.
     lane_scratch: Vec<(u32, u64)>,
-    /// Reusable per-lane bank indices for [`SharedMemory::access_simt`].
+    /// Reusable per-lane bank indices for the general-geometry path of
+    /// [`SharedMemory::access_simt`].
     lane_banks: Vec<usize>,
 }
 
@@ -188,6 +247,7 @@ impl SharedMemory {
         );
         SharedMemory {
             config,
+            pow2: Pow2Geometry::of(&config),
             bank_busy_until: vec![Cycle::ZERO; config.banks as usize],
             stats: SmemStats::default(),
             ecc: None,
@@ -235,7 +295,10 @@ impl SharedMemory {
 
     /// Bank index holding `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr / self.config.bank_bytes()) % u64::from(self.config.banks)) as usize
+        match &self.pow2 {
+            Some(g) => g.bank_of(addr) as usize,
+            None => ((addr / self.config.bank_bytes()) % u64::from(self.config.banks)) as usize,
+        }
     }
 
     /// Subbank index within a bank holding `addr`.
@@ -258,12 +321,41 @@ impl SharedMemory {
             };
         }
 
-        // One pass over the lanes computes each lane's bank once; it feeds
-        // both the start-cycle max and the occupancy update below. Aligned
-        // lanes also contribute their distinct (subbank slot, word) pair:
-        // sorting and deduplicating the reusable scratch yields the same
-        // distinct set per slot as a per-slot dedup, without allocating per
-        // access.
+        let (start, conflict_cycles) = match self.pow2 {
+            Some(g) => self.occupy_banks_pow2(now, lane_addrs, g),
+            None => self.occupy_banks(now, lane_addrs),
+        };
+
+        let words = lane_addrs.len() as u64;
+        let bytes = words * 4;
+        if write {
+            self.stats.words_written += words;
+            self.stats.bytes_written += bytes;
+        } else {
+            self.stats.words_read += words;
+            self.stats.bytes_read += bytes;
+        }
+        self.stats.conflict_cycles += conflict_cycles;
+
+        let ecc = self.ecc_penalty(now);
+        SmemAccess {
+            done: start.plus(1 + conflict_cycles + self.config.latency + ecc),
+            conflict_cycles,
+        }
+    }
+
+    /// The bank-occupancy half of [`SharedMemory::access_simt`] for any
+    /// geometry: finds the cycle the access wins every bank it touches and
+    /// its conflict cycles, counts serialized unaligned lanes, and marks
+    /// those banks busy for `1 + conflict_cycles` from the start.
+    ///
+    /// Each subbank serves one distinct word per cycle, so the conflict
+    /// cycles are the deepest subbank queue minus one, plus one cycle per
+    /// serialized unaligned lane.
+    fn occupy_banks(&mut self, now: Cycle, lane_addrs: &[u64]) -> (Cycle, u64) {
+        // One pass computes each lane's bank once; it feeds both the start
+        // max and the occupancy update. Aligned lanes also contribute their
+        // (subbank slot, word) pair to the reusable scratch.
         let bank_bytes = self.config.bank_bytes();
         let banks = u64::from(self.config.banks);
         let subbanks = u64::from(self.config.subbanks);
@@ -285,52 +377,74 @@ impl SharedMemory {
             scratch.push(((bank * subbanks + word % subbanks) as u32, word));
         }
         self.stats.unaligned_serialized += unaligned;
-        scratch.sort_unstable();
-        scratch.dedup();
-
-        // Conflict-free case: each subbank serves one word per cycle, so the
-        // extra cycles are the worst-case subbank queue depth minus one, plus
-        // one cycle per serialized unaligned access. The queue depth of a slot
-        // is the length of its (now contiguous) run in the scratch.
-        let mut max_depth = 0u64;
-        let mut run = 0u64;
-        let mut prev_slot = u32::MAX;
-        for &(slot, _) in &scratch {
-            if slot == prev_slot {
-                run += 1;
-            } else {
-                prev_slot = slot;
-                run = 1;
-            }
-            max_depth = max_depth.max(run);
-        }
+        let conflict_cycles = deepest_slot_queue(&mut scratch).saturating_sub(1) + unaligned;
         self.lane_scratch = scratch;
-        let conflict_cycles = max_depth.saturating_sub(1) + unaligned;
-
-        // The access occupies every bank it touches; duplicate banks write
-        // the same value, so no dedup is needed.
-        let busy_cycles = 1 + conflict_cycles;
+        // Duplicate banks write the same value, so no dedup is needed.
         for &bank in &lane_banks {
-            self.bank_busy_until[bank] = start.plus(busy_cycles);
+            self.bank_busy_until[bank] = start.plus(1 + conflict_cycles);
         }
         self.lane_banks = lane_banks;
+        (start, conflict_cycles)
+    }
 
-        let words = lane_addrs.len() as u64;
-        let bytes = words * 4;
-        if write {
-            self.stats.words_written += words;
-            self.stats.bytes_written += bytes;
-        } else {
-            self.stats.words_read += words;
-            self.stats.bytes_read += bytes;
+    /// [`SharedMemory::occupy_banks`] for power-of-two geometry: shifts and
+    /// masks in place of divisions, and a touched-bank mask in place of the
+    /// per-lane bank list. Contiguous aligned words inside one bank, the
+    /// common SIMT shape, take a closed form: `n` consecutive words spread
+    /// over the subbanks round-robin, so the deepest queue is
+    /// `ceil(n / subbanks)`, with no sort.
+    fn occupy_banks_pow2(
+        &mut self,
+        now: Cycle,
+        lane_addrs: &[u64],
+        g: Pow2Geometry,
+    ) -> (Cycle, u64) {
+        let first = lane_addrs[0];
+        let last = first.wrapping_add(4 * (lane_addrs.len() as u64 - 1));
+        let contiguous = first & 3 == 0
+            && first >> g.bank_shift == last >> g.bank_shift
+            && (0..)
+                .zip(lane_addrs)
+                .all(|(i, &a)| a == first.wrapping_add(4 * i));
+        if contiguous {
+            let bank = g.bank_of(first) as usize;
+            let start = now.max(self.bank_busy_until[bank]);
+            let depth = (lane_addrs.len() as u64 + g.subbank_mask) >> g.subbank_shift;
+            let conflict_cycles = depth - 1;
+            self.bank_busy_until[bank] = start.plus(1 + conflict_cycles);
+            return (start, conflict_cycles);
         }
-        self.stats.conflict_cycles += conflict_cycles;
 
-        let ecc = self.ecc_penalty(now);
-        SmemAccess {
-            done: start.plus(busy_cycles + self.config.latency + ecc),
-            conflict_cycles,
+        let mut scratch = std::mem::take(&mut self.lane_scratch);
+        scratch.clear();
+        let mut touched = 0u64;
+        let mut unaligned = 0u64;
+        for &addr in lane_addrs {
+            let bank = g.bank_of(addr);
+            touched |= 1 << bank;
+            if addr & 3 != 0 {
+                unaligned += 1;
+                continue;
+            }
+            let word = addr >> 2;
+            let slot = (bank << g.subbank_shift) | (word & g.subbank_mask);
+            scratch.push((slot as u32, word));
         }
+        self.stats.unaligned_serialized += unaligned;
+        let conflict_cycles = deepest_slot_queue(&mut scratch).saturating_sub(1) + unaligned;
+        self.lane_scratch = scratch;
+        let mut start = now;
+        let mut banks = touched;
+        while banks != 0 {
+            start = start.max(self.bank_busy_until[banks.trailing_zeros() as usize]);
+            banks &= banks - 1;
+        }
+        let mut banks = touched;
+        while banks != 0 {
+            self.bank_busy_until[banks.trailing_zeros() as usize] = start.plus(1 + conflict_cycles);
+            banks &= banks - 1;
+        }
+        (start, conflict_cycles)
     }
 
     /// Serves one wide access from a matrix unit or the DMA engine.
@@ -491,9 +605,9 @@ mod tests {
     }
 
     /// The three-pass `access_simt` body that the single-pass version
-    /// replaced (`bank_of` per lane for the slots, again for the start max
-    /// and again for the occupancy update), kept as the equivalence
-    /// reference.
+    /// replaced (a divide-and-modulo bank index per lane for the slots,
+    /// again for the start max and again for the occupancy update), kept as
+    /// the equivalence reference for both geometry paths.
     fn reference_access_simt(
         s: &mut SharedMemory,
         now: Cycle,
@@ -507,6 +621,8 @@ mod tests {
                 conflict_cycles: 0,
             };
         }
+        let bank_of =
+            |addr: u64| ((addr / s.config.bank_bytes()) % u64::from(s.config.banks)) as usize;
         let mut slots = Vec::new();
         let mut unaligned = 0u64;
         for &addr in lane_addrs {
@@ -514,7 +630,8 @@ mod tests {
                 unaligned += 1;
                 continue;
             }
-            let slot = (s.bank_of(addr) * s.config.subbanks as usize + s.subbank_of(addr)) as u32;
+            let subbank = ((addr / 4) % u64::from(s.config.subbanks)) as usize;
+            let slot = (bank_of(addr) * s.config.subbanks as usize + subbank) as u32;
             slots.push((slot, addr / 4));
         }
         s.stats.unaligned_serialized += unaligned;
@@ -535,12 +652,11 @@ mod tests {
         let conflict_cycles = max_depth.saturating_sub(1) + unaligned;
         let mut start = now;
         for &addr in lane_addrs {
-            start = start.max(s.bank_busy_until[s.bank_of(addr)]);
+            start = start.max(s.bank_busy_until[bank_of(addr)]);
         }
         let busy_cycles = 1 + conflict_cycles;
         for &addr in lane_addrs {
-            let bank = s.bank_of(addr);
-            s.bank_busy_until[bank] = start.plus(busy_cycles);
+            s.bank_busy_until[bank_of(addr)] = start.plus(busy_cycles);
         }
         let words = lane_addrs.len() as u64;
         let bytes = words * 4;
@@ -559,14 +675,23 @@ mod tests {
         }
     }
 
-    /// Random lane addresses of one of five shapes: aligned words in one
+    /// Random lane addresses of one of eight shapes: aligned words in one
     /// bank, unaligned bytes, repeats of a few words, words spread over
-    /// several banks, or a lane-strided pattern.
+    /// several banks, a lane-strided pattern, or contiguous words (up to 32
+    /// lanes, more than `subbanks`) starting aligned inside a bank,
+    /// starting unaligned, or straddling a bank boundary.
     fn random_lanes(rng: &mut SplitMix64, config: &SmemConfig) -> Vec<u64> {
         let lanes = rng.next_below(33) as usize;
         let cap = config.capacity_bytes;
         let bank_base = rng.next_below(u64::from(config.banks)) * config.bank_bytes();
-        match rng.next_below(5) {
+        let contiguous = |base: u64| (0..lanes as u64).map(|lane| base + lane * 4).collect();
+        match rng.next_below(8) {
+            5 => contiguous(bank_base + rng.next_below(256) * 4),
+            6 => contiguous(bank_base + rng.next_below(256) * 4 + 1 + rng.next_below(3)),
+            7 => {
+                let boundary = bank_base + config.bank_bytes();
+                contiguous(boundary - 4 * (1 + rng.next_below(lanes.max(1) as u64)))
+            }
             0 => (0..lanes)
                 .map(|_| bank_base + rng.next_below(256) * 4)
                 .collect(),
@@ -591,11 +716,30 @@ mod tests {
     #[test]
     fn single_pass_simt_access_matches_reference() {
         let mut rng = SplitMix64::new(0x5EED_03E3);
+        // The three shipped configurations take the power-of-two path; the
+        // last two keep the general path checked.
         for config in [
             SmemConfig::default_cluster(),
             SmemConfig::virgo_cluster(),
             SmemConfig::double_banked(),
+            SmemConfig {
+                capacity_bytes: 96 * 1024,
+                banks: 3,
+                subbanks: 12,
+                latency: 3,
+            },
+            SmemConfig {
+                capacity_bytes: 120 * 1024,
+                banks: 4,
+                subbanks: 8,
+                latency: 2,
+            },
         ] {
+            assert_eq!(
+                Pow2Geometry::of(&config).is_some(),
+                config.bank_bytes().is_power_of_two() && config.banks.is_power_of_two(),
+                "{config:?}"
+            );
             let mut fast = SharedMemory::new(config);
             let mut reference = SharedMemory::new(config);
             let mut now = 0u64;

@@ -28,8 +28,8 @@
 //!
 //! # The three return shapes
 //!
-//! Under the event-queue scheduler (`virgo_sim::sched`) the three possible
-//! answers mean precisely:
+//! Under the event scheduler (`virgo::scheduler`, one calendar entry per
+//! component) the three possible answers mean precisely:
 //!
 //! * **`Some(now)`** — "tick me again right away": the component has work on
 //!   the very next dispatch. Always sound, never skips anything, but a
@@ -44,8 +44,8 @@
 //!   dense kernels cheap: one event per milestone (a block boundary, a
 //!   transfer completion) instead of one per cycle.
 //! * **`None`** — "never on my own again": the component is drained and only
-//!   external submission can revive it. The driver drops it from the queue
-//!   entirely; whoever submits new work is responsible for re-scheduling it
+//!   external submission can revive it. The scheduler clears its calendar
+//!   entry; whoever submits new work is responsible for re-scheduling it
 //!   (in this codebase the cluster wakes its devices when a core's MMIO
 //!   write lands — the submitter's tick outcome carries the wake, not the
 //!   drained component).
@@ -79,7 +79,7 @@
 //! assert_eq!(running.next_activity(Cycle::new(40)), Some(Cycle::new(100)));
 //! // ...a stale milestone degrades to `Some(now)`, not to the past...
 //! assert_eq!(running.next_activity(Cycle::new(120)), Some(Cycle::new(120)));
-//! // ...and a drained engine leaves the event queue.
+//! // ...and a drained engine leaves the calendar.
 //! let drained = Engine { busy_until: None };
 //! assert_eq!(drained.next_activity(Cycle::new(40)), None);
 //! ```

@@ -17,8 +17,6 @@
 //!
 //! * [`activity`] — the [`NextActivity`] trait behind the cycle-skipping
 //!   fast-forward engine,
-//! * [`sched`] — the deterministic [`sched::EventQueue`] driving the
-//!   event-driven fast-forward loop,
 //! * [`json`] — the workspace's one JSON codec: a raw-number value model,
 //!   a parser and the compact writer used by report snapshots, the store's
 //!   STAT payload, report digests and the bench differ.
@@ -28,9 +26,10 @@
 //! wall-clock dependence, so simulations are exactly reproducible. On top of
 //! the tick interface, components report the earliest future cycle at which
 //! they can act via [`NextActivity`], which lets the fast-forward driver park
-//! components on a deterministic event queue ([`sched`]) and skip quiescent
-//! regions wholesale without changing any observable statistic (see the
-//! [`activity`] module for the soundness contract).
+//! each component until its next event (one calendar entry per component,
+//! dispatched in cycle order and then in the naive loop's tick order) and
+//! skip quiescent regions wholesale without changing any observable
+//! statistic (see the [`activity`] module for the soundness contract).
 //!
 //! # Example
 //!
@@ -52,7 +51,6 @@ pub mod fault;
 pub mod json;
 pub mod pipe;
 pub mod rng;
-pub mod sched;
 pub mod stablehash;
 pub mod stats;
 
@@ -63,6 +61,5 @@ pub use fault::{
 };
 pub use pipe::BoundedQueue;
 pub use rng::SplitMix64;
-pub use sched::EventQueue;
 pub use stablehash::{StableHash, StableHasher};
 pub use stats::{Counters, Ratio};

@@ -8,7 +8,7 @@ use virgo_sim::{earliest, Cycle};
 use crate::config::CoreConfig;
 use crate::port::ClusterPort;
 use crate::stats::CoreStats;
-use crate::warp::{BlockReason, WarpContext};
+use crate::warp::{BlockReason, WarpContext, NO_LOAD};
 
 /// A point-in-time view of one warp's scheduling state, used to build the
 /// structured deadlock diagnosis attached to `SimError::Timeout`.
@@ -40,10 +40,12 @@ pub struct TickOutcome {
     /// retries every cycle (functional-unit slot or LSQ contention, a full
     /// device inbox, issue-width exhaustion). Such a core is guaranteed
     /// active at `now + 1`, so the driver can re-schedule it without paying
-    /// for a [`SimtCore::next_activity`] probe. Hazard-blocked `HmmaStep`
-    /// retries are deliberately excluded: those are pure no-ops until the
-    /// tensor unit frees, and the probe parks the core at `busy_until`
-    /// instead.
+    /// for a [`SimtCore::next_activity`] probe. Two hazards are deliberately
+    /// excluded, because their retries are pure no-ops until a tensor unit
+    /// frees: an `HmmaStep` against a busy tightly-coupled unit parks the
+    /// warp at the unit's `busy_until`, and a `WgmmaInit` against a full
+    /// operand-decoupled queue parks it at the cycle the queue next accepts
+    /// ([`ClusterPort::wgmma_accept_at`]).
     pub retry_next: bool,
     /// The tick may have mutated state outside the core — it issued a real
     /// instruction or arrived at a barrier. When false, the driver can skip
@@ -56,16 +58,15 @@ pub struct TickOutcome {
     /// core-side event that can flip the machine-wide finish check, so the
     /// driver gates that walk on it.
     pub warp_retired: bool,
-    /// The core's event horizon after this tick, folded from the per-warp
-    /// state the issue scan walks anyway: the earliest in-flight load
-    /// completion and the tensor unit's `busy_until` for hazard-parked
-    /// `HmmaStep` warps. Follows the [`SimtCore::next_activity`] contract
+    /// The core's event horizon after this tick: the earliest in-flight
+    /// load completion of any warp not waiting on a barrier, fence or
+    /// drain, and the park cycle of every hazard-blocked `HmmaStep` or
+    /// `WgmmaInit` warp. Follows the [`SimtCore::next_activity`] contract
     /// (`None` = dormant until an external wake; barrier / fence / drain
     /// releases arrive through the driver's cross-component signature
     /// checks). Only meaningful when `retry_next` is false — a guaranteed
     /// next-cycle retry supersedes it — and it spares the driver a separate
-    /// post-tick [`SimtCore::next_activity`] probe, which re-walks every
-    /// warp.
+    /// post-tick [`SimtCore::next_activity`] probe.
     pub horizon: Option<Cycle>,
 }
 
@@ -79,6 +80,40 @@ impl TickOutcome {
     }
 }
 
+/// Iterates the indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let w = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            w
+        })
+    })
+}
+
+/// The cycle until which a runnable warp of core `core_id` whose next op
+/// is `op` cannot do anything observable, or `None` when it may act now.
+/// Only two ops park: an `HmmaStep` against a busy tightly-coupled unit
+/// (until its `busy_until`) and a `WgmmaInit` against a full
+/// operand-decoupled queue (until it accepts again).
+fn parked_until(op: &WarpOp, core_id: u32, now: Cycle, port: &dyn ClusterPort) -> Option<Cycle> {
+    let at = match op {
+        WarpOp::HmmaStep { .. } => port.hmma_busy_until(now, core_id),
+        WarpOp::WgmmaInit(_) => port.wgmma_accept_at(now, core_id),
+        _ => return None,
+    };
+    at.filter(|&t| t > now)
+}
+
+/// True for the block reasons only another agent can release (a barrier, a
+/// fence or a tensor-unit drain), as opposed to the warp's own loads.
+fn is_waiting(block: Option<BlockReason>) -> bool {
+    matches!(
+        block,
+        Some(BlockReason::Barrier { .. } | BlockReason::Fence { .. } | BlockReason::WgmmaDrain)
+    )
+}
+
 /// One SIMT core of the cluster.
 ///
 /// The core executes the warps assigned to it, issuing up to
@@ -87,6 +122,12 @@ impl TickOutcome {
 /// blocking semantics of synchronization operations. Everything outside the
 /// core — memories, matrix units, DMA, barriers — is reached through the
 /// [`ClusterPort`] passed to [`SimtCore::tick`].
+///
+/// Each warp is in exactly one of four states: runnable, waiting on another
+/// agent (barrier, fence, drain), blocked on its own loads, or finished.
+/// The core keeps the first two as bitmasks beside the warps, plus the
+/// earliest load completion over all warps, so a tick visits only the warps
+/// that can act.
 #[derive(Debug)]
 pub struct SimtCore {
     config: CoreConfig,
@@ -95,6 +136,17 @@ pub struct SimtCore {
     stats: CoreStats,
     /// Round-robin pointer for warp scheduling fairness.
     next_warp: usize,
+    /// Bit `w` is set while warp `w` is runnable ([`WarpContext::is_runnable`]).
+    runnable: u64,
+    /// Bit `w` is set while warp `w` waits on a barrier, a fence or a
+    /// tensor-unit drain.
+    waiting: u64,
+    /// Earliest outstanding load completion over every warp (`NO_LOAD` when
+    /// none): the next cycle at which any warp can retire a load.
+    earliest_load: Cycle,
+    /// `instrs_per_icache_access - 1` when that interval is a power of two,
+    /// so the per-issue fetch check is a mask.
+    icache_mask: Option<u64>,
     /// Reusable lane-address buffer for [`SimtCore::memory_access`], so the
     /// load/store hot path allocates nothing per instruction.
     lane_scratch: Vec<u64>,
@@ -102,13 +154,28 @@ pub struct SimtCore {
 
 impl SimtCore {
     /// Creates a core with no warps assigned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.warps` exceeds 64, the width of the core's warp
+    /// masks.
     pub fn new(config: CoreConfig, core_id: u32) -> Self {
+        assert!(
+            config.warps <= 64,
+            "a SIMT core holds at most 64 warps, the configuration asks for {}",
+            config.warps
+        );
+        let interval = u64::from(config.instrs_per_icache_access.max(1));
         SimtCore {
             config,
             core_id,
             warps: Vec::new(),
             stats: CoreStats::default(),
             next_warp: 0,
+            runnable: 0,
+            waiting: 0,
+            earliest_load: NO_LOAD,
+            icache_mask: interval.is_power_of_two().then(|| interval - 1),
             lane_scratch: Vec::new(),
         }
     }
@@ -142,6 +209,7 @@ impl SimtCore {
             self.warps.len()
         );
         self.warps.push(WarpContext::new(global_id, program));
+        self.sync_masks(self.warps.len() - 1);
     }
 
     /// Number of warps assigned.
@@ -158,9 +226,11 @@ impl SimtCore {
         }
     }
 
-    /// True once every assigned warp has finished.
+    /// True once every assigned warp has finished: none is runnable or
+    /// waiting, and none has a load in flight (a warp blocked on its own
+    /// loads has one).
     pub fn all_finished(&self) -> bool {
-        self.warps.iter().all(|w| w.is_finished())
+        self.runnable == 0 && self.waiting == 0 && self.earliest_load == NO_LOAD
     }
 
     /// Snapshots the scheduling state of every assigned warp, for timeout
@@ -175,6 +245,20 @@ impl SimtCore {
                 loads_in_flight: w.loads_in_flight(),
             })
             .collect()
+    }
+
+    /// Re-derives warp `w`'s bits in the `runnable` and `waiting` masks
+    /// from its context, after anything that may have changed its state.
+    fn sync_masks(&mut self, w: usize) {
+        let bit = 1u64 << w;
+        let warp = &self.warps[w];
+        self.runnable = (self.runnable & !bit) | if warp.is_runnable() { bit } else { 0 };
+        self.waiting = (self.waiting & !bit)
+            | if is_waiting(warp.block_reason()) {
+                bit
+            } else {
+                0
+            };
     }
 
     /// Advances the core by one cycle.
@@ -198,7 +282,7 @@ impl SimtCore {
 
         if outcome.issued > 0 {
             self.stats.active_cycles += 1;
-        } else if self.warps.iter().any(|w| w.is_runnable()) {
+        } else if self.runnable != 0 {
             self.stats.stall_cycles += 1;
         } else {
             self.stats.idle_cycles += 1;
@@ -217,11 +301,13 @@ impl SimtCore {
     /// * A warp that could attempt to issue pins the horizon to `now` —
     ///   conservatively, since the attempt may still fail on a structural
     ///   hazard whose retry-per-cycle behavior must be replayed faithfully.
-    ///   The one refined case is an `HmmaStep` retrying against a busy
-    ///   tightly-coupled unit: the retries are pure no-ops (no statistics, no
-    ///   state change) until the unit's `busy_until`, so such a warp
-    ///   contributes that cycle instead of `now`. The window is only skipped
-    ///   when *every* runnable warp of the core is hazard-blocked this way,
+    ///   Two hazards are refined: an `HmmaStep` retrying against a busy
+    ///   tightly-coupled unit, and a `WgmmaInit` retrying against a full
+    ///   operand-decoupled queue. Their retries are pure no-ops (no
+    ///   statistics, no state change) until the unit's `busy_until`, or
+    ///   until [`ClusterPort::wgmma_accept_at`], so such a warp contributes
+    ///   that cycle instead of `now`. The window is only skipped when
+    ///   *every* runnable warp of the core is hazard-blocked this way,
     ///   because any other runnable warp issues immediately.
     /// * A warp waiting on outstanding loads contributes the completion cycle
     ///   of its earliest load: retiring a load is the only time-driven event
@@ -234,55 +320,24 @@ impl SimtCore {
     /// Takes `&mut self` because inspecting the next operation may fetch it
     /// from the program cursor, exactly as the issue stage would.
     pub fn next_activity(&mut self, now: Cycle, port: &dyn ClusterPort) -> Option<Cycle> {
-        let core_id = self.core_id;
-        let mut next: Option<Cycle> = None;
-        for warp in &mut self.warps {
-            if warp.is_finished() {
-                continue;
-            }
-            match warp.block_reason() {
-                None => {
-                    match warp.peek() {
-                        // Structural-hazard refinement: an HMMA step retrying
-                        // against a busy tightly-coupled unit does nothing
-                        // observable until the unit frees.
-                        Some(WarpOp::HmmaStep { .. }) => match port.hmma_busy_until(now, core_id) {
-                            Some(t) if t > now => next = earliest(next, Some(t)),
-                            _ => return Some(now),
-                        },
-                        Some(_) => return Some(now),
-                        None => {}
-                    }
-                    // Loads still in flight (with the program drained, or
-                    // behind a hazard-blocked HMMA step): the warp finishes /
-                    // the stall classification can change only when they
-                    // retire.
-                    next = earliest(next, warp.earliest_load_done().map(|c| c.max(now)));
-                }
-                Some(BlockReason::Loads) => {
-                    if warp.loads_in_flight() == 0 {
-                        return Some(now);
-                    }
-                    next = earliest(next, warp.earliest_load_done().map(|c| c.max(now)));
-                }
-                Some(BlockReason::Barrier { id, ticket }) => {
-                    if port.barrier_passed(id, ticket) {
-                        return Some(now);
-                    }
-                }
-                Some(BlockReason::WgmmaDrain) => {
-                    if port.wgmma_pending(core_id) == 0 {
-                        return Some(now);
-                    }
-                }
-                Some(BlockReason::Fence { max_outstanding }) => {
-                    if port.async_outstanding() <= max_outstanding {
-                        return Some(now);
-                    }
-                }
+        for w in bits(self.waiting) {
+            if self.released(w, port) {
+                return Some(now);
             }
         }
-        next
+        let mut next = None;
+        for w in bits(self.runnable) {
+            match self.warps[w].peek() {
+                Some(op) => match parked_until(&op, self.core_id, now, port) {
+                    Some(t) => next = earliest(next, Some(t)),
+                    None => return Some(now),
+                },
+                // The program drained on this fetch; the warp may have
+                // finished.
+                None => self.sync_masks(w),
+            }
+        }
+        earliest(next, self.load_horizon(now))
     }
 
     /// Bulk-replays `cycles` ticks of a quiescent window starting at `from`,
@@ -305,7 +360,8 @@ impl SimtCore {
         }
         let mut fence_waiting = false;
         let interval = self.config.fence_poll_interval;
-        for warp in &mut self.warps {
+        for w in bits(self.waiting) {
+            let warp = &mut self.warps[w];
             if let Some(BlockReason::Fence { .. }) = warp.block_reason() {
                 fence_waiting = true;
                 self.stats.fence_poll_instrs +=
@@ -315,11 +371,41 @@ impl SimtCore {
         if fence_waiting {
             self.stats.fence_wait_cycles += cycles;
         }
-        if self.warps.iter().any(WarpContext::is_runnable) {
+        if self.runnable != 0 {
             self.stats.stall_cycles += cycles;
         } else {
             self.stats.idle_cycles += cycles;
         }
+    }
+
+    /// True when waiting warp `w`'s barrier, drain or fence condition holds,
+    /// so it unblocks on its next tick.
+    fn released(&self, w: usize, port: &dyn ClusterPort) -> bool {
+        match self.warps[w].block_reason() {
+            Some(BlockReason::Barrier { id, ticket }) => port.barrier_passed(id, ticket),
+            Some(BlockReason::WgmmaDrain) => port.wgmma_pending(self.core_id) == 0,
+            Some(BlockReason::Fence { max_outstanding }) => {
+                port.async_outstanding() <= max_outstanding
+            }
+            Some(BlockReason::Loads) | None => false,
+        }
+    }
+
+    /// The earliest in-flight load completion (clamped to `now`) over every
+    /// warp not waiting on another agent — the loads whose retirement can
+    /// unblock a warp, finish it, or change the stall classification.
+    fn load_horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.earliest_load == NO_LOAD {
+            return None;
+        }
+        if self.waiting == 0 {
+            return Some(self.earliest_load.max(now));
+        }
+        let live = u64::MAX >> (64 - self.warps.len());
+        bits(live & !self.waiting)
+            .filter_map(|w| self.warps[w].earliest_load_done())
+            .min()
+            .map(|t| t.max(now))
     }
 
     /// Retires completed loads and releases warps whose blocking condition
@@ -331,41 +417,40 @@ impl SimtCore {
         port: &mut dyn ClusterPort,
         outcome: &mut TickOutcome,
     ) {
-        let mut fence_waiting = false;
-        for warp in &mut self.warps {
-            let retired = warp.retire_loads(now);
-            let mut unblocked = false;
-            match warp.block_reason() {
-                None => {}
-                Some(BlockReason::Loads) if warp.loads_in_flight() == 0 => {
-                    warp.unblock();
-                    unblocked = true;
-                }
-                Some(BlockReason::Loads) => {}
-                Some(BlockReason::Barrier { id, ticket }) if port.barrier_passed(id, ticket) => {
-                    warp.unblock();
-                    unblocked = true;
-                }
-                Some(BlockReason::Barrier { .. }) => {}
-                Some(BlockReason::WgmmaDrain) if port.wgmma_pending(self.core_id) == 0 => {
-                    warp.unblock();
-                    unblocked = true;
-                }
-                Some(BlockReason::WgmmaDrain) => {}
-                Some(BlockReason::Fence { max_outstanding }) => {
-                    if port.async_outstanding() <= max_outstanding {
+        if self.earliest_load <= now {
+            let mut earliest_load = NO_LOAD;
+            for w in 0..self.warps.len() {
+                let warp = &mut self.warps[w];
+                if warp.retire_loads(now) > 0 {
+                    if warp.block_reason() == Some(BlockReason::Loads)
+                        && warp.loads_in_flight() == 0
+                    {
                         warp.unblock();
-                        unblocked = true;
-                    } else {
-                        fence_waiting = true;
-                        if warp.fence_poll_due(now, self.config.fence_poll_interval) {
-                            self.stats.fence_poll_instrs += 1;
-                        }
                     }
+                    outcome.warp_retired |= warp.is_finished();
+                    self.sync_masks(w);
+                }
+                if let Some(t) = self.warps[w].earliest_load_done() {
+                    earliest_load = earliest_load.min(t);
                 }
             }
-            if (retired > 0 || unblocked) && warp.is_finished() {
-                outcome.warp_retired = true;
+            self.earliest_load = earliest_load;
+        }
+
+        let mut fence_waiting = false;
+        for w in bits(self.waiting) {
+            if self.released(w, port) {
+                self.warps[w].unblock();
+                outcome.warp_retired |= self.warps[w].is_finished();
+                self.sync_masks(w);
+            } else if matches!(
+                self.warps[w].block_reason(),
+                Some(BlockReason::Fence { .. })
+            ) {
+                fence_waiting = true;
+                if self.warps[w].fence_poll_due(now, self.config.fence_poll_interval) {
+                    self.stats.fence_poll_instrs += 1;
+                }
             }
         }
         if fence_waiting {
@@ -375,6 +460,12 @@ impl SimtCore {
 
     /// Attempts to issue up to `issue_width` instructions; records the issue
     /// count and the driver hints in `outcome`.
+    ///
+    /// Runnable warps are visited in round-robin order from `next_warp`;
+    /// the others cannot act and are skipped. The scan position still
+    /// counts every warp: stopping at the issue-width cap before the last
+    /// position sets `retry_next` even when only blocked warps remain
+    /// unscanned, which keeps the dispatched events unchanged.
     fn issue(&mut self, now: Cycle, port: &mut dyn ClusterPort, outcome: &mut TickOutcome) {
         let mut issued = 0u32;
         let mut alu_slots = self.config.alu_units;
@@ -382,38 +473,32 @@ impl SimtCore {
         let mut lsu_slots = self.config.lsu_width;
 
         let warp_count = self.warps.len();
+        // `next_warp` is always a warp index, and warps are never removed,
+        // so it is in range.
+        let start = self.next_warp;
+        let before_start = (1u64 << start) - 1;
+        let order = bits(self.runnable & !before_start).chain(bits(self.runnable & before_start));
+        // Scan positions covered so far, counting skipped warps.
         let mut scanned = 0;
-        // `next_warp` is always a scan index of this loop, and warps are
-        // never removed, so it is in range.
-        let mut index = self.next_warp;
 
-        while issued < self.config.issue_width && scanned < warp_count {
-            scanned += 1;
-            let current = index;
-            index += 1;
-            if index == warp_count {
-                index = 0;
+        for current in order {
+            if issued >= self.config.issue_width {
+                break;
             }
-
-            if !self.warps[current].is_runnable() {
-                // Blocked warps still contribute to the event horizon: a
-                // load-blocked warp wakes at its earliest completion; barrier
-                // / fence / drain releases arrive as external wakes and
-                // contribute nothing (see `next_activity`).
-                if matches!(self.warps[current].block_reason(), Some(BlockReason::Loads)) {
-                    if let Some(t) = self.warps[current].earliest_load_done() {
-                        outcome.fold_horizon(t.max(now));
-                    }
-                }
-                continue;
-            }
+            scanned = if current >= start {
+                current - start + 1
+            } else {
+                current + warp_count - start + 1
+            };
+            let index = if current + 1 == warp_count {
+                0
+            } else {
+                current + 1
+            };
             let Some(op) = self.warps[current].peek() else {
-                // Program drained but loads still in flight: the warp can
-                // only finish (and flip the stall classification) when they
-                // retire.
-                if let Some(t) = self.warps[current].earliest_load_done() {
-                    outcome.fold_horizon(t.max(now));
-                }
+                // Program drained: the warp waits for its loads, or finished
+                // on this fetch.
+                self.sync_masks(current);
                 continue;
             };
 
@@ -423,23 +508,20 @@ impl SimtCore {
                 WarpOp::WaitLoads => {
                     if self.warps[current].loads_in_flight() == 0 {
                         self.warps[current].consume();
-                        outcome.warp_retired |= self.warps[current].is_finished();
                         self.fold_warp_horizon(current, now, port, outcome);
                     } else {
                         self.warps[current].block(BlockReason::Loads);
-                        if let Some(t) = self.warps[current].earliest_load_done() {
-                            outcome.fold_horizon(t.max(now));
-                        }
+                        self.sync_masks(current);
                     }
                     continue;
                 }
                 WarpOp::WgmmaWait => {
                     if port.wgmma_pending(self.core_id) == 0 {
                         self.warps[current].consume();
-                        outcome.warp_retired |= self.warps[current].is_finished();
                         self.fold_warp_horizon(current, now, port, outcome);
                     } else {
                         self.warps[current].block(BlockReason::WgmmaDrain);
+                        self.sync_masks(current);
                     }
                     continue;
                 }
@@ -451,6 +533,7 @@ impl SimtCore {
                     self.stats.instrs_issued += 1;
                     self.warps[current].consume();
                     self.warps[current].block(BlockReason::Barrier { id, ticket });
+                    self.sync_masks(current);
                     // Arriving can release the barrier for every waiting core.
                     outcome.acted = true;
                     continue;
@@ -460,11 +543,12 @@ impl SimtCore {
                     // load instruction; subsequent polls while blocked are
                     // accounted separately as fence_poll_instrs.
                     self.stats.instrs_issued += 1;
-                    self.warps[current].consume();
                     if port.async_outstanding() > max_outstanding {
+                        self.warps[current].consume();
                         self.warps[current].block(BlockReason::Fence { max_outstanding });
+                        self.sync_masks(current);
                     } else {
-                        outcome.warp_retired |= self.warps[current].is_finished();
+                        self.warps[current].consume();
                         self.fold_warp_horizon(current, now, port, outcome);
                     }
                     continue;
@@ -504,6 +588,7 @@ impl SimtCore {
                         let shared = matches!(op, WarpOp::LoadShared { .. });
                         let done = self.memory_access(now, port, &access, shared, false);
                         self.warps[current].push_load(done);
+                        self.earliest_load = self.earliest_load.min(done);
                         self.stats.lsu_lane_ops += u64::from(access.active_lanes);
                         true
                     }
@@ -553,24 +638,18 @@ impl SimtCore {
 
             if ok {
                 self.warps[current].consume();
-                outcome.warp_retired |= self.warps[current].is_finished();
                 self.fold_warp_horizon(current, now, port, outcome);
                 self.account_issue(&op);
                 issued += 1;
                 self.next_warp = index;
-            } else if !matches!(op, WarpOp::HmmaStep { .. }) {
+            } else {
                 // Slot/LSQ/inbox contention retries every cycle, so the core
                 // is guaranteed active next cycle. Hazard-blocked HMMA steps
-                // are excluded: they are no-ops until the tensor unit frees,
-                // so the warp parks at its `busy_until` instead.
-                outcome.retry_next = true;
-            } else {
-                match port.hmma_busy_until(now, self.core_id) {
-                    Some(t) if t > now => outcome.fold_horizon(t),
-                    _ => outcome.retry_next = true,
-                }
-                if let Some(t) = self.warps[current].earliest_load_done() {
-                    outcome.fold_horizon(t.max(now));
+                // and wgmma enqueues are no-ops until the tensor unit frees,
+                // so the warp parks there instead.
+                match parked_until(&op, self.core_id, now, port) {
+                    Some(t) => outcome.fold_horizon(t),
+                    None => outcome.retry_next = true,
                 }
             }
         }
@@ -578,8 +657,38 @@ impl SimtCore {
         if issued == self.config.issue_width && scanned < warp_count {
             outcome.retry_next = true;
         }
+        if !outcome.retry_next {
+            if let Some(t) = self.load_horizon(now) {
+                outcome.fold_horizon(t);
+            }
+        }
         outcome.issued = issued;
         outcome.acted |= issued > 0;
+    }
+
+    /// Folds warp `current`'s post-issue contribution into `outcome`,
+    /// mirroring the [`SimtCore::next_activity`] arms for a runnable warp: a
+    /// parked `HmmaStep` or `WgmmaInit` contributes its park cycle, any
+    /// other pending op means the warp acts next cycle (`retry_next`), and a
+    /// warp that just finished is flagged and leaves the runnable mask. Its
+    /// loads are folded once per tick, by [`SimtCore::issue`].
+    fn fold_warp_horizon(
+        &mut self,
+        current: usize,
+        now: Cycle,
+        port: &dyn ClusterPort,
+        outcome: &mut TickOutcome,
+    ) {
+        let core_id = self.core_id;
+        if self.warps[current].is_finished() {
+            outcome.warp_retired = true;
+            self.sync_masks(current);
+        } else if let Some(op) = self.warps[current].peek_ref() {
+            match parked_until(op, core_id, now, port) {
+                Some(t) => outcome.fold_horizon(t),
+                None => outcome.retry_next = true,
+            }
+        }
     }
 
     /// Issues one warp memory access through the cluster port and returns its
@@ -604,40 +713,17 @@ impl SimtCore {
         done
     }
 
-    /// Folds warp `current`'s post-scan contribution into `outcome`'s event
-    /// horizon, mirroring the [`SimtCore::next_activity`] arms for an
-    /// unblocked warp: a pending non-`HmmaStep` op means the warp acts next
-    /// cycle (`retry_next`), a pending `HmmaStep` parks at the tensor unit's
-    /// `busy_until`, and in-flight loads contribute their earliest
-    /// completion.
-    fn fold_warp_horizon(
-        &mut self,
-        current: usize,
-        now: Cycle,
-        port: &mut dyn ClusterPort,
-        outcome: &mut TickOutcome,
-    ) {
-        match self.warps[current].peek() {
-            Some(WarpOp::HmmaStep { .. }) => match port.hmma_busy_until(now, self.core_id) {
-                Some(t) if t > now => outcome.fold_horizon(t),
-                _ => outcome.retry_next = true,
-            },
-            Some(_) => outcome.retry_next = true,
-            None => {}
-        }
-        if let Some(t) = self.warps[current].earliest_load_done() {
-            outcome.fold_horizon(t.max(now));
-        }
-    }
-
     /// Updates per-instruction statistics after a successful issue.
     fn account_issue(&mut self, op: &WarpOp) {
         self.stats.instrs_issued += 1;
-        if self
-            .stats
-            .instrs_issued
-            .is_multiple_of(u64::from(self.config.instrs_per_icache_access.max(1)))
-        {
+        let fetch = match self.icache_mask {
+            Some(mask) => self.stats.instrs_issued & mask == 0,
+            None => self
+                .stats
+                .instrs_issued
+                .is_multiple_of(u64::from(self.config.instrs_per_icache_access.max(1))),
+        };
+        if fetch {
             self.stats.icache_accesses += 1;
         }
         let lanes = u64::from(self.config.lanes);
@@ -654,6 +740,7 @@ impl SimtCore {
 mod tests {
     use super::*;
     use virgo_isa::{AddrExpr, DeviceId, MmioCommand, ProgramBuilder, WgmmaOp};
+    use virgo_sim::SplitMix64;
 
     /// A permissive test double for the cluster services.
     #[derive(Debug, Default)]
@@ -664,6 +751,8 @@ mod tests {
         hmma_busy: bool,
         hmma_free_at: Option<Cycle>,
         wgmma_calls: u32,
+        wgmma_full: bool,
+        wgmma_accept: Option<Cycle>,
         wgmma_pending: u32,
         mmio_calls: u32,
         async_outstanding: u32,
@@ -700,8 +789,15 @@ mod tests {
             self.hmma_free_at
         }
         fn try_wgmma(&mut self, _now: Cycle, _core: u32, _op: &WgmmaOp) -> bool {
-            self.wgmma_calls += 1;
-            true
+            if self.wgmma_full {
+                false
+            } else {
+                self.wgmma_calls += 1;
+                true
+            }
+        }
+        fn wgmma_accept_at(&self, _now: Cycle, _core: u32) -> Option<Cycle> {
+            self.wgmma_accept
         }
         fn wgmma_pending(&self, _core: u32) -> u32 {
             self.wgmma_pending
@@ -923,6 +1019,157 @@ mod tests {
         );
     }
 
+    fn wgmma_op() -> WgmmaOp {
+        WgmmaOp {
+            a: AddrExpr::fixed(0),
+            b: AddrExpr::fixed(0x800),
+            m: 16,
+            n: 16,
+            k: 32,
+            dtype: virgo_isa::DataType::Fp16,
+        }
+    }
+
+    #[test]
+    fn full_wgmma_queue_parks_the_warp_until_it_accepts() {
+        let mut core = core_with_program(|b| {
+            b.op(WarpOp::WgmmaInit(wgmma_op()));
+        });
+        let mut port = FakePort {
+            wgmma_full: true,
+            wgmma_accept: Some(Cycle::new(40)),
+            ..Default::default()
+        };
+        // The rejected enqueue parks the core at the acceptance cycle, both
+        // in the tick's own horizon and in the probe.
+        let outcome = core.tick(Cycle::new(3), &mut port);
+        assert!(!outcome.retry_next);
+        assert_eq!(outcome.horizon, Some(Cycle::new(40)));
+        assert_eq!(
+            core.next_activity(Cycle::new(4), &port),
+            Some(Cycle::new(40))
+        );
+        assert_eq!(core.stats().stall_cycles, 1);
+        // Without an acceptance cycle the warp retries every cycle.
+        port.wgmma_accept = None;
+        assert!(core.tick(Cycle::new(4), &mut port).retry_next);
+        assert_eq!(
+            core.next_activity(Cycle::new(5), &port),
+            Some(Cycle::new(5))
+        );
+        port.wgmma_full = false;
+        core.tick(Cycle::new(5), &mut port);
+        assert_eq!(core.stats().wgmma_ops, 1);
+        assert!(core.all_finished());
+    }
+
+    impl SimtCore {
+        /// Panics unless the warp masks, the earliest-load cache and
+        /// `all_finished` equal a recomputation from each warp's context.
+        fn assert_masks_match_warps(&self, context: &str) {
+            let mut runnable = 0u64;
+            let mut waiting = 0u64;
+            let mut earliest_load = NO_LOAD;
+            for (w, warp) in self.warps.iter().enumerate() {
+                if warp.is_runnable() {
+                    runnable |= 1 << w;
+                }
+                if is_waiting(warp.block_reason()) {
+                    waiting |= 1 << w;
+                }
+                if let Some(t) = warp.earliest_load_done() {
+                    earliest_load = earliest_load.min(t);
+                }
+            }
+            assert_eq!(self.runnable, runnable, "runnable mask, {context}");
+            assert_eq!(self.waiting, waiting, "waiting mask, {context}");
+            assert_eq!(
+                self.earliest_load, earliest_load,
+                "earliest load, {context}"
+            );
+            assert_eq!(
+                self.all_finished(),
+                self.warps.iter().all(WarpContext::is_finished),
+                "all_finished, {context}"
+            );
+        }
+    }
+
+    /// One random op of every kind the masks track: ALU work, shared loads
+    /// and stores, `WaitLoads`, HMMA steps, barriers, fences and the two
+    /// `wgmma` ops.
+    fn random_op(rng: &mut SplitMix64) -> WarpOp {
+        let access = LaneAccess::contiguous_words(AddrExpr::fixed(rng.next_below(64) * 4), 8);
+        match rng.next_below(10) {
+            0 | 1 => WarpOp::Alu {
+                rf_reads: 2,
+                rf_writes: 1,
+            },
+            2 => WarpOp::LoadShared { access },
+            3 => WarpOp::StoreShared { access },
+            4 => WarpOp::WaitLoads,
+            5 => WarpOp::HmmaStep {
+                macs: 64,
+                rf_reads: 4,
+                rf_writes: 2,
+            },
+            6 => WarpOp::Barrier { id: 0 },
+            7 => WarpOp::FenceAsync {
+                max_outstanding: rng.next_below(2) as u32,
+            },
+            8 => WarpOp::WgmmaInit(wgmma_op()),
+            _ => WarpOp::WgmmaWait,
+        }
+    }
+
+    #[test]
+    fn warp_masks_match_a_recomputation_on_random_programs() {
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::new(0xC0DE_0023 ^ seed);
+            let mut core = SimtCore::new(CoreConfig::vortex_default(), 0);
+            for w in 0..1 + rng.next_below(8) as u32 {
+                let mut b = ProgramBuilder::new();
+                for _ in 0..rng.next_below(12) {
+                    b.op(random_op(&mut rng));
+                }
+                let body: Vec<WarpOp> = (0..rng.next_below(4))
+                    .map(|_| random_op(&mut rng))
+                    .collect();
+                b.repeat(rng.next_below(4), |b| {
+                    for &op in &body {
+                        b.op(op);
+                    }
+                });
+                core.assign_warp(w, &Arc::new(b.build()));
+            }
+            core.assert_masks_match_warps(&format!("seed {seed}, assigned"));
+            let mut port = FakePort::default();
+            for cycle in 0..400u64 {
+                // The cluster around the core changes under it: the tensor
+                // units fill and drain, barriers open, async work retires.
+                port.mem_latency = 1 + rng.next_below(20);
+                port.hmma_busy = rng.next_below(3) == 0;
+                port.hmma_free_at = port
+                    .hmma_busy
+                    .then(|| Cycle::new(cycle + rng.next_below(6)));
+                port.wgmma_full = rng.next_below(3) == 0;
+                port.wgmma_accept = port
+                    .wgmma_full
+                    .then(|| Cycle::new(cycle + rng.next_below(6)));
+                port.wgmma_pending = rng.next_below(2) as u32;
+                port.async_outstanding = rng.next_below(3) as u32;
+                port.barrier_open = rng.next_below(4) == 0;
+                let now = Cycle::new(cycle);
+                if rng.next_below(4) == 0 {
+                    core.next_activity(now, &port);
+                    core.assert_masks_match_warps(&format!("seed {seed}, probe at {cycle}"));
+                }
+                core.tick(now, &mut port);
+                core.assert_masks_match_warps(&format!("seed {seed}, tick {cycle}"));
+            }
+        }
+    }
+
     #[test]
     fn warp_snapshots_expose_block_state() {
         let mut core = core_with_program(|b| {
@@ -988,16 +1235,8 @@ mod tests {
 
     #[test]
     fn wgmma_wait_blocks_until_unit_drains() {
-        let op = WgmmaOp {
-            a: AddrExpr::fixed(0),
-            b: AddrExpr::fixed(0x800),
-            m: 16,
-            n: 16,
-            k: 32,
-            dtype: virgo_isa::DataType::Fp16,
-        };
         let mut core = core_with_program(|b| {
-            b.op(WarpOp::WgmmaInit(op));
+            b.op(WarpOp::WgmmaInit(wgmma_op()));
             b.op(WarpOp::WgmmaWait);
         });
         let mut port = FakePort {
@@ -1047,6 +1286,18 @@ mod tests {
         assert_eq!(s.active_cycles, 1);
         assert_eq!(s.idle_cycles, 1);
         assert_eq!(s.total_cycles, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 warps")]
+    fn more_than_64_warp_slots_panics() {
+        SimtCore::new(
+            CoreConfig {
+                warps: 65,
+                ..CoreConfig::vortex_default()
+            },
+            0,
+        );
     }
 
     #[test]

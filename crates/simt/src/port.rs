@@ -53,6 +53,20 @@ pub trait ClusterPort {
     /// unit's queue is full.
     fn try_wgmma(&mut self, now: Cycle, core: u32, op: &WgmmaOp) -> bool;
 
+    /// The first cycle at which `core`'s operand-decoupled tensor unit can
+    /// accept a `wgmma` again, given that nothing else enqueues before
+    /// then: `now` while its queue has space, otherwise the cycle after its
+    /// active operation retires, when the unit's next tick dequeues. `None`
+    /// when the core has no such unit (its `try_wgmma` fails every cycle).
+    ///
+    /// This is the `wgmma` counterpart of [`ClusterPort::hmma_busy_until`]:
+    /// when every runnable warp of a core is retrying a `WgmmaInit` against
+    /// a full queue (or an HMMA step against a busy unit), the core's event
+    /// horizon can jump to this cycle instead of pinning to `now`. An
+    /// answer earlier than the true acceptance cycle is sound (the warp
+    /// retries and parks again); a later one is not.
+    fn wgmma_accept_at(&self, now: Cycle, core: u32) -> Option<Cycle>;
+
     /// Number of `wgmma` operations still outstanding on `core`'s unit.
     fn wgmma_pending(&self, core: u32) -> u32;
 

@@ -6,7 +6,7 @@ use virgo_isa::{Program, ProgramCursor, WarpOp};
 use virgo_sim::Cycle;
 
 /// `WarpContext::earliest_load` while no load is in flight.
-const NO_LOAD: Cycle = Cycle::new(u64::MAX);
+pub(crate) const NO_LOAD: Cycle = Cycle::new(u64::MAX);
 
 /// Why a warp is currently unable to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +66,15 @@ impl WarpContext {
     /// Returns the next operation to issue without consuming it, fetching
     /// from the program cursor if necessary.
     pub fn peek(&mut self) -> Option<WarpOp> {
+        self.peek_ref().copied()
+    }
+
+    /// [`WarpContext::peek`] by reference, without copying the op.
+    pub(crate) fn peek_ref(&mut self) -> Option<&WarpOp> {
         if self.pending.is_none() {
             self.pending = self.cursor.next_op();
         }
-        self.pending
+        self.pending.as_ref()
     }
 
     /// Consumes the pending operation (after it has issued or been
@@ -142,10 +147,10 @@ impl WarpContext {
     /// True when the warp has executed its whole program, drained its
     /// outstanding loads and is not waiting on any synchronization event.
     pub fn is_finished(&self) -> bool {
-        self.block.is_none()
-            && self.pending.is_none()
-            && self.cursor.is_done()
+        self.pending.is_none()
+            && self.block.is_none()
             && self.outstanding_loads.is_empty()
+            && self.cursor.is_done()
     }
 
     /// Re-anchors the fence-poll rate limiter at `at`, the warp's first

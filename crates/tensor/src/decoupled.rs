@@ -131,6 +131,39 @@ impl OperandDecoupledUnit {
         self.queue.push(*op).is_ok()
     }
 
+    /// The first cycle at which [`OperandDecoupledUnit::try_enqueue`] can
+    /// succeed if nothing else enqueues before then: `now` while the queue
+    /// has space; with the queue full, the cycle after the active operation
+    /// retires, because the tick at that cycle dequeues before the cores
+    /// issue. When that retirement is not yet known, or nothing is active
+    /// (the next tick dequeues), the answer is `now`: early, which a caller
+    /// may only take as "retry".
+    pub fn accept_at(&self, now: Cycle) -> Cycle {
+        if self.queue.has_space() {
+            return now;
+        }
+        match &self.active {
+            Some(ActiveOp {
+                done: Some(done), ..
+            }) => (*done).max(now).plus(1),
+            // The backend launches at the tick that sees the operands, so
+            // the retirement is already determined.
+            Some(ActiveOp {
+                op,
+                operands_ready,
+                done: None,
+            }) if *operands_ready > now => operands_ready.plus(self.compute_cycles(op) + 1),
+            _ => now,
+        }
+    }
+
+    /// Cycles the execute backend spends on `op` once its operands arrived.
+    fn compute_cycles(&self, op: &WgmmaOp) -> u64 {
+        op.mac_ops()
+            .div_ceil(u64::from(self.config.macs_per_cycle))
+            .max(1)
+    }
+
     /// Advances the unit by one cycle, issuing shared-memory reads for the
     /// operation at the head of the queue and retiring the active operation
     /// when its compute finishes. Returns the number of operations that
@@ -157,11 +190,7 @@ impl OperandDecoupledUnit {
 
         // Launch the execute backend once operands have arrived.
         if active.done.is_none() && now >= active.operands_ready {
-            let compute_cycles = active
-                .op
-                .mac_ops()
-                .div_ceil(u64::from(self.config.macs_per_cycle))
-                .max(1);
+            let compute_cycles = self.compute_cycles(&active.op);
             active.done = Some(now.plus(compute_cycles));
             self.stats.busy_cycles += compute_cycles;
         }
@@ -341,6 +370,39 @@ mod tests {
         assert_eq!(unit.stats().ops, 4);
         // Four ops of 128 compute cycles each: at least 512 cycles total.
         assert!(cycles >= 512);
+    }
+
+    #[test]
+    fn accept_at_names_the_cycle_a_full_queue_takes_the_next_op() {
+        let mut unit = OperandDecoupledUnit::new(DecoupledConfig {
+            queue_depth: 2,
+            ..Default::default()
+        });
+        let mut smem = SharedMemory::new(SmemConfig::default_cluster());
+        let op = wgmma(16, 16, 32);
+        // A core that enqueues whenever it can, after the unit's tick, as
+        // the cluster orders them.
+        let mut promised: Option<Cycle> = None;
+        let mut kept = 0;
+        for cycle in 0..10_000 {
+            let now = Cycle::new(cycle);
+            unit.tick(now, &mut smem);
+            let at = unit.accept_at(now);
+            if unit.try_enqueue(&op) {
+                assert_eq!(at, now, "cycle {cycle}");
+                if let Some(p) = promised.take() {
+                    assert_eq!(p, now, "a promised cycle is exact");
+                    kept += 1;
+                }
+            } else if at > now {
+                // Until then every retry fails, and the promise holds.
+                assert_eq!(*promised.get_or_insert(at), at, "cycle {cycle}");
+            }
+            if kept == 8 {
+                return;
+            }
+        }
+        panic!("only {kept} promises were kept");
     }
 
     #[test]

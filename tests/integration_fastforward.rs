@@ -164,3 +164,24 @@ fn heterogeneous_configuration_is_bit_identical() {
         .expect("fast-forward finishes");
     assert_eq!(ReportDigest::of(&naive), ReportDigest::of(&fast));
 }
+
+/// The Hopper-style GEMM fills each core's 4-entry `wgmma` queue: its warps
+/// enqueue more operations per K step than the operand-decoupled unit
+/// holds, so most `WgmmaInit`s are first rejected. A rejected warp parks
+/// until the queue accepts again (`ClusterPort::wgmma_accept_at`) instead
+/// of retrying every cycle, and the skipped retries must not change a
+/// single counter.
+#[test]
+fn hopper_gemm_with_a_full_wgmma_queue_is_bit_identical_and_parks() {
+    let query = Query::new(DesignKind::HopperStyle, GemmShape::square(256));
+    let naive = run(&query.clone().mode(SimMode::Naive));
+    let fast = run(&query.mode(SimMode::FastForward));
+    assert_eq!(ReportDigest::of(&naive), ReportDigest::of(&fast));
+    // 271,404 SIMT events while every rejected enqueue retried per cycle;
+    // parking must cut that at least fivefold.
+    let events = fast.sched_stats().simt_events;
+    assert!(
+        events <= 271_404 / 5,
+        "{events} SIMT events: rejected wgmma enqueues are not parked"
+    );
+}
