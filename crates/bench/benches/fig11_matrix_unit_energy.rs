@@ -5,7 +5,7 @@ use virgo_kernels::GemmShape;
 
 fn main() {
     // The paper uses 1024³; the default 512³ keeps the run short.
-    let sizes = std::env::var("VIRGO_BREAKDOWN_SIZE").ok();
+    let sizes = std::env::var("VIRGO_GEMM_SIZES").ok();
     for shape in sizes_from_env(sizes.as_deref(), &[GemmShape::square(512)]) {
         let results = run_gemm_all_designs(shape);
 

@@ -27,7 +27,7 @@ fn main() {
     ];
 
     // The paper uses 1024³; the default 512³ keeps the run short.
-    let sizes = std::env::var("VIRGO_BREAKDOWN_SIZE").ok();
+    let sizes = std::env::var("VIRGO_GEMM_SIZES").ok();
     for shape in sizes_from_env(sizes.as_deref(), &[GemmShape::square(512)]) {
         let results = run_gemm_all_designs(shape);
         let mut rows = Vec::new();
@@ -59,5 +59,5 @@ fn main() {
     println!("core-coupled designs' power; Virgo's core power collapses because instruction");
     println!("processing and register-file traffic are removed, leaving the matrix unit and");
     println!("memories as the main consumers.");
-    println!("(Set VIRGO_BREAKDOWN_SIZE=1024 to reproduce the paper's exact problem size.)");
+    println!("(Set VIRGO_GEMM_SIZES=1024 to reproduce the paper's exact problem size.)");
 }

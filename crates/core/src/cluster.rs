@@ -7,7 +7,7 @@ use virgo_mem::{
     AccumulatorMemory, Coalescer, DmaEngine, DmaTransfer, DsmFabric, GlobalMemory, MemoryBackend,
     SharedMemory,
 };
-use virgo_sim::{earliest, Counters, Cycle, NextActivity};
+use virgo_sim::{earliest, Counters, Cycle};
 use virgo_simt::{
     ClusterPort, ClusterSynchronizer, CoreStats, SimtCore, TickOutcome, WarpSnapshot,
 };
@@ -42,7 +42,6 @@ virgo_sim::counters!(ClusterStats {
 /// time.
 #[derive(Debug)]
 pub struct ClusterDevices {
-    design: DesignKind,
     /// The cluster shared memory.
     pub smem: SharedMemory,
     /// This cluster's global-memory front-end (the private per-core L1s);
@@ -106,7 +105,6 @@ impl ClusterDevices {
         }
 
         ClusterDevices {
-            design: config.design,
             smem,
             gmem: GlobalMemory::for_cluster(config.global_memory(), cluster),
             coalescers: (0..cores).map(|_| Coalescer::new(line_bytes)).collect(),
@@ -120,11 +118,6 @@ impl ClusterDevices {
             next_dma_tag: 0,
             stats: ClusterStats::default(),
         }
-    }
-
-    /// Which design point these devices implement.
-    pub fn design(&self) -> DesignKind {
-        self.design
     }
 
     /// Cluster-level event counters.
@@ -202,6 +195,14 @@ impl ClusterDevices {
     /// tick; their structural-hazard release cycle reaches the fast-forward
     /// engine through `ClusterPort::hmma_busy_until` instead, so a core whose
     /// runnable warps are all hazard-blocked can jump to it.
+    ///
+    /// The shared memory has no horizon of its own, though its pending
+    /// stream-read queue holds future-dated reads that only this block's
+    /// tick drains. That stays sound: every pending read was scheduled by a
+    /// Gemmini unit whose own horizon is at or before the end of the block
+    /// that scheduled it, so the producer keeps this tick scheduled for as
+    /// long as reads are outstanding (and a core access drains the reads due
+    /// by then itself, in `ClusterPort::shared_access`).
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.dma.as_ref().and_then(|d| d.next_activity(now));
         for unit in &self.gemmini_units {
@@ -211,6 +212,21 @@ impl ClusterDevices {
             next = earliest(next, unit.next_activity(now));
         }
         next
+    }
+
+    /// Which device engine classes have an event horizon at or before `now`:
+    /// `(dma, gemmini, tensor)`. The event-driven driver samples this right
+    /// before a devices tick to attribute the event in
+    /// [`crate::report::SchedStats`].
+    pub(crate) fn due_engines(&self, now: Cycle) -> (bool, bool, bool) {
+        let due = |h: Option<Cycle>| h.is_some_and(|t| t <= now);
+        (
+            self.dma.as_ref().is_some_and(|e| due(e.next_activity(now))),
+            self.gemmini_units.iter().any(|u| due(u.next_activity(now))),
+            self.decoupled_units
+                .iter()
+                .any(|u| due(u.next_activity(now))),
+        )
     }
 
     /// Bulk-replays `cycles` skipped ticks of a quiescent window, during
@@ -589,26 +605,6 @@ impl Cluster {
         out
     }
 
-    /// Advances the whole cluster by one cycle against the shared back-end
-    /// and the inter-cluster DSM fabric.
-    pub fn tick(&mut self, now: Cycle, backend: &mut MemoryBackend, fabric: &mut DsmFabric) {
-        if now.get() < self.start_at {
-            // Held in reset by a late-start fault: nothing in the cluster
-            // runs, and no per-cycle counters advance (matching what
-            // `fast_forward` skips, so both simulation modes agree).
-            return;
-        }
-        self.devices.tick(now, backend, fabric);
-        let mut ctx = ClusterCtx {
-            devices: &mut self.devices,
-            backend,
-            fabric,
-        };
-        for core in &mut self.cores {
-            core.tick(now, &mut ctx);
-        }
-    }
-
     /// True when every core has retired its warps and every asynchronous
     /// engine has drained.
     pub fn finished(&self) -> bool {
@@ -649,13 +645,14 @@ impl Cluster {
         next
     }
 
-    // --- Per-component entry points for the event-driven driver -----------
+    // --- Per-component entry points -------------------------------------
     //
-    // The event-queue scheduler (see `scheduler.rs`) advances the cluster's
-    // devices and each core independently: a component is ticked only on the
-    // cycles it is scheduled for, and the gap since its last tick is
-    // bulk-replayed first so per-cycle accounting stays bit-identical to the
-    // naive loop, which ticks everything every cycle.
+    // Both simulation modes advance the cluster's devices and each core
+    // through these. The naive loop (`Machine::tick`) ticks everything every
+    // cycle from `start_at` on; the event scheduler (see `scheduler.rs`)
+    // ticks a component only on the cycles it is scheduled for, never before
+    // `start_at`, and bulk-replays the gap since its last tick first, so
+    // per-cycle accounting stays bit-identical to the naive loop.
 
     /// Ticks only the cluster devices (DMA, matrix units, decoupled units).
     pub fn tick_devices(
@@ -664,9 +661,7 @@ impl Cluster {
         backend: &mut MemoryBackend,
         fabric: &mut DsmFabric,
     ) {
-        if now.get() < self.start_at {
-            return;
-        }
+        debug_assert!(now.get() >= self.start_at, "devices ticked in reset");
         self.devices.tick(now, backend, fabric);
     }
 
@@ -680,9 +675,7 @@ impl Cluster {
         backend: &mut MemoryBackend,
         fabric: &mut DsmFabric,
     ) -> TickOutcome {
-        if now.get() < self.start_at {
-            return TickOutcome::default();
-        }
+        debug_assert!(now.get() >= self.start_at, "core ticked in reset");
         let mut ctx = ClusterCtx {
             devices: &mut self.devices,
             backend,
@@ -691,64 +684,23 @@ impl Cluster {
         self.cores[core].tick(now, &mut ctx)
     }
 
-    /// The devices' own event horizon (see [`ClusterDevices::next_activity`]).
-    pub fn devices_next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.devices.next_activity(now)
-    }
-
     /// Bulk-replays `cycles` parked device ticks (DMA busy time, matrix-unit
     /// compute schedules).
-    pub fn fast_forward_devices(&mut self, from: Cycle, cycles: u64) {
-        if from.get() < self.start_at {
-            return;
-        }
+    pub fn fast_forward_devices(&mut self, cycles: u64) {
         self.devices.fast_forward(cycles);
     }
 
-    /// Bulk-replays `cycles` parked ticks of core `core`.
+    /// Bulk-replays `cycles` parked ticks of core `core`, the first at
+    /// `from`.
     pub fn fast_forward_core(&mut self, core: usize, from: Cycle, cycles: u64) {
-        if from.get() < self.start_at {
-            return;
-        }
         self.cores[core].fast_forward(from, cycles);
-    }
-
-    /// Signature of submissions into the cluster devices: bumps when a core
-    /// performs an MMIO write or enqueues into a decoupled tensor unit.
-    pub fn inbox_mark(&self) -> u64 {
-        self.devices.inbox_mark()
-    }
-
-    /// Signature of asynchronous completions: bumps when the DMA engine or a
-    /// matrix unit retires an async op, or a decoupled tensor unit retires a
-    /// wgmma.
-    pub fn completion_mark(&self) -> u64 {
-        self.devices.completion_mark()
-    }
-
-    /// Cluster-barrier releases so far (event-driven cross-core wake signal).
-    pub fn barrier_release_events(&self) -> u64 {
-        self.devices.synchronizer.release_events()
-    }
-
-    /// Which device engine classes have an event horizon at or before `now`:
-    /// `(dma, gemmini, tensor)`. The event-driven driver samples this right
-    /// before a devices tick to attribute the event in
-    /// [`crate::report::SchedStats`].
-    pub fn due_engines(&self, now: Cycle) -> (bool, bool, bool) {
-        let d = &self.devices;
-        let due = |h: Option<Cycle>| h.is_some_and(|t| t <= now);
-        (
-            d.dma.as_ref().is_some_and(|e| due(e.next_activity(now))),
-            d.gemmini_units.iter().any(|u| due(u.next_activity(now))),
-            d.decoupled_units.iter().any(|u| due(u.next_activity(now))),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use std::sync::Arc;
     use virgo_isa::{
         AddrExpr, DataType, DmaCopyCmd, KernelInfo, LaneAccess, MemLoc, ProgramBuilder,
@@ -764,25 +716,24 @@ mod tests {
         )
     }
 
-    fn cluster_with(config: GpuConfig, kernel: &Kernel) -> (Cluster, MemoryBackend, DsmFabric) {
+    /// A one-cluster machine running `kernel` on cluster 0.
+    fn machine_with(config: GpuConfig, kernel: &Kernel) -> Machine {
         let clusters = config.clusters.max(1);
-        let backend = MemoryBackend::new(config.global_memory(), clusters);
-        let fabric = DsmFabric::new(config.dsm, clusters);
-        (Cluster::new(config, kernel, 0), backend, fabric)
+        Machine {
+            backend: MemoryBackend::new(config.global_memory(), clusters),
+            fabric: DsmFabric::new(config.dsm, clusters),
+            clusters: vec![Cluster::new(config, kernel, 0)],
+        }
     }
 
-    fn run(
-        cluster: &mut Cluster,
-        backend: &mut MemoryBackend,
-        fabric: &mut DsmFabric,
-        limit: u64,
-    ) -> u64 {
+    /// Runs the naive loop until cluster 0 finishes or `limit` cycles pass;
+    /// returns the cycle reached.
+    fn run(machine: &mut Machine, limit: u64) -> u64 {
         for cycle in 0..limit {
-            if cluster.finished() {
+            if machine.clusters[0].finished() {
                 return cycle;
             }
-            fabric.tick(Cycle::new(cycle));
-            cluster.tick(Cycle::new(cycle), backend, fabric);
+            machine.tick(Cycle::new(cycle));
         }
         limit
     }
@@ -798,8 +749,9 @@ mod tests {
                 },
             );
         });
-        let (mut cluster, mut backend, mut fabric) = cluster_with(GpuConfig::virgo(), &kernel);
-        let cycles = run(&mut cluster, &mut backend, &mut fabric, 10_000);
+        let mut machine = machine_with(GpuConfig::virgo(), &kernel);
+        let cycles = run(&mut machine, 10_000);
+        let cluster = &machine.clusters[0];
         assert!(cycles < 10_000);
         assert_eq!(cluster.core_stats().instrs_issued, 16);
     }
@@ -812,13 +764,13 @@ mod tests {
             b.op(WarpOp::StoreShared { access });
             b.op(WarpOp::WaitLoads);
         });
-        let (mut cluster, mut backend, mut fabric) =
-            cluster_with(GpuConfig::ampere_style(), &kernel);
-        run(&mut cluster, &mut backend, &mut fabric, 100_000);
+        let mut machine = machine_with(GpuConfig::ampere_style(), &kernel);
+        run(&mut machine, 100_000);
+        let cluster = &machine.clusters[0];
         assert!(cluster.devices().gmem.stats().l1_accesses > 0);
         assert!(cluster.devices().smem.stats().words_written > 0);
         assert!(cluster.devices().coalescer_ops() > 0);
-        assert!(backend.stats().l2_accesses > 0);
+        assert!(machine.backend.stats().l2_accesses > 0);
     }
 
     #[test]
@@ -835,15 +787,16 @@ mod tests {
             });
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
         });
-        let (mut cluster, mut backend, mut fabric) = cluster_with(GpuConfig::virgo(), &kernel);
-        let cycles = run(&mut cluster, &mut backend, &mut fabric, 1_000_000);
+        let mut machine = machine_with(GpuConfig::virgo(), &kernel);
+        let cycles = run(&mut machine, 1_000_000);
+        let cluster = &machine.clusters[0];
         assert!(cycles < 1_000_000, "kernel must finish");
         assert!(cycles > 200, "DMA of 4 KiB cannot be instantaneous");
         let stats = cluster.devices().stats();
         assert_eq!(stats.async_ops_launched, 1);
         assert_eq!(stats.async_ops_completed, 1);
         assert_eq!(cluster.devices().async_outstanding(), 0);
-        assert_eq!(backend.cluster_stats(0).dram_requests, 1);
+        assert_eq!(machine.backend.cluster_stats(0).dram_requests, 1);
     }
 
     #[test]
@@ -865,8 +818,9 @@ mod tests {
             });
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
         });
-        let (mut cluster, mut backend, mut fabric) = cluster_with(GpuConfig::virgo(), &kernel);
-        let cycles = run(&mut cluster, &mut backend, &mut fabric, 1_000_000);
+        let mut machine = machine_with(GpuConfig::virgo(), &kernel);
+        let cycles = run(&mut machine, 1_000_000);
+        let cluster = &machine.clusters[0];
         assert!(cycles < 1_000_000);
         let gemmini = &cluster.devices().gemmini_units[0];
         assert_eq!(gemmini.stats().commands, 1);
@@ -888,9 +842,9 @@ mod tests {
                 },
             );
         });
-        let (mut cluster, mut backend, mut fabric) =
-            cluster_with(GpuConfig::volta_style(), &kernel);
-        run(&mut cluster, &mut backend, &mut fabric, 100_000);
+        let mut machine = machine_with(GpuConfig::volta_style(), &kernel);
+        run(&mut machine, 100_000);
+        let cluster = &machine.clusters[0];
         let unit = &cluster.devices().tightly_units[0];
         assert_eq!(unit.stats().steps, 8);
         assert_eq!(unit.stats().macs, 8 * 64);
@@ -910,9 +864,9 @@ mod tests {
             b.op(WarpOp::WgmmaInit(op));
             b.op(WarpOp::WgmmaWait);
         });
-        let (mut cluster, mut backend, mut fabric) =
-            cluster_with(GpuConfig::hopper_style(), &kernel);
-        let cycles = run(&mut cluster, &mut backend, &mut fabric, 100_000);
+        let mut machine = machine_with(GpuConfig::hopper_style(), &kernel);
+        let cycles = run(&mut machine, 100_000);
+        let cluster = &machine.clusters[0];
         let unit = &cluster.devices().decoupled_units[0];
         assert_eq!(unit.stats().ops, 1);
         assert!(cycles >= 128, "wgmma wait must cover the compute time");
@@ -936,8 +890,9 @@ mod tests {
                 WarpAssignment::new(1, 0, Arc::clone(&program)),
             ],
         );
-        let (mut cluster, mut backend, mut fabric) = cluster_with(GpuConfig::virgo(), &kernel);
-        let cycles = run(&mut cluster, &mut backend, &mut fabric, 10_000);
+        let mut machine = machine_with(GpuConfig::virgo(), &kernel);
+        let cycles = run(&mut machine, 10_000);
+        let cluster = &machine.clusters[0];
         assert!(cycles < 10_000);
         assert_eq!(cluster.devices().synchronizer.release_events(), 1);
         assert_eq!(cluster.core_stats().barrier_arrivals, 2);
@@ -983,8 +938,9 @@ mod tests {
                 WarpAssignment::new(0, 1, Arc::new(ProgramBuilder::new().build())),
             ],
         );
-        let (mut cluster, mut backend, mut fabric) = cluster_with(GpuConfig::virgo(), &kernel);
-        run(&mut cluster, &mut backend, &mut fabric, 100);
+        let mut machine = machine_with(GpuConfig::virgo(), &kernel);
+        run(&mut machine, 100);
+        let cluster = &machine.clusters[0];
         let stuck = cluster.unfinished_warps();
         assert_eq!(stuck.len(), 1);
         assert_eq!(stuck[0].cluster, 0);

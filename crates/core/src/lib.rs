@@ -50,7 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cluster;
+mod cluster;
 pub mod config;
 pub mod jobs;
 pub mod key;
@@ -60,7 +60,7 @@ pub mod run;
 mod scheduler;
 pub mod snapshot;
 
-pub use cluster::{Cluster, ClusterDevices, ClusterStats, PlacedWarpSnapshot};
+pub use cluster::ClusterStats;
 pub use config::{DesignKind, GpuConfig, MatrixUnitSpec};
 pub use jobs::{JobCompletion, JobId, JobTable};
 pub use key::SimKey;

@@ -12,7 +12,7 @@
 
 use virgo_isa::Kernel;
 use virgo_mem::{DsmFabric, MemoryBackend};
-use virgo_sim::{earliest, Cycle, NextActivity};
+use virgo_sim::{earliest, Cycle};
 use virgo_simt::BlockReason;
 
 use crate::cluster::Cluster;
@@ -103,10 +103,22 @@ impl Machine {
         ids.iter().all(|&id| self.clusters[id as usize].finished()) && self.fabric.quiescent_on(ids)
     }
 
+    /// The naive loop's step: ticks the fabric, then every cluster out of
+    /// reset, its devices first and then each core, through the entry points
+    /// the event scheduler dispatches.
     pub(crate) fn tick(&mut self, now: Cycle) {
         self.fabric.tick(now);
         for cluster in &mut self.clusters {
-            cluster.tick(now, &mut self.backend, &mut self.fabric);
+            if now.get() < cluster.start_at() {
+                // Held in reset (a late start or a mid-session load): nothing
+                // in the cluster runs and no per-cycle counter advances, as
+                // in the event scheduler, which registers it at `start_at`.
+                continue;
+            }
+            cluster.tick_devices(now, &mut self.backend, &mut self.fabric);
+            for core in 0..cluster.cores().len() {
+                cluster.tick_core(core, now, &mut self.backend, &mut self.fabric);
+            }
         }
     }
 

@@ -34,7 +34,7 @@
 //! the component's entry and re-registers the whole horizon it reports, so
 //! an event superseded by an earlier wake never fires on its own.
 
-use virgo_sim::{Cycle, NextActivity};
+use virgo_sim::Cycle;
 
 use crate::machine::Machine;
 use crate::report::SchedStats;
@@ -141,7 +141,7 @@ impl Scheduler {
                 }
                 let from = Cycle::new(self.synced[id]);
                 if off == 0 {
-                    cluster.fast_forward_devices(from, lag);
+                    cluster.fast_forward_devices(lag);
                 } else {
                     cluster.fast_forward_core(off - 1, from, lag);
                 }
@@ -225,19 +225,19 @@ impl Scheduler {
                     self.next_at[base] = NEVER;
                     let lag = c.saturating_sub(self.synced[base]);
                     if lag > 0 {
-                        cluster.fast_forward_devices(Cycle::new(self.synced[base]), lag);
+                        cluster.fast_forward_devices(lag);
                     }
-                    let (dma, gemmini, tensor) = cluster.due_engines(now);
+                    let (dma, gemmini, tensor) = cluster.devices().due_engines(now);
                     let stats = self.tally[lead].at(c);
                     stats.dma_events += u64::from(dma);
                     stats.gemmini_events += u64::from(gemmini);
                     stats.tensor_events += u64::from(tensor);
-                    let completions = cluster.completion_mark();
+                    let completions = cluster.devices().completion_mark();
                     let transfers = fabric.stats().transfers;
                     cluster.tick_devices(now, backend, fabric);
                     self.synced[base] = c + 1;
                     check_finish = true;
-                    if cluster.completion_mark() != completions {
+                    if cluster.devices().completion_mark() != completions {
                         // The cores tick after the devices: same cycle.
                         self.wake_all(base + 1..=last, c);
                     }
@@ -246,7 +246,7 @@ impl Scheduler {
                             self.wake(FABRIC, t.get(), next);
                         }
                     }
-                    if let Some(t) = cluster.devices_next_activity(now) {
+                    if let Some(t) = cluster.devices().next_activity(now) {
                         self.wake(base, t.get(), next);
                     }
                 }
@@ -261,8 +261,8 @@ impl Scheduler {
                         cluster.fast_forward_core(i, Cycle::new(self.synced[id]), lag);
                     }
                     self.tally[lead].at(c).simt_events += 1;
-                    let releases = cluster.barrier_release_events();
-                    let inbox = cluster.inbox_mark();
+                    let releases = cluster.devices().synchronizer.release_events();
+                    let inbox = cluster.devices().inbox_mark();
                     let transfers = fabric.stats().transfers;
                     let outcome = cluster.tick_core(i, now, backend, fabric);
                     self.synced[id] = c + 1;
@@ -271,13 +271,13 @@ impl Scheduler {
                         // Only a real issue or a barrier arrival can change
                         // anything outside the core, so the signature checks
                         // are skipped on all other ticks.
-                        if cluster.barrier_release_events() != releases {
+                        if cluster.devices().synchronizer.release_events() != releases {
                             // Later cores see the release this cycle, this
                             // one and earlier ones on the next.
                             self.wake_all(id + 1..=last, c);
                             self.wake_all(base + 1..=id, next);
                         }
-                        if cluster.inbox_mark() != inbox {
+                        if cluster.devices().inbox_mark() != inbox {
                             self.wake(base, next, next);
                         }
                         if fabric.stats().transfers != transfers {

@@ -2,7 +2,7 @@
 
 use virgo_isa::MatrixComputeCmd;
 use virgo_mem::{AccumulatorMemory, SharedMemory};
-use virgo_sim::{BoundedQueue, Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{BoundedQueue, Cycle, StableHash, StableHasher};
 
 /// Configuration of one disaggregated matrix unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,8 +348,8 @@ impl GemminiUnit {
 
     /// Bulk-replays `cycles` parked mid-block ticks: the compute schedule
     /// advances and the fill/drain vs. busy split is applied in closed form.
-    /// The caller guarantees (via [`NextActivity`]) that the window never
-    /// straddles a block boundary. A no-op on an idle unit.
+    /// The caller guarantees (via [`Self::next_activity`]) that the window
+    /// never straddles a block boundary. A no-op on an idle unit.
     pub fn fast_forward(&mut self, cycles: u64) {
         let Some(active) = &mut self.active else {
             return;
@@ -368,15 +368,16 @@ impl GemminiUnit {
         self.stats.busy_cycles += cycles - fills;
         active.cycle_in_block = end;
     }
-}
 
-impl NextActivity for GemminiUnit {
+    /// The earliest cycle `>= now` at which ticking the unit can change its
+    /// state, or `None` when it is drained (see `virgo_sim::activity`).
+    ///
     /// Mid-block the FSM only performs closed-form compute accounting (the
     /// operand reads were pre-scheduled on block entry), so its next real
     /// event is the block boundary: accumulator writeback, block advance or
     /// command completion. An idle unit with queued commands latches one on
     /// the next tick; a drained unit never acts again on its own.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         match &self.active {
             Some(active) => {
                 let block_end = active.block_start + active.block_cycles.max(1) - 1;

@@ -7,7 +7,7 @@
 //! with one wide port — simpler and lower energy per access than the
 //! multi-banked register file it replaces.
 
-use virgo_sim::{Cycle, NextActivity};
+use virgo_sim::Cycle;
 
 /// Event counters for the accumulator memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,14 +105,6 @@ impl AccumulatorMemory {
     /// Cycle at which the port is next free.
     pub fn busy_until(&self) -> Cycle {
         self.busy_until
-    }
-}
-
-impl NextActivity for AccumulatorMemory {
-    /// The accumulator SRAM is purely reactive (driven by the matrix unit
-    /// and the DMA engine) and contributes no self-driven events.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -13,7 +13,7 @@
 //! runs can report DRAM-contention stalls per cluster and per channel.
 
 use virgo_sim::fault::FaultPlan;
-use virgo_sim::{Cycle, NextActivity};
+use virgo_sim::Cycle;
 
 use crate::cache::Cache;
 use crate::dram::{DramFaultStats, DramStats, MultiChannelDram};
@@ -394,14 +394,6 @@ impl MemoryBackend {
         per_channel.requests += 1;
         per_channel.stall_cycles += stall;
         (self.dram.access_on(channel, at, bytes, write), stall)
-    }
-}
-
-impl NextActivity for MemoryBackend {
-    /// The L2 and the DRAM channels behind it are purely reactive and
-    /// contribute no self-driven events.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -4,8 +4,6 @@
 //! tracks tags only (no data payloads) — the simulator is trace-free and the
 //! functional results are validated separately at the tile level.
 
-use virgo_sim::{Cycle, NextActivity};
-
 /// Configuration of one cache instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -203,14 +201,6 @@ impl Cache {
     /// Invalidates every line (used between kernel phases in tests).
     pub fn flush(&mut self) {
         self.tags.iter_mut().for_each(|t| *t = None);
-    }
-}
-
-impl NextActivity for Cache {
-    /// Caches are purely reactive tag arrays: they never initiate work, so
-    /// they contribute no self-driven events to the fast-forward horizon.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -9,7 +9,7 @@
 //! `virgo_fence` can track outstanding asynchronous operations.
 
 use virgo_isa::{decode_remote_smem, MemRegion};
-use virgo_sim::{BoundedQueue, Cycle, NextActivity};
+use virgo_sim::{BoundedQueue, Cycle};
 
 use crate::accmem::AccumulatorMemory;
 use crate::backend::MemoryBackend;
@@ -177,8 +177,8 @@ impl DmaEngine {
     /// The naive loop increments `busy_cycles` once per tick while a transfer
     /// is active; when the fast-forward driver skips a quiescent window it
     /// calls this instead so the statistics stay bit-identical. The caller
-    /// guarantees (via [`NextActivity`]) that the window ends no later than
-    /// the active transfer's completion cycle.
+    /// guarantees (via [`Self::next_activity`]) that the window ends no
+    /// later than the active transfer's completion cycle.
     pub fn fast_forward(&mut self, cycles: u64) {
         if self.active.is_some() {
             self.stats.busy_cycles += cycles;
@@ -239,14 +239,15 @@ impl DmaEngine {
         }
         done
     }
-}
 
-impl NextActivity for DmaEngine {
+    /// The earliest cycle `>= now` at which ticking the engine can change
+    /// its state, or `None` when it is drained (see `virgo_sim::activity`).
+    ///
     /// The engine next acts when its in-flight transfer completes, or
     /// immediately if a queued transfer is waiting to start. Ticks before the
     /// active transfer's completion only increment `busy_cycles`, which
     /// [`DmaEngine::fast_forward`] replays in bulk.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         match &self.active {
             Some((_, done)) => Some((*done).max(now)),
             None if !self.queue.is_empty() => Some(now),

@@ -2,7 +2,7 @@
 //! address-interleaved multi-channel subsystem built from it.
 
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
-use virgo_sim::{Counters, Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Counters, Cycle, StableHash, StableHasher};
 
 /// Configuration of the DRAM interface.
 ///
@@ -177,15 +177,6 @@ impl DramModel {
         self.stats.bytes += rounded;
         self.stats.bursts += bursts;
         done
-    }
-}
-
-impl NextActivity for DramModel {
-    /// The DRAM channel is purely reactive: `busy_until` shapes the latency
-    /// of *future* requests but nothing happens when the channel drains, so
-    /// it contributes no self-driven events.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 
@@ -427,13 +418,6 @@ impl MultiChannelDram {
     /// Per-channel statistics, in channel order.
     pub fn per_channel_stats(&self) -> Vec<DramStats> {
         self.channels.iter().map(|c| c.stats()).collect()
-    }
-}
-
-impl NextActivity for MultiChannelDram {
-    /// Like the single channel: purely reactive, no self-driven events.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -25,7 +25,7 @@
 //! counter of a kernel that never issues remote accesses.
 
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
-use virgo_sim::{Counters, Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Counters, Cycle, StableHash, StableHasher};
 
 /// Bytes per link flit; hop-traversal energy is charged per flit per hop.
 pub const DSM_FLIT_BYTES: u64 = 32;
@@ -675,12 +675,11 @@ impl DsmFabric {
             .iter()
             .any(|t| ids.contains(&t.from) || ids.contains(&t.to))
     }
-}
 
-impl NextActivity for DsmFabric {
-    /// The fabric next acts when its earliest in-flight transfer delivers;
-    /// an idle fabric contributes no self-driven events.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    /// The earliest cycle `>= now` at which the fabric acts (see
+    /// `virgo_sim::activity`): its earliest in-flight delivery. An idle
+    /// fabric contributes no self-driven events.
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         self.in_flight
             .iter()
             .map(|t| t.done)

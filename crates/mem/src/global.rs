@@ -1,7 +1,7 @@
 //! The per-cluster global-memory front-end: private per-core L1 caches
 //! feeding the machine-wide shared back-end.
 
-use virgo_sim::{Cycle, NextActivity};
+use virgo_sim::Cycle;
 
 use crate::backend::MemoryBackend;
 use crate::cache::{Cache, CacheConfig};
@@ -170,14 +170,6 @@ impl GlobalMemory {
             .get(core)
             .map(|c| c.stats().hit_rate())
             .unwrap_or(0.0)
-    }
-}
-
-impl NextActivity for GlobalMemory {
-    /// The L1 caches are purely reactive and contribute no self-driven
-    /// events.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
     }
 }
 

@@ -20,17 +20,24 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use virgo_sim::fault::{EccInjector, EccStats};
-use virgo_sim::{Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Cycle, StableHash, StableHasher};
 
 /// Configuration of the shared memory.
+///
+/// The bank count, the subbank count and the bank size
+/// (`capacity_bytes / banks`) must be powers of two, with at most 64 banks;
+/// [`SharedMemory::new`] rejects any other geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmemConfig {
-    /// Total capacity in bytes (128 KiB in Table 2).
+    /// Total capacity in bytes (128 KiB in Table 2). Divided by `banks` it
+    /// must give a power-of-two bank size.
     pub capacity_bytes: u64,
-    /// Number of banks (4 in Table 2). Each bank has one wide port.
+    /// Number of banks (4 in Table 2, 8 when doubled for the Volta- and
+    /// Ampere-style baselines): a power of two, at most 64. Each bank has
+    /// one wide port.
     pub banks: u32,
-    /// Number of subbanks per bank (8–16 in Table 2). Each subbank serves one
-    /// 4-byte word per cycle.
+    /// Number of subbanks per bank (8–16 in Table 2): a power of two. Each
+    /// subbank serves one 4-byte word per cycle.
     pub subbanks: u32,
     /// Access latency in cycles once a request wins arbitration.
     pub latency: u64,
@@ -138,42 +145,6 @@ struct StreamRead {
     bytes: u64,
 }
 
-/// The bank geometry as shifts and masks, chosen once in
-/// [`SharedMemory::new`] when the bank size, the bank count and the subbank
-/// count are all powers of two (every shipped configuration) and there are
-/// at most 64 banks (one bit each in a touched-bank mask).
-#[derive(Debug, Clone, Copy)]
-struct Pow2Geometry {
-    /// `log2(bank_bytes)`.
-    bank_shift: u32,
-    /// `banks - 1`.
-    bank_mask: u64,
-    /// `log2(subbanks)`.
-    subbank_shift: u32,
-    /// `subbanks - 1`.
-    subbank_mask: u64,
-}
-
-impl Pow2Geometry {
-    fn of(config: &SmemConfig) -> Option<Self> {
-        let bank_bytes = config.bank_bytes();
-        (bank_bytes.is_power_of_two()
-            && config.banks.is_power_of_two()
-            && config.banks <= 64
-            && config.subbanks.is_power_of_two())
-        .then(|| Pow2Geometry {
-            bank_shift: bank_bytes.trailing_zeros(),
-            bank_mask: u64::from(config.banks) - 1,
-            subbank_shift: config.subbanks.trailing_zeros(),
-            subbank_mask: u64::from(config.subbanks) - 1,
-        })
-    }
-
-    fn bank_of(&self, addr: u64) -> u64 {
-        (addr >> self.bank_shift) & self.bank_mask
-    }
-}
-
 /// Sorts and deduplicates `(subbank slot, word)` pairs and returns the
 /// deepest slot queue: each subbank serves one distinct word per cycle, and
 /// after sorting a slot's queue is its contiguous run.
@@ -212,8 +183,14 @@ fn deepest_slot_queue(slots: &mut [(u32, u64)]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     config: SmemConfig,
-    /// Shift-and-mask bank geometry, when the configuration allows it.
-    pow2: Option<Pow2Geometry>,
+    /// `log2(bank_bytes)`.
+    bank_shift: u32,
+    /// `banks - 1`.
+    bank_mask: u64,
+    /// `log2(subbanks)`.
+    subbank_shift: u32,
+    /// `subbanks - 1`.
+    subbank_mask: u64,
     /// Per-bank cycle at which the bank's ports are next free.
     bank_busy_until: Vec<Cycle>,
     stats: SmemStats,
@@ -228,9 +205,6 @@ pub struct SharedMemory {
     /// so the per-lane conflict model allocates nothing on the SIMT
     /// load/store hot path.
     lane_scratch: Vec<(u32, u64)>,
-    /// Reusable per-lane bank indices for the general-geometry path of
-    /// [`SharedMemory::access_simt`].
-    lane_banks: Vec<usize>,
 }
 
 impl SharedMemory {
@@ -238,23 +212,39 @@ impl SharedMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero banks or subbanks.
+    /// Panics unless the bank count, the subbank count and the bank size are
+    /// powers of two (as in every Table 2 configuration), so bank and
+    /// subbank indices are shifts and masks, or if there are more than 64
+    /// banks (one bit each in [`SharedMemory::access_simt`]'s touched-bank
+    /// mask).
     pub fn new(config: SmemConfig) -> Self {
-        assert!(config.banks > 0, "shared memory needs at least one bank");
         assert!(
-            config.subbanks > 0,
-            "shared memory needs at least one subbank"
+            config.banks.is_power_of_two() && config.banks <= 64,
+            "shared memory needs a power-of-two bank count of at most 64, the configuration asks for {}",
+            config.banks
+        );
+        assert!(
+            config.subbanks.is_power_of_two(),
+            "shared memory needs a power-of-two subbank count, the configuration asks for {}",
+            config.subbanks
+        );
+        let bank_bytes = config.bank_bytes();
+        assert!(
+            bank_bytes.is_power_of_two(),
+            "shared memory needs a power-of-two bank size, the configuration asks for {bank_bytes} bytes"
         );
         SharedMemory {
             config,
-            pow2: Pow2Geometry::of(&config),
+            bank_shift: bank_bytes.trailing_zeros(),
+            bank_mask: u64::from(config.banks) - 1,
+            subbank_shift: config.subbanks.trailing_zeros(),
+            subbank_mask: u64::from(config.subbanks) - 1,
             bank_busy_until: vec![Cycle::ZERO; config.banks as usize],
             stats: SmemStats::default(),
             ecc: None,
             pending_reads: BinaryHeap::new(),
             next_stream_seq: 0,
             lane_scratch: Vec::new(),
-            lane_banks: Vec::new(),
         }
     }
 
@@ -295,15 +285,12 @@ impl SharedMemory {
 
     /// Bank index holding `addr`.
     pub fn bank_of(&self, addr: u64) -> usize {
-        match &self.pow2 {
-            Some(g) => g.bank_of(addr) as usize,
-            None => ((addr / self.config.bank_bytes()) % u64::from(self.config.banks)) as usize,
-        }
+        ((addr >> self.bank_shift) & self.bank_mask) as usize
     }
 
     /// Subbank index within a bank holding `addr`.
     pub fn subbank_of(&self, addr: u64) -> usize {
-        ((addr / 4) % u64::from(self.config.subbanks)) as usize
+        ((addr >> 2) & self.subbank_mask) as usize
     }
 
     /// Serves one warp's SIMT lane accesses (4 bytes per lane).
@@ -321,10 +308,7 @@ impl SharedMemory {
             };
         }
 
-        let (start, conflict_cycles) = match self.pow2 {
-            Some(g) => self.occupy_banks_pow2(now, lane_addrs, g),
-            None => self.occupy_banks(now, lane_addrs),
-        };
+        let (start, conflict_cycles) = self.occupy_banks(now, lane_addrs);
 
         let words = lane_addrs.len() as u64;
         let bytes = words * 4;
@@ -344,72 +328,29 @@ impl SharedMemory {
         }
     }
 
-    /// The bank-occupancy half of [`SharedMemory::access_simt`] for any
-    /// geometry: finds the cycle the access wins every bank it touches and
-    /// its conflict cycles, counts serialized unaligned lanes, and marks
-    /// those banks busy for `1 + conflict_cycles` from the start.
+    /// The bank-occupancy half of [`SharedMemory::access_simt`]: finds the
+    /// cycle the access wins every bank it touches and its conflict cycles,
+    /// counts serialized unaligned lanes, and marks those banks busy for
+    /// `1 + conflict_cycles` from the start.
     ///
     /// Each subbank serves one distinct word per cycle, so the conflict
     /// cycles are the deepest subbank queue minus one, plus one cycle per
-    /// serialized unaligned lane.
-    fn occupy_banks(&mut self, now: Cycle, lane_addrs: &[u64]) -> (Cycle, u64) {
-        // One pass computes each lane's bank once; it feeds both the start
-        // max and the occupancy update. Aligned lanes also contribute their
-        // (subbank slot, word) pair to the reusable scratch.
-        let bank_bytes = self.config.bank_bytes();
-        let banks = u64::from(self.config.banks);
-        let subbanks = u64::from(self.config.subbanks);
-        let mut scratch = std::mem::take(&mut self.lane_scratch);
-        let mut lane_banks = std::mem::take(&mut self.lane_banks);
-        scratch.clear();
-        lane_banks.clear();
-        let mut start = now;
-        let mut unaligned = 0u64;
-        for &addr in lane_addrs {
-            let bank = (addr / bank_bytes) % banks;
-            lane_banks.push(bank as usize);
-            start = start.max(self.bank_busy_until[bank as usize]);
-            if addr % 4 != 0 {
-                unaligned += 1;
-                continue;
-            }
-            let word = addr / 4;
-            scratch.push(((bank * subbanks + word % subbanks) as u32, word));
-        }
-        self.stats.unaligned_serialized += unaligned;
-        let conflict_cycles = deepest_slot_queue(&mut scratch).saturating_sub(1) + unaligned;
-        self.lane_scratch = scratch;
-        // Duplicate banks write the same value, so no dedup is needed.
-        for &bank in &lane_banks {
-            self.bank_busy_until[bank] = start.plus(1 + conflict_cycles);
-        }
-        self.lane_banks = lane_banks;
-        (start, conflict_cycles)
-    }
-
-    /// [`SharedMemory::occupy_banks`] for power-of-two geometry: shifts and
-    /// masks in place of divisions, and a touched-bank mask in place of the
-    /// per-lane bank list. Contiguous aligned words inside one bank, the
-    /// common SIMT shape, take a closed form: `n` consecutive words spread
-    /// over the subbanks round-robin, so the deepest queue is
+    /// serialized unaligned lane. Contiguous aligned words inside one bank,
+    /// the common SIMT shape, take a closed form: `n` consecutive words
+    /// spread over the subbanks round-robin, so the deepest queue is
     /// `ceil(n / subbanks)`, with no sort.
-    fn occupy_banks_pow2(
-        &mut self,
-        now: Cycle,
-        lane_addrs: &[u64],
-        g: Pow2Geometry,
-    ) -> (Cycle, u64) {
+    fn occupy_banks(&mut self, now: Cycle, lane_addrs: &[u64]) -> (Cycle, u64) {
         let first = lane_addrs[0];
         let last = first.wrapping_add(4 * (lane_addrs.len() as u64 - 1));
         let contiguous = first & 3 == 0
-            && first >> g.bank_shift == last >> g.bank_shift
+            && first >> self.bank_shift == last >> self.bank_shift
             && (0..)
                 .zip(lane_addrs)
                 .all(|(i, &a)| a == first.wrapping_add(4 * i));
         if contiguous {
-            let bank = g.bank_of(first) as usize;
+            let bank = self.bank_of(first);
             let start = now.max(self.bank_busy_until[bank]);
-            let depth = (lane_addrs.len() as u64 + g.subbank_mask) >> g.subbank_shift;
+            let depth = (lane_addrs.len() as u64 + self.subbank_mask) >> self.subbank_shift;
             let conflict_cycles = depth - 1;
             self.bank_busy_until[bank] = start.plus(1 + conflict_cycles);
             return (start, conflict_cycles);
@@ -420,14 +361,14 @@ impl SharedMemory {
         let mut touched = 0u64;
         let mut unaligned = 0u64;
         for &addr in lane_addrs {
-            let bank = g.bank_of(addr);
+            let bank = self.bank_of(addr) as u64;
             touched |= 1 << bank;
             if addr & 3 != 0 {
                 unaligned += 1;
                 continue;
             }
             let word = addr >> 2;
-            let slot = (bank << g.subbank_shift) | (word & g.subbank_mask);
+            let slot = (bank << self.subbank_shift) | (word & self.subbank_mask);
             scratch.push((slot as u32, word));
         }
         self.stats.unaligned_serialized += unaligned;
@@ -528,22 +469,6 @@ impl SharedMemory {
     }
 }
 
-impl NextActivity for SharedMemory {
-    /// The shared memory is purely reactive: its banks serve requests from
-    /// cores, tensor units and the DMA engine but never initiate work, so it
-    /// contributes no self-driven events to the fast-forward horizon.
-    ///
-    /// Unconditional `None` stays sound even though the pending stream-read
-    /// queue holds future-dated reads: each of those reads belongs to a
-    /// matrix unit whose own `next_activity` is at or before the end of the
-    /// block that scheduled them, so the producing unit keeps the cluster's
-    /// device tick (which drains the queue) scheduled for as long as reads
-    /// are outstanding. The scratchpad never needs to wake anyone itself.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +532,7 @@ mod tests {
     /// The three-pass `access_simt` body that the single-pass version
     /// replaced (a divide-and-modulo bank index per lane for the slots,
     /// again for the start max and again for the occupancy update), kept as
-    /// the equivalence reference for both geometry paths.
+    /// the division-based equivalence reference for the shift-and-mask path.
     fn reference_access_simt(
         s: &mut SharedMemory,
         now: Cycle,
@@ -716,30 +641,11 @@ mod tests {
     #[test]
     fn single_pass_simt_access_matches_reference() {
         let mut rng = SplitMix64::new(0x5EED_03E3);
-        // The three shipped configurations take the power-of-two path; the
-        // last two keep the general path checked.
         for config in [
             SmemConfig::default_cluster(),
             SmemConfig::virgo_cluster(),
             SmemConfig::double_banked(),
-            SmemConfig {
-                capacity_bytes: 96 * 1024,
-                banks: 3,
-                subbanks: 12,
-                latency: 3,
-            },
-            SmemConfig {
-                capacity_bytes: 120 * 1024,
-                banks: 4,
-                subbanks: 8,
-                latency: 2,
-            },
         ] {
-            assert_eq!(
-                Pow2Geometry::of(&config).is_some(),
-                config.bank_bytes().is_power_of_two() && config.banks.is_power_of_two(),
-                "{config:?}"
-            );
             let mut fast = SharedMemory::new(config);
             let mut reference = SharedMemory::new(config);
             let mut now = 0u64;
@@ -763,6 +669,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn geometry(capacity_kib: u64, banks: u32, subbanks: u32) -> SmemConfig {
+        SmemConfig {
+            capacity_bytes: capacity_kib * 1024,
+            banks,
+            subbanks,
+            latency: 2,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two bank count")]
+    fn non_power_of_two_bank_count_is_rejected() {
+        SharedMemory::new(geometry(96, 3, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two bank count of at most 64")]
+    fn more_than_64_banks_are_rejected() {
+        SharedMemory::new(geometry(128, 128, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two subbank count")]
+    fn non_power_of_two_subbank_count_is_rejected() {
+        SharedMemory::new(geometry(128, 4, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two bank size")]
+    fn non_power_of_two_bank_size_is_rejected() {
+        SharedMemory::new(geometry(120, 4, 8));
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! * [`rng`] — a tiny deterministic pseudo-random generator used where the
 //!   model needs arbitrary-but-reproducible choices,
 //! * [`fault`] — deterministic, cycle-windowed fault-injection plans
-//!   ([`FaultPlan`]) and the degraded-mode counters they produce.
-//!
-//! * [`activity`] — the [`NextActivity`] trait behind the cycle-skipping
-//!   fast-forward engine,
+//!   ([`FaultPlan`]) and the degraded-mode counters they produce,
+//! * [`activity`] — the event-horizon contract behind the cycle-skipping
+//!   fast-forward engine, and [`earliest`], the fold over horizons,
 //! * [`json`] — the workspace's one JSON codec: a raw-number value model,
 //!   a parser and the compact writer used by report snapshots, the store's
 //!   STAT payload, report digests and the bench differ.
@@ -24,8 +23,9 @@
 //! The whole simulator is *cycle stepped*: every hardware component exposes a
 //! `tick`-style method that advances it by one clock cycle. There is no
 //! wall-clock dependence, so simulations are exactly reproducible. On top of
-//! the tick interface, components report the earliest future cycle at which
-//! they can act via [`NextActivity`], which lets the fast-forward driver park
+//! the tick interface, each component with self-driven activity has an
+//! inherent `next_activity(now)` method reporting the earliest future cycle
+//! at which it can act, which lets the fast-forward driver park
 //! each component until its next event (one calendar entry per component,
 //! dispatched in cycle order and then in the naive loop's tick order) and
 //! skip quiescent regions wholesale without changing any observable
@@ -54,7 +54,7 @@ pub mod rng;
 pub mod stablehash;
 pub mod stats;
 
-pub use activity::{earliest, NextActivity};
+pub use activity::earliest;
 pub use cycle::{Cycle, Frequency};
 pub use fault::{
     ClusterFaultStats, EccInjector, EccStats, FaultEvent, FaultKind, FaultPlan, FaultStats,

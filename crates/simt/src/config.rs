@@ -25,7 +25,9 @@ pub struct CoreConfig {
     /// Cycles between busy-register polls while a warp spins in
     /// `virgo_fence` (used to account polling instructions, Section 4.5.1).
     pub fence_poll_interval: u32,
-    /// Instructions fetched per L1I cache access (line granularity).
+    /// Instructions fetched per L1I cache access (line granularity): a
+    /// power of two, so the per-issue fetch check is a mask;
+    /// [`crate::SimtCore::new`] rejects any other value.
     pub instrs_per_icache_access: u32,
 }
 

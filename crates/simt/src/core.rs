@@ -144,9 +144,8 @@ pub struct SimtCore {
     /// Earliest outstanding load completion over every warp (`NO_LOAD` when
     /// none): the next cycle at which any warp can retire a load.
     earliest_load: Cycle,
-    /// `instrs_per_icache_access - 1` when that interval is a power of two,
-    /// so the per-issue fetch check is a mask.
-    icache_mask: Option<u64>,
+    /// `instrs_per_icache_access - 1`: the per-issue fetch check is a mask.
+    icache_mask: u64,
     /// Reusable lane-address buffer for [`SimtCore::memory_access`], so the
     /// load/store hot path allocates nothing per instruction.
     lane_scratch: Vec<u64>,
@@ -158,14 +157,18 @@ impl SimtCore {
     /// # Panics
     ///
     /// Panics if `config.warps` exceeds 64, the width of the core's warp
-    /// masks.
+    /// masks, or if `config.instrs_per_icache_access` is not a power of two.
     pub fn new(config: CoreConfig, core_id: u32) -> Self {
         assert!(
             config.warps <= 64,
             "a SIMT core holds at most 64 warps, the configuration asks for {}",
             config.warps
         );
-        let interval = u64::from(config.instrs_per_icache_access.max(1));
+        assert!(
+            config.instrs_per_icache_access.is_power_of_two(),
+            "a SIMT core fetches a power-of-two number of instructions per icache access, the configuration asks for {}",
+            config.instrs_per_icache_access
+        );
         SimtCore {
             config,
             core_id,
@@ -175,7 +178,7 @@ impl SimtCore {
             runnable: 0,
             waiting: 0,
             earliest_load: NO_LOAD,
-            icache_mask: interval.is_power_of_two().then(|| interval - 1),
+            icache_mask: u64::from(config.instrs_per_icache_access) - 1,
             lane_scratch: Vec::new(),
         }
     }
@@ -716,14 +719,7 @@ impl SimtCore {
     /// Updates per-instruction statistics after a successful issue.
     fn account_issue(&mut self, op: &WarpOp) {
         self.stats.instrs_issued += 1;
-        let fetch = match self.icache_mask {
-            Some(mask) => self.stats.instrs_issued & mask == 0,
-            None => self
-                .stats
-                .instrs_issued
-                .is_multiple_of(u64::from(self.config.instrs_per_icache_access.max(1))),
-        };
-        if fetch {
+        if self.stats.instrs_issued & self.icache_mask == 0 {
             self.stats.icache_accesses += 1;
         }
         let lanes = u64::from(self.config.lanes);
@@ -1298,6 +1294,25 @@ mod tests {
             },
             0,
         );
+    }
+
+    fn icache_interval(instrs_per_icache_access: u32) -> CoreConfig {
+        CoreConfig {
+            instrs_per_icache_access,
+            ..CoreConfig::vortex_default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number of instructions per icache access")]
+    fn zero_instructions_per_icache_access_panics() {
+        SimtCore::new(icache_interval(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number of instructions per icache access")]
+    fn non_power_of_two_icache_interval_panics() {
+        SimtCore::new(icache_interval(6), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use virgo_isa::WgmmaOp;
 use virgo_mem::SharedMemory;
-use virgo_sim::{BoundedQueue, Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{BoundedQueue, Cycle, StableHash, StableHasher};
 
 /// Configuration of one operand-decoupled tensor core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,16 +245,17 @@ impl OperandDecoupledUnit {
         self.stats.rf_accum_writes += accum_words;
         self.stats.control_events += 1;
     }
-}
 
-impl NextActivity for OperandDecoupledUnit {
+    /// The earliest cycle `>= now` at which ticking the unit can change its
+    /// state, or `None` when it is drained (see `virgo_sim::activity`).
+    ///
     /// Between its access/execute milestones the unit's tick is a no-op: all
     /// operand reads are issued when an operation starts, and the backend
     /// state only changes when the operands arrive (`operands_ready`) and
     /// when the compute finishes (`done`). Those milestones — plus `now`
     /// itself when a queued operation is waiting to start — are the unit's
     /// next-activity events.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         match &self.active {
             Some(active) => match active.done {
                 Some(done) => Some(done.max(now)),

@@ -9,7 +9,7 @@
 //! (Raihan et al., ISPASS'19): one step occupies the unit for
 //! `macs / macs_per_cycle` cycles (2 cycles in the Table 2 configuration).
 
-use virgo_sim::{Cycle, NextActivity, StableHash, StableHasher};
+use virgo_sim::{Cycle, StableHash, StableHasher};
 
 /// Configuration of one tightly-coupled tensor core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,15 +121,15 @@ impl TightlyCoupledUnit {
         self.stats.result_buffer_words += u64::from(macs / 8);
         true
     }
-}
 
-impl NextActivity for TightlyCoupledUnit {
+    /// The cycle at which the current step releases the structural hazard,
+    /// or `None` when the unit is free at `now` (see `virgo_sim::activity`).
+    ///
     /// The unit is driven synchronously by `HMMA` step instructions and has
-    /// no tick of its own; its only time-dependent state is the cycle at
-    /// which the current step releases the structural hazard. A core whose
-    /// warp is waiting on that hazard reports `now` itself, so this is
-    /// informational for aggregators rather than load-bearing.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    /// no tick of its own; this release cycle is its only time-dependent
+    /// state. It reaches the cores as `ClusterPort::hmma_busy_until`, so a
+    /// core whose runnable warps are all hazard-blocked parks until it.
+    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         if self.is_busy(now) {
             Some(self.busy_until)
         } else {

@@ -20,7 +20,10 @@
 //!    hanging the pool or reordering the surviving results.
 
 use virgo::DesignKind;
-use virgo::{FaultKind, FaultPlan, FaultStats, Gpu, GpuConfig, SimError, SimMode, SimReport};
+use virgo::{
+    FaultKind, FaultPlan, FaultStats, Gpu, GpuConfig, JobCompletion, JobTable, SimError, SimMode,
+    SimReport,
+};
 use virgo_bench::ReportDigest;
 use virgo_isa::Kernel;
 use virgo_kernels::{build_gemm, build_split_k_gemm, AttentionShape, GemmShape};
@@ -241,6 +244,83 @@ fn late_cluster_start_delays_work_identically_across_modes() {
         ReportDigest::of(&clean).performed_macs,
         ReportDigest::of(&fast).performed_macs,
         "the held cluster still performs all of its work after release"
+    );
+}
+
+/// A job admitted mid-session onto a cluster that a late-start fault still
+/// holds in reset starts at the later of its two start cycles (admission and
+/// release), identically in both driver modes, while a neighbour job keeps
+/// running on the other cluster.
+#[test]
+fn mid_session_admission_onto_a_held_cluster_waits_for_its_release() {
+    const ADMIT_AT: u64 = 5_000;
+    const RELEASE_AT: u64 = 40_000;
+    let base = GpuConfig::virgo().with_clusters(2);
+    let config = base.clone().with_faults(FaultPlan::seeded(1).with_event(
+        FaultKind::LateClusterStart { cluster: 0 },
+        0,
+        RELEASE_AT,
+    ));
+    // The neighbour is cluster 1's half of a two-cluster GEMM.
+    let split = build_gemm(&base, small_gemm());
+    let neighbour = Kernel::new(
+        split.info.clone(),
+        split
+            .warps
+            .iter()
+            .filter(|w| w.cluster == 1)
+            .cloned()
+            .collect(),
+    );
+    let late = build_gemm(&GpuConfig::virgo(), small_gemm());
+
+    let session = |mode: SimMode| -> Vec<JobCompletion> {
+        let mut table = JobTable::new(config.clone(), mode);
+        table
+            .admit("neighbour", &neighbour, &[1], MAX_CYCLES)
+            .unwrap();
+        let mut done = Vec::new();
+        while table.now() < ADMIT_AT {
+            done.extend(table.advance_until(ADMIT_AT));
+        }
+        table.admit("late", &late, &[0], MAX_CYCLES).unwrap();
+        while !table.is_idle() {
+            done.extend(table.advance_until(MAX_CYCLES));
+        }
+        done
+    };
+    let naive = session(SimMode::Naive);
+    let fast = session(SimMode::FastForward);
+
+    assert_eq!(naive.len(), 2);
+    assert_eq!(fast.len(), 2);
+    for (n, f) in naive.iter().zip(&fast) {
+        assert_eq!(n.name, f.name);
+        assert_eq!(
+            (n.admitted, n.retired),
+            (f.admitted, f.retired),
+            "{}",
+            n.name
+        );
+        let (n_report, f_report) = (n.result.as_ref().unwrap(), f.result.as_ref().unwrap());
+        assert_eq!(
+            ReportDigest::of(n_report),
+            ReportDigest::of(f_report),
+            "{}: held-cluster admissions must stay bit-identical across modes",
+            n.name
+        );
+    }
+    let late_job = fast.iter().find(|c| c.name == "late").unwrap();
+    assert_eq!(late_job.admitted, ADMIT_AT);
+    assert!(
+        late_job.residency() > RELEASE_AT - ADMIT_AT,
+        "the job cannot finish before its cluster leaves reset: {} cycles",
+        late_job.residency()
+    );
+    let neighbour_job = fast.iter().find(|c| c.name == "neighbour").unwrap();
+    assert!(
+        neighbour_job.retired > ADMIT_AT,
+        "the neighbour should still be resident when the late job is admitted"
     );
 }
 
