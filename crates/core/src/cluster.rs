@@ -61,8 +61,6 @@ pub struct ClusterDevices {
     pub gemmini_units: Vec<GemminiUnit>,
     /// Accumulator memories, one per disaggregated unit.
     pub accumulators: Vec<AccumulatorMemory>,
-    /// Outstanding asynchronous cluster operations (DMA + matrix commands).
-    async_outstanding: u32,
     /// Monotonic tag source for DMA transfers.
     next_dma_tag: u64,
     stats: ClusterStats,
@@ -114,7 +112,6 @@ impl ClusterDevices {
             decoupled_units,
             gemmini_units,
             accumulators,
-            async_outstanding: 0,
             next_dma_tag: 0,
             stats: ClusterStats::default(),
         }
@@ -133,9 +130,10 @@ impl ClusterDevices {
             .sum()
     }
 
-    /// Outstanding asynchronous operations, exposed for reports.
+    /// Outstanding asynchronous operations (DMA + matrix commands):
+    /// launched minus completed.
     pub fn async_outstanding(&self) -> u32 {
-        self.async_outstanding
+        (self.stats.async_ops_launched - self.stats.async_ops_completed) as u32
     }
 
     /// Advances every cluster device by one cycle. Global-memory traffic
@@ -160,10 +158,7 @@ impl ClusterDevices {
                 self.accumulators.first_mut(),
                 fabric,
             );
-            for _ in &completed {
-                self.async_outstanding = self.async_outstanding.saturating_sub(1);
-                self.stats.async_ops_completed += 1;
-            }
+            self.stats.async_ops_completed += completed.len() as u64;
         }
         self.smem.drain_stream_reads(now, true);
         // Disaggregated matrix units.
@@ -172,11 +167,7 @@ impl ClusterDevices {
             .iter_mut()
             .zip(self.accumulators.iter_mut())
         {
-            let completed = unit.tick(now, &mut self.smem, acc);
-            for _ in 0..completed {
-                self.async_outstanding = self.async_outstanding.saturating_sub(1);
-                self.stats.async_ops_completed += 1;
-            }
+            self.stats.async_ops_completed += u64::from(unit.tick(now, &mut self.smem, acc));
         }
         // A command latched this cycle may have scheduled its first read for
         // this very cycle; apply it before the decoupled units and cores run.
@@ -247,7 +238,7 @@ impl ClusterDevices {
 
     /// True when every asynchronous engine has drained.
     pub fn quiescent(&self) -> bool {
-        self.async_outstanding == 0
+        self.async_outstanding() == 0
             && self.dma.as_ref().is_none_or(DmaEngine::is_idle)
             && self.gemmini_units.iter().all(|u| !u.busy())
             && self.decoupled_units.iter().all(|u| u.pending() == 0)
@@ -299,7 +290,6 @@ impl ClusterDevices {
         match dma.submit(transfer) {
             Ok(()) => {
                 self.next_dma_tag += 1;
-                self.async_outstanding += 1;
                 self.stats.async_ops_launched += 1;
                 true
             }
@@ -315,7 +305,6 @@ impl ClusterDevices {
             return true;
         };
         if target.try_submit(*cmd) {
-            self.async_outstanding += 1;
             self.stats.async_ops_launched += 1;
             true
         } else {
@@ -350,12 +339,9 @@ impl ClusterPort for ClusterCtx<'_> {
                     "mixed local/remote lanes in one shared access"
                 );
                 let bytes = lane_addrs.len() as u64 * 4;
-                return self.fabric.remote_simt_access(
-                    now,
-                    self.devices.gmem.cluster(),
-                    peer,
-                    bytes,
-                );
+                return self
+                    .fabric
+                    .transfer(now, self.devices.gmem.cluster(), peer, bytes);
             }
         }
         // Pending matrix-unit stream reads dated up to this cycle precede a
@@ -443,7 +429,7 @@ impl ClusterPort for ClusterCtx<'_> {
     }
 
     fn async_outstanding(&self) -> u32 {
-        self.devices.async_outstanding
+        self.devices.async_outstanding()
     }
 
     fn barrier_arrive(&mut self, id: u8, warp_global_id: u32) -> u64 {
@@ -770,7 +756,7 @@ mod tests {
         assert!(cluster.devices().gmem.stats().l1_accesses > 0);
         assert!(cluster.devices().smem.stats().words_written > 0);
         assert!(cluster.devices().coalescer_ops() > 0);
-        assert!(machine.backend.stats().l2_accesses > 0);
+        assert!(machine.backend.cluster_stats(0).l2_accesses > 0);
     }
 
     #[test]

@@ -78,8 +78,10 @@ pub struct ClusterReport {
     pub core_stats: CoreStats,
     /// This cluster's shared-memory statistics.
     pub smem_stats: SmemStats,
-    /// This cluster's L1 front-end statistics (`l2_*`/`dma_bytes` fields are
-    /// zero here — the L2 is shared; see [`ClusterReport::contention`]).
+    /// This cluster's L1 front-end statistics. The `l2_*`/`dma_bytes`
+    /// fields are zero here: the shared back-end counts this cluster's L2
+    /// and DMA traffic in [`ClusterReport::contention`], and the report's
+    /// machine-wide [`SimReport::gmem_stats`] sums those slices.
     pub gmem_stats: GlobalMemoryStats,
     /// This cluster's DMA statistics, when the design has a DMA engine.
     pub dma_stats: Option<DmaStats>,
@@ -228,11 +230,11 @@ impl SimReport {
     ///
     /// `cycles` is the job's residency duration (`end - admitted`). All
     /// plan-derived fault counters are windowed to the residency; machine
-    /// aggregates derived from the attribution deltas (`dram_stats`,
-    /// `dsm_stats`, DRAM burst energy) are exact when the job had the
-    /// machine to itself and a shared-window approximation under concurrent
-    /// residency, while per-cluster counters (contention slices, core/smem
-    /// stats, ECC) are exact always.
+    /// aggregates derived from the attribution deltas (the L2/DMA totals in
+    /// `gmem_stats`, `dram_stats`, `dsm_stats`, DRAM burst energy) are exact
+    /// when the job had the machine to itself and a shared-window
+    /// approximation under concurrent residency, while per-cluster counters
+    /// (contention slices, core/smem stats, ECC) are exact always.
     pub(crate) fn from_parts(
         view: &JobView<'_>,
         info: &KernelInfo,
@@ -305,9 +307,11 @@ impl SimReport {
         // DRAM interface energy is charged per channel: each channel's PHY
         // and controller see only the bursts routed to it. The counts are
         // integers, so the per-channel sum is exactly the old single-channel
-        // charge when `channels = 1`.
+        // charge when `channels = 1`. The interface totals are the same sum.
+        let mut dram_stats = DramStats::default();
         for channel in &view.backend.dram_channels {
             machine_ledger.record(Component::DmaOther, EnergyEvent::DramBurst, channel.bursts);
+            dram_stats.merge(channel);
         }
 
         // Machine-wide aggregates over the job's clusters. The DSM link
@@ -333,9 +337,14 @@ impl SimReport {
             dram_contention_stall_cycles += slice.contention.dram_stall_cycles;
             dsm_link_stats.merge(&slice.dsm.per_link);
         }
-        gmem_stats.l2_accesses = view.backend.stats.l2_accesses;
-        gmem_stats.l2_misses = view.backend.stats.l2_misses;
-        gmem_stats.dma_bytes = view.backend.stats.dma_bytes;
+        // The L2/DMA totals, like `dram_stats` and `dsm_stats`, sum every
+        // requester in the window, not only the job's slots: a job that
+        // shared the machine reports the window's traffic.
+        for requester in &view.backend.per_cluster {
+            gmem_stats.l2_accesses += requester.l2_accesses;
+            gmem_stats.l2_misses += requester.l2_misses;
+            gmem_stats.dma_bytes += requester.dma_bytes;
+        }
 
         let power = PowerReport::from_ledger(&machine_ledger, &table, cycles, config.frequency);
         let area = AreaModel::default_16nm().estimate(&config.area_params());
@@ -351,13 +360,13 @@ impl SimReport {
             core_stats,
             smem_stats,
             gmem_stats,
-            dram_stats: view.backend.dram,
+            dram_stats,
             dram_channel_stats: view.backend.dram_channels.clone(),
             dma_stats,
             cluster_stats,
             per_cluster,
             dram_contention_stall_cycles,
-            dsm_stats: view.fabric.stats,
+            dsm_stats: DsmFabricStats::sum(&view.fabric.per_cluster),
             dsm_link_stats,
             fault,
             sched,
@@ -444,7 +453,8 @@ impl SimReport {
     }
 
     /// Global-memory (cache hierarchy) statistics: L1 counters summed over
-    /// clusters, L2/DMA counters from the shared back-end.
+    /// the job's clusters, L2/DMA counters summed over every requester of
+    /// the shared back-end.
     pub fn gmem_stats(&self) -> &GlobalMemoryStats {
         &self.gmem_stats
     }

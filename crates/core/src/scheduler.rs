@@ -233,7 +233,7 @@ impl Scheduler {
                     stats.gemmini_events += u64::from(gemmini);
                     stats.tensor_events += u64::from(tensor);
                     let completions = cluster.devices().completion_mark();
-                    let transfers = fabric.stats().transfers;
+                    let in_flight = fabric.in_flight();
                     cluster.tick_devices(now, backend, fabric);
                     self.synced[base] = c + 1;
                     check_finish = true;
@@ -241,7 +241,7 @@ impl Scheduler {
                         // The cores tick after the devices: same cycle.
                         self.wake_all(base + 1..=last, c);
                     }
-                    if fabric.stats().transfers != transfers {
+                    if fabric.in_flight() != in_flight {
                         if let Some(t) = fabric.next_activity(now) {
                             self.wake(FABRIC, t.get(), next);
                         }
@@ -263,7 +263,7 @@ impl Scheduler {
                     self.tally[lead].at(c).simt_events += 1;
                     let releases = cluster.devices().synchronizer.release_events();
                     let inbox = cluster.devices().inbox_mark();
-                    let transfers = fabric.stats().transfers;
+                    let in_flight = fabric.in_flight();
                     let outcome = cluster.tick_core(i, now, backend, fabric);
                     self.synced[id] = c + 1;
                     check_finish |= outcome.warp_retired;
@@ -280,7 +280,7 @@ impl Scheduler {
                         if cluster.devices().inbox_mark() != inbox {
                             self.wake(base, next, next);
                         }
-                        if fabric.stats().transfers != transfers {
+                        if fabric.in_flight() != in_flight {
                             if let Some(t) = fabric.next_activity(now) {
                                 self.wake(FABRIC, t.get(), next);
                             }

@@ -19,22 +19,6 @@ use crate::cache::Cache;
 use crate::dram::{DramFaultStats, DramStats, MultiChannelDram};
 use crate::global::GlobalMemoryConfig;
 
-/// Aggregated statistics for the shared back-end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryBackendStats {
-    /// L2 accesses (from L1 misses and DMA traffic).
-    pub l2_accesses: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// Bytes moved by DMA transfers through the L2.
-    pub dma_bytes: u64,
-}
-virgo_sim::counters!(MemoryBackendStats {
-    l2_accesses,
-    l2_misses,
-    dma_bytes
-});
-
 /// One cluster's contention counters on a single DRAM channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelContentionStats {
@@ -50,17 +34,18 @@ virgo_sim::counters!(ChannelContentionStats {
 });
 
 /// Per-cluster contention counters kept by the shared back-end.
+///
+/// These are the back-end's only L2, DMA and DRAM-request counts: each
+/// event is charged once, to the cluster that issued it, and a machine-wide
+/// total is the sum over clusters, taken when a report is built.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterContentionStats {
     /// L2 accesses issued by this cluster (demand misses and DMA chunks).
     pub l2_accesses: u64,
-    /// L2 misses among this cluster's accesses. Every machine-wide miss is
-    /// charged to exactly one cluster, so these sum to
-    /// [`MemoryBackendStats::l2_misses`] — the invariant per-job attribution
-    /// rests on.
+    /// L2 misses among this cluster's accesses.
     pub l2_misses: u64,
     /// Bytes this cluster moved by DMA through the L2 (requested bytes,
-    /// hit or miss). Sums to [`MemoryBackendStats::dma_bytes`].
+    /// hit or miss).
     pub dma_bytes: u64,
     /// DRAM transfers issued by this cluster, summed over channels.
     pub dram_requests: u64,
@@ -113,17 +98,13 @@ impl ClusterContentionStats {
 }
 
 /// Everything the shared back-end has counted, captured at one instant: the
-/// aggregate stats, the DRAM interface and fault counters (total and
-/// per-channel) and the per-cluster contention slices. A job-residency
-/// session captures one at admission and subtracts it from the one at
-/// retirement ([`Counters::since`](virgo_sim::Counters::since)) to
-/// attribute the window's traffic to the job.
+/// per-channel DRAM interface counters, the DRAM fault counters and the
+/// per-cluster contention slices. A job-residency session captures one at
+/// admission and subtracts it from the one at retirement
+/// ([`Counters::since`](virgo_sim::Counters::since)) to attribute the
+/// window's traffic to the job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendAttribution {
-    /// Aggregate L2/DMA counters.
-    pub stats: MemoryBackendStats,
-    /// DRAM interface counters, summed over channels.
-    pub dram: DramStats,
     /// Per-channel DRAM interface counters, in channel order.
     pub dram_channels: Vec<DramStats>,
     /// Degraded-mode DRAM counters.
@@ -132,19 +113,10 @@ pub struct BackendAttribution {
     pub per_cluster: Vec<ClusterContentionStats>,
 }
 virgo_sim::counters!(BackendAttribution {
-    stats,
-    dram,
     dram_channels,
     dram_fault,
     per_cluster,
 });
-
-impl BackendAttribution {
-    /// Total DRAM queueing delay across clusters within this window.
-    pub fn total_dram_stall_cycles(&self) -> u64 {
-        self.per_cluster.iter().map(|c| c.dram_stall_cycles).sum()
-    }
-}
 
 /// The shared L2 + multi-channel DRAM back-end, bandwidth-arbitrated between
 /// clusters.
@@ -166,7 +138,6 @@ pub struct MemoryBackend {
     config: GlobalMemoryConfig,
     l2: Cache,
     dram: MultiChannelDram,
-    stats: MemoryBackendStats,
     per_cluster: Vec<ClusterContentionStats>,
     /// Scratch buffer reused by [`MemoryBackend::dma_access`] to bin one
     /// transfer's missed bytes per channel without allocating per call.
@@ -201,7 +172,6 @@ impl MemoryBackend {
             dma_split: vec![0; channels as usize],
             dram,
             config,
-            stats: MemoryBackendStats::default(),
             per_cluster: vec![ClusterContentionStats::for_channels(channels); clusters as usize],
         }
     }
@@ -209,11 +179,6 @@ impl MemoryBackend {
     /// The configuration.
     pub fn config(&self) -> &GlobalMemoryConfig {
         &self.config
-    }
-
-    /// Aggregated back-end statistics.
-    pub fn stats(&self) -> MemoryBackendStats {
-        self.stats
     }
 
     /// DRAM interface statistics, summed over channels.
@@ -262,17 +227,10 @@ impl MemoryBackend {
         self.per_cluster.iter().map(|c| c.dram_stall_cycles).sum()
     }
 
-    /// L2 hit rate.
-    pub fn l2_hit_rate(&self) -> f64 {
-        self.l2.stats().hit_rate()
-    }
-
     /// Captures every counter the back-end keeps, for windowed per-job
     /// attribution (see [`BackendAttribution`]).
     pub fn attribution(&self) -> BackendAttribution {
         BackendAttribution {
-            stats: self.stats,
-            dram: self.dram.stats(),
             dram_channels: self.dram.per_channel_stats(),
             dram_fault: self.dram.fault_stats(),
             per_cluster: self.per_cluster.clone(),
@@ -290,13 +248,11 @@ impl MemoryBackend {
         bytes: u64,
         write: bool,
     ) -> Cycle {
-        self.stats.l2_accesses += 1;
         self.per_cluster[cluster as usize].l2_accesses += 1;
         let l2_latency = self.l2.latency();
         if self.l2.access(line_addr).is_hit() {
             return at.plus(l2_latency);
         }
-        self.stats.l2_misses += 1;
         self.per_cluster[cluster as usize].l2_misses += 1;
         let present = at.plus(l2_latency);
         let channel = self.dram.route(present, line_addr);
@@ -321,7 +277,6 @@ impl MemoryBackend {
         if bytes == 0 {
             return now;
         }
-        self.stats.dma_bytes += bytes;
         self.per_cluster[cluster as usize].dma_bytes += bytes;
         let line = u64::from(self.config.l2.line_bytes);
         let first = addr / line;
@@ -335,10 +290,8 @@ impl MemoryBackend {
         let l2_time = now.plus(self.l2.latency() + lines.div_ceil(4));
         self.dma_split.iter_mut().for_each(|b| *b = 0);
         for l in first..=last {
-            self.stats.l2_accesses += 1;
             self.per_cluster[cluster as usize].l2_accesses += 1;
             if !self.l2.access(l * line).is_hit() {
-                self.stats.l2_misses += 1;
                 self.per_cluster[cluster as usize].l2_misses += 1;
                 // Only the requested bytes that fall inside this line are
                 // moved on a miss: partial head/tail lines count their
@@ -420,10 +373,18 @@ mod tests {
         assert!(cold.get() > 100, "cold miss reaches DRAM");
         let warm = b.line_access(Cycle::new(1000), 1, 0, 32, false);
         assert_eq!(warm, Cycle::new(1000 + 12));
-        assert_eq!(b.stats().l2_accesses, 2);
-        assert_eq!(b.stats().l2_misses, 1);
         assert_eq!(b.cluster_stats(0).l2_accesses, 1);
+        assert_eq!(
+            b.cluster_stats(0).l2_misses,
+            1,
+            "the cold miss is cluster 0's"
+        );
         assert_eq!(b.cluster_stats(1).l2_accesses, 1);
+        assert_eq!(
+            b.cluster_stats(1).l2_misses,
+            0,
+            "cluster 1 hits the shared line"
+        );
     }
 
     #[test]
@@ -518,7 +479,7 @@ mod tests {
         let mut b = backend(1);
         let done = b.dma_access(Cycle::new(0), 0, 0, 1024, false);
         assert!(done.get() > 100);
-        assert_eq!(b.stats().dma_bytes, 1024);
+        assert_eq!(b.cluster_stats(0).dma_bytes, 1024);
         assert_eq!(b.cluster_stats(0).dram_requests, 1);
         // A later DMA of the same region hits in L2 and avoids DRAM.
         let warm = b.dma_access(done, 0, 0, 1024, false);
@@ -535,7 +496,7 @@ mod tests {
         let done = b.dma_access(Cycle::new(0), 0, 16, 32, false);
         assert!(done.get() > 100, "cold miss reaches DRAM");
         assert_eq!(b.cluster_stats(0).dram_bytes, 32, "clamped to the span");
-        assert_eq!(b.stats().l2_misses, 2, "both lines miss");
+        assert_eq!(b.cluster_stats(0).l2_misses, 2, "both lines miss");
         // The DRAM interface still rounds what it sends to bursts.
         assert_eq!(b.dram_stats().bytes, 32);
         assert_eq!(b.dram_stats().bursts, 1);
@@ -612,7 +573,7 @@ mod tests {
     fn zero_byte_dma_is_a_noop() {
         let mut b = backend(1);
         assert_eq!(b.dma_access(Cycle::new(7), 0, 0, 0, false), Cycle::new(7));
-        assert_eq!(b.stats().dma_bytes, 0);
+        assert_eq!(b.cluster_stats(0).dma_bytes, 0);
     }
 
     #[test]

@@ -62,30 +62,6 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Event counters for one cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of lookups.
-    pub accesses: u64,
-    /// Number of lookups that hit.
-    pub hits: u64,
-    /// Number of lookups that missed.
-    pub misses: u64,
-    /// Number of line fills performed (equals misses in this model).
-    pub fills: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero when the cache was never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A set-associative, LRU-replacement cache.
 ///
 /// # Example
@@ -106,7 +82,6 @@ pub struct Cache {
     /// LRU counters parallel to `tags`; larger means more recently used.
     lru: Vec<u64>,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl CacheOutcome {
@@ -131,18 +106,12 @@ impl Cache {
             tags: vec![None; entries],
             lru: vec![0; entries],
             tick: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// The cache configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Access latency in cycles.
@@ -153,7 +122,6 @@ impl Cache {
     /// Looks up the line containing `addr`, filling it on a miss.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.tick += 1;
-        self.stats.accesses += 1;
         let line = addr / u64::from(self.config.line_bytes);
         let set = (line % self.config.sets()) as usize;
         let ways = self.config.ways as usize;
@@ -163,14 +131,11 @@ impl Cache {
         for way in 0..ways {
             if self.tags[base + way] == Some(line) {
                 self.lru[base + way] = self.tick;
-                self.stats.hits += 1;
                 return CacheOutcome::Hit;
             }
         }
 
         // Miss: fill into the least recently used way (or an invalid way).
-        self.stats.misses += 1;
-        self.stats.fills += 1;
         let victim = (0..ways)
             .min_by_key(|&way| {
                 let idx = base + way;
@@ -223,9 +188,6 @@ mod tests {
         let mut c = small_cache();
         assert_eq!(c.access(0), CacheOutcome::Miss);
         assert_eq!(c.access(4), CacheOutcome::Hit);
-        assert_eq!(c.stats().accesses, 2);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
@@ -270,15 +232,6 @@ mod tests {
         c.access(0);
         c.flush();
         assert_eq!(c.access(0), CacheOutcome::Miss);
-    }
-
-    #[test]
-    fn hit_rate_computation() {
-        let mut c = small_cache();
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

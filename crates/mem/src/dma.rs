@@ -208,7 +208,9 @@ impl DmaEngine {
             (transfer.dst_region, transfer.dst_addr, true),
         ] {
             let endpoint_done = match region {
-                MemRegion::Global => global.dma_access(now, addr, transfer.bytes, write, backend),
+                MemRegion::Global => {
+                    backend.dma_access(now, global.cluster(), addr, transfer.bytes, write)
+                }
                 // A shared endpoint in the remote DSM window traverses the
                 // inter-cluster fabric to the peer's scratchpad port (the
                 // fabric models the remote bank occupancy as part of its
@@ -338,7 +340,7 @@ mod tests {
             run_until_complete(&mut dma, &mut g, &mut be, &mut s, &mut a, &mut f, 10_000);
         assert_eq!(done.len(), 1);
         assert_eq!(a.stats().words_read, 512);
-        assert!(be.stats().dma_bytes >= 2048);
+        assert!(be.cluster_stats(0).dma_bytes >= 2048);
     }
 
     #[test]
@@ -389,7 +391,7 @@ mod tests {
         assert_eq!(f.stats().bytes, 4096);
         assert_eq!(f.cluster_stats(0).per_link[1].bytes, 4096);
         assert_eq!(s.stats().wide_accesses, 0, "local banks bypassed");
-        assert_eq!(be.stats().dma_bytes, 0, "no DRAM round trip");
+        assert_eq!(be.cluster_stats(0).dma_bytes, 0, "no DRAM round trip");
         assert_eq!(a.stats().words_read, 1024, "accumulator side still local");
     }
 

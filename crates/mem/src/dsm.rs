@@ -239,7 +239,8 @@ struct InFlight {
     to: u32,
 }
 
-/// Machine-wide fabric aggregates.
+/// Machine-wide fabric aggregates: a sum over the per-requester counters
+/// ([`DsmFabricStats::sum`]), which are the fabric's only count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DsmFabricStats {
     /// Remote transfers carried by the fabric.
@@ -258,24 +259,32 @@ virgo_sim::counters!(DsmFabricStats {
     stall_cycles,
 });
 
+impl DsmFabricStats {
+    /// The machine-wide aggregates of a set of requesters' counters.
+    pub fn sum(requesters: &[ClusterDsmStats]) -> Self {
+        let mut total = DsmFabricStats::default();
+        for r in requesters {
+            total.transfers += r.requests;
+            total.bytes += r.bytes;
+            total.hop_flits += r.hop_flits;
+            total.stall_cycles += r.stall_cycles;
+        }
+        total
+    }
+}
+
 /// Everything the fabric has counted, captured at one instant — the
 /// fabric-side counterpart of [`crate::BackendAttribution`], captured at job
 /// admission and diffed at retirement ([`Counters::since`]) for per-job
 /// attribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricAttribution {
-    /// Machine-wide fabric aggregates.
-    pub stats: DsmFabricStats,
     /// Per-requester-cluster counters, in cluster order.
     pub per_cluster: Vec<ClusterDsmStats>,
     /// Degraded-mode counters.
     pub fault: DsmFaultStats,
 }
-virgo_sim::counters!(FabricAttribution {
-    stats,
-    per_cluster,
-    fault
-});
+virgo_sim::counters!(FabricAttribution { per_cluster, fault });
 
 /// The inter-cluster DSM fabric: one ingress port per cluster, arbitrated
 /// like the DRAM channels, with per-requester contention accounting.
@@ -300,13 +309,10 @@ pub struct DsmFabric {
     /// Per-ingress-link cycle at which the port is next free.
     link_busy_until: Vec<Cycle>,
     per_cluster: Vec<ClusterDsmStats>,
-    stats: DsmFabricStats,
     /// Transfers still in flight, drained by [`DsmFabric::tick`]; their
     /// delivery cycles expose the fabric's event horizon to the
     /// fast-forward driver.
     in_flight: Vec<InFlight>,
-    /// Transfers fully delivered (drained from `in_flight`).
-    delivered: u64,
     /// Scheduled link faults (empty — the zero-cost path — by default).
     faults: Vec<LinkFaultState>,
     fault_stats: DsmFaultStats,
@@ -330,9 +336,7 @@ impl DsmFabric {
             clusters,
             link_busy_until: vec![Cycle::ZERO; clusters as usize],
             per_cluster: vec![ClusterDsmStats::for_links(clusters); clusters as usize],
-            stats: DsmFabricStats::default(),
             in_flight: Vec::new(),
-            delivered: 0,
             faults: Vec::new(),
             fault_stats: DsmFaultStats::default(),
         }
@@ -389,9 +393,9 @@ impl DsmFabric {
         self.clusters
     }
 
-    /// Machine-wide aggregates.
+    /// Machine-wide aggregates, summed over requesters.
     pub fn stats(&self) -> DsmFabricStats {
-        self.stats
+        DsmFabricStats::sum(&self.per_cluster)
     }
 
     /// Counters for one requester cluster.
@@ -412,7 +416,6 @@ impl DsmFabric {
     /// attribution (see [`FabricAttribution`]).
     pub fn attribution(&self) -> FabricAttribution {
         FabricAttribution {
-            stats: self.stats,
             per_cluster: self.per_cluster.clone(),
             fault: self.fault_stats,
         }
@@ -453,9 +456,10 @@ impl DsmFabric {
         self.in_flight.len()
     }
 
-    /// Transfers fully delivered so far.
+    /// Transfers fully delivered so far: every accepted transfer that is no
+    /// longer in flight.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.stats().transfers - self.in_flight.len() as u64
     }
 
     /// Hop count between two clusters under the configured topology (at
@@ -581,7 +585,9 @@ impl DsmFabric {
     }
 
     /// Carries `bytes` from `from`'s scratchpad to `to`'s, presented at
-    /// `now`; returns the delivery cycle.
+    /// `now`; returns the delivery cycle. A DMA endpoint in the remote
+    /// window and a warp's remote load or store (sized to its lane
+    /// footprint) both take this path.
     ///
     /// The transfer pays `hops × remote_latency` of wire/router traversal
     /// overlapped with any backlog on `to`'s ingress port, then streams at
@@ -638,20 +644,8 @@ impl DsmFabric {
         link.requests += 1;
         link.bytes += bytes;
         link.stall_cycles += stall;
-
-        self.stats.transfers += 1;
-        self.stats.bytes += bytes;
-        self.stats.hop_flits += hops * flits;
-        self.stats.stall_cycles += stall;
         self.in_flight.push(InFlight { done, from, to });
         done
-    }
-
-    /// Serves one warp's SIMT-level remote load/store (issued through the
-    /// remote address window): the same link path as a bulk transfer, sized
-    /// to the warp's lane footprint.
-    pub fn remote_simt_access(&mut self, now: Cycle, from: u32, to: u32, bytes: u64) -> Cycle {
-        self.transfer(now, from, to, bytes)
     }
 
     /// Retires transfers whose delivery cycle has been reached. Called once
@@ -659,12 +653,7 @@ impl DsmFabric {
     /// target, which the horizon below makes sufficient: nothing retires
     /// strictly inside a skipped window).
     pub fn tick(&mut self, now: Cycle) {
-        if self.in_flight.is_empty() {
-            return;
-        }
-        let before = self.in_flight.len();
         self.in_flight.retain(|t| t.done > now);
-        self.delivered += (before - self.in_flight.len()) as u64;
     }
 
     /// True when no in-flight transfer starts or ends at a cluster in

@@ -47,9 +47,8 @@ pub mod smem;
 pub use accmem::{AccumulatorMemory, AccumulatorStats};
 pub use backend::{
     BackendAttribution, ChannelContentionStats, ClusterContentionStats, MemoryBackend,
-    MemoryBackendStats,
 };
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig};
 pub use coalescer::{Coalescer, CoalescerStats};
 pub use dma::{DmaConfig, DmaEngine, DmaStats, DmaTransfer};
 pub use dram::{DramConfig, DramFaultStats, DramModel, DramStats, MultiChannelDram};

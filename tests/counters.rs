@@ -16,7 +16,7 @@ use virgo::{ClusterStats, SchedStats};
 use virgo_mem::{
     BackendAttribution, ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats,
     DramFaultStats, DramStats, DsmFabricStats, DsmFaultStats, DsmLinkStats, FabricAttribution,
-    GlobalMemoryStats, MemoryBackendStats, SmemStats,
+    GlobalMemoryStats, SmemStats,
 };
 use virgo_sim::json::{self, Value};
 use virgo_sim::{ClusterFaultStats, Counters, EccStats, FaultStats, SplitMix64};
@@ -104,12 +104,10 @@ fn every_counter_struct_round_trips_merges_and_subtracts() {
     check(
         "FabricAttribution",
         FabricAttribution {
-            stats: DsmFabricStats::default(),
             per_cluster: vec![ClusterDsmStats::for_links(2); 2],
             fault: DsmFaultStats::default(),
         },
     );
-    check("MemoryBackendStats", MemoryBackendStats::default());
     check("ChannelContentionStats", ChannelContentionStats::default());
     check(
         "ClusterContentionStats",
@@ -118,8 +116,6 @@ fn every_counter_struct_round_trips_merges_and_subtracts() {
     check(
         "BackendAttribution",
         BackendAttribution {
-            stats: MemoryBackendStats::default(),
-            dram: DramStats::default(),
             dram_channels: vec![DramStats::default(); 2],
             dram_fault: DramFaultStats::default(),
             per_cluster: vec![ClusterContentionStats::for_channels(2); 3],
