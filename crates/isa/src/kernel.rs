@@ -411,11 +411,12 @@ impl GridPartition {
                 r.end - r.start
             }
             _ => {
-                let _ = self.logical(cluster); // range-check
-                                               // Both round-robin strategies are permutations of the deal
-                                               // order within each round, so the counts match the
-                                               // contiguous split's balance exactly: every cluster gets
-                                               // `total / N` items plus at most one from the last round.
+                // Range-check `cluster`. Both round-robin strategies are
+                // permutations of the deal order within each round, so the
+                // counts match the contiguous split's balance exactly: every
+                // cluster gets `total / N` items plus at most one from the
+                // last round.
+                let _ = self.logical(cluster);
                 (0..self.total)
                     .filter(|&item| self.owner(item) == cluster)
                     .count() as u64

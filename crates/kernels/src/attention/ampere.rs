@@ -4,13 +4,10 @@
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{
-    AddrExpr, DeviceId, DmaCopyCmd, Kernel, KernelInfo, LaneAccess, MemLoc, MmioCommand,
-    ProgramBuilder, WarpOp,
-};
+use virgo_isa::{AddrExpr, Kernel, KernelInfo, LaneAccess, MemLoc, ProgramBuilder, WarpOp};
 
-use crate::place_warps;
 use crate::workload::AttentionShape;
+use crate::{dma, place_warps};
 
 use super::{BLOCK, SOFTMAX_FLOPS_PER_ELEM};
 
@@ -84,18 +81,12 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
                 if leader {
                     // The leader warp programs the DMA for the next K/V tiles
                     // (Asynchronous Data Copy) and fences before the barrier.
-                    for global in [GLOBAL_K, GLOBAL_V] {
-                        b.op(WarpOp::MmioWrite {
-                            device: DeviceId::DMA0,
-                            cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(
-                                MemLoc::global(AddrExpr::streaming(global + gbase, tile_bytes)),
-                                MemLoc::shared(AddrExpr::double_buffered(
-                                    if global == GLOBAL_K { SMEM_K0 } else { SMEM_V0 },
-                                    SMEM_KV_STRIDE,
-                                )),
-                                tile_bytes,
-                            )),
-                        });
+                    for (global, smem) in [(GLOBAL_K, SMEM_K0), (GLOBAL_V, SMEM_V0)] {
+                        b.op(dma(
+                            MemLoc::global(AddrExpr::streaming(global + gbase, tile_bytes)),
+                            MemLoc::shared(AddrExpr::double_buffered(smem, SMEM_KV_STRIDE)),
+                            tile_bytes,
+                        ));
                     }
                     b.op(WarpOp::FenceAsync { max_outstanding: 0 });
                 }

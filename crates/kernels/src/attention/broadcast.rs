@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, GridPartition, Kernel, KernelInfo, MemLoc, PartitionStrategy, ProgramBuilder, WarpOp,
+    AddrExpr, DeviceId, GridPartition, Kernel, KernelInfo, MemLoc, PartitionStrategy,
+    ProgramBuilder, WarpOp,
 };
 
 use crate::workload::AttentionShape;
@@ -190,6 +191,7 @@ fn build_kernel(
         }
         // GEMM-1: S = Q·Kᵀ.
         b.op(matrix_compute(
+            DeviceId::MATRIX0,
             AddrExpr::fixed(SMEM_Q),
             k_buf,
             ACC_S,
@@ -210,6 +212,7 @@ fn build_kernel(
         b.op(WarpOp::Barrier { id: 1 });
         // GEMM-2: O += P·V.
         b.op(matrix_compute(
+            DeviceId::MATRIX0,
             s_buf,
             v_buf,
             ACC_O,

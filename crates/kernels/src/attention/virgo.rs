@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, Kernel, KernelInfo, LaneAccess, MemLoc, Program, ProgramBuilder, WarpOp,
+    AddrExpr, DeviceId, Kernel, KernelInfo, LaneAccess, MemLoc, Program, ProgramBuilder, WarpOp,
 };
 
 use crate::workload::AttentionShape;
@@ -120,6 +120,7 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
     let s_buf = AddrExpr::double_buffered(SMEM_S0, SMEM_S_STRIDE);
     let compute = |a, b, acc_addr, accumulate| {
         matrix_compute(
+            DeviceId::MATRIX0,
             a,
             b,
             acc_addr,
@@ -207,7 +208,6 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virgo_isa::DeviceId;
 
     #[test]
     fn matrix_commands_cover_both_gemms() {

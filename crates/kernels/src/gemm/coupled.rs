@@ -1,29 +1,38 @@
-//! GEMM kernels for the tightly-coupled (Volta-style / Ampere-style) tensor
-//! cores (Section 5.1.1 / 5.1.2).
+//! GEMM kernels for the core-coupled tensor units: Volta-style and
+//! Ampere-style `HMMA` (Section 5.1.1 / 5.1.2) and Hopper-style `wgmma`
+//! (Section 5.1.3).
 //!
-//! The mapping follows the classic register-file-resident warp tiling:
+//! The three share one thread-block mapping and one tile body:
 //!
-//! * thread-block tile 64×128, K-chunk 32, double-buffered in shared memory,
-//! * each of the 64 warps owns an 8×16 accumulator tile in its register file
-//!   (the 1 KiB per-warp register budget of Section 5.1.1 — two 8×16 FP16
-//!   operand fragments plus an 8×8 FP32 accumulator per `wmma`),
-//! * each `wmma` of shape (8,8,16) executes as 16 synchronous `HMMA` steps,
-//!   with the operand fragments loaded from shared memory into registers and
-//!   one address-generation instruction per fragment load,
-//! * in the Volta-style variant the warps themselves copy the operand tiles
-//!   from global to shared memory; in the Ampere-style variant the cluster
-//!   DMA performs the copy asynchronously (Asynchronous Data Copy).
+//! * thread-block tile 64×128, K-chunk 32, double-buffered in shared memory;
+//! * per output tile, a K loop of *fetch* (the chunk's A and B tiles reach
+//!   shared memory), barrier 0, *compute* (each warp's share of the chunk),
+//!   barrier 1;
+//! * an epilogue in which every warp stores its FP32 accumulator tile from
+//!   its register file to global memory, then barrier 1.
+//!
+//! A design passes its fetch step (`Fetch`): in the Volta-style kernel the
+//! warps themselves copy the operand tiles with SIMT loads and stores; in
+//! the Ampere- and Hopper-style kernels the leader warp programs the
+//! cluster DMA (Asynchronous Data Copy), one chunk ahead. And it passes its
+//! compute step (`Compute`): Volta- and Ampere-style warps each own an
+//! 8×16 accumulator tile in the register file (the 1 KiB per-warp budget
+//! of Section 5.1.1) and run `wmma`s of shape (8,8,16) as 16 synchronous
+//! `HMMA` steps on fragments loaded from shared memory, one
+//! address-generation instruction per fragment load; Hopper-style warps
+//! initiate asynchronous `wgmma`s that read their operands from shared
+//! memory ([`super::hopper`]).
 
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{AddrExpr, Kernel, KernelInfo, LaneAccess, MemLoc, ProgramBuilder, WarpOp};
+use virgo_isa::{AddrExpr, Kernel, LaneAccess, MemLoc, ProgramBuilder, WarpOp};
 
 use crate::workload::GemmShape;
 
-use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
+use super::{hopper, TileWalk, GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix, dma, place_warps};
+use crate::dma;
 
 /// Thread-block tile M dimension.
 pub const TILE_M: u32 = 64;
@@ -34,176 +43,137 @@ pub const TILE_K: u32 = 32;
 /// `wmma` instruction tile (Section 5.1.1).
 pub const WMMA: (u32, u32, u32) = (8, 8, 16);
 
-/// Shared-memory layout: double-buffered A and B tiles (shared with the
-/// Hopper-style kernel, which uses the same thread-block tile).
+/// Shared-memory layout: double-buffered A and B tiles.
 pub(super) const SMEM_A0: u64 = 0x0;
 pub(super) const SMEM_A_STRIDE: u64 = 0x1000; // 4 KiB per A buffer (64×32 fp16)
 pub(super) const SMEM_B0: u64 = 0x8000;
 pub(super) const SMEM_B_STRIDE: u64 = 0x2000; // 8 KiB per B buffer (32×128 fp16)
 
-/// Emits the leader's DMA copies of one K chunk's A and B tiles from the
-/// cluster's global-memory partition at `base` into the next pair of
-/// double buffers.
-pub(super) fn dma_tile_loads(b: &mut ProgramBuilder, base: u64, a_bytes: u64, b_bytes: u64) {
-    for (global, smem_base, smem_stride, bytes) in [
-        (GLOBAL_A + base, SMEM_A0, SMEM_A_STRIDE, a_bytes),
-        (GLOBAL_B + base, SMEM_B0, SMEM_B_STRIDE, b_bytes),
-    ] {
-        b.op(dma(
-            MemLoc::global(AddrExpr::streaming(global, bytes)),
-            MemLoc::shared(AddrExpr::double_buffered(smem_base, smem_stride)),
-            bytes,
-        ));
-    }
+/// The address-generation instruction that precedes every load and store.
+pub(super) const ADDR: WarpOp = WarpOp::Alu {
+    rf_reads: 2,
+    rf_writes: 1,
+};
+
+/// How each K chunk's A and B tiles reach shared memory.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Fetch {
+    /// Every warp copies its slice of the tiles with plain loads and stores
+    /// through the coalescer and L1.
+    Simt,
+    /// The leader warp programs the cluster DMA: the first chunk before the
+    /// K loop, then each K step waits for its chunk and prefetches the next
+    /// one, so the copy overlaps the step's compute (double buffering).
+    Dma,
 }
 
-/// Builds the Volta-style (`use_dma == false`) or Ampere-style
-/// (`use_dma == true`) GEMM kernel, splitting the output-tile space across
-/// the configuration's clusters.
+/// What each warp computes on one staged K chunk.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Compute {
+    /// Four synchronous `wmma`s on register-file fragments.
+    Wmma,
+    /// Asynchronous `wgmma`s on shared-memory operands, then
+    /// `wgmma.wait_group`.
+    Wgmma,
+}
+
+/// Builds the core-coupled GEMM kernel named `gemm_{style}_{shape}` from its
+/// fetch and compute steps, splitting the output-tile space across the
+/// configuration's clusters.
 ///
 /// # Panics
 ///
 /// Panics if the shape is not divisible by the 64×128×32 thread-block tile.
-pub fn build(config: &GpuConfig, shape: GemmShape, use_dma: bool) -> Kernel {
-    assert!(
-        shape.m.is_multiple_of(TILE_M)
-            && shape.n.is_multiple_of(TILE_N)
-            && shape.k.is_multiple_of(TILE_K),
-        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
-    );
-    let out_tiles = u64::from(shape.m / TILE_M) * u64::from(shape.n / TILE_N);
-    let kt = u64::from(shape.k / TILE_K);
-    let clusters = config.active_clusters();
-    let partition = config.partition(out_tiles);
-    let dtype = config.dtype;
-    let elem = u64::from(dtype.bytes());
+pub(super) fn build(
+    config: &GpuConfig,
+    shape: GemmShape,
+    style: &str,
+    fetch: Fetch,
+    compute: Compute,
+) -> Kernel {
+    let walk = TileWalk::new(config, shape, (TILE_M, TILE_N, TILE_K));
     let lanes = config.core.lanes;
+    let lane_bytes = u64::from(lanes) * 4;
     let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
+    let tiles_per_warp = hopper::tiles_per_warp(total_warps);
+    // FP32 accumulator words each warp holds: one 8×16 tile, or its
+    // 16×16 `wgmma` tiles.
+    let c_words = match compute {
+        Compute::Wmma => 8 * 16,
+        Compute::Wgmma => u64::from(hopper::WGMMA.0 * hopper::WGMMA.1) * tiles_per_warp,
+    };
 
-    let a_tile_bytes = u64::from(TILE_M) * u64::from(TILE_K) * elem;
-    let b_tile_bytes = u64::from(TILE_K) * u64::from(TILE_N) * elem;
-    let copy_bytes_per_warp = (a_tile_bytes + b_tile_bytes) / total_warps;
-    let copy_loads = copy_bytes_per_warp / (u64::from(lanes) * 4);
+    let dma_tile_loads = |b: &mut ProgramBuilder, base: u64| {
+        for (global, smem_base, smem_stride, bytes) in [
+            (GLOBAL_A + base, SMEM_A0, SMEM_A_STRIDE, walk.a_bytes),
+            (GLOBAL_B + base, SMEM_B0, SMEM_B_STRIDE, walk.b_bytes),
+        ] {
+            b.op(dma(
+                MemLoc::global(AddrExpr::streaming(global, bytes)),
+                MemLoc::shared(AddrExpr::double_buffered(smem_base, smem_stride)),
+                bytes,
+            ));
+        }
+    };
+    let fetch_step = |b: &mut ProgramBuilder, warp_index: u64, base: u64| match fetch {
+        Fetch::Simt => {
+            let tile_bytes = walk.a_bytes + walk.b_bytes;
+            let copy_bytes_per_warp = tile_bytes / total_warps;
+            let offset = |i: u64| copy_bytes_per_warp * warp_index + i * lane_bytes;
+            let copies = copy_bytes_per_warp / lane_bytes;
+            for i in 0..copies {
+                b.op(ADDR);
+                b.op(WarpOp::LoadGlobal {
+                    access: LaneAccess::contiguous_words(
+                        AddrExpr::streaming(GLOBAL_A + base + offset(i), tile_bytes),
+                        lanes,
+                    ),
+                });
+            }
+            b.op(WarpOp::WaitLoads);
+            for i in 0..copies {
+                b.op(WarpOp::StoreShared {
+                    access: LaneAccess::contiguous_words(
+                        AddrExpr::double_buffered(SMEM_A0 + offset(i) % tile_bytes, SMEM_A_STRIDE),
+                        lanes,
+                    ),
+                });
+            }
+        }
+        Fetch::Dma => {
+            if warp_index == 0 {
+                b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+                dma_tile_loads(b, base);
+            }
+        }
+    };
+    let compute_step = |b: &mut ProgramBuilder, warp_index: u64| match compute {
+        Compute::Wmma => wmma_step(b, warp_index, lanes),
+        Compute::Wgmma => hopper::wgmma_step(b, warp_index, tiles_per_warp, config.dtype),
+    };
 
-    // Per warp and K-chunk: an 8×16 output tile over k=32 needs
-    // (8/8)·(16/8)·(32/16) = 4 wmma operations, sharing 2 A fragments.
-    let wmmas_per_iter = 4u32;
-    let a_frag_loads = 8u32; // 8×16 fp16 fragment = 256 B = 8 lane-wide loads
-    let b_frag_loads = 8u32;
-    let hmma_steps_per_wmma = (WMMA.0 * WMMA.1 * WMMA.2) / 64;
-    let hmma_macs = 64u32;
-
-    let build_program = |leader: bool, warp_index: u64, cluster_tiles: u64, base: u64| {
+    let program = |warp_index: u64, cluster_tiles: u64, base: u64| {
         let mut p = ProgramBuilder::new();
         p.repeat(cluster_tiles, |b| {
-            // Ampere-style: the leader programs the Asynchronous Data Copy
-            // for the first K chunk before entering the pipelined loop.
-            if use_dma && leader {
-                dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
+            // The DMA leader stages the first K chunk before the pipelined
+            // loop.
+            if matches!(fetch, Fetch::Dma) && warp_index == 0 {
+                dma_tile_loads(b, base);
             }
-            b.repeat(kt, |b| {
-                // ---- Operand delivery: global -> shared -----------------
-                if use_dma {
-                    if leader {
-                        // Wait for the copy of this iteration's operand
-                        // tiles, then immediately program the prefetch of the
-                        // next K chunk so it overlaps with this iteration's
-                        // tensor-core work (double buffering).
-                        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-                        dma_tile_loads(b, base, a_tile_bytes, b_tile_bytes);
-                    }
-                } else {
-                    // Each warp copies its slice of the A and B tiles with
-                    // plain loads and stores through the coalescer and L1.
-                    let slice = copy_bytes_per_warp * warp_index;
-                    for i in 0..copy_loads {
-                        let offset = slice + i * u64::from(lanes) * 4;
-                        b.op(WarpOp::Alu {
-                            rf_reads: 2,
-                            rf_writes: 1,
-                        });
-                        b.op(WarpOp::LoadGlobal {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::streaming(
-                                    GLOBAL_A + base + offset,
-                                    a_tile_bytes + b_tile_bytes,
-                                ),
-                                lanes,
-                            ),
-                        });
-                    }
-                    b.op(WarpOp::WaitLoads);
-                    for i in 0..copy_loads {
-                        let offset =
-                            (slice + i * u64::from(lanes) * 4) % (a_tile_bytes + b_tile_bytes);
-                        b.op(WarpOp::StoreShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::double_buffered(SMEM_A0 + offset, SMEM_A_STRIDE),
-                                lanes,
-                            ),
-                        });
-                    }
-                }
+            b.repeat(walk.kt, |b| {
+                fetch_step(b, warp_index, base);
                 b.op(WarpOp::Barrier { id: 0 });
-
-                // ---- Warp-tile compute: 4 wmma, 2 shared A fragments -----
-                for wmma in 0..wmmas_per_iter {
-                    // A fragment is reused by the two wmmas that share the
-                    // same k-chunk (register blocking across N).
-                    let loads = if wmma % 2 == 0 {
-                        a_frag_loads + b_frag_loads
-                    } else {
-                        b_frag_loads
-                    };
-                    for l in 0..loads {
-                        b.op(WarpOp::Alu {
-                            rf_reads: 2,
-                            rf_writes: 1,
-                        });
-                        let base = if l < a_frag_loads && wmma % 2 == 0 {
-                            SMEM_A0 + u64::from(warp_index as u32 % 8) * 512
-                        } else {
-                            SMEM_B0 + u64::from(warp_index as u32 / 8) * 512
-                        };
-                        b.op(WarpOp::LoadShared {
-                            access: LaneAccess::contiguous_words(
-                                AddrExpr::double_buffered(
-                                    base + u64::from(l) * u64::from(lanes) * 4,
-                                    SMEM_A_STRIDE,
-                                ),
-                                lanes,
-                            ),
-                        });
-                    }
-                    b.op(WarpOp::WaitLoads);
-                    b.op_n(
-                        hmma_steps_per_wmma,
-                        WarpOp::HmmaStep {
-                            macs: hmma_macs,
-                            rf_reads: 4,
-                            rf_writes: 2,
-                        },
-                    );
-                }
+                compute_step(b, warp_index);
                 b.op(WarpOp::Barrier { id: 1 });
             });
-
-            // ---- Epilogue: write the warp's 8×16 FP32 accumulator tile ---
-            let c_words = 8 * 16;
-            let c_stores = c_words / lanes;
-            for s in 0..c_stores {
-                b.op(WarpOp::Alu {
-                    rf_reads: 2,
-                    rf_writes: 1,
-                });
+            // Epilogue: write the warp's FP32 accumulator tile.
+            for s in 0..c_words / u64::from(lanes) {
+                b.op(ADDR);
                 b.op(WarpOp::StoreGlobal {
                     access: LaneAccess::contiguous_words(
                         AddrExpr::streaming(
-                            GLOBAL_C
-                                + base
-                                + warp_index * u64::from(c_words) * 4
-                                + u64::from(s * lanes * 4),
-                            u64::from(TILE_M) * u64::from(TILE_N) * 4,
+                            GLOBAL_C + base + warp_index * c_words * 4 + s * lane_bytes,
+                            walk.c_bytes,
                         ),
                         lanes,
                     ),
@@ -214,33 +184,58 @@ pub fn build(config: &GpuConfig, shape: GemmShape, use_dma: bool) -> Kernel {
         Arc::new(p.build())
     };
 
-    let mut warps = Vec::new();
-    for cluster in partition.cluster_ids().collect::<Vec<_>>() {
-        let cluster_tiles = partition.count(cluster);
-        let base = cluster_addr_offset(cluster);
-        place_warps(&mut warps, config, cluster, |warp_index| {
-            build_program(warp_index == 0, warp_index, cluster_tiles, base)
-        });
-    }
+    let program = &program;
+    walk.kernel(style, "", |_, cluster_tiles, base| {
+        move |warp_index| program(warp_index, cluster_tiles, base)
+    })
+}
 
-    let style = if use_dma { "ampere" } else { "volta" };
-    Kernel::new(
-        KernelInfo::new(
-            format!("gemm_{style}_{shape}{}", cluster_suffix(clusters)),
-            shape.mac_ops(),
-            dtype,
-        ),
-        warps,
-    )
+/// Emits one warp's `wmma` work on a K chunk: its 8×16 output tile over
+/// k=32 needs (8/8)·(16/8)·(32/16) = 4 `wmma`s, and the two that share a
+/// k-chunk share one A fragment (register blocking across N).
+fn wmma_step(b: &mut ProgramBuilder, warp_index: u64, lanes: u32) {
+    let frag_loads = 8u32; // an 8×16 fp16 fragment = 256 B = 8 lane-wide loads
+    let hmma_steps = (WMMA.0 * WMMA.1 * WMMA.2) / 64;
+    for wmma in 0..4u32 {
+        let loads_a = wmma % 2 == 0;
+        let loads = if loads_a { 2 * frag_loads } else { frag_loads };
+        for l in 0..loads {
+            b.op(ADDR);
+            let base = if loads_a && l < frag_loads {
+                SMEM_A0 + (warp_index % 8) * 512
+            } else {
+                SMEM_B0 + (warp_index / 8) * 512
+            };
+            b.op(WarpOp::LoadShared {
+                access: LaneAccess::contiguous_words(
+                    AddrExpr::double_buffered(
+                        base + u64::from(l) * u64::from(lanes) * 4,
+                        SMEM_A_STRIDE,
+                    ),
+                    lanes,
+                ),
+            });
+        }
+        b.op(WarpOp::WaitLoads);
+        b.op_n(
+            hmma_steps,
+            WarpOp::HmmaStep {
+                macs: 64,
+                rf_reads: 4,
+                rf_writes: 2,
+            },
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_gemm;
 
     #[test]
     fn volta_kernel_moves_data_with_simt_instructions() {
-        let kernel = build(&GpuConfig::volta_style(), GemmShape::square(256), false);
+        let kernel = build_gemm(&GpuConfig::volta_style(), GemmShape::square(256));
         let program = &kernel.warps[5].program;
         let mut cursor = program.cursor();
         let (mut global_loads, mut hmma, mut dma) = (0u64, 0u64, 0u64);
@@ -259,7 +254,7 @@ mod tests {
 
     #[test]
     fn ampere_kernel_uses_dma_instead_of_simt_copies() {
-        let kernel = build(&GpuConfig::ampere_style(), GemmShape::square(256), true);
+        let kernel = build_gemm(&GpuConfig::ampere_style(), GemmShape::square(256));
         let leader = &kernel.warps[0].program;
         let follower = &kernel.warps[1].program;
         let count = |program: &Arc<virgo_isa::Program>, pred: fn(&WarpOp) -> bool| {
@@ -282,32 +277,15 @@ mod tests {
     }
 
     #[test]
-    fn hmma_macs_cover_the_whole_problem() {
-        let shape = GemmShape::square(256);
-        let kernel = build(&GpuConfig::volta_style(), shape, false);
-        let mut total_macs = 0u64;
-        for warp in &kernel.warps {
-            let mut cursor = warp.program.cursor();
-            while let Some(op) = cursor.next_op() {
-                if let WarpOp::HmmaStep { macs, .. } = op {
-                    total_macs += u64::from(macs);
-                }
-            }
-        }
-        assert_eq!(total_macs, shape.mac_ops());
-    }
-
-    #[test]
     #[should_panic(expected = "not divisible")]
     fn indivisible_shape_is_rejected() {
-        let _ = build(
+        let _ = build_gemm(
             &GpuConfig::volta_style(),
             GemmShape {
                 m: 100,
                 n: 128,
                 k: 32,
             },
-            false,
         );
     }
 }

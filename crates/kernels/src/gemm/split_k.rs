@@ -4,8 +4,9 @@
 //! *output-tile* grid (clusters never share data), this kernel splits the
 //! *reduction* dimension: every cluster computes a partial sum of every
 //! output tile over its own K-slice, and the partials are then reduced on
-//! the tile's *owner*. [`build`] makes cluster 0 the owner of every tile (a
-//! single consumer); [`build_with_strategy`] can instead deal ownership
+//! the tile's *owner*. [`build`] makes the first cluster (cluster 0, or the
+//! first id of `GpuConfig::allocation`) the owner of every tile (a single
+//! consumer); [`build_with_strategy`] can instead deal ownership
 //! across all clusters, so every cluster is producer for some tiles and
 //! consumer for others. That reduction is exactly the producer-consumer
 //! traffic the inter-cluster DSM fabric exists for, so the kernel is
@@ -30,25 +31,25 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, DataType, GridPartition, Kernel, KernelInfo, LaneAccess, MemLoc, PartitionStrategy,
-    Program, ProgramBuilder, WarpOp,
+    AddrExpr, GridPartition, Kernel, LaneAccess, MemLoc, PartitionStrategy, Program,
+    ProgramBuilder, WarpOp,
 };
 
 use crate::workload::GemmShape;
 
 use super::virgo::{
-    assert_tileable, k_loop, k_loop_barriers, tile_bytes, Operands, SMEM_A0, SMEM_A_STRIDE, TILE_K,
-    TILE_M, TILE_N,
+    k_loop, k_loop_barriers, Operands, SMEM_A0, SMEM_A_STRIDE, TILE_K, TILE_M, TILE_N,
 };
-use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
+use super::{TileWalk, GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix, dma, dma_remote, place_warps, Steps};
+use crate::{dma, dma_remote, Steps};
 
 /// Global-memory base of the partial-sum scratch region the DRAM path spills
 /// through, one `region` of `out_tiles` C tiles per producer. The
-/// single-consumer kernel ([`build`]) streams producer `p`'s partials
-/// through `GLOBAL_PARTIAL + (p - 1) · region`; the distributed kernels
-/// ([`build_with_strategy`]) put cluster `p`'s tile-`t` partial at
+/// single-consumer kernel ([`build`]) streams the partials of the `i`-th
+/// producer (`i = 0, 1, ...`) through `GLOBAL_PARTIAL + i · region`; the
+/// distributed kernels ([`build_with_strategy`]) put the tile-`t` partial
+/// of the `p`-th allocated cluster at
 /// `GLOBAL_PARTIAL + p · region + t · tile_bytes`.
 pub const GLOBAL_PARTIAL: u64 = 0x8000_0000;
 
@@ -72,52 +73,45 @@ fn stage_slot(p: u64, c_tile_bytes: u64) -> u64 {
     }
 }
 
-/// The split-K problem on a configuration, shared by every ownership plan.
+/// The split-K problem on a configuration, shared by every ownership plan:
+/// the Virgo tile walk plus what split-K adds to it.
 #[derive(Debug)]
-struct Geometry {
-    clusters: u32,
-    out_tiles: u64,
+struct Geometry<'a> {
+    walk: TileWalk<'a>,
+    /// The K-tiles each cluster accumulates, dealt contiguously.
     k_partition: GridPartition,
-    c_tile_bytes: u64,
+    /// Bytes of one producer's DRAM-path spill region.
     partial_region: u64,
     use_dsm: bool,
-    dtype: DataType,
-    lanes: u32,
     /// Output-tile elements each warp reduces.
     elems_per_warp: u64,
     /// Lane-wide vectors per warp slice.
     vector_iters: u64,
 }
 
-impl Geometry {
-    fn new(config: &GpuConfig, shape: GemmShape) -> Self {
-        assert_tileable(shape);
-        let clusters = config.clusters.max(1);
+impl<'a> Geometry<'a> {
+    fn new(config: &'a GpuConfig, shape: GemmShape) -> Self {
+        let walk = TileWalk::new(config, shape, (TILE_M, TILE_N, TILE_K));
+        let clusters = walk.clusters();
         assert!(
             clusters >= 2,
             "split-K GEMM needs at least one producer cluster plus the consumer"
         );
-        let kt_total = u64::from(shape.k / TILE_K);
+        let kt_total = walk.kt;
         assert!(
             kt_total >= u64::from(clusters),
             "split-K over {clusters} clusters needs at least {clusters} K-tiles, \
              shape {shape} has {kt_total}"
         );
-        let out_tiles = u64::from(shape.m / TILE_M) * u64::from(shape.n / TILE_N);
-        let (_, _, c_tile_bytes) = tile_bytes(config.dtype);
         let total_warps = u64::from(config.cores) * u64::from(config.core.warps);
         let elems_per_warp = u64::from(TILE_M) * u64::from(TILE_N) / total_warps;
         Geometry {
-            clusters,
-            out_tiles,
-            k_partition: GridPartition::new(kt_total, clusters),
-            c_tile_bytes,
-            partial_region: out_tiles * c_tile_bytes,
+            k_partition: config.partition(kt_total),
+            partial_region: walk.out_tiles * walk.c_bytes,
             use_dsm: config.dsm.enabled,
-            dtype: config.dtype,
-            lanes: config.core.lanes,
             elems_per_warp,
             vector_iters: (elems_per_warp / u64::from(config.core.lanes)).max(1),
+            walk,
         }
     }
 }
@@ -129,7 +123,7 @@ struct TileStep {
     owner: u32,
     /// Where this cluster's A/B K-tiles of the tile stream from.
     operands: Operands,
-    /// Every other cluster in ascending order, with the global address its
+    /// Every other cluster in allocation order, with the global address its
     /// partial of the tile is spilled to on the DRAM path. The `i`-th
     /// producer's partial lands in the owner's staging slot `i + 1`.
     producers: Vec<(u32, AddrExpr)>,
@@ -137,9 +131,11 @@ struct TileStep {
     out: AddrExpr,
 }
 
-/// Builds the split-K GEMM kernel for `shape` on `config`'s clusters,
-/// choosing the partial-sum path from `config.dsm.enabled`. Cluster 0 owns
-/// every output tile: the other clusters only produce partials.
+/// Builds the split-K GEMM kernel for `shape` on `config`'s clusters (its
+/// allocation, when one is set), choosing the partial-sum path from
+/// `config.dsm.enabled`. The first cluster (cluster 0, or the first
+/// allocated id) owns every output tile: the other clusters only produce
+/// partials.
 ///
 /// # Panics
 ///
@@ -149,25 +145,28 @@ struct TileStep {
 /// than clusters (an empty K-slice).
 pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
     let g = Geometry::new(config, shape);
+    let c_bytes = g.walk.c_bytes;
+    let mut ids = g.walk.cluster_ids();
+    let owner = ids.next().expect("a walk covers at least one cluster");
     // One tile body, repeated: its operand, spill and output streams advance
     // once per output tile.
-    let producers: Vec<(u32, AddrExpr)> = (1..g.clusters)
-        .map(|p| {
-            let spill = GLOBAL_PARTIAL + u64::from(p - 1) * g.partial_region;
-            (p, AddrExpr::streaming(spill, g.c_tile_bytes))
+    let producers: Vec<(u32, AddrExpr)> = ids
+        .zip(0..)
+        .map(|(p, i)| {
+            let spill = GLOBAL_PARTIAL + i * g.partial_region;
+            (p, AddrExpr::streaming(spill, c_bytes))
         })
         .collect();
-    let plan = |cluster: u32| {
-        let base = cluster_addr_offset(cluster);
+    let plan = |_, base| {
         let step = TileStep {
-            owner: 0,
-            operands: Operands::streaming(GLOBAL_A + base, GLOBAL_B + base, g.dtype),
+            owner,
+            operands: Operands::streaming(&g.walk, GLOBAL_A + base, GLOBAL_B + base),
             producers: producers.clone(),
-            out: AddrExpr::streaming(GLOBAL_C + base, g.c_tile_bytes),
+            out: AddrExpr::streaming(GLOBAL_C + base, c_bytes),
         };
-        Steps::Repeat(g.out_tiles, step)
+        Steps::Repeat(g.walk.out_tiles, step)
     };
-    build_kernel(config, shape, &g, plan, "")
+    build_kernel(&g, plan, "")
 }
 
 /// Builds the split-K GEMM kernel with an explicit output-tile ownership
@@ -182,7 +181,7 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
 /// for each tile the non-owners `DmaRemote` their partial straight into the
 /// owner's scratchpad (or spill it through DRAM on the no-DSM path) and the
 /// owner's SIMT warps reduce it — so the reduction traffic lands on all N
-/// DSM ingress links concurrently instead of funnelling into cluster 0's
+/// DSM ingress links concurrently instead of funnelling into one cluster's
 /// single link. Roles change per tile, so the tile loop is unrolled and
 /// each tile's operand streams carry their own bases.
 ///
@@ -200,81 +199,64 @@ pub fn build_with_strategy(
         PartitionStrategy::Rotated => "_rot",
     };
     let g = Geometry::new(config, shape);
-    let owners = GridPartition::with_strategy(g.out_tiles, g.clusters, strategy);
-    let (a_tile_bytes, b_tile_bytes, c_tile_bytes) = tile_bytes(g.dtype);
-    let plan = |cluster: u32| {
+    let owners = config.partition_with(g.walk.out_tiles, strategy);
+    let ids: Vec<u32> = g.walk.cluster_ids().collect();
+    let (a_bytes, b_bytes, c_bytes) = (g.walk.a_bytes, g.walk.b_bytes, g.walk.c_bytes);
+    let plan = |cluster, base| {
         let kt = g.k_partition.count(cluster);
-        let base = cluster_addr_offset(cluster);
         let tile_step = |tile: u64| {
             let owner = owners.owner(tile);
-            let spill =
-                |p: u32| GLOBAL_PARTIAL + u64::from(p) * g.partial_region + tile * c_tile_bytes;
+            let spill = |i: u64| GLOBAL_PARTIAL + i * g.partial_region + tile * c_bytes;
             TileStep {
                 owner,
                 operands: Operands::staggered(
-                    GLOBAL_A + base + tile * kt * a_tile_bytes,
-                    GLOBAL_B + base + tile * kt * b_tile_bytes,
-                    g.dtype,
+                    &g.walk,
+                    GLOBAL_A + base + tile * kt * a_bytes,
+                    GLOBAL_B + base + tile * kt * b_bytes,
                 ),
-                producers: (0..g.clusters)
-                    .filter(|&p| p != owner)
-                    .map(|p| (p, AddrExpr::fixed(spill(p))))
+                producers: ids
+                    .iter()
+                    .zip(0..)
+                    .filter(|&(&p, _)| p != owner)
+                    .map(|(&p, i)| (p, AddrExpr::fixed(spill(i))))
                     .collect(),
-                out: AddrExpr::fixed(GLOBAL_C + tile * c_tile_bytes),
+                out: AddrExpr::fixed(GLOBAL_C + tile * c_bytes),
             }
         };
-        Steps::Unrolled((0..g.out_tiles).map(tile_step).collect())
+        Steps::Unrolled((0..g.walk.out_tiles).map(tile_step).collect())
     };
-    build_kernel(config, shape, &g, plan, tag)
+    build_kernel(&g, plan, tag)
 }
 
-/// Builds the kernel from each cluster's tile schedule, `plan(cluster)`
-/// (built as the cluster is emitted and dropped after it).
-fn build_kernel(
-    config: &GpuConfig,
-    shape: GemmShape,
-    g: &Geometry,
-    plan: impl Fn(u32) -> Steps<TileStep>,
-    tag: &str,
-) -> Kernel {
-    let mut warps = Vec::new();
-    for cluster in 0..g.clusters {
-        let steps = &plan(cluster);
-        let kt = g.k_partition.count(cluster);
-        let mut orch = ProgramBuilder::new();
-        steps.emit(&mut orch, |b, step| {
-            orchestrate_tile(b, cluster, kt, step, g)
-        });
-        let orchestrator = Arc::new(orch.build());
-
-        // A cluster that owns no tile never reduces, so all its followers
-        // share one barrier-only program; an owner's followers each reduce a
-        // warp_index-dependent slice.
-        let owns_none = steps.items().iter().all(|step| step.owner != cluster);
-        let shared = owns_none.then(|| follower(cluster, kt, steps, 0, g));
-        place_warps(&mut warps, config, cluster, |warp_index| {
-            if warp_index == 0 {
-                Arc::clone(&orchestrator)
-            } else if let Some(shared) = &shared {
-                Arc::clone(shared)
-            } else {
-                follower(cluster, kt, steps, warp_index, g)
-            }
-        });
-    }
-
+/// Builds the kernel from each cluster's tile schedule, `plan(cluster,
+/// base)` (built as the cluster is emitted and dropped after it).
+fn build_kernel(g: &Geometry, plan: impl Fn(u32, u64) -> Steps<TileStep>, tag: &str) -> Kernel {
     let path = if g.use_dsm { "dsm" } else { "dram" };
-    Kernel::new(
-        KernelInfo::new(
-            format!(
-                "gemm_splitk_{shape}{}_{path}{tag}",
-                cluster_suffix(g.clusters)
-            ),
-            shape.mac_ops(),
-            g.dtype,
-        ),
-        warps,
-    )
+    g.walk
+        .kernel("splitk", &format!("_{path}{tag}"), |cluster, _, base| {
+            let steps = plan(cluster, base);
+            let kt = g.k_partition.count(cluster);
+            let mut orch = ProgramBuilder::new();
+            steps.emit(&mut orch, |b, step| {
+                orchestrate_tile(b, cluster, kt, step, g)
+            });
+            let orchestrator = Arc::new(orch.build());
+
+            // A cluster that owns no tile never reduces, so all its
+            // followers share one barrier-only program; an owner's followers
+            // each reduce a warp_index-dependent slice.
+            let owns_none = steps.items().iter().all(|step| step.owner != cluster);
+            let shared = owns_none.then(|| follower(cluster, kt, &steps, 0, g));
+            move |warp_index| {
+                if warp_index == 0 {
+                    Arc::clone(&orchestrator)
+                } else if let Some(shared) = &shared {
+                    Arc::clone(shared)
+                } else {
+                    follower(cluster, kt, &steps, warp_index, g)
+                }
+            }
+        })
 }
 
 /// Emits one output tile on `cluster`'s orchestrator: the K-slice pipeline
@@ -282,10 +264,10 @@ fn build_kernel(
 /// the partial to the owner) or the owner epilogue (stage every partial,
 /// let the followers reduce, write the final tile).
 fn orchestrate_tile(b: &mut ProgramBuilder, cluster: u32, kt: u64, step: &TileStep, g: &Geometry) {
-    let c = g.c_tile_bytes;
+    let c = g.walk.c_bytes;
     let slot = |i: usize| AddrExpr::fixed(stage_slot(i as u64, c));
     let acc = MemLoc::accumulator(AddrExpr::fixed(0));
-    k_loop(b, kt, &step.operands, g.dtype);
+    k_loop(b, &g.walk, kt, &step.operands);
     if let Some(i) = step.producers.iter().position(|&(p, _)| p == cluster) {
         // Producer: ship the partial into the owner's scratchpad over the
         // fabric, or spill it through DRAM.
@@ -327,10 +309,10 @@ fn follower(
     warp_index: u64,
     g: &Geometry,
 ) -> Arc<Program> {
-    let lanes = g.lanes;
+    let lanes = g.walk.config.core.lanes;
     let words = |p: u64, offset: u64| {
         LaneAccess::contiguous_words(
-            AddrExpr::fixed(stage_slot(p, g.c_tile_bytes) + offset),
+            AddrExpr::fixed(stage_slot(p, g.walk.c_bytes) + offset),
             lanes,
         )
     };
@@ -345,7 +327,7 @@ fn follower(
                     access: words(0, offset),
                 });
                 b.op(WarpOp::WaitLoads);
-                for p in 1..u64::from(g.clusters) {
+                for p in 1..u64::from(g.walk.clusters()) {
                     b.op(WarpOp::LoadShared {
                         access: words(p, offset),
                     });
@@ -560,6 +542,45 @@ mod tests {
             );
             assert_eq!(kernel.info.total_macs, shape().mac_ops());
             assert_eq!(kernel.clusters_used(), 2);
+        }
+    }
+
+    #[test]
+    fn an_allocated_build_stays_on_its_clusters() {
+        let config = GpuConfig::virgo()
+            .with_clusters(4)
+            .with_dsm_enabled()
+            .with_allocation(vec![2, 3]);
+        for strategy in [
+            PartitionStrategy::Contiguous,
+            PartitionStrategy::Interleaved,
+            PartitionStrategy::Rotated,
+        ] {
+            let kernel = build_with_strategy(&config, shape(), strategy);
+            assert!(kernel.info.name.contains("_c2_dsm"), "{}", kernel.info.name);
+            let mut remote = 0;
+            for warp in &kernel.warps {
+                assert!(
+                    [2, 3].contains(&warp.cluster),
+                    "{strategy}: {}",
+                    warp.cluster
+                );
+                let mut cursor = warp.program.cursor();
+                while let Some(op) = cursor.next_op() {
+                    if let WarpOp::MmioWrite {
+                        cmd: MmioCommand::DmaRemote(copy),
+                        ..
+                    } = op
+                    {
+                        let dst = copy.dst.remote_cluster();
+                        assert!(matches!(dst, Some(2 | 3)), "{strategy}: {dst:?}");
+                        remote += 1;
+                    }
+                }
+            }
+            // One shipment per output tile from the one cluster that does
+            // not own it.
+            assert_eq!(remote, 2, "{strategy}");
         }
     }
 

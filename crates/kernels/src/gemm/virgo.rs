@@ -4,13 +4,13 @@
 use std::sync::Arc;
 
 use virgo::GpuConfig;
-use virgo_isa::{AddrExpr, DataType, Kernel, KernelInfo, MemLoc, ProgramBuilder, WarpOp};
+use virgo_isa::{AddrExpr, DeviceId, Kernel, MemLoc, ProgramBuilder, WarpOp};
 
 use crate::workload::GemmShape;
 
-use super::{GLOBAL_A, GLOBAL_B, GLOBAL_C};
+use super::{TileWalk, GLOBAL_A, GLOBAL_B, GLOBAL_C};
 
-use crate::{cluster_addr_offset, cluster_suffix, dma, matrix_compute, place_warps};
+use crate::{dma, matrix_compute};
 
 /// Thread-block tile exposed by the matrix unit (Section 4.4.1).
 pub const TILE_M: u32 = 128;
@@ -25,26 +25,6 @@ pub(super) const SMEM_A_STRIDE: u64 = 0x8000; // 32 KiB per A buffer
 const SMEM_B0: u64 = 0x1_0000;
 const SMEM_B_STRIDE: u64 = 0x4000; // 16 KiB per B buffer
 
-/// Byte sizes of the A and B operand tiles and of the FP32 C tile.
-pub(super) fn tile_bytes(dtype: DataType) -> (u64, u64, u64) {
-    let elem = u64::from(dtype.bytes());
-    (
-        u64::from(TILE_M) * u64::from(TILE_K) * elem,
-        u64::from(TILE_K) * u64::from(TILE_N) * elem,
-        u64::from(TILE_M) * u64::from(TILE_N) * 4,
-    )
-}
-
-/// Asserts that `shape` tiles evenly by the 128×64×128 thread-block tile.
-pub(super) fn assert_tileable(shape: GemmShape) {
-    assert!(
-        shape.m.is_multiple_of(TILE_M)
-            && shape.n.is_multiple_of(TILE_N)
-            && shape.k.is_multiple_of(TILE_K),
-        "GEMM shape {shape} not divisible by the {TILE_M}x{TILE_N}x{TILE_K} tile"
-    );
-}
-
 /// Global-memory sources of one output tile's A and B K-tiles, one per
 /// static DMA site of [`k_loop`]: the prologue fetch, the first prefetch and
 /// the steady-state prefetch. Each site's address advances per execution of
@@ -57,55 +37,55 @@ pub(super) struct Operands {
 
 impl Operands {
     /// Every site streams from the same expression, one tile per execution
-    /// of that site.
-    pub(super) fn streaming(a_base: u64, b_base: u64, dtype: DataType) -> Self {
-        let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+    /// of that site. So a tile's prologue fetch and first prefetch read the
+    /// same global address (the second one hits in L2) rather than distinct
+    /// K-tiles.
+    pub(super) fn streaming(walk: &TileWalk, a_base: u64, b_base: u64) -> Self {
         Operands {
-            a: [AddrExpr::streaming(a_base, a_bytes); 3],
-            b: [AddrExpr::streaming(b_base, b_bytes); 3],
+            a: [AddrExpr::streaming(a_base, walk.a_bytes); 3],
+            b: [AddrExpr::streaming(b_base, walk.b_bytes); 3],
         }
     }
 
     /// Site `s` starts `s` tiles past the base, so one unrolled output tile
     /// walks its K-tiles in order.
-    pub(super) fn staggered(a_base: u64, b_base: u64, dtype: DataType) -> Self {
-        let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+    pub(super) fn staggered(walk: &TileWalk, a_base: u64, b_base: u64) -> Self {
         let site = |base: u64, bytes: u64, s: u64| AddrExpr::streaming(base + s * bytes, bytes);
         Operands {
-            a: [0, 1, 2].map(|s| site(a_base, a_bytes, s)),
-            b: [0, 1, 2].map(|s| site(b_base, b_bytes, s)),
+            a: [0, 1, 2].map(|s| site(a_base, walk.a_bytes, s)),
+            b: [0, 1, 2].map(|s| site(b_base, walk.b_bytes, s)),
         }
     }
 }
 
-/// Emits one output tile's K-loop software pipeline on the orchestrator:
-/// fetch the first A/B K-tiles and launch the first compute while the next
-/// K-tiles prefetch into the other shared-memory buffers; each later K-step
-/// waits for the previous compute and prefetch, joins barrier 0, launches
-/// its compute and prefetches the next K-tiles. Ends with a fence, so the
-/// accumulator holds the tile's result.
-pub(super) fn k_loop(b: &mut ProgramBuilder, kt: u64, src: &Operands, dtype: DataType) {
-    let (a_bytes, b_bytes, _) = tile_bytes(dtype);
+/// Emits one output tile's K-loop software pipeline over `kt` K-steps on
+/// the orchestrator: fetch the first A/B K-tiles and launch the first
+/// compute while the next K-tiles prefetch into the other shared-memory
+/// buffers; each later K-step waits for the previous compute and prefetch,
+/// joins barrier 0, launches its compute and prefetches the next K-tiles.
+/// Ends with a fence, so the accumulator holds the tile's result.
+pub(super) fn k_loop(b: &mut ProgramBuilder, walk: &TileWalk, kt: u64, src: &Operands) {
     let fetch = |b: &mut ProgramBuilder, site: usize| {
         b.op(dma(
             MemLoc::global(src.a[site]),
             MemLoc::shared(AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE)),
-            a_bytes,
+            walk.a_bytes,
         ));
         b.op(dma(
             MemLoc::global(src.b[site]),
             MemLoc::shared(AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE)),
-            b_bytes,
+            walk.b_bytes,
         ));
     };
     let compute = |accumulate: bool| {
         matrix_compute(
+            DeviceId::MATRIX0,
             AddrExpr::double_buffered(SMEM_A0, SMEM_A_STRIDE),
             AddrExpr::double_buffered(SMEM_B0, SMEM_B_STRIDE),
             0,
             (TILE_M, TILE_N, TILE_K),
             accumulate,
-            dtype,
+            walk.config.dtype,
         )
     };
     b.op(WarpOp::Alu {
@@ -163,29 +143,15 @@ pub(super) fn k_loop_barriers(b: &mut ProgramBuilder, kt: u64) {
 ///
 /// Panics if the shape is not divisible by the 128×64×128 thread-block tile.
 pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
-    assert_tileable(shape);
-    let out_tiles = u64::from(shape.m / TILE_M) * u64::from(shape.n / TILE_N);
-    let kt = u64::from(shape.k / TILE_K);
-    let clusters = config.active_clusters();
-    let partition = config.partition(out_tiles);
-    let dtype = config.dtype;
-    let (_, _, c_tile_bytes) = tile_bytes(dtype);
-
-    let mut warps = Vec::new();
-    for cluster in partition.cluster_ids().collect::<Vec<_>>() {
-        let cluster_tiles = partition.count(cluster);
-        let base = cluster_addr_offset(cluster);
-
-        // The operand tiles stream through this cluster's partition of global
-        // memory and ping-pong between two shared-memory buffers. The
-        // pipeline's three DMA sites stream from the same base, each at its
-        // own position in its enclosing loops, so a tile's prologue fetch
-        // and first prefetch read the same global address (the second one
-        // hits in L2) rather than distinct K-tiles.
-        let operands = Operands::streaming(GLOBAL_A + base, GLOBAL_B + base, dtype);
+    let walk = TileWalk::new(config, shape, (TILE_M, TILE_N, TILE_K));
+    let c_bytes = walk.c_bytes;
+    walk.kernel("virgo", "", |_, cluster_tiles, base| {
+        // The operand tiles stream through this cluster's partition of
+        // global memory and ping-pong between two shared-memory buffers.
+        let operands = Operands::streaming(&walk, GLOBAL_A + base, GLOBAL_B + base);
         let mut orch = ProgramBuilder::new();
         orch.repeat(cluster_tiles, |b| {
-            k_loop(b, kt, &operands, dtype);
+            k_loop(b, &walk, walk.kt, &operands);
             // Epilogue: drain the accumulator tile to global memory. The
             // store is left asynchronous so it overlaps with the next output
             // tile's prologue DMA loads; the fence at the top of the next
@@ -193,8 +159,8 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
             // required ordering before the accumulator is overwritten.
             b.op(dma(
                 MemLoc::accumulator(AddrExpr::fixed(0)),
-                MemLoc::global(AddrExpr::streaming(GLOBAL_C + base, c_tile_bytes)),
-                c_tile_bytes,
+                MemLoc::global(AddrExpr::streaming(GLOBAL_C + base, c_bytes)),
+                c_bytes,
             ));
             b.op(WarpOp::Barrier { id: 1 });
         });
@@ -204,28 +170,19 @@ pub fn build(config: &GpuConfig, shape: GemmShape) -> Kernel {
         // epilogue barrier.
         let mut foll = ProgramBuilder::new();
         foll.repeat(cluster_tiles, |b| {
-            k_loop_barriers(b, kt);
+            k_loop_barriers(b, walk.kt);
             b.op(WarpOp::Barrier { id: 1 });
         });
         let follower = Arc::new(foll.build());
 
-        place_warps(&mut warps, config, cluster, |warp_index| {
+        move |warp_index| {
             Arc::clone(if warp_index == 0 {
                 &orchestrator
             } else {
                 &follower
             })
-        });
-    }
-
-    Kernel::new(
-        KernelInfo::new(
-            format!("gemm_virgo_{shape}{}", cluster_suffix(clusters)),
-            shape.mac_ops(),
-            dtype,
-        ),
-        warps,
-    )
+        }
+    })
 }
 
 #[cfg(test)]

@@ -11,11 +11,12 @@ use std::sync::Arc;
 
 use virgo::GpuConfig;
 use virgo_isa::{
-    AddrExpr, DataType, DeviceId, DmaCopyCmd, Kernel, KernelInfo, MatrixComputeCmd, MemLoc,
-    MmioCommand, ProgramBuilder, WarpAssignment, WarpOp,
+    AddrExpr, DeviceId, Kernel, KernelInfo, MemLoc, ProgramBuilder, WarpAssignment, WarpOp,
 };
 
+use crate::gemm::TileWalk;
 use crate::workload::GemmShape;
+use crate::{dma, matrix_compute};
 
 /// The GEMM mapped to the large (16×16) unit.
 pub const LARGE_GEMM: GemmShape = GemmShape::square(256);
@@ -34,62 +35,42 @@ struct UnitPlan {
 }
 
 /// Builds the orchestrator program that runs one GEMM on one matrix unit.
-fn orchestrate(plan: &UnitPlan, dtype: DataType) -> Arc<virgo_isa::Program> {
-    let (tm, tn, tk) = plan.tile;
-    assert!(
-        plan.shape.m.is_multiple_of(tm)
-            && plan.shape.n.is_multiple_of(tn)
-            && plan.shape.k.is_multiple_of(tk),
-        "GEMM {} not divisible by tile {tm}x{tn}x{tk}",
-        plan.shape
-    );
-    let out_tiles = u64::from(plan.shape.m / tm) * u64::from(plan.shape.n / tn);
-    let kt = u64::from(plan.shape.k / tk);
-    let elem = u64::from(dtype.bytes());
-    let a_bytes = u64::from(tm) * u64::from(tk) * elem;
-    let b_bytes = u64::from(tk) * u64::from(tn) * elem;
-    let c_bytes = u64::from(tm) * u64::from(tn) * 4;
+fn orchestrate(plan: &UnitPlan, config: &GpuConfig) -> Arc<virgo_isa::Program> {
+    let walk = TileWalk::new(config, plan.shape, plan.tile);
 
     let mut p = ProgramBuilder::new();
-    p.repeat(out_tiles, |b| {
-        b.repeat(kt, |b| {
+    p.repeat(walk.out_tiles, |b| {
+        b.repeat(walk.kt, |b| {
             for (offset, bytes, smem) in [
-                (0u64, a_bytes, plan.smem_a),
-                (0x0800_0000, b_bytes, plan.smem_b),
+                (0u64, walk.a_bytes, plan.smem_a),
+                (0x0800_0000, walk.b_bytes, plan.smem_b),
             ] {
-                b.op(WarpOp::MmioWrite {
-                    device: DeviceId::DMA0,
-                    cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(
-                        MemLoc::global(AddrExpr::streaming(plan.global_base + offset, bytes)),
-                        MemLoc::shared(AddrExpr::double_buffered(smem, 0x2000)),
-                        bytes,
-                    )),
-                });
+                b.op(dma(
+                    MemLoc::global(AddrExpr::streaming(plan.global_base + offset, bytes)),
+                    MemLoc::shared(AddrExpr::double_buffered(smem, 0x2000)),
+                    bytes,
+                ));
             }
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            b.op(WarpOp::MmioWrite {
-                device: plan.device,
-                cmd: MmioCommand::MatrixCompute(MatrixComputeCmd {
-                    a: AddrExpr::double_buffered(plan.smem_a, 0x2000),
-                    b: AddrExpr::double_buffered(plan.smem_b, 0x2000),
-                    acc_addr: 0,
-                    m: tm,
-                    n: tn,
-                    k: tk,
-                    accumulate: true,
-                    dtype,
-                }),
-            });
+            b.op(matrix_compute(
+                plan.device,
+                AddrExpr::double_buffered(plan.smem_a, 0x2000),
+                AddrExpr::double_buffered(plan.smem_b, 0x2000),
+                0,
+                plan.tile,
+                true,
+                config.dtype,
+            ));
         });
         b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-        b.op(WarpOp::MmioWrite {
-            device: DeviceId::DMA0,
-            cmd: MmioCommand::DmaCopy(DmaCopyCmd::new(
-                MemLoc::accumulator(AddrExpr::fixed(0)),
-                MemLoc::global(AddrExpr::streaming(plan.global_base + 0x0F00_0000, c_bytes)),
-                c_bytes,
+        b.op(dma(
+            MemLoc::accumulator(AddrExpr::fixed(0)),
+            MemLoc::global(AddrExpr::streaming(
+                plan.global_base + 0x0F00_0000,
+                walk.c_bytes,
             )),
-        });
+            walk.c_bytes,
+        ));
         b.op(WarpOp::FenceAsync { max_outstanding: 0 });
     });
     Arc::new(p.build())
@@ -130,8 +111,8 @@ pub fn build_heterogeneous_parallel(config: &GpuConfig) -> Kernel {
     );
     let dtype = config.dtype;
     let warps = vec![
-        WarpAssignment::new(0, 0, orchestrate(&large_plan(), dtype)),
-        WarpAssignment::new(1, 0, orchestrate(&small_plan(), dtype)),
+        WarpAssignment::new(0, 0, orchestrate(&large_plan(), config)),
+        WarpAssignment::new(1, 0, orchestrate(&small_plan(), config)),
     ];
     Kernel::new(
         KernelInfo::new(
@@ -153,11 +134,19 @@ pub fn build_heterogeneous_serial(config: &GpuConfig) -> (Kernel, Kernel) {
     let dtype = config.dtype;
     let large = Kernel::new(
         KernelInfo::new("hetero_serial_large", LARGE_GEMM.mac_ops(), dtype),
-        vec![WarpAssignment::new(0, 0, orchestrate(&large_plan(), dtype))],
+        vec![WarpAssignment::new(
+            0,
+            0,
+            orchestrate(&large_plan(), config),
+        )],
     );
     let small = Kernel::new(
         KernelInfo::new("hetero_serial_small", SMALL_GEMM.mac_ops(), dtype),
-        vec![WarpAssignment::new(1, 0, orchestrate(&small_plan(), dtype))],
+        vec![WarpAssignment::new(
+            1,
+            0,
+            orchestrate(&small_plan(), config),
+        )],
     );
     (large, small)
 }

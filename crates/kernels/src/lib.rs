@@ -81,9 +81,10 @@ pub(crate) fn dma_remote(src: MemLoc, dst: MemLoc, bytes: u64) -> WarpOp {
     }
 }
 
-/// An `MmioWrite` launching an `m×n×k` operation on the cluster's first
-/// matrix unit, reading A and B from shared memory.
+/// An `MmioWrite` launching an `m×n×k` operation on matrix unit `device`,
+/// reading A and B from shared memory.
 pub(crate) fn matrix_compute(
+    device: DeviceId,
     a: AddrExpr,
     b: AddrExpr,
     acc_addr: u64,
@@ -92,7 +93,7 @@ pub(crate) fn matrix_compute(
     dtype: DataType,
 ) -> WarpOp {
     WarpOp::MmioWrite {
-        device: DeviceId::MATRIX0,
+        device,
         cmd: MmioCommand::MatrixCompute(MatrixComputeCmd {
             a,
             b,

@@ -154,6 +154,18 @@ const PINS: &[&str] = &[
     "hetero parallel: 19f15feb456b6a4263601914221acc79 2",
     "hetero serial large: d16309ce0d6e4810e3e5530adc1c4eb8 1",
     "hetero serial small: 5f86153002d8896478f1e5a9d624dfd8 1",
+    "gemm Volta-style 256x256x256 alloc 1,3: 485dbd29686377cc30b47f2974bfac6c 128",
+    "gemm Ampere-style 256x256x256 alloc 1,3: 5d28ebfeae1c1d778b4aedb21d428060 128",
+    "gemm Hopper-style 256x256x256 alloc 1,3: 536c3a625e3aa4eb236e72004f3c7e21 64",
+    "gemm Virgo 256x256x256 alloc 1,3: 89b8b01807a05f253cd5411311a9689a 4",
+    "split_k dsm alloc 1,3: 671b40ef84c88a3d63c2a3b38d5feebc 66",
+    "split_k contiguous dsm alloc 1,3: 671b40ef84c88a3d63c2a3b38d5feebc 66",
+    "split_k interleaved dsm alloc 1,3: 6596342fac86039fc10ccf3627044fe0 128",
+    "split_k rotated dsm alloc 1,3: e5efc10fe0671e4aabb709ea9c1fed0b 128",
+    "split_k dram alloc 1,3: 2003508c0859a0b5caaa6a051014ae6a 66",
+    "split_k contiguous dram alloc 1,3: 2003508c0859a0b5caaa6a051014ae6a 66",
+    "split_k interleaved dram alloc 1,3: 529ddc61ce4fab1db554bc95093525c0 128",
+    "split_k rotated dram alloc 1,3: 19ca292ba9be06b8fc1b64d75a56b73e 128",
 ];
 
 /// One pin row: the kernel's digest and how many distinct programs its
@@ -254,6 +266,39 @@ fn every_kernel() -> Vec<String> {
     let (large, small) = build_heterogeneous_serial(&hetero);
     rows.push(row("hetero serial large".into(), &large));
     rows.push(row("hetero serial small".into(), &small));
+
+    // Inside an allocation: every builder on clusters {1, 3} of a
+    // 4-cluster machine.
+    let allocated = |config: GpuConfig| config.with_clusters(4).with_allocation(vec![1, 3]);
+    let shape = GemmShape::square(256);
+    for design in DesignKind::all() {
+        let config = allocated(GpuConfig::for_design(design));
+        rows.push(row(
+            format!("gemm {design} {shape} alloc 1,3"),
+            &build_gemm(&config, shape),
+        ));
+    }
+    for dsm in [true, false] {
+        let mut config = allocated(GpuConfig::virgo());
+        if dsm {
+            config = config.with_dsm_enabled();
+        }
+        let path = if dsm { "dsm" } else { "dram" };
+        rows.push(row(
+            format!("split_k {path} alloc 1,3"),
+            &build_split_k_gemm(&config, split_k),
+        ));
+        for strategy in [
+            PartitionStrategy::Contiguous,
+            PartitionStrategy::Interleaved,
+            PartitionStrategy::Rotated,
+        ] {
+            rows.push(row(
+                format!("split_k {strategy} {path} alloc 1,3"),
+                &build_split_k_gemm_with_strategy(&config, split_k, strategy),
+            ));
+        }
+    }
     rows
 }
 
