@@ -277,6 +277,22 @@ mod tests {
     }
 
     #[test]
+    fn hmma_macs_cover_the_whole_problem() {
+        let shape = GemmShape::square(256);
+        let kernel = build_gemm(&GpuConfig::volta_style(), shape);
+        let mut total_macs = 0u64;
+        for warp in &kernel.warps {
+            let mut cursor = warp.program.cursor();
+            while let Some(op) = cursor.next_op() {
+                if let WarpOp::HmmaStep { macs, .. } = op {
+                    total_macs += u64::from(macs);
+                }
+            }
+        }
+        assert_eq!(total_macs, shape.mac_ops());
+    }
+
+    #[test]
     #[should_panic(expected = "not divisible")]
     fn indivisible_shape_is_rejected() {
         let _ = build_gemm(

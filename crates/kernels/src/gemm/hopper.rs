@@ -60,6 +60,22 @@ mod tests {
     use crate::{build_gemm, GemmShape};
 
     #[test]
+    fn wgmma_macs_cover_the_whole_problem() {
+        let shape = GemmShape::square(256);
+        let kernel = build_gemm(&GpuConfig::hopper_style(), shape);
+        let mut total = 0u64;
+        for warp in &kernel.warps {
+            let mut cursor = warp.program.cursor();
+            while let Some(op) = cursor.next_op() {
+                if let WarpOp::WgmmaInit(op) = op {
+                    total += op.mac_ops();
+                }
+            }
+        }
+        assert_eq!(total, shape.mac_ops());
+    }
+
+    #[test]
     fn only_the_leader_warp_programs_the_dma() {
         let kernel = build_gemm(&GpuConfig::hopper_style(), GemmShape::square(256));
         let has_dma = |i: usize| {
