@@ -11,15 +11,23 @@
 //! The runs cover each design point, multi-cluster L2/DRAM sharing with two
 //! DRAM channels, DSM reduction traffic, and a two-job `JobTable` session in
 //! which one job's remote stores land in the other job's residency window.
+//!
+//! A second pin hashes what a reader sees through the public API: the value
+//! of every `SimReport` accessor and every per-cluster slice field, for the
+//! same runs. It is independent of the payload layout, so a change that
+//! reshapes the payload but must not move a reported number keeps it green.
 
 use std::sync::Arc;
 
-use virgo::{Gpu, GpuConfig, JobTable, SimMode, SimReport};
+use virgo::{ClusterReport, Gpu, GpuConfig, JobTable, SimMode, SimReport};
 use virgo_isa::{
     remote_smem_addr, AddrExpr, DataType, Kernel, KernelInfo, LaneAccess, ProgramBuilder,
     WarpAssignment, WarpOp,
 };
 use virgo_kernels::{build_gemm, build_split_k_gemm, GemmShape};
+use virgo_mem::{ChannelContentionStats, ClusterDsmStats, DsmLinkStats};
+use virgo_sim::{Counters, StableHasher};
+use virgo_simt::CoreStats;
 
 const MAX_CYCLES: u64 = 50_000_000;
 
@@ -85,10 +93,10 @@ fn two_job_session(mode: SimMode) -> Vec<(String, SimReport)> {
 }
 
 /// Every pinned run under one mode, labelled, in a fixed order.
-fn payload_checksums(mode: SimMode) -> Vec<(String, String)> {
+fn pinned_reports(mode: SimMode) -> Vec<(String, SimReport)> {
     let mut out = Vec::new();
     let mut single = |label: &str, config: GpuConfig, kernel: Kernel| {
-        out.push((label.to_string(), checksum(&run(&config, &kernel, mode))));
+        out.push((label.to_string(), run(&config, &kernel, mode)));
     };
     let volta = GpuConfig::volta_style();
     single("volta-128", volta.clone(), build_gemm(&volta, cube(128)));
@@ -118,15 +126,151 @@ fn payload_checksums(mode: SimMode) -> Vec<(String, String)> {
         build_split_k_gemm(&split, shape),
     );
     for (name, report) in two_job_session(mode) {
-        out.push((format!("session-{name}"), checksum(&report)));
+        out.push((format!("session-{name}"), report));
     }
     out
 }
 
+/// The label and `hash` of every pinned run under one mode.
+fn hashes(mode: SimMode, hash: fn(&SimReport) -> String) -> Vec<(String, String)> {
+    pinned_reports(mode)
+        .iter()
+        .map(|(label, report)| (label.clone(), hash(report)))
+        .collect()
+}
+
 fn assert_pinned(mode: SimMode, pins: &[(&str, &str)]) {
-    let got = payload_checksums(mode);
+    let got = hashes(mode, checksum);
     let got: Vec<(&str, &str)> = got.iter().map(|(l, c)| (l.as_str(), c.as_str())).collect();
     assert_eq!(got, pins, "{mode:?} report payloads moved");
+}
+
+/// The counters of one SIMT core set, in declaration order. The cycle total
+/// is not listed: it is active + stall + idle.
+fn core_fields(s: &CoreStats) -> [u64; 17] {
+    [
+        s.instrs_issued,
+        s.rf_reads,
+        s.rf_writes,
+        s.alu_lane_ops,
+        s.fpu_lane_ops,
+        s.lsu_lane_ops,
+        s.writebacks,
+        s.icache_accesses,
+        s.hmma_steps,
+        s.wgmma_ops,
+        s.mmio_writes,
+        s.fence_poll_instrs,
+        s.fence_wait_cycles,
+        s.barrier_arrivals,
+        s.active_cycles,
+        s.stall_cycles,
+        s.idle_cycles,
+    ]
+}
+
+/// DRAM transfers one cluster issued to one channel.
+fn channel_requests(c: &ChannelContentionStats) -> u64 {
+    c.requests
+}
+
+/// One requester's DSM traffic summed over its links.
+fn dsm_total(d: &ClusterDsmStats) -> DsmLinkStats {
+    let mut total = DsmLinkStats::default();
+    d.per_link.iter().for_each(|l| total.merge(l));
+    total
+}
+
+fn slice_fields(c: &ClusterReport) -> String {
+    let per_channel: Vec<(u64, u64)> = c
+        .contention
+        .per_channel
+        .iter()
+        .map(|ch| (channel_requests(ch), ch.stall_cycles))
+        .collect();
+    let contention = &c.contention;
+    format!(
+        "cluster {} core {:?} smem {} gmem {} dma {:?} cluster_stats {} \
+         contention l2 {} {} dma {} dram {} {} {} per_channel {per_channel:?} \
+         dsm {} hop_flits {} per_link {} macs {} energy {:?} fault {} stall {}",
+        c.cluster,
+        core_fields(&c.core_stats),
+        c.smem_stats.to_json(),
+        c.gmem_stats.to_json(),
+        c.dma_stats.as_ref().map(|d| d.to_json()),
+        c.cluster_stats.to_json(),
+        contention.l2_accesses,
+        contention.l2_misses,
+        contention.dma_bytes,
+        per_channel.iter().map(|(r, _)| r).sum::<u64>(),
+        contention.dram_bytes,
+        contention.dram_stall_cycles,
+        dsm_total(&c.dsm).to_json(),
+        c.dsm.hop_flits,
+        c.dsm.per_link.to_json(),
+        c.performed_macs,
+        c.energy_mj,
+        c.fault.to_json(),
+        c.dram_stall_cycles(),
+    )
+}
+
+/// Everything a reader sees through the public API, one line per accessor:
+/// floats in shortest round-trip form, counter structs as their JSON.
+fn accessor_text(r: &SimReport) -> String {
+    let mut lines = vec![
+        format!("design {}", r.design()),
+        format!("kernel {}", r.kernel_name()),
+        format!("cycles {}", r.cycles().get()),
+        format!("runtime {:?}", r.runtime_seconds()),
+        format!("macs {} {}", r.performed_macs(), r.kernel_macs()),
+        format!("mac_util {:?}", r.mac_utilization().as_fraction()),
+        format!(
+            "instrs {} {} {}",
+            r.instructions_retired(),
+            r.fence_poll_instructions(),
+            r.fence_wait_cycles()
+        ),
+        format!("smem_footprint {}", r.smem_read_footprint_bytes()),
+        format!("core {:?}", core_fields(&r.core_stats())),
+        format!("smem {}", r.smem_stats().to_json()),
+        format!("sched {}", r.sched_stats().to_json()),
+        format!("gmem {}", r.gmem_stats().to_json()),
+        format!("dram {}", r.dram_stats().to_json()),
+        format!(
+            "dram_channels {}",
+            r.dram_channel_stats().to_vec().to_json()
+        ),
+        format!("dram_channel_count {}", r.dram_channels()),
+        format!("dma {:?}", r.dma_stats().map(|d| d.to_json())),
+        format!("cluster_stats {}", r.cluster_stats().to_json()),
+        format!("clusters {}", r.clusters()),
+        format!("dram_stall {}", r.dram_contention_stall_cycles()),
+        format!("dsm {}", r.dsm_stats().to_json()),
+        format!("dsm_links {}", r.dsm_link_stats().to_vec().to_json()),
+        format!("dsm_bytes {}", r.dsm_bytes()),
+        format!("imbalance {:?}", r.load_imbalance()),
+        format!("fault {}", r.fault_stats().to_json()),
+        format!("faults_injected {}", r.faults_injected()),
+        format!("dram_bytes {}", r.dram_bytes()),
+        format!("power {:?}", r.power()),
+        format!("area {:?}", r.area()),
+        format!("energy {:?} {:?}", r.total_energy_mj(), r.active_power_mw()),
+    ];
+    lines.extend(r.per_cluster().iter().map(slice_fields));
+    lines.join("\n")
+}
+
+fn accessor_hash(report: &SimReport) -> String {
+    let mut h = StableHasher::new();
+    h.write_str(&accessor_text(report));
+    h.finish_hex()[..16].to_string()
+}
+
+fn assert_accessors_pinned(mode: SimMode, pins: &[(&str, &str)]) {
+    let got = hashes(mode, accessor_hash);
+    let got: Vec<(&str, &str)> = got.iter().map(|(l, c)| (l.as_str(), c.as_str())).collect();
+    assert_eq!(got, pins, "{mode:?} report accessor values moved");
 }
 
 #[test]
@@ -157,6 +301,38 @@ fn fast_forward_report_payloads_are_pinned() {
             ("splitk-128x128x1024-x4-dsm", "99edd2541a557da4"),
             ("session-a", "70b19ca01fda8a9e"),
             ("session-b", "1210e72f210ae23e"),
+        ],
+    );
+}
+
+#[test]
+fn naive_report_accessors_are_pinned() {
+    assert_accessors_pinned(
+        SimMode::Naive,
+        &[
+            ("volta-128", "5f28cedbb85978a1"),
+            ("ampere-128", "f8f6a335d3ab2441"),
+            ("hopper-128-x2", "cbe67597aa5f1bbc"),
+            ("virgo-256-x4-ch2", "3608dca03c87013a"),
+            ("splitk-128x128x1024-x4-dsm", "3786b856dbce0848"),
+            ("session-a", "c44ea2f8b48417ff"),
+            ("session-b", "1a10a5ac328f9a01"),
+        ],
+    );
+}
+
+#[test]
+fn fast_forward_report_accessors_are_pinned() {
+    assert_accessors_pinned(
+        SimMode::FastForward,
+        &[
+            ("volta-128", "a88ccabd0968dbf2"),
+            ("ampere-128", "a0f2a08c0bd8ec6f"),
+            ("hopper-128-x2", "c5478dd333b428d7"),
+            ("virgo-256-x4-ch2", "a2bacb10ed5daa29"),
+            ("splitk-128x128x1024-x4-dsm", "7828dd787f022fbd"),
+            ("session-a", "baa9f32b02b9e3ef"),
+            ("session-b", "493528f42f29ef5f"),
         ],
     );
 }
