@@ -8,9 +8,11 @@
 //! into every peer cluster's scratchpad with `DmaRemote` commands over the
 //! inter-cluster DSM fabric. DRAM sees each K/V tile once instead of N
 //! times; the peers' inner loops run entirely out of their (remotely
-//! filled) shared memory. [`build`] makes cluster 0 the loader of every
-//! column block; [`build_interleaved`] deals the column blocks round-robin
-//! over the clusters, so the broadcast load spreads across all of them.
+//! filled) shared memory. [`build`] makes the first cluster the loader of
+//! every column block; [`build_interleaved`] deals the column blocks
+//! round-robin over the clusters, so the broadcast load spreads across all
+//! of them. Both place work on [`GpuConfig::cluster_ids`], so a kernel built
+//! inside an allocation stays on its clusters.
 //!
 //! The kernel requires an enabled DSM fabric — its DRAM-path A/B twin is the
 //! plain [`super::virgo`] mapping at the same cluster count.
@@ -37,7 +39,8 @@ use super::BLOCK;
 /// The broadcast problem on a configuration, shared by both loader plans.
 #[derive(Debug)]
 struct Geometry {
-    clusters: u32,
+    /// The row-block split over the configuration's cluster ids.
+    rows: GridPartition,
     rows_per_cluster: u64,
     col_blocks: u64,
     tile_bytes: u64,
@@ -50,7 +53,7 @@ impl Geometry {
             "the broadcast FlashAttention mapping needs the DSM fabric enabled; \
              use the plain mapping as its DRAM-path twin"
         );
-        let clusters = config.clusters.max(1);
+        let clusters = config.active_clusters();
         assert!(
             clusters >= 2,
             "broadcasting needs at least one peer cluster"
@@ -62,7 +65,7 @@ impl Geometry {
             "broadcast needs the {row_blocks} row blocks to split evenly over {clusters} clusters"
         );
         Geometry {
-            clusters,
+            rows: config.partition(row_blocks),
             rows_per_cluster: row_blocks / u64::from(clusters),
             col_blocks: u64::from(shape.seq_len / BLOCK),
             tile_bytes: u64::from(BLOCK)
@@ -83,8 +86,8 @@ struct Column {
 }
 
 /// Builds the broadcast FlashAttention-3 kernel: row blocks split across
-/// clusters, K/V column blocks loaded once by cluster 0 and broadcast over
-/// the DSM fabric.
+/// clusters, K/V column blocks loaded once by the first cluster (cluster 0
+/// without an allocation) and broadcast over the DSM fabric.
 ///
 /// # Panics
 ///
@@ -97,7 +100,7 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
     // One column body, repeated: the K/V streams advance one tile per
     // column block, across row iterations too.
     let column = Column {
-        loader: 0,
+        loader: config.cluster_ids()[0],
         k: AddrExpr::streaming(GLOBAL_K, g.tile_bytes),
         v: AddrExpr::streaming(GLOBAL_V, g.tile_bytes),
     };
@@ -113,8 +116,8 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
 /// Builds the interleaved-ownership K/V broadcast FlashAttention-3 kernel.
 ///
 /// Same row-block partitioning and dataflow as [`build`], but the *loader*
-/// role rotates: K/V column block `j` is pulled from DRAM by cluster
-/// `j mod N` ([`PartitionStrategy::Interleaved`] over the column blocks) and
+/// role rotates: K/V column block `j` is pulled from DRAM by the `j mod N`-th
+/// cluster ([`PartitionStrategy::Interleaved`] over the column blocks) and
 /// fanned out to the other clusters from there. Where [`build`] funnels the
 /// whole broadcast through cluster 0's DMA engine and egress link, here
 /// every cluster sources a 1/N slice of the column blocks, so the broadcast
@@ -128,8 +131,7 @@ pub fn build(config: &GpuConfig, shape: AttentionShape) -> Kernel {
 /// Panics under the same conditions as [`build`].
 pub fn build_interleaved(config: &GpuConfig, shape: AttentionShape) -> Kernel {
     let g = Geometry::new(config, shape);
-    let loaders =
-        GridPartition::with_strategy(g.col_blocks, g.clusters, PartitionStrategy::Interleaved);
+    let loaders = config.partition_with(g.col_blocks, PartitionStrategy::Interleaved);
     let row_stride = g.col_blocks * g.tile_bytes;
     // Known defect, left as is: an unrolled column's K/V/S buffer ops run
     // once per row, so they pick their double buffer by row index, while
@@ -178,7 +180,7 @@ fn build_kernel(
                 tile_bytes,
             ));
             b.op(WarpOp::FenceAsync { max_outstanding: 0 });
-            for peer in (0..g.clusters).filter(|&peer| peer != cluster) {
+            for peer in g.rows.cluster_ids().filter(|&peer| peer != cluster) {
                 for buf in [k_buf, v_buf] {
                     b.op(dma_remote(
                         MemLoc::shared(buf),
@@ -224,7 +226,7 @@ fn build_kernel(
     };
 
     let mut warps = Vec::new();
-    for cluster in 0..g.clusters {
+    for cluster in g.rows.cluster_ids() {
         let gbase = cluster_addr_offset(cluster);
         let mut orch = ProgramBuilder::new();
         orch.repeat(g.rows_per_cluster, |b| {
@@ -260,7 +262,7 @@ fn build_kernel(
         KernelInfo::new(
             format!(
                 "flash_attention_virgo_{tag}_{shape}{}",
-                cluster_suffix(g.clusters)
+                cluster_suffix(g.rows.clusters())
             ),
             shape.gemm_mac_ops(),
             dtype,
@@ -384,6 +386,51 @@ mod tests {
         let a = build(&config(2), shape);
         let b = build_interleaved(&config(2), shape);
         assert_eq!(a.info.total_macs, b.info.total_macs);
+    }
+
+    #[test]
+    fn an_allocated_build_stays_on_its_clusters() {
+        let config = config(4).with_allocation(vec![1, 3]);
+        let shape = AttentionShape::paper_default();
+        for (kernel, loaders) in [
+            (build(&config, shape), vec![1]),
+            (build_interleaved(&config, shape), vec![1, 3]),
+        ] {
+            let name = &kernel.info.name;
+            assert!(name.ends_with("_c2"), "{name}");
+            let mut remote_pushes = 0;
+            let mut kv_loaders = Vec::new();
+            for warp in &kernel.warps {
+                assert!([1, 3].contains(&warp.cluster), "{name}: {}", warp.cluster);
+                let mut cursor = warp.program.cursor();
+                while let Some(op) = cursor.next_op() {
+                    match op {
+                        WarpOp::MmioWrite {
+                            cmd: MmioCommand::DmaRemote(copy),
+                            ..
+                        } => {
+                            let dst = copy.dst.remote_cluster();
+                            assert!(matches!(dst, Some(1 | 3)), "{name}: {dst:?}");
+                            assert_ne!(dst, Some(warp.cluster), "{name}");
+                            remote_pushes += 1;
+                        }
+                        WarpOp::MmioWrite {
+                            cmd: MmioCommand::DmaCopy(copy),
+                            ..
+                        } => {
+                            let base = copy.src.addr.base & 0xF000_0000;
+                            if base == GLOBAL_K && !kv_loaders.contains(&warp.cluster) {
+                                kv_loaders.push(warp.cluster);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            assert!(remote_pushes > 0, "{name}");
+            kv_loaders.sort_unstable();
+            assert_eq!(kv_loaders, loaders, "{name}");
+        }
     }
 
     #[test]

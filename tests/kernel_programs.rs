@@ -166,6 +166,8 @@ const PINS: &[&str] = &[
     "split_k contiguous dram alloc 1,3: 2003508c0859a0b5caaa6a051014ae6a 66",
     "split_k interleaved dram alloc 1,3: 529ddc61ce4fab1db554bc95093525c0 128",
     "split_k rotated dram alloc 1,3: 19ca292ba9be06b8fc1b64d75a56b73e 128",
+    "attention broadcast alloc 1,3: 7d729b116767becbe3604460fc0350ba 128",
+    "attention interleaved alloc 1,3: 36d85da7e752407b4d7db05a9d7b29e4 128",
 ];
 
 /// One pin row: the kernel's digest and how many distinct programs its
@@ -299,6 +301,15 @@ fn every_kernel() -> Vec<String> {
             ));
         }
     }
+    let config = allocated(GpuConfig::virgo().to_fp32().with_dsm_enabled());
+    rows.push(row(
+        "attention broadcast alloc 1,3".into(),
+        &build_flash_attention_broadcast(&config, short),
+    ));
+    rows.push(row(
+        "attention interleaved alloc 1,3".into(),
+        &build_flash_attention_interleaved(&config, short),
+    ));
     rows
 }
 
