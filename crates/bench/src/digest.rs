@@ -85,6 +85,7 @@ impl ReportDigest {
     /// Extracts the digest of a finished run.
     pub fn of(report: &SimReport) -> Self {
         let imbalance = report.load_imbalance();
+        let dsm = report.dsm_stats();
         ReportDigest {
             design: report.design().to_string(),
             kernel: report.kernel_name().to_string(),
@@ -95,20 +96,24 @@ impl ReportDigest {
             performed_macs: report.performed_macs(),
             mac_utilization_percent: report.mac_utilization().as_percent(),
             smem_bytes_read: report.smem_read_footprint_bytes(),
-            core_stats: *report.core_stats(),
-            dram_stats: *report.dram_stats(),
-            dram_channel_stats: report.dram_channel_stats().to_vec(),
+            core_stats: report.core_stats(),
+            dram_stats: report.dram_stats(),
+            dram_channel_stats: report.dram_channel_stats(),
             dram_contention_stall_cycles: report.dram_contention_stall_cycles(),
             per_cluster_stall_cycles: report
                 .per_cluster()
                 .iter()
                 .map(|c| c.dram_stall_cycles())
                 .collect(),
-            dsm_transfers: report.dsm_stats().transfers,
-            dsm_bytes: report.dsm_stats().bytes,
-            dsm_stall_cycles: report.dsm_stats().stall_cycles,
-            dsm_hop_flits: report.dsm_stats().hop_flits,
-            per_cluster_dsm_bytes: report.per_cluster().iter().map(|c| c.dsm.bytes).collect(),
+            dsm_transfers: dsm.transfers,
+            dsm_bytes: dsm.bytes,
+            dsm_stall_cycles: dsm.stall_cycles,
+            dsm_hop_flits: dsm.hop_flits,
+            per_cluster_dsm_bytes: report
+                .per_cluster()
+                .iter()
+                .map(|c| c.dsm.total().bytes)
+                .collect(),
             active_spread: imbalance.active_spread,
             dsm_ingress_spread: imbalance.dsm_ingress_spread,
             per_cluster_active_cycles: imbalance.active_cycles,

@@ -782,7 +782,8 @@ mod tests {
         assert_eq!(stats.async_ops_launched, 1);
         assert_eq!(stats.async_ops_completed, 1);
         assert_eq!(cluster.devices().async_outstanding(), 0);
-        assert_eq!(machine.backend.cluster_stats(0).dram_requests, 1);
+        let dram = machine.backend.dram_stats();
+        assert_eq!(dram.reads + dram.writes, 1);
     }
 
     #[test]

@@ -467,6 +467,8 @@ mod tests {
     use crate::run::Gpu;
     use std::sync::Arc;
     use virgo_isa::{DataType, ProgramBuilder, WarpAssignment, WarpOp};
+    use virgo_mem::ClusterContentionStats;
+    use virgo_sim::SplitMix64;
 
     /// A two-cluster kernel with mixed-length ALU streams and a per-cluster
     /// barrier, so the two clusters finish at different times.
@@ -799,6 +801,199 @@ mod tests {
             per_mode.push((done[0].retired, done[1].retired));
         }
         assert_eq!(per_mode[0], per_mode[1]);
+    }
+
+    /// A random job for the conservation property: on each of its clusters
+    /// one warp runs some ALU work, a DMA copy from global memory, a few
+    /// global loads and stores and, with the fabric on and a second
+    /// cluster in the job, remote stores into that cluster's scratchpad.
+    fn random_traffic_kernel(rng: &mut SplitMix64, clusters: &[u32], dsm: bool) -> Kernel {
+        use virgo_isa::{
+            remote_smem_addr, AddrExpr, DeviceId, DmaCopyCmd, LaneAccess, MemLoc, MmioCommand,
+        };
+        let mut warps = Vec::new();
+        for (i, &cluster) in clusters.iter().enumerate() {
+            let mut b = ProgramBuilder::new();
+            b.op_n(
+                1 + rng.next_below(64) as u32,
+                WarpOp::Alu {
+                    rf_reads: 2,
+                    rf_writes: 1,
+                },
+            );
+            // Global addresses overlap across jobs, so the L2 both hits and
+            // misses.
+            let global = |rng: &mut SplitMix64| rng.next_below(1 << 11) * 32;
+            let cmd = MmioCommand::DmaCopy(DmaCopyCmd::new(
+                MemLoc::global(global(rng)),
+                MemLoc::shared(0u64),
+                32 * (1 + rng.next_below(128)),
+            ));
+            b.op(WarpOp::MmioWrite {
+                device: DeviceId::DMA0,
+                cmd,
+            });
+            b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+            for _ in 0..rng.next_below(4) {
+                let access = LaneAccess::contiguous_words(AddrExpr::fixed(global(rng)), 32);
+                b.op(WarpOp::LoadGlobal { access });
+                b.op(WarpOp::StoreGlobal { access });
+            }
+            b.op(WarpOp::WaitLoads);
+            if dsm && clusters.len() > 1 {
+                let to = clusters[(i + 1) % clusters.len()];
+                let remote = AddrExpr::fixed(remote_smem_addr(to, 0));
+                b.op_n(
+                    1 + rng.next_below(16) as u32,
+                    WarpOp::StoreShared {
+                        access: LaneAccess::contiguous_words(remote, 32),
+                    },
+                );
+            }
+            warps.push(WarpAssignment::on_cluster(
+                cluster,
+                0,
+                0,
+                Arc::new(b.build()),
+            ));
+        }
+        Kernel::new(KernelInfo::new("traffic", 0, DataType::Fp16), warps)
+    }
+
+    /// Property: every memory-system event lands in exactly one job's
+    /// report. Random sessions — 2 to 4 jobs on random cluster subsets,
+    /// admitted at random offsets while others run, DSM on or off, 1 to 4
+    /// DRAM channels — under both modes: the per-job sums of DRAM bytes and
+    /// bursts, L2 accesses and misses, DMA bytes, DSM transfers and bytes
+    /// equal the machine's own totals, and each job's DRAM-burst energy is
+    /// its own bursts' energy. A long ALU-only sentinel job holds one
+    /// cluster so the table never empties (which would rebuild the shared
+    /// back-end cold) before the machine totals are read.
+    #[test]
+    fn per_job_traffic_sums_to_the_machine_totals() {
+        use virgo_energy::{EnergyEvent, EnergyTable};
+        const CLUSTERS: u32 = 6;
+        const BUDGET: u64 = 1_000_000;
+        let burst_mj = EnergyTable::default_16nm().energy_pj(EnergyEvent::DramBurst) * 1e-9;
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64::new(0xC0_5E57 + seed);
+            let dsm = seed % 2 == 1;
+            let channels = 1 + rng.next_below(4) as u32;
+            let mut config = GpuConfig::virgo()
+                .with_clusters(CLUSTERS)
+                .with_dram_channels(channels);
+            if dsm {
+                config = config.with_dsm_enabled();
+            }
+            let jobs = 2 + rng.next_below(3) as usize;
+            let sentinel = rng.next_below(u64::from(CLUSTERS)) as u32;
+            let mut plan = Vec::new();
+            let mut at = 0;
+            for _ in 0..jobs {
+                at += rng.next_below(2_000);
+                plan.push((at, rng.next_u64()));
+            }
+            for mode in [SimMode::Naive, SimMode::FastForward] {
+                let label = format!("seed {seed} {mode} dsm {dsm} ch {channels} jobs {jobs}");
+                let mut table = JobTable::new(config.clone(), mode);
+                table
+                    .admit(
+                        "sentinel",
+                        &one_cluster_kernel(sentinel, 40_000),
+                        &[sentinel],
+                        BUDGET,
+                    )
+                    .unwrap();
+                let mut reports = Vec::new();
+                for &(at, job_seed) in &plan {
+                    let mut rng = SplitMix64::new(job_seed);
+                    while table.now() < at || table.free_clusters().is_empty() {
+                        let target = if table.now() < at { at } else { u64::MAX };
+                        reports.extend(table.advance_until(target));
+                    }
+                    let mut free = table.free_clusters();
+                    let size = 1 + rng.next_below(free.len().min(3) as u64) as usize;
+                    let mut owned = Vec::new();
+                    for _ in 0..size {
+                        owned.push(free.remove(rng.next_below(free.len() as u64) as usize));
+                    }
+                    owned.sort_unstable();
+                    let kernel = random_traffic_kernel(&mut rng, &owned, dsm);
+                    table.admit("job", &kernel, &owned, BUDGET).unwrap();
+                }
+                while table.resident() > 1 {
+                    reports.extend(table.advance_until(u64::MAX));
+                }
+                assert_eq!(
+                    reports.len(),
+                    jobs,
+                    "{label}: the sentinel outlives the jobs"
+                );
+                let reports: Vec<SimReport> =
+                    reports.into_iter().map(|c| c.result.unwrap()).collect();
+
+                let backend = &table.machine.backend;
+                let fabric = &table.machine.fabric;
+                assert_eq!(
+                    backend.cluster_stats(sentinel),
+                    ClusterContentionStats::for_channels(channels),
+                    "{label}: the sentinel issues no memory traffic"
+                );
+                let sum = |f: &dyn Fn(&SimReport) -> u64| reports.iter().map(f).sum::<u64>();
+                let machine_l2: u64 = backend
+                    .per_cluster_stats()
+                    .iter()
+                    .map(|c| c.l2_accesses)
+                    .sum();
+                let machine_misses: u64 = backend
+                    .per_cluster_stats()
+                    .iter()
+                    .map(|c| c.l2_misses)
+                    .sum();
+                let machine_dma: u64 = backend
+                    .per_cluster_stats()
+                    .iter()
+                    .map(|c| c.dma_bytes)
+                    .sum();
+                let dram = backend.dram_stats();
+                assert!(dram.bursts > 0, "{label}: the jobs reach DRAM");
+                assert_eq!(sum(&|r| r.gmem_stats().l2_accesses), machine_l2, "{label}");
+                assert_eq!(
+                    sum(&|r| r.gmem_stats().l2_misses),
+                    machine_misses,
+                    "{label}"
+                );
+                assert_eq!(sum(&|r| r.gmem_stats().dma_bytes), machine_dma, "{label}");
+                assert_eq!(sum(&|r| r.dram_stats().bytes), dram.bytes, "{label}");
+                assert_eq!(sum(&|r| r.dram_stats().bursts), dram.bursts, "{label}");
+                let channel_bursts: Vec<u64> = (0..channels as usize)
+                    .map(|ch| sum(&|r| r.dram_channel_stats()[ch].bursts))
+                    .collect();
+                let machine_channels: Vec<u64> = backend
+                    .dram_channel_stats()
+                    .iter()
+                    .map(|c| c.bursts)
+                    .collect();
+                assert_eq!(channel_bursts, machine_channels, "{label}");
+                let transfers = fabric.stats();
+                assert_eq!(dsm, transfers.transfers > 0, "{label}");
+                assert_eq!(
+                    sum(&|r| r.dsm_stats().transfers),
+                    transfers.transfers,
+                    "{label}"
+                );
+                assert_eq!(sum(&|r| r.dsm_stats().bytes), transfers.bytes, "{label}");
+                for r in &reports {
+                    let slices: f64 = r.per_cluster().iter().map(|c| c.energy_mj).sum();
+                    let burst_energy = r.total_energy_mj() - slices;
+                    let own = r.dram_stats().bursts as f64 * burst_mj;
+                    assert!(
+                        (burst_energy - own).abs() <= 1e-9 * r.total_energy_mj(),
+                        "{label}: DRAM burst energy {burst_energy} mJ vs own bursts {own} mJ"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Simulation reports: cycles, utilization, energy, power and area, with
 //! per-cluster breakdowns and machine-wide aggregates.
+//!
+//! A report stores each counter once, in the per-cluster slice that
+//! attributes it ([`ClusterReport`]). Every machine-wide aggregate —
+//! [`SimReport::core_stats`], [`SimReport::gmem_stats`],
+//! [`SimReport::dram_stats`], [`SimReport::dsm_stats`] and the rest — is a
+//! sum over the slices, taken when the accessor is called.
 
 use virgo_energy::{
     AreaModel, AreaReport, Component, EnergyEvent, EnergyLedger, EnergyTable, MatrixSubcomponent,
@@ -68,8 +74,8 @@ virgo_sim::counters!(SchedStats {
 /// Per-cluster slice of a [`SimReport`].
 ///
 /// Each entry aggregates one cluster's private resources (cores, shared
-/// memory, L1 front-end, DMA engine, matrix units) plus that cluster's share
-/// of the contention on the shared L2/DRAM back-end.
+/// memory, L1 front-end, DMA engine, matrix units) plus the traffic this
+/// cluster issued to the shared L2/DRAM back-end and the DSM fabric.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// The cluster's index within the machine.
@@ -80,21 +86,23 @@ pub struct ClusterReport {
     pub smem_stats: SmemStats,
     /// This cluster's L1 front-end statistics. The `l2_*`/`dma_bytes`
     /// fields are zero here: the shared back-end counts this cluster's L2
-    /// and DMA traffic in [`ClusterReport::contention`], and the report's
-    /// machine-wide [`SimReport::gmem_stats`] sums those slices.
+    /// and DMA traffic in [`ClusterReport::contention`], and
+    /// [`SimReport::gmem_stats`] adds it in.
     pub gmem_stats: GlobalMemoryStats,
     /// This cluster's DMA statistics, when the design has a DMA engine.
     pub dma_stats: Option<DmaStats>,
     /// This cluster's MMIO / async-tracking statistics.
     pub cluster_stats: ClusterStats,
-    /// This cluster's contention counters on the shared L2/DRAM back-end.
+    /// This cluster's L2, DMA and per-channel DRAM traffic on the shared
+    /// back-end, with the contention it suffered there.
     pub contention: ClusterContentionStats,
     /// This cluster's traffic over the inter-cluster DSM fabric (all
     /// counters zero when the fabric is disabled or unused).
     pub dsm: ClusterDsmStats,
     /// Multiply-accumulates performed by this cluster's matrix units.
     pub performed_macs: u64,
-    /// Active energy this cluster's events contributed, in millijoules.
+    /// Active energy this cluster's events contributed, in millijoules,
+    /// without its DRAM bursts (see [`SimReport`] on the energy total).
     pub energy_mj: f64,
     /// This cluster's slice of the fault-injection accounting (all zero
     /// without a fault plan): cluster-scoped windows that activated, this
@@ -157,13 +165,19 @@ fn spread(samples: &[u64]) -> f64 {
 /// quantities the paper's evaluation uses: cycle count, MAC utilization
 /// (Table 3), per-component active power (Figures 8–10), matrix-unit energy
 /// breakdown (Figure 11), shared-memory read footprint (Table 4) and the SoC
-/// area breakdown (Figure 7). The machine-wide aggregates sum over every
-/// cluster; [`SimReport::per_cluster`] exposes the per-cluster slices, and
-/// with a single cluster the aggregate event statistics equal the slice's.
-/// (The one exception is energy: [`ClusterReport::energy_mj`] covers the
-/// cluster's own events, while the machine total additionally charges the
-/// shared DRAM channel's burst energy, so the slice is slightly below the
-/// total even at one cluster.)
+/// area breakdown (Figure 7).
+///
+/// The report stores the per-cluster slices ([`SimReport::per_cluster`])
+/// and no machine-wide copy of any counter: each aggregate accessor sums the
+/// slices when called, so with a single cluster it equals the slice. A job
+/// that shared the machine with others reports exactly the traffic its own
+/// clusters issued.
+///
+/// Energy is the one total that is not a plain sum of
+/// [`ClusterReport::energy_mj`]: a slice covers its cluster's own events,
+/// while the total also charges the DRAM bursts the slices' per-channel
+/// counters hold, once per burst on the channel that served it. The slice
+/// is therefore slightly below the total even at one cluster.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     // Fields are `pub(crate)` so the sibling `snapshot` module can serialize
@@ -174,19 +188,8 @@ pub struct SimReport {
     pub(crate) cycles: Cycle,
     pub(crate) frequency: Frequency,
     pub(crate) kernel_macs: u64,
-    pub(crate) performed_macs: u64,
     pub(crate) peak_macs_per_cycle: u64,
-    pub(crate) core_stats: CoreStats,
-    pub(crate) smem_stats: SmemStats,
-    pub(crate) gmem_stats: GlobalMemoryStats,
-    pub(crate) dram_stats: DramStats,
-    pub(crate) dram_channel_stats: Vec<DramStats>,
-    pub(crate) dma_stats: Option<DmaStats>,
-    pub(crate) cluster_stats: ClusterStats,
     pub(crate) per_cluster: Vec<ClusterReport>,
-    pub(crate) dram_contention_stall_cycles: u64,
-    pub(crate) dsm_stats: DsmFabricStats,
-    pub(crate) dsm_link_stats: Vec<DsmLinkStats>,
     pub(crate) fault: FaultStats,
     pub(crate) sched: SchedStats,
     pub(crate) power: PowerReport,
@@ -195,7 +198,8 @@ pub struct SimReport {
 
 /// One job's view of the machine at retirement: the cluster slots the job
 /// owned plus the shared-resource counters accumulated over its residency
-/// window (an attribution delta between retirement and admission snapshots).
+/// window (an attribution delta between retirement and admission snapshots),
+/// of which the report keeps the job's own clusters' slices.
 ///
 /// A [`crate::run::Gpu::run`] session builds the degenerate view — every
 /// cluster, a cold machine's zero-base attribution, `admitted = 0` — the
@@ -229,12 +233,12 @@ impl SimReport {
     /// Builds a report from one job's view of the machine.
     ///
     /// `cycles` is the job's residency duration (`end - admitted`). All
-    /// plan-derived fault counters are windowed to the residency; machine
-    /// aggregates derived from the attribution deltas (the L2/DMA totals in
-    /// `gmem_stats`, `dram_stats`, `dsm_stats`, DRAM burst energy) are exact
-    /// when the job had the machine to itself and a shared-window
-    /// approximation under concurrent residency, while per-cluster counters
-    /// (contention slices, core/smem stats, ECC) are exact always.
+    /// plan-derived fault counters are windowed to the residency. Every
+    /// counter, DRAM burst energy included, comes from the job's own
+    /// clusters' slices, so it is exact under concurrent residency too. The
+    /// degraded-mode DSM and DRAM counters (reroutes, re-stripes, recovery)
+    /// are the one exception: the shared components keep them per window,
+    /// not per requester.
     pub(crate) fn from_parts(
         view: &JobView<'_>,
         info: &KernelInfo,
@@ -247,7 +251,7 @@ impl SimReport {
         let (admitted, end) = (view.admitted, view.end);
 
         // Per-cluster slices, each with its own energy ledger; the machine
-        // ledger is their merge plus the shared back-end's DRAM traffic.
+        // ledger is their merge plus the slices' DRAM bursts.
         let mut machine_ledger = EnergyLedger::new();
         let mut per_cluster = Vec::with_capacity(view.clusters.len());
         let mut ecc_total = EccStats::default();
@@ -259,6 +263,15 @@ impl SimReport {
             let devices = cluster.devices();
             let ecc = devices.smem.ecc_stats();
             ecc_total.merge(&ecc);
+            // DRAM interface energy is charged per channel: each channel's
+            // PHY and controller see only the bursts routed to it.
+            for channel in &contention.per_channel {
+                machine_ledger.record(
+                    Component::DmaOther,
+                    EnergyEvent::DramBurst,
+                    channel.dram.bursts,
+                );
+            }
             per_cluster.push(ClusterReport {
                 cluster: id,
                 core_stats: cluster.core_stats(),
@@ -304,48 +317,6 @@ impl SimReport {
             dram_restriped_accesses: dram_fault.restriped_accesses,
             recovery_cycles: dsm_fault.recovery_cycles + dram_fault.recovery_cycles,
         };
-        // DRAM interface energy is charged per channel: each channel's PHY
-        // and controller see only the bursts routed to it. The counts are
-        // integers, so the per-channel sum is exactly the old single-channel
-        // charge when `channels = 1`. The interface totals are the same sum.
-        let mut dram_stats = DramStats::default();
-        for channel in &view.backend.dram_channels {
-            machine_ledger.record(Component::DmaOther, EnergyEvent::DramBurst, channel.bursts);
-            dram_stats.merge(channel);
-        }
-
-        // Machine-wide aggregates over the job's clusters. The DSM link
-        // merge runs over the job's requesters only, which on the full
-        // machine is every requester — the pre-refactor per-link view.
-        let mut core_stats = CoreStats::default();
-        let mut smem_stats = SmemStats::default();
-        let mut gmem_stats = GlobalMemoryStats::default();
-        let mut cluster_stats = ClusterStats::default();
-        let mut dma_stats: Option<DmaStats> = None;
-        let mut performed_macs = 0u64;
-        let mut dram_contention_stall_cycles = 0u64;
-        let mut dsm_link_stats: Vec<DsmLinkStats> = Vec::new();
-        for slice in &per_cluster {
-            core_stats.merge(&slice.core_stats);
-            smem_stats.merge(&slice.smem_stats);
-            gmem_stats.merge(&slice.gmem_stats);
-            cluster_stats.merge(&slice.cluster_stats);
-            if let Some(dma) = &slice.dma_stats {
-                dma_stats.get_or_insert_with(DmaStats::default).merge(dma);
-            }
-            performed_macs += slice.performed_macs;
-            dram_contention_stall_cycles += slice.contention.dram_stall_cycles;
-            dsm_link_stats.merge(&slice.dsm.per_link);
-        }
-        // The L2/DMA totals, like `dram_stats` and `dsm_stats`, sum every
-        // requester in the window, not only the job's slots: a job that
-        // shared the machine reports the window's traffic.
-        for requester in &view.backend.per_cluster {
-            gmem_stats.l2_accesses += requester.l2_accesses;
-            gmem_stats.l2_misses += requester.l2_misses;
-            gmem_stats.dma_bytes += requester.dma_bytes;
-        }
-
         let power = PowerReport::from_ledger(&machine_ledger, &table, cycles, config.frequency);
         let area = AreaModel::default_16nm().estimate(&config.area_params());
 
@@ -355,19 +326,8 @@ impl SimReport {
             cycles,
             frequency: config.frequency,
             kernel_macs: info.total_macs,
-            performed_macs,
             peak_macs_per_cycle: config.machine_peak_macs_per_cycle(),
-            core_stats,
-            smem_stats,
-            gmem_stats,
-            dram_stats,
-            dram_channel_stats: view.backend.dram_channels.clone(),
-            dma_stats,
-            cluster_stats,
             per_cluster,
-            dram_contention_stall_cycles,
-            dsm_stats: DsmFabricStats::sum(&view.fabric.per_cluster),
-            dsm_link_stats,
             fault,
             sched,
             power,
@@ -395,10 +355,17 @@ impl SimReport {
         self.frequency.cycles_to_seconds(self.cycles)
     }
 
+    /// The sum of one counter set over the per-cluster slices.
+    fn sum<T: Counters + Default>(&self, field: impl Fn(&ClusterReport) -> &T) -> T {
+        let mut total = T::default();
+        self.per_cluster.iter().for_each(|c| total.merge(field(c)));
+        total
+    }
+
     /// Multiply-accumulates actually performed by the matrix units, summed
     /// over every cluster.
     pub fn performed_macs(&self) -> u64 {
-        self.performed_macs
+        self.sum(|c| &c.performed_macs)
     }
 
     /// Multiply-accumulates the kernel was expected to perform.
@@ -410,40 +377,40 @@ impl SimReport {
     /// machine's peak MAC capacity over the runtime.
     pub fn mac_utilization(&self) -> Ratio {
         Ratio::new(
-            self.performed_macs as f64,
+            self.performed_macs() as f64,
             self.cycles.as_f64() * self.peak_macs_per_cycle as f64,
         )
     }
 
     /// Total instructions retired by the SIMT cores (excluding fence polls).
     pub fn instructions_retired(&self) -> u64 {
-        self.core_stats.instrs_issued
+        self.core_stats().instrs_issued
     }
 
     /// Busy-register polls issued inside `virgo_fence` loops.
     pub fn fence_poll_instructions(&self) -> u64 {
-        self.core_stats.fence_poll_instrs
+        self.core_stats().fence_poll_instrs
     }
 
     /// Cycles during which at least one warp was spinning in `virgo_fence`
     /// (Section 4.5.1's synchronization-overhead metric), summed over cores.
     pub fn fence_wait_cycles(&self) -> u64 {
-        self.core_stats.fence_wait_cycles
+        self.core_stats().fence_wait_cycles
     }
 
     /// The shared-memory read footprint in bytes (Table 4).
     pub fn smem_read_footprint_bytes(&self) -> u64 {
-        self.smem_stats.bytes_read
+        self.smem_stats().bytes_read
     }
 
-    /// Aggregated SIMT-core statistics across the machine.
-    pub fn core_stats(&self) -> &CoreStats {
-        &self.core_stats
+    /// SIMT-core statistics, summed over clusters.
+    pub fn core_stats(&self) -> CoreStats {
+        self.sum(|c| &c.core_stats)
     }
 
     /// Shared-memory statistics, summed over clusters.
-    pub fn smem_stats(&self) -> &SmemStats {
-        &self.smem_stats
+    pub fn smem_stats(&self) -> SmemStats {
+        self.sum(|c| &c.smem_stats)
     }
 
     /// Event-driven scheduler statistics (all zero under `SimMode::Naive`;
@@ -452,39 +419,52 @@ impl SimReport {
         &self.sched
     }
 
-    /// Global-memory (cache hierarchy) statistics: L1 counters summed over
-    /// the job's clusters, L2/DMA counters summed over every requester of
-    /// the shared back-end.
-    pub fn gmem_stats(&self) -> &GlobalMemoryStats {
-        &self.gmem_stats
+    /// Global-memory (cache hierarchy) statistics, summed over clusters:
+    /// the L1 front-ends' counters plus the L2 and DMA traffic each cluster
+    /// issued to the shared back-end.
+    pub fn gmem_stats(&self) -> GlobalMemoryStats {
+        let mut total = self.sum(|c| &c.gmem_stats);
+        for c in &self.per_cluster {
+            total.l2_accesses += c.contention.l2_accesses;
+            total.l2_misses += c.contention.l2_misses;
+            total.dma_bytes += c.contention.dma_bytes;
+        }
+        total
     }
 
-    /// DRAM interface statistics, summed over the shared channels.
-    pub fn dram_stats(&self) -> &DramStats {
-        &self.dram_stats
+    /// DRAM interface statistics, summed over clusters and channels.
+    pub fn dram_stats(&self) -> DramStats {
+        let mut total = DramStats::default();
+        self.dram_channel_stats()
+            .iter()
+            .for_each(|c| total.merge(c));
+        total
     }
 
-    /// Per-channel DRAM interface statistics, in channel order. A
-    /// single-channel machine has exactly one entry, equal to
-    /// [`SimReport::dram_stats`].
-    pub fn dram_channel_stats(&self) -> &[DramStats] {
-        &self.dram_channel_stats
+    /// Per-channel DRAM interface statistics, summed over clusters, in
+    /// channel order. A single-channel machine has exactly one entry, equal
+    /// to [`SimReport::dram_stats`].
+    pub fn dram_channel_stats(&self) -> Vec<DramStats> {
+        ClusterContentionStats::dram_channels(self.per_cluster.iter().map(|c| &c.contention))
     }
 
     /// Number of DRAM channels the machine's back-end was configured with.
     pub fn dram_channels(&self) -> usize {
-        self.dram_channel_stats.len()
+        self.dram_channel_stats().len()
     }
 
     /// DMA statistics summed over clusters, when the design has DMA engines.
-    pub fn dma_stats(&self) -> Option<&DmaStats> {
-        self.dma_stats.as_ref()
+    pub fn dma_stats(&self) -> Option<DmaStats> {
+        let mut slices = self.per_cluster.iter().filter_map(|c| c.dma_stats.as_ref());
+        let mut total = *slices.next()?;
+        slices.for_each(|s| total.merge(s));
+        Some(total)
     }
 
     /// Cluster-level (MMIO / async tracking) statistics, summed over
     /// clusters.
-    pub fn cluster_stats(&self) -> &ClusterStats {
-        &self.cluster_stats
+    pub fn cluster_stats(&self) -> ClusterStats {
+        self.sum(|c| &c.cluster_stats)
     }
 
     /// Per-cluster breakdowns, in cluster order.
@@ -505,24 +485,25 @@ impl SimReport {
     /// channel's queue rather than the sum of concurrent queues, so the
     /// metric is comparable across DRAM channel counts.
     pub fn dram_contention_stall_cycles(&self) -> u64 {
-        self.dram_contention_stall_cycles
+        self.sum(|c| &c.contention.dram_stall_cycles)
     }
 
-    /// Machine-wide inter-cluster DSM fabric counters (all zero when the
-    /// fabric is disabled or the kernel never issued remote traffic).
-    pub fn dsm_stats(&self) -> &DsmFabricStats {
-        &self.dsm_stats
+    /// Inter-cluster DSM fabric counters, summed over the requester
+    /// clusters (all zero when the fabric is disabled or the kernel never
+    /// issued remote traffic).
+    pub fn dsm_stats(&self) -> DsmFabricStats {
+        DsmFabricStats::sum(self.per_cluster.iter().map(|c| &c.dsm))
     }
 
     /// Per-ingress-link DSM traffic, summed over requester clusters, in
     /// link (= destination cluster) order.
-    pub fn dsm_link_stats(&self) -> &[DsmLinkStats] {
-        &self.dsm_link_stats
+    pub fn dsm_link_stats(&self) -> Vec<DsmLinkStats> {
+        self.sum(|c| &c.dsm.per_link)
     }
 
     /// Bytes moved cluster-to-cluster over the DSM fabric.
     pub fn dsm_bytes(&self) -> u64 {
-        self.dsm_stats.bytes
+        self.dsm_stats().bytes
     }
 
     /// The per-cluster load-imbalance view: SIMT active cycles per cluster
@@ -535,7 +516,7 @@ impl SimReport {
             .iter()
             .map(|c| c.core_stats.active_cycles)
             .collect();
-        let dsm_ingress_bytes: Vec<u64> = self.dsm_link_stats.iter().map(|l| l.bytes).collect();
+        let dsm_ingress_bytes: Vec<u64> = self.dsm_link_stats().iter().map(|l| l.bytes).collect();
         LoadImbalance {
             active_spread: spread(&active_cycles),
             dsm_ingress_spread: spread(&dsm_ingress_bytes),
@@ -559,7 +540,7 @@ impl SimReport {
     /// Total DRAM traffic in bytes at the channel interface (after burst
     /// rounding) — the demand the DSM fabric exists to reduce.
     pub fn dram_bytes(&self) -> u64 {
-        self.dram_stats.bytes
+        self.dram_stats().bytes
     }
 
     /// The active power / energy report (Figures 8–11).
@@ -586,8 +567,8 @@ impl SimReport {
 /// Converts the event counters of one cluster's components into an energy
 /// ledger. Shared-L2 accesses are charged to the requesting cluster via its
 /// `contention` counters, and DSM link-hop traversals via its `dsm`
-/// counters; DRAM bursts are *not* recorded here — the channel is shared, so
-/// the machine report charges it once from the back-end's counters.
+/// counters; DRAM bursts are *not* recorded here — the report's total
+/// charges them from the same `contention` slices, per channel.
 fn build_cluster_ledger(
     cluster: &Cluster,
     contention: &ClusterContentionStats,
@@ -834,8 +815,8 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::virgo());
         let report = gpu.run(&trivial_kernel(0), 100_000).unwrap();
         let slice = &report.per_cluster()[0];
-        assert_eq!(&slice.core_stats, report.core_stats());
-        assert_eq!(&slice.smem_stats, report.smem_stats());
+        assert_eq!(slice.core_stats, report.core_stats());
+        assert_eq!(slice.smem_stats, report.smem_stats());
         assert_eq!(slice.performed_macs, report.performed_macs());
         assert_eq!(
             slice.dram_stall_cycles(),

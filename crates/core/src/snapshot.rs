@@ -4,7 +4,7 @@
 //! A cache entry is a plain JSON document with a small envelope:
 //!
 //! ```json
-//! {"format":"virgo-simreport","version":6,"key":"<32-hex SimKey>",
+//! {"format":"virgo-simreport","version":7,"key":"<32-hex SimKey>",
 //!  "checksum":"<16-hex>","payload":{...}}
 //! ```
 //!
@@ -70,7 +70,15 @@ const FORMAT: &str = "virgo-simreport";
 // attribution); v4 entries (pre-scheduler) must miss cleanly.
 // v6: multi-job residency — the per-cluster `contention` objects gained
 // `l2_misses` and `dma_bytes`; v5 entries must miss cleanly.
-const VERSION: u64 = 6;
+// v7: each counter stored once — the payload lost the machine-wide
+// aggregates (`performed_macs`, `core_stats`, `smem_stats`, `gmem_stats`,
+// `dram_stats`, `dram_channel_stats`, `dma_stats`, `cluster_stats`,
+// `dram_contention_stall_cycles`, `dsm_stats`, `dsm_link_stats`), which the
+// accessors sum from the slices; a slice's `contention.per_channel` entries
+// carry the channel's `dram` traffic in place of `requests`, and
+// `contention.dram_requests`, `dsm.{requests,bytes,stall_cycles}` and
+// `core_stats.total_cycles` are gone. v6 entries must miss cleanly.
+const VERSION: u64 = 7;
 
 impl From<json::Error> for SnapshotError {
     fn from(e: json::Error) -> Self {
@@ -205,25 +213,11 @@ fn write_payload(report: &SimReport) -> String {
         .u64("cycles", report.cycles.get())
         .u64("frequency_hz", report.frequency.as_hz())
         .u64("kernel_macs", report.kernel_macs)
-        .u64("performed_macs", report.performed_macs)
         .u64("peak_macs_per_cycle", report.peak_macs_per_cycle)
-        .raw("core_stats", &report.core_stats.to_json())
-        .raw("smem_stats", &report.smem_stats.to_json())
-        .raw("gmem_stats", &report.gmem_stats.to_json())
-        .raw("dram_stats", &report.dram_stats.to_json())
-        .raw("dram_channel_stats", &report.dram_channel_stats.to_json())
-        .raw("dma_stats", &write_opt_dma(&report.dma_stats))
-        .raw("cluster_stats", &report.cluster_stats.to_json())
         .raw(
             "per_cluster",
             &write_array(&report.per_cluster, write_cluster_report),
         )
-        .u64(
-            "dram_contention_stall_cycles",
-            report.dram_contention_stall_cycles,
-        )
-        .raw("dsm_stats", &report.dsm_stats.to_json())
-        .raw("dsm_link_stats", &report.dsm_link_stats.to_json())
         .raw("fault", &report.fault.to_json())
         .raw("sched", &report.sched.to_json())
         .raw("power", &write_power(&report.power))
@@ -243,19 +237,8 @@ fn read_payload(v: &Value) -> Result<SimReport> {
         cycles: Cycle::new(read(v, "cycles")?),
         frequency: read_frequency(v, "frequency_hz")?,
         kernel_macs: read(v, "kernel_macs")?,
-        performed_macs: read(v, "performed_macs")?,
         peak_macs_per_cycle: read(v, "peak_macs_per_cycle")?,
-        core_stats: read(v, "core_stats")?,
-        smem_stats: read(v, "smem_stats")?,
-        gmem_stats: read(v, "gmem_stats")?,
-        dram_stats: read(v, "dram_stats")?,
-        dram_channel_stats: read(v, "dram_channel_stats")?,
-        dma_stats: read_opt_dma(v.get("dma_stats")?)?,
-        cluster_stats: read(v, "cluster_stats")?,
         per_cluster: read_array(v, "per_cluster", read_cluster_report)?,
-        dram_contention_stall_cycles: read(v, "dram_contention_stall_cycles")?,
-        dsm_stats: read(v, "dsm_stats")?,
-        dsm_link_stats: read(v, "dsm_link_stats")?,
         fault: read(v, "fault")?,
         sched: read(v, "sched")?,
         power: read_power(v.get("power")?)?,
@@ -338,10 +321,7 @@ mod tests {
     use crate::run::{Gpu, SimMode};
     use std::sync::Arc;
     use virgo_isa::{DataType, Kernel, KernelInfo, ProgramBuilder, WarpAssignment, WarpOp};
-    use virgo_mem::{
-        ClusterContentionStats, ClusterDsmStats, DramStats, DsmFabricStats, DsmLinkStats,
-        GlobalMemoryStats, SmemStats,
-    };
+    use virgo_mem::{ClusterContentionStats, ClusterDsmStats, GlobalMemoryStats, SmemStats};
     use virgo_sim::{ClusterFaultStats, FaultStats};
     use virgo_simt::CoreStats;
 
@@ -490,19 +470,8 @@ mod tests {
             cycles: Cycle::new(1),
             frequency: Frequency::from_hz(1),
             kernel_macs: 0,
-            performed_macs: 0,
             peak_macs_per_cycle: 0,
-            core_stats: CoreStats::default(),
-            smem_stats: SmemStats::default(),
-            gmem_stats: GlobalMemoryStats::default(),
-            dram_stats: DramStats::default(),
-            dram_channel_stats: vec![DramStats::default(); 2],
-            dma_stats: Some(DmaStats::default()),
-            cluster_stats: ClusterStats::default(),
             per_cluster: vec![cluster(0), cluster(1)],
-            dram_contention_stall_cycles: 0,
-            dsm_stats: DsmFabricStats::default(),
-            dsm_link_stats: vec![DsmLinkStats::default(); 2],
             fault: FaultStats::default(),
             sched: SchedStats::default(),
             power: PowerReport::from_parts(
@@ -535,7 +504,7 @@ mod tests {
         let envelope = json::parse(text.trim_end()).unwrap();
         assert_eq!(
             envelope.get("checksum").unwrap().as_str().unwrap(),
-            "de273c8366488d59"
+            "59ce5764850b7cf2"
         );
     }
 
@@ -543,7 +512,7 @@ mod tests {
     fn version_and_format_are_checked() {
         let (report, key) = sample_report(1);
         let text = report.to_cache_json(&key);
-        let bumped = text.replace("\"version\":6", "\"version\":99");
+        let bumped = text.replace("\"version\":7", "\"version\":99");
         let err = SimReport::from_cache_json(&bumped, &key).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }

@@ -11,33 +11,36 @@
 //! cluster do, and the back-end attributes the resulting queueing delay to
 //! the requesting cluster — with a per-channel breakdown — so multi-cluster
 //! runs can report DRAM-contention stalls per cluster and per channel.
+//!
+//! Each L2 access, DMA byte and DRAM transfer is counted once, in the slice
+//! of the cluster that issued it (and, for DRAM, the channel that served
+//! it). Every machine-wide total — [`MemoryBackend::dram_stats`], a
+//! channel's traffic, a report's L2 totals — is a sum over those slices.
 
 use virgo_sim::fault::FaultPlan;
-use virgo_sim::Cycle;
+use virgo_sim::{Counters, Cycle};
 
 use crate::cache::Cache;
 use crate::dram::{DramFaultStats, DramStats, MultiChannelDram};
 use crate::global::GlobalMemoryConfig;
 
-/// One cluster's contention counters on a single DRAM channel.
+/// One cluster's traffic and contention on a single DRAM channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelContentionStats {
-    /// DRAM transfers this cluster issued to this channel.
-    pub requests: u64,
+    /// The transfers this cluster issued to this channel: reads and writes,
+    /// and the bytes and bursts they moved after burst rounding.
+    pub dram: DramStats,
     /// Exposed queueing cycles this cluster's requests suffered on this
     /// channel (see [`ClusterContentionStats::dram_stall_cycles`]).
     pub stall_cycles: u64,
 }
-virgo_sim::counters!(ChannelContentionStats {
-    requests,
-    stall_cycles
-});
+virgo_sim::counters!(ChannelContentionStats { dram, stall_cycles });
 
 /// Per-cluster contention counters kept by the shared back-end.
 ///
-/// These are the back-end's only L2, DMA and DRAM-request counts: each
-/// event is charged once, to the cluster that issued it, and a machine-wide
-/// total is the sum over clusters, taken when a report is built.
+/// These are the back-end's only L2, DMA and DRAM counts: each event is
+/// charged once, to the cluster that issued it, and a machine-wide total is
+/// the sum over clusters, taken when it is read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterContentionStats {
     /// L2 accesses issued by this cluster (demand misses and DMA chunks).
@@ -47,8 +50,6 @@ pub struct ClusterContentionStats {
     /// Bytes this cluster moved by DMA through the L2 (requested bytes,
     /// hit or miss).
     pub dma_bytes: u64,
-    /// DRAM transfers issued by this cluster, summed over channels.
-    pub dram_requests: u64,
     /// Bytes this cluster moved over the DRAM channels (the requested bytes
     /// that missed the L2, before burst rounding).
     pub dram_bytes: u64,
@@ -70,18 +71,16 @@ pub struct ClusterContentionStats {
     /// cluster this is pure self-queueing; extra clusters add cross-cluster
     /// interference on top.
     pub dram_stall_cycles: u64,
-    /// Per-channel breakdown, in channel order (always `channels` entries).
-    /// `requests` sums to `dram_requests`; `stall_cycles` counts each
-    /// channel's own exposed queueing, so its sum is `>= dram_stall_cycles`
-    /// when split DMA sub-transfers wait concurrently (equal at one
-    /// channel).
+    /// Per-channel traffic, in channel order (always `channels` entries).
+    /// `stall_cycles` counts each channel's own exposed queueing, so its sum
+    /// is `>= dram_stall_cycles` when split DMA sub-transfers wait
+    /// concurrently (equal at one channel).
     pub per_channel: Vec<ChannelContentionStats>,
 }
 virgo_sim::counters!(ClusterContentionStats {
     l2_accesses,
     l2_misses,
     dma_bytes,
-    dram_requests,
     dram_bytes,
     dram_stall_cycles,
     per_channel,
@@ -95,25 +94,29 @@ impl ClusterContentionStats {
             ..Default::default()
         }
     }
+
+    /// The DRAM traffic of `slices` on each channel, in channel order.
+    pub fn dram_channels<'a>(slices: impl IntoIterator<Item = &'a Self>) -> Vec<DramStats> {
+        let mut channels = Vec::new();
+        for slice in slices {
+            channels.merge(&slice.per_channel.iter().map(|c| c.dram).collect());
+        }
+        channels
+    }
 }
 
 /// Everything the shared back-end has counted, captured at one instant: the
-/// per-channel DRAM interface counters, the DRAM fault counters and the
-/// per-cluster contention slices. A job-residency session captures one at
-/// admission and subtracts it from the one at retirement
-/// ([`Counters::since`](virgo_sim::Counters::since)) to attribute the
-/// window's traffic to the job.
+/// DRAM fault counters and the per-cluster slices. A job-residency session
+/// captures one at admission and subtracts it from the one at retirement
+/// ([`Counters::since`]) to attribute the window's traffic to the job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendAttribution {
-    /// Per-channel DRAM interface counters, in channel order.
-    pub dram_channels: Vec<DramStats>,
     /// Degraded-mode DRAM counters.
     pub dram_fault: DramFaultStats,
     /// Per-cluster contention counters, in cluster order.
     pub per_cluster: Vec<ClusterContentionStats>,
 }
 virgo_sim::counters!(BackendAttribution {
-    dram_channels,
     dram_fault,
     per_cluster,
 });
@@ -181,14 +184,19 @@ impl MemoryBackend {
         &self.config
     }
 
-    /// DRAM interface statistics, summed over channels.
+    /// DRAM interface statistics, summed over clusters and channels.
     pub fn dram_stats(&self) -> DramStats {
-        self.dram.stats()
+        let mut total = DramStats::default();
+        self.dram_channel_stats()
+            .iter()
+            .for_each(|c| total.merge(c));
+        total
     }
 
-    /// Per-channel DRAM interface statistics, in channel order.
+    /// Per-channel DRAM interface statistics, summed over clusters, in
+    /// channel order.
     pub fn dram_channel_stats(&self) -> Vec<DramStats> {
-        self.dram.per_channel_stats()
+        ClusterContentionStats::dram_channels(&self.per_cluster)
     }
 
     /// Installs the DRAM channel fault windows of `plan` on the back-end's
@@ -231,7 +239,6 @@ impl MemoryBackend {
     /// attribution (see [`BackendAttribution`]).
     pub fn attribution(&self) -> BackendAttribution {
         BackendAttribution {
-            dram_channels: self.dram.per_channel_stats(),
             dram_fault: self.dram.fault_stats(),
             per_cluster: self.per_cluster.clone(),
         }
@@ -319,10 +326,11 @@ impl MemoryBackend {
     }
 
     /// Issues one DRAM sub-transfer on `channel` on behalf of `cluster`,
-    /// recording its request/byte counts and per-channel exposed queueing
-    /// delay; returns the completion cycle and the delay so the caller can
-    /// charge the logical transfer's critical-path wait to the cluster
-    /// aggregate.
+    /// counting it — requested bytes, then the channel's read or write,
+    /// burst-rounded bytes and bursts — and its exposed queueing delay in
+    /// the cluster's slice; returns the completion cycle and the delay so
+    /// the caller can charge the logical transfer's critical-path wait to
+    /// the cluster aggregate.
     fn dram_access(
         &mut self,
         at: Cycle,
@@ -340,13 +348,20 @@ impl MemoryBackend {
             .busy_until(channel)
             .saturating_sub(at.plus(self.config.dram.latency))
             .get();
+        let bursts = self.config.dram.bursts(bytes);
         let stats = &mut self.per_cluster[cluster as usize];
-        stats.dram_requests += 1;
         stats.dram_bytes += bytes;
         let per_channel = &mut stats.per_channel[channel as usize];
-        per_channel.requests += 1;
+        let dram = &mut per_channel.dram;
+        if write {
+            dram.writes += 1;
+        } else {
+            dram.reads += 1;
+        }
+        dram.bytes += bursts * self.config.dram.burst_bytes;
+        dram.bursts += bursts;
         per_channel.stall_cycles += stall;
-        (self.dram.access_on(channel, at, bytes, write), stall)
+        (self.dram.access_on(channel, at, bytes), stall)
     }
 }
 
@@ -403,10 +418,10 @@ mod tests {
             b.total_dram_stall_cycles(),
             b.cluster_stats(1).dram_stall_cycles
         );
-        // The per-channel breakdown sums to the aggregate.
+        // The one channel carries the cluster's one read and all its stall.
         let stats = b.cluster_stats(1);
         assert_eq!(stats.per_channel.len(), 1);
-        assert_eq!(stats.per_channel[0].requests, stats.dram_requests);
+        assert_eq!(stats.per_channel[0].dram.reads, 1);
         assert_eq!(stats.per_channel[0].stall_cycles, stats.dram_stall_cycles);
     }
 
@@ -434,16 +449,12 @@ mod tests {
             dual.cluster_stats(1).dram_stall_cycles < single.cluster_stats(1).dram_stall_cycles,
             "queueing must shrink with more channels"
         );
-        // Both channels saw traffic, the request breakdown sums to the
-        // total, and the aggregate stall is the critical-path wait — never
-        // more than the per-channel waits added together.
+        // The transfer splits into one read per channel, and the aggregate
+        // stall is the critical-path wait — never more than the per-channel
+        // waits added together.
         let stats = dual.cluster_stats(0);
         assert_eq!(stats.per_channel.len(), 2);
-        assert!(stats.per_channel.iter().all(|c| c.requests > 0));
-        assert_eq!(
-            stats.per_channel.iter().map(|c| c.requests).sum::<u64>(),
-            stats.dram_requests
-        );
+        assert!(stats.per_channel.iter().all(|c| c.dram.reads == 1));
         let queued = dual.cluster_stats(1);
         assert!(
             queued.dram_stall_cycles
@@ -460,6 +471,25 @@ mod tests {
         assert_eq!(dual.dram_stats().bytes, single.dram_stats().bytes);
         assert_eq!(dual.dram_stats().bursts, single.dram_stats().bursts);
         assert_eq!(dual.dram_channel_stats().len(), 2);
+    }
+
+    #[test]
+    fn aggregate_stats_sum_channels() {
+        let mut b = backend_with_channels(2, 2);
+        // A cold read by cluster 0 on channel 0 and a cold 64-byte write by
+        // cluster 1 on channel 1.
+        b.line_access(Cycle::new(0), 0, 0, 32, false);
+        b.dma_access(Cycle::new(0), 1, 256, 64, true);
+        let total = b.dram_stats();
+        assert_eq!(total.reads, 1);
+        assert_eq!(total.writes, 1);
+        assert_eq!(total.bytes, 96);
+        assert_eq!(total.bursts, 3);
+        let per = b.dram_channel_stats();
+        assert_eq!(per.len(), 2);
+        assert_eq!(per[0], b.cluster_stats(0).per_channel[0].dram);
+        assert_eq!(per[1], b.cluster_stats(1).per_channel[1].dram);
+        assert_eq!(per[1].writes, 1);
     }
 
     #[test]
@@ -480,7 +510,7 @@ mod tests {
         let done = b.dma_access(Cycle::new(0), 0, 0, 1024, false);
         assert!(done.get() > 100);
         assert_eq!(b.cluster_stats(0).dma_bytes, 1024);
-        assert_eq!(b.cluster_stats(0).dram_requests, 1);
+        assert_eq!(b.cluster_stats(0).per_channel[0].dram.reads, 1);
         // A later DMA of the same region hits in L2 and avoids DRAM.
         let warm = b.dma_access(done, 0, 0, 1024, false);
         assert!(warm - done < Cycle::new(50));

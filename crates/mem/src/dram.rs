@@ -2,7 +2,7 @@
 //! address-interleaved multi-channel subsystem built from it.
 
 use virgo_sim::fault::{FaultKind, FaultPlan, PERMANENT};
-use virgo_sim::{Counters, Cycle, StableHash, StableHasher};
+use virgo_sim::{Cycle, StableHash, StableHasher};
 
 /// Configuration of the DRAM interface.
 ///
@@ -52,6 +52,12 @@ impl DramConfig {
         self.channels = channels;
         self
     }
+
+    /// Bursts a transfer of `bytes` occupies on a channel's bus: every
+    /// transfer is rounded up to whole bursts, and moves at least one.
+    pub fn bursts(&self, bytes: u64) -> u64 {
+        bytes.div_ceil(self.burst_bytes).max(1)
+    }
 }
 
 impl StableHash for DramConfig {
@@ -64,7 +70,9 @@ impl StableHash for DramConfig {
     }
 }
 
-/// Event counters for one DRAM channel (or the aggregate over channels).
+/// DRAM interface counters: one requester's traffic on one channel
+/// ([`crate::ChannelContentionStats::dram`], where the back-end counts each
+/// transfer), or a sum of such slices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Number of read requests served.
@@ -89,7 +97,9 @@ virgo_sim::counters!(DramStats {
 /// Requests occupy the channel's data bus back-to-back; a request issued
 /// while the bus is busy is serialized behind the earlier ones, but its fixed
 /// access latency (row activation, controller pipeline) overlaps with the
-/// queueing delay instead of being paid again on top of it.
+/// queueing delay instead of being paid again on top of it. The model keeps
+/// only timing: the [`crate::MemoryBackend`] counts each transfer, once, in
+/// the requester's per-channel slice.
 ///
 /// # Example
 ///
@@ -98,7 +108,7 @@ virgo_sim::counters!(DramStats {
 /// use virgo_sim::Cycle;
 ///
 /// let mut dram = DramModel::new(DramConfig::default_soc());
-/// let done = dram.access(Cycle::new(0), 256, false);
+/// let done = dram.access(Cycle::new(0), 256);
 /// // 256 bytes at 32 B/cycle occupies 8 cycles after the 100-cycle latency.
 /// assert_eq!(done, Cycle::new(108));
 /// ```
@@ -107,7 +117,6 @@ pub struct DramModel {
     config: DramConfig,
     /// Cycle at which the channel becomes free.
     busy_until: Cycle,
-    stats: DramStats,
 }
 
 impl DramModel {
@@ -122,18 +131,12 @@ impl DramModel {
         DramModel {
             config,
             busy_until: Cycle::ZERO,
-            stats: DramStats::default(),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> DramStats {
-        self.stats
     }
 
     /// Cycle at which the channel next becomes free.
@@ -143,22 +146,15 @@ impl DramModel {
 
     /// Performs a transfer of `bytes` starting no earlier than `now`,
     /// returning the completion cycle.
-    pub fn access(&mut self, now: Cycle, bytes: u64, write: bool) -> Cycle {
-        self.access_scaled(now, bytes, write, 1)
+    pub fn access(&mut self, now: Cycle, bytes: u64) -> Cycle {
+        self.access_scaled(now, bytes, 1)
     }
 
     /// Like [`DramModel::access`], with the fixed access latency multiplied
     /// by `latency_multiplier` (a throttled channel during a fault window;
     /// `1` is the healthy path and changes nothing).
-    pub fn access_scaled(
-        &mut self,
-        now: Cycle,
-        bytes: u64,
-        write: bool,
-        latency_multiplier: u64,
-    ) -> Cycle {
-        let bursts = bytes.div_ceil(self.config.burst_bytes).max(1);
-        let rounded = bursts * self.config.burst_bytes;
+    pub fn access_scaled(&mut self, now: Cycle, bytes: u64, latency_multiplier: u64) -> Cycle {
+        let rounded = self.config.bursts(bytes) * self.config.burst_bytes;
         let transfer_cycles = rounded.div_ceil(self.config.bytes_per_cycle).max(1);
         let latency = self.config.latency * latency_multiplier.max(1);
 
@@ -167,16 +163,7 @@ impl DramModel {
         // "bus slot ends" and "latency plus transfer from request time".
         let start = now.max(self.busy_until);
         self.busy_until = start.plus(transfer_cycles);
-        let done = start.max(now.plus(latency)).plus(transfer_cycles);
-
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
-        }
-        self.stats.bytes += rounded;
-        self.stats.bursts += bursts;
-        done
+        start.max(now.plus(latency)).plus(transfer_cycles)
     }
 }
 
@@ -237,8 +224,8 @@ impl ChannelFaultState {
 /// let mut dram = MultiChannelDram::new(DramConfig::default_soc().with_channels(2));
 /// // Blocks 0 and 1 (256-byte interleave) land on different channels, so
 /// // two same-cycle transfers both complete without queueing.
-/// let a = dram.access(Cycle::new(0), 0, 256, false);
-/// let b = dram.access(Cycle::new(0), 256, 256, true);
+/// let a = dram.access(Cycle::new(0), 0, 256);
+/// let b = dram.access(Cycle::new(0), 256, 256);
 /// assert_eq!(a, b);
 /// ```
 #[derive(Debug, Clone)]
@@ -374,9 +361,9 @@ impl MultiChannelDram {
 
     /// Performs a transfer of `bytes` on the channel that owns `addr`,
     /// starting no earlier than `now`; returns the completion cycle.
-    pub fn access(&mut self, now: Cycle, addr: u64, bytes: u64, write: bool) -> Cycle {
+    pub fn access(&mut self, now: Cycle, addr: u64, bytes: u64) -> Cycle {
         let channel = self.route(now, addr);
-        self.access_on(channel, now, bytes, write)
+        self.access_on(channel, now, bytes)
     }
 
     /// Performs a transfer of `bytes` on an explicit channel (used by callers
@@ -386,9 +373,9 @@ impl MultiChannelDram {
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn access_on(&mut self, channel: u32, now: Cycle, bytes: u64, write: bool) -> Cycle {
+    pub fn access_on(&mut self, channel: u32, now: Cycle, bytes: u64) -> Cycle {
         if self.faults.is_empty() {
-            return self.channels[channel as usize].access(now, bytes, write);
+            return self.channels[channel as usize].access(now, bytes);
         }
         let t = now.get();
         let mut multiplier = 1u64;
@@ -403,21 +390,7 @@ impl MultiChannelDram {
                 self.fault_stats.recovery_cycles += t - f.until;
             }
         }
-        self.channels[channel as usize].access_scaled(now, bytes, write, multiplier)
-    }
-
-    /// Aggregate statistics summed over every channel.
-    pub fn stats(&self) -> DramStats {
-        let mut total = DramStats::default();
-        for channel in &self.channels {
-            total.merge(&channel.stats());
-        }
-        total
-    }
-
-    /// Per-channel statistics, in channel order.
-    pub fn per_channel_stats(&self) -> Vec<DramStats> {
-        self.channels.iter().map(|c| c.stats()).collect()
+        self.channels[channel as usize].access_scaled(now, bytes, multiplier)
     }
 }
 
@@ -442,26 +415,30 @@ mod tests {
     #[test]
     fn single_access_latency_plus_transfer() {
         let mut d = dram();
-        let done = d.access(Cycle::new(0), 32, false);
+        let done = d.access(Cycle::new(0), 32);
         assert_eq!(done, Cycle::new(10 + 4));
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.stats().bytes, 32);
+        assert_eq!(d.busy_until(), Cycle::new(4));
     }
 
     #[test]
     fn small_access_rounds_to_burst() {
+        assert_eq!(config().bursts(4), 1);
+        assert_eq!(
+            config().bursts(0),
+            1,
+            "an empty transfer still moves a burst"
+        );
         let mut d = dram();
-        d.access(Cycle::new(0), 4, true);
-        assert_eq!(d.stats().bytes, 32);
-        assert_eq!(d.stats().bursts, 1);
-        assert_eq!(d.stats().writes, 1);
+        // 4 bytes occupy a whole 32-byte burst: 4 cycles at 8 B/cycle.
+        d.access(Cycle::new(0), 4);
+        assert_eq!(d.busy_until(), Cycle::new(4));
     }
 
     #[test]
     fn back_to_back_accesses_serialize_on_the_bus() {
         let mut d = dram();
-        let first = d.access(Cycle::new(0), 64, false);
-        let second = d.access(Cycle::new(0), 64, false);
+        let first = d.access(Cycle::new(0), 64);
+        let second = d.access(Cycle::new(0), 64);
         assert_eq!(first, Cycle::new(10 + 8));
         // The second transfer's data moves over bus cycles 8..16, but its
         // fixed latency (10) overlapped with the 8-cycle queueing delay, so
@@ -478,17 +455,17 @@ mod tests {
     fn queued_request_overlaps_latency_with_queueing() {
         let mut d = dram();
         // 32-byte transfers: 4 bus cycles each, 10-cycle latency.
-        let first = d.access(Cycle::new(0), 32, false);
-        let second = d.access(Cycle::new(0), 32, false);
+        let first = d.access(Cycle::new(0), 32);
+        let second = d.access(Cycle::new(0), 32);
         assert_eq!(first, Cycle::new(14), "idle channel: latency + transfer");
         // Queued behind 4 bus cycles, but the 10-cycle latency covers that
         // wait entirely: completion stays latency + transfer = 14 instead of
         // the old serial 4 + 10 + 4 = 18.
         assert_eq!(second, Cycle::new(14));
-        let third = d.access(Cycle::new(0), 32, false);
+        let third = d.access(Cycle::new(0), 32);
         // Bus free at 8; latency floor (10) still dominates: max(8,10)+4.
         assert_eq!(third, Cycle::new(14));
-        let fourth = d.access(Cycle::new(0), 32, false);
+        let fourth = d.access(Cycle::new(0), 32);
         // Deep in the queue the bus wait finally dominates: starts at 12,
         // completes at 12 + 4 = 16 (> the latency floor of 14).
         assert_eq!(fourth, Cycle::new(16));
@@ -497,8 +474,8 @@ mod tests {
     #[test]
     fn idle_gap_resets_queueing() {
         let mut d = dram();
-        d.access(Cycle::new(0), 32, false);
-        let done = d.access(Cycle::new(1000), 32, false);
+        d.access(Cycle::new(0), 32);
+        let done = d.access(Cycle::new(1000), 32);
         assert_eq!(done, Cycle::new(1000 + 10 + 4));
     }
 
@@ -507,7 +484,7 @@ mod tests {
         let mut d = dram();
         let mut last = Cycle::ZERO;
         for _ in 0..100 {
-            last = d.access(Cycle::ZERO, 32, false);
+            last = d.access(Cycle::ZERO, 32);
         }
         // 100 bursts × 4 cycles each = 400 cycles of bus occupancy.
         assert!(last.get() >= 400);
@@ -556,28 +533,12 @@ mod tests {
         let mut d = MultiChannelDram::new(config().with_channels(2));
         // 256-byte transfers occupy a bus for 32 cycles — longer than the
         // 10-cycle latency, so queueing is visible in completion times.
-        let a = d.access(Cycle::new(0), 0, 256, false);
-        let b = d.access(Cycle::new(0), 256, 256, false);
+        let a = d.access(Cycle::new(0), 0, 256);
+        let b = d.access(Cycle::new(0), 256, 256);
         assert_eq!(a, b, "parallel channels serve same-cycle requests");
         // A third request colliding with channel 0 queues behind `a`'s bus.
-        let c = d.access(Cycle::new(0), 512, 256, false);
+        let c = d.access(Cycle::new(0), 512, 256);
         assert!(c > a);
-    }
-
-    #[test]
-    fn aggregate_stats_sum_channels() {
-        let mut d = MultiChannelDram::new(config().with_channels(2));
-        d.access(Cycle::new(0), 0, 32, false);
-        d.access(Cycle::new(0), 256, 64, true);
-        let total = d.stats();
-        assert_eq!(total.reads, 1);
-        assert_eq!(total.writes, 1);
-        assert_eq!(total.bytes, 96);
-        assert_eq!(total.bursts, 3);
-        let per = d.per_channel_stats();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].reads, 1);
-        assert_eq!(per[1].writes, 1);
     }
 
     #[test]
@@ -589,12 +550,11 @@ mod tests {
         for i in 0..16u64 {
             let now = Cycle::new(i * 3);
             assert_eq!(
-                faulty.access(now, i * 256, 64, i % 2 == 0),
-                clean.access(now, i * 256, 64, i % 2 == 0)
+                faulty.access(now, i * 256, 64),
+                clean.access(now, i * 256, 64)
             );
         }
         assert_eq!(faulty.fault_stats(), DramFaultStats::default());
-        assert_eq!(faulty.stats(), clean.stats());
     }
 
     #[test]
@@ -654,9 +614,9 @@ mod tests {
         let mut d = MultiChannelDram::new(config().with_channels(1));
         d.apply_faults(&plan);
         // Inside the window: 3×10 latency + 4-cycle transfer.
-        assert_eq!(d.access(Cycle::new(0), 0, 32, false), Cycle::new(34));
+        assert_eq!(d.access(Cycle::new(0), 0, 32), Cycle::new(34));
         // Outside the window the latency is healthy again.
-        assert_eq!(d.access(Cycle::new(600), 0, 32, false), Cycle::new(614));
+        assert_eq!(d.access(Cycle::new(600), 0, 32), Cycle::new(614));
     }
 
     #[test]
@@ -665,12 +625,12 @@ mod tests {
         plan = plan.with_event(FaultKind::DramChannelDown { channel: 0 }, 10, 100);
         let mut d = MultiChannelDram::new(config().with_channels(2));
         d.apply_faults(&plan);
-        d.access(Cycle::new(50), 0, 32, false); // re-striped away
+        d.access(Cycle::new(50), 0, 32); // re-striped away
         assert_eq!(d.fault_stats().restriped_accesses, 1);
         assert_eq!(d.fault_stats().recovery_cycles, 0);
-        d.access(Cycle::new(130), 0, 32, false); // first post-window service
+        d.access(Cycle::new(130), 0, 32); // first post-window service
         assert_eq!(d.fault_stats().recovery_cycles, 30);
-        d.access(Cycle::new(200), 0, 32, false); // counted once only
+        d.access(Cycle::new(200), 0, 32); // counted once only
         assert_eq!(d.fault_stats().recovery_cycles, 30);
     }
 
@@ -684,15 +644,18 @@ mod tests {
     }
 
     /// A non-32-byte burst configuration counts bursts in `burst_bytes`
-    /// units, not hard-coded 32-byte units.
+    /// units, not hard-coded 32-byte units, and the bus time follows the
+    /// rounded size.
     #[test]
     fn burst_counting_follows_configured_burst_bytes() {
-        let mut d = DramModel::new(DramConfig {
+        let config = DramConfig {
             burst_bytes: 64,
             ..config()
-        });
-        d.access(Cycle::new(0), 96, false);
-        assert_eq!(d.stats().bursts, 2, "96 bytes is two 64-byte bursts");
-        assert_eq!(d.stats().bytes, 128, "rounded to burst multiples");
+        };
+        assert_eq!(config.bursts(96), 2, "96 bytes is two 64-byte bursts");
+        let mut d = DramModel::new(config);
+        d.access(Cycle::new(0), 96);
+        // Rounded to 128 bytes: 16 cycles at 8 B/cycle.
+        assert_eq!(d.busy_until(), Cycle::new(16));
     }
 }

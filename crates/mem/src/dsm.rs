@@ -138,30 +138,24 @@ virgo_sim::counters!(DsmLinkStats {
     stall_cycles
 });
 
-/// Per-requester-cluster DSM counters kept by the fabric.
+/// Per-requester-cluster DSM counters kept by the fabric: the fabric's only
+/// count of each transfer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterDsmStats {
-    /// Remote transfers this cluster issued, summed over links.
-    pub requests: u64,
-    /// Bytes this cluster moved over the fabric.
-    pub bytes: u64,
-    /// Exposed link-queueing cycles this cluster's transfers suffered,
-    /// summed over links (each transfer occupies exactly one ingress link,
-    /// so unlike a split DMA there is no concurrent-sub-transfer max).
-    pub stall_cycles: u64,
     /// Flit-hop traversals this cluster's transfers performed
     /// (`hops × ceil(bytes / DSM_FLIT_BYTES)` per transfer) — the energy
     /// model's link-traversal event count.
     pub hop_flits: u64,
-    /// Per-ingress-link breakdown, in link (= destination cluster) order.
+    /// This cluster's transfers, bytes and exposed link-queueing cycles per
+    /// ingress link, in link (= destination cluster) order. Each transfer
+    /// occupies exactly one ingress link, so [`ClusterDsmStats::total`] is
+    /// the requester's whole traffic, with no concurrent-sub-transfer max as
+    /// for a split DMA.
     pub per_link: Vec<DsmLinkStats>,
 }
 virgo_sim::counters!(ClusterDsmStats {
-    requests,
-    bytes,
-    stall_cycles,
     hop_flits,
-    per_link,
+    per_link
 });
 
 impl ClusterDsmStats {
@@ -171,6 +165,13 @@ impl ClusterDsmStats {
             per_link: vec![DsmLinkStats::default(); links as usize],
             ..Default::default()
         }
+    }
+
+    /// This requester's traffic summed over its links.
+    pub fn total(&self) -> DsmLinkStats {
+        let mut total = DsmLinkStats::default();
+        self.per_link.iter().for_each(|l| total.merge(l));
+        total
     }
 }
 
@@ -261,13 +262,14 @@ virgo_sim::counters!(DsmFabricStats {
 
 impl DsmFabricStats {
     /// The machine-wide aggregates of a set of requesters' counters.
-    pub fn sum(requesters: &[ClusterDsmStats]) -> Self {
+    pub fn sum<'a>(requesters: impl IntoIterator<Item = &'a ClusterDsmStats>) -> Self {
         let mut total = DsmFabricStats::default();
         for r in requesters {
-            total.transfers += r.requests;
-            total.bytes += r.bytes;
+            let links = r.total();
+            total.transfers += links.requests;
+            total.bytes += links.bytes;
             total.hop_flits += r.hop_flits;
-            total.stall_cycles += r.stall_cycles;
+            total.stall_cycles += links.stall_cycles;
         }
         total
     }
@@ -636,9 +638,6 @@ impl DsmFabric {
 
         let flits = bytes.div_ceil(DSM_FLIT_BYTES).max(1);
         let requester = &mut self.per_cluster[from as usize];
-        requester.requests += 1;
-        requester.bytes += bytes;
-        requester.stall_cycles += stall;
         requester.hop_flits += hops * flits;
         let link = &mut requester.per_link[to as usize];
         link.requests += 1;
@@ -721,10 +720,14 @@ mod tests {
         // the hop latency hides part of the wait, the rest is exposed.
         let second = f.transfer(Cycle::new(0), 2, 0, 4096);
         assert!(second > first);
-        assert_eq!(f.cluster_stats(1).stall_cycles, 0);
+        assert_eq!(f.cluster_stats(1).total().stall_cycles, 0);
         let queued = f.cluster_stats(2);
-        assert_eq!(queued.stall_cycles, 64 - 32, "backlog minus hidden latency");
-        assert_eq!(queued.per_link[0].stall_cycles, queued.stall_cycles);
+        assert_eq!(
+            queued.per_link[0].stall_cycles,
+            64 - 32,
+            "backlog minus hidden latency"
+        );
+        assert_eq!(queued.total().stall_cycles, queued.per_link[0].stall_cycles);
         // A transfer to a *different* port proceeds unqueued.
         let elsewhere = f.transfer(Cycle::new(0), 1, 3, 4096);
         assert_eq!(elsewhere, first);
@@ -767,7 +770,7 @@ mod tests {
         assert_eq!(f.stats().bytes, submitted);
         let per_link: u64 = f.per_link_stats().iter().map(|l| l.bytes).sum();
         assert_eq!(per_link, submitted);
-        let per_cluster: u64 = f.per_cluster_stats().iter().map(|c| c.bytes).sum();
+        let per_cluster: u64 = f.per_cluster_stats().iter().map(|c| c.total().bytes).sum();
         assert_eq!(per_cluster, submitted);
     }
 

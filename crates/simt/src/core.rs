@@ -273,7 +273,6 @@ impl SimtCore {
     /// cross-component signature checks), and whether a warp just finished
     /// (the only moment the machine-wide finish check can flip).
     pub fn tick(&mut self, now: Cycle, port: &mut dyn ClusterPort) -> TickOutcome {
-        self.stats.total_cycles += 1;
         if self.warps.is_empty() {
             self.stats.idle_cycles += 1;
             return TickOutcome::default();
@@ -349,14 +348,13 @@ impl SimtCore {
     /// reported, or until another component wakes it.
     ///
     /// Produces statistics bit-identical to ticking the core `cycles` times:
-    /// total cycles, the stall/idle classification (which is constant across
+    /// the stall/idle classification (which is constant across
     /// the window because no warp's runnability can change), fence wait
     /// cycles, and the rate-limited fence poll instructions.
     pub fn fast_forward(&mut self, from: Cycle, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        self.stats.total_cycles += cycles;
         if self.warps.is_empty() {
             self.stats.idle_cycles += cycles;
             return;
@@ -1281,7 +1279,7 @@ mod tests {
         let s = core.stats();
         assert_eq!(s.active_cycles, 1);
         assert_eq!(s.idle_cycles, 1);
-        assert_eq!(s.total_cycles, 2);
+        assert_eq!(s.stall_cycles, 0);
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub struct CoreStats {
     pub stall_cycles: u64,
     /// Cycles in which every warp was finished or blocked.
     pub idle_cycles: u64,
-    /// Total cycles the core was ticked.
-    pub total_cycles: u64,
 }
 virgo_sim::counters!(CoreStats {
     instrs_issued,
@@ -60,16 +58,15 @@ virgo_sim::counters!(CoreStats {
     active_cycles,
     stall_cycles,
     idle_cycles,
-    total_cycles,
 });
 
 impl CoreStats {
     /// Fraction of cycles in which the core issued at least one instruction.
+    /// Every ticked cycle is exactly one of active, stall or idle.
     pub fn issue_utilization(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.active_cycles as f64 / self.total_cycles as f64
+        match self.active_cycles + self.stall_cycles + self.idle_cycles {
+            0 => 0.0,
+            cycles => self.active_cycles as f64 / cycles as f64,
         }
     }
 }
@@ -85,7 +82,8 @@ mod tests {
         assert_eq!(s.issue_utilization(), 0.0);
         let s2 = CoreStats {
             active_cycles: 5,
-            total_cycles: 10,
+            stall_cycles: 3,
+            idle_cycles: 2,
             ..Default::default()
         };
         assert!((s2.issue_utilization() - 0.5).abs() < 1e-12);
@@ -97,19 +95,19 @@ mod tests {
             instrs_issued: 10,
             rf_reads: 20,
             active_cycles: 5,
-            total_cycles: 10,
+            idle_cycles: 5,
             ..Default::default()
         };
         let b = CoreStats {
             instrs_issued: 1,
             rf_reads: 2,
             active_cycles: 1,
-            total_cycles: 10,
+            stall_cycles: 9,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.instrs_issued, 11);
         assert_eq!(a.rf_reads, 22);
-        assert_eq!(a.total_cycles, 20);
+        assert_eq!((a.active_cycles, a.stall_cycles, a.idle_cycles), (6, 9, 5));
     }
 }

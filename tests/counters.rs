@@ -116,7 +116,6 @@ fn every_counter_struct_round_trips_merges_and_subtracts() {
     check(
         "BackendAttribution",
         BackendAttribution {
-            dram_channels: vec![DramStats::default(); 2],
             dram_fault: DramFaultStats::default(),
             per_cluster: vec![ClusterContentionStats::for_channels(2); 3],
         },

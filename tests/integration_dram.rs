@@ -5,23 +5,26 @@
 //!
 //! 1. **Single-channel bit-identity** — a [`MultiChannelDram`] configured
 //!    with one channel behaves exactly like the bare single-channel
-//!    [`DramModel`] it replaced (same completion cycle and same statistics
-//!    for every request of any random access sequence), and a full
-//!    simulation with `dram_channels = 1` is bit-identical to the default
-//!    machine (whose fingerprints `tests/integration_clusters.rs` pins).
-//! 2. **Conservation** — routing whole requests over any number of channels
-//!    never creates or loses traffic: per-channel reads/writes/bytes/bursts
-//!    always sum to the single-channel totals for the same sequence. (At
-//!    the `MemoryBackend` level, a cold DMA whose missed lines straddle an
-//!    interleave boundary pays burst rounding once per touched channel —
-//!    each channel's bus really moves its own line; requested bytes are
-//!    still conserved. `straddling_partial_lines_round_per_channel` in
+//!    [`DramModel`] it replaced (same completion cycle for every request of
+//!    any random access sequence), and a full simulation with
+//!    `dram_channels = 1` is bit-identical to the default machine (whose
+//!    fingerprints `tests/integration_clusters.rs` pins).
+//! 2. **Conservation** — routing whole line requests over any number of
+//!    channels never creates or loses traffic: the back-end's per-cluster,
+//!    per-channel reads/writes/bytes/bursts always sum to the
+//!    single-channel totals for the same sequence, machine-wide and per
+//!    cluster. (A cold DMA whose missed lines straddle an interleave
+//!    boundary pays burst rounding once per touched channel — each
+//!    channel's bus really moves its own line; requested bytes are still
+//!    conserved. `straddling_partial_lines_round_per_channel` in
 //!    `crates/mem/src/backend.rs` pins that edge.)
 
 use virgo::{DesignKind, SimMode};
 use virgo_bench::{run, ReportDigest};
 use virgo_kernels::GemmShape;
-use virgo_mem::{DramConfig, DramModel, DramStats, MultiChannelDram};
+use virgo_mem::{
+    DramConfig, DramModel, DramStats, GlobalMemoryConfig, MemoryBackend, MultiChannelDram,
+};
 use virgo_sim::{Counters, Cycle, SplitMix64};
 use virgo_sweep::{Query, SweepPoint, SweepService};
 
@@ -59,7 +62,7 @@ fn random_sequence(rng: &mut SplitMix64, len: usize) -> Vec<Request> {
         .collect()
 }
 
-fn total(stats: &[DramStats]) -> DramStats {
+fn total<'a>(stats: impl IntoIterator<Item = &'a DramStats>) -> DramStats {
     let mut sum = DramStats::default();
     for s in stats {
         sum.merge(s);
@@ -68,8 +71,8 @@ fn total(stats: &[DramStats]) -> DramStats {
 }
 
 /// Property: with `channels = 1` the subsystem is the single-channel model,
-/// request for request — completions and statistics are bit-identical to
-/// the pre-refactor [`DramModel`] across random sequences.
+/// request for request — completions are bit-identical to the pre-refactor
+/// [`DramModel`] across random sequences.
 #[test]
 fn single_channel_subsystem_is_bit_identical_to_dram_model() {
     let mut rng = SplitMix64::new(0xD3A1_0001);
@@ -84,51 +87,72 @@ fn single_channel_subsystem_is_bit_identical_to_dram_model() {
         let mut reference = DramModel::new(config);
         let mut subsystem = MultiChannelDram::new(config);
         for (i, req) in random_sequence(&mut rng, 200).iter().enumerate() {
-            let expected = reference.access(Cycle::new(req.now), req.bytes, req.write);
-            let got = subsystem.access(Cycle::new(req.now), req.addr, req.bytes, req.write);
+            let expected = reference.access(Cycle::new(req.now), req.bytes);
+            let got = subsystem.access(Cycle::new(req.now), req.addr, req.bytes);
             assert_eq!(
                 expected, got,
                 "trial {trial} request {i}: single-channel completion diverged"
             );
         }
-        assert_eq!(
-            reference.stats(),
-            subsystem.stats(),
-            "trial {trial}: single-channel statistics diverged"
-        );
-        assert_eq!(subsystem.per_channel_stats(), vec![reference.stats()]);
     }
 }
 
-/// Property: traffic is conserved across any channel count — the same
-/// sequence routed over 2, 4 or 8 channels moves exactly the bytes, bursts
-/// and request counts of the single-channel run, just spread out.
+/// Property: traffic is conserved across any channel count — the same line
+/// requests from three clusters, routed over 2, 4 or 8 channels, move
+/// exactly the bytes, bursts and request counts of the single-channel run,
+/// just spread out, and each cluster's slices keep its own share.
 #[test]
 fn traffic_is_conserved_across_channel_counts() {
+    const CLUSTERS: u32 = 3;
     let mut rng = SplitMix64::new(0xD3A1_0002);
     for trial in 0..6 {
         let sequence = random_sequence(&mut rng, 300);
-        let base = DramConfig::default_soc();
-        let mut single = MultiChannelDram::new(base);
-        for req in &sequence {
-            single.access(Cycle::new(req.now), req.addr, req.bytes, req.write);
-        }
-        let expected = single.stats();
-        for channels in [2u32, 4, 8] {
-            let mut multi = MultiChannelDram::new(base.with_channels(channels));
+        let replay = |channels: u32| {
+            let mut config = GlobalMemoryConfig::default_soc(2);
+            config.dram = config.dram.with_channels(channels);
+            let line = u64::from(config.l2.line_bytes);
+            let mut backend = MemoryBackend::new(config, CLUSTERS);
             let mut slowest = Cycle::ZERO;
-            for req in &sequence {
-                slowest =
-                    slowest.max(multi.access(Cycle::new(req.now), req.addr, req.bytes, req.write));
+            for (i, req) in sequence.iter().enumerate() {
+                let cluster = i as u32 % CLUSTERS;
+                let bytes = req.bytes.min(line);
+                let at = Cycle::new(req.now);
+                let done =
+                    backend.line_access(at, cluster, req.addr / line * line, bytes, req.write);
+                slowest = slowest.max(done);
             }
-            let per_channel = multi.per_channel_stats();
+            assert!(slowest.get() > 0);
+            backend
+        };
+        let cluster_total = |backend: &MemoryBackend, c: u32| {
+            total(
+                backend
+                    .cluster_stats(c)
+                    .per_channel
+                    .iter()
+                    .map(|ch| &ch.dram),
+            )
+        };
+        let single = replay(1);
+        let expected = single.dram_stats();
+        assert!(expected.reads > 0 && expected.writes > 0);
+        for channels in [2u32, 4, 8] {
+            let multi = replay(channels);
+            let per_channel = multi.dram_channel_stats();
             assert_eq!(per_channel.len(), channels as usize);
             assert_eq!(
                 total(&per_channel),
                 expected,
                 "trial {trial}: {channels}-channel totals diverged"
             );
-            assert_eq!(multi.stats(), expected);
+            assert_eq!(multi.dram_stats(), expected);
+            for c in 0..CLUSTERS {
+                assert_eq!(
+                    cluster_total(&multi, c),
+                    cluster_total(&single, c),
+                    "trial {trial}: cluster {c}'s traffic moved at {channels} channels"
+                );
+            }
             // Each request lands on exactly the channel its address names.
             assert!(
                 per_channel
@@ -138,7 +162,6 @@ fn traffic_is_conserved_across_channel_counts() {
                     > 1,
                 "trial {trial}: the sequence must actually stripe over channels"
             );
-            assert!(slowest.get() > 0);
         }
     }
 }
@@ -169,7 +192,7 @@ fn single_channel_config_matches_default_machine_reports() {
             assert_eq!(default_report.dram_channels(), 1);
             assert_eq!(
                 default_report.dram_channel_stats()[0],
-                *default_report.dram_stats(),
+                default_report.dram_stats(),
                 "one channel carries all the traffic"
             );
         }

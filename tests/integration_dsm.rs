@@ -153,10 +153,13 @@ fn split_k_dsm_beats_dram_path_at_n4() {
     assert!(links[0].bytes > 0, "all partials land on cluster 0's port");
     assert_eq!(links[1].bytes + links[2].bytes + links[3].bytes, 0);
     for producer in &dsm.per_cluster()[1..] {
-        assert!(producer.dsm.bytes > 0, "every producer used the fabric");
+        assert!(
+            producer.dsm.total().bytes > 0,
+            "every producer used the fabric"
+        );
     }
     assert_eq!(
-        dsm.per_cluster()[0].dsm.bytes,
+        dsm.per_cluster()[0].dsm.total().bytes,
         0,
         "the consumer only receives"
     );
@@ -222,7 +225,11 @@ fn random_transfer_sequences_conserve_bytes_per_link() {
             per_pair[from as usize][to as usize] += bytes;
         }
         assert_eq!(fabric.stats().bytes, submitted, "seed {seed}");
-        let per_cluster: u64 = fabric.per_cluster_stats().iter().map(|c| c.bytes).sum();
+        let per_cluster: u64 = fabric
+            .per_cluster_stats()
+            .iter()
+            .map(|c| c.total().bytes)
+            .sum();
         assert_eq!(per_cluster, submitted, "seed {seed}");
         let per_link: u64 = fabric.per_link_stats().iter().map(|l| l.bytes).sum();
         assert_eq!(per_link, submitted, "seed {seed}");
