@@ -70,14 +70,10 @@ const FORMAT: &str = "virgo-simreport";
 // attribution); v4 entries (pre-scheduler) must miss cleanly.
 // v6: multi-job residency — the per-cluster `contention` objects gained
 // `l2_misses` and `dma_bytes`; v5 entries must miss cleanly.
-// v7: each counter stored once — the payload lost the machine-wide
-// aggregates (`performed_macs`, `core_stats`, `smem_stats`, `gmem_stats`,
-// `dram_stats`, `dram_channel_stats`, `dma_stats`, `cluster_stats`,
-// `dram_contention_stall_cycles`, `dsm_stats`, `dsm_link_stats`), which the
-// accessors sum from the slices; a slice's `contention.per_channel` entries
-// carry the channel's `dram` traffic in place of `requests`, and
-// `contention.dram_requests`, `dsm.{requests,bytes,stall_cycles}` and
-// `core_stats.total_cycles` are gone. v6 entries must miss cleanly.
+// v7: each counter stored once — the payload lost its machine-wide
+// aggregates, which the accessors sum from the per-cluster slices, and the
+// slices lost their in-slice sums (a channel's `requests` became its `dram`
+// traffic); v6 entries must miss cleanly.
 const VERSION: u64 = 7;
 
 impl From<json::Error> for SnapshotError {
