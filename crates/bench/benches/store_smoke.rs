@@ -8,7 +8,8 @@
 //!   twice. The first invocation (`VIRGO_STORE_SMOKE_EXPECT=cold`) computes
 //!   every point and write-through PUTs the reports; the second
 //!   (`VIRGO_STORE_SMOKE_EXPECT=warm`) is a fresh process with an empty
-//!   memory layer and must answer ≥ 90% of the grid straight from the store.
+//!   memory layer and must answer ≥ 90% of the grid straight from the store,
+//!   at no more than [`MAX_READ_MS_PER_HIT`] of remote read time per hit.
 //! * **Standalone** — with no `VIRGO_SWEEP_STORE`, the bench spawns an
 //!   in-process server on an ephemeral port and runs both phases itself, so
 //!   `cargo bench --bench store_smoke` exercises the same contract locally.
@@ -21,7 +22,12 @@ use std::time::Instant;
 use virgo::DesignKind;
 use virgo_kernels::GemmShape;
 use virgo_store::{EntryDir, StoreServer};
-use virgo_sweep::{Query, StoreConfig, SweepService};
+use virgo_sweep::{Query, StoreConfig, StoreTier, SweepService};
+
+/// Ceiling on the warm phase's mean remote read time per hit. A reply that
+/// stalls on Nagle's algorithm against a delayed ACK costs ~40 ms; a
+/// healthy localhost read of a few-KB entry takes well under a millisecond.
+const MAX_READ_MS_PER_HIT: f64 = 10.0;
 
 /// The sharded 256³ GEMM grid: every design at N ∈ {1, 2, 4} clusters —
 /// the same grid `sweep_smoke` gates the disk layer with.
@@ -81,6 +87,18 @@ fn run_phase(addr: &str, phase: &str) {
                 rate * 100.0,
                 stats.remote_hits,
                 points.len()
+            );
+            let read_micros = service
+                .cache()
+                .store_stats_for(StoreTier::Remote)
+                .read_micros;
+            let ms_per_hit = read_micros as f64 / 1000.0 / stats.remote_hits as f64;
+            println!("store-smoke [warm]: {ms_per_hit:.3} ms of remote read time per hit");
+            assert!(
+                ms_per_hit <= MAX_READ_MS_PER_HIT,
+                "warm phase remote reads must average <= {MAX_READ_MS_PER_HIT} ms per hit: \
+                 {ms_per_hit:.3} ms ({read_micros} us over {} hits)",
+                stats.remote_hits
             );
         }
         other => panic!("unknown VIRGO_STORE_SMOKE_EXPECT phase {other:?}"),

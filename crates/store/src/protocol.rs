@@ -166,10 +166,21 @@ fn read_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-fn write_payload(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&checksum64(payload).to_le_bytes())?;
-    w.write_all(payload)
+/// Sends one frame — `header`, then the payload's length, checksum and
+/// bytes — from a single buffer with a single `write_all`, so a socket
+/// never holds back the tail of a frame waiting for the peer's ACK of its
+/// head (Nagle's algorithm against a delayed ACK).
+fn write_frame(w: &mut impl Write, header: &[u8], payload: &[u8]) -> io::Result<()> {
+    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
+        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
+    }
+    let mut frame = Vec::with_capacity(header.len() + 12 + payload.len());
+    frame.extend_from_slice(header);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Serializes one request frame.
@@ -179,14 +190,11 @@ pub fn write_request(
     key: &[u8; KEY_LEN],
     payload: &[u8],
 ) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
-        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
-    }
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&[opcode as u8])?;
-    w.write_all(key)?;
-    write_payload(w, payload)?;
-    w.flush()
+    let mut header = [0u8; 5 + KEY_LEN];
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = opcode as u8;
+    header[5..].copy_from_slice(key);
+    write_frame(w, &header, payload)
 }
 
 /// Parses one request frame (blocking until complete or the stream errors).
@@ -209,13 +217,8 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
 
 /// Serializes one response frame.
 pub fn write_response(w: &mut impl Write, status: Status, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > u64::from(MAX_PAYLOAD) {
-        return Err(protocol_error("payload exceeds MAX_PAYLOAD"));
-    }
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&[status as u8])?;
-    write_payload(w, payload)?;
-    w.flush()
+    let [m0, m1, m2, m3] = MAGIC.to_le_bytes();
+    write_frame(w, &[m0, m1, m2, m3, status as u8], payload)
 }
 
 /// Parses one response frame.
@@ -316,6 +319,38 @@ mod tests {
         assert_eq!(req.key_hex(), None);
         req.key[0] = b'A';
         assert_eq!(req.key_hex(), None, "keys are canonical lower-case hex");
+    }
+
+    /// A sink that records the size of every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each frame leaves in one write: a frame split over several small
+    /// writes stalls on Nagle's algorithm against the peer's delayed ACK.
+    #[test]
+    fn each_frame_takes_exactly_one_write() {
+        let key = key_field(&"cd".repeat(16));
+        for payload in [&b""[..], b"{\"entry\":7}"] {
+            let mut w = CountingWriter::default();
+            write_request(&mut w, Opcode::Put, &key, payload).unwrap();
+            assert_eq!(w.writes, vec![4 + 1 + KEY_LEN + 4 + 8 + payload.len()]);
+            let mut w = CountingWriter::default();
+            write_response(&mut w, Status::Hit, payload).unwrap();
+            assert_eq!(w.writes, vec![4 + 1 + 4 + 8 + payload.len()]);
+        }
     }
 
     #[test]

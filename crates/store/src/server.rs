@@ -179,6 +179,10 @@ impl StoreServer {
     /// or the stop flag is raised.
     fn handle(&self, mut stream: TcpStream, peer: SocketAddr, conn_id: u64) {
         let mut conn = ConnStats::default();
+        // Replies go out as soon as they are written, not held back for
+        // the peer's ACK of the request (a ~40 ms delayed-ACK stall per
+        // reply). Best effort: a socket that refuses still works, slowly.
+        let _ = stream.set_nodelay(true);
         loop {
             match self.read_frame(&mut stream) {
                 Ok(Some(request)) => {
