@@ -3,10 +3,10 @@
 //!
 //! A [`JobTable`] is a *session*: the machine stays up, jobs are admitted
 //! onto free cluster slots while others are still running, and every job
-//! retires with its own [`SimReport`] sliced out of
-//! the shared counters via the residency-window attribution deltas that
-//! [`virgo_mem::MemoryBackend::attribution`] and
-//! [`virgo_mem::DsmFabric::attribution`] expose. Cross-job contention on the
+//! retires with its own [`SimReport`] sliced out of the shared components'
+//! per-cluster counters ([`virgo_mem::MemoryBackend::per_cluster_stats`],
+//! [`virgo_mem::DsmFabric::per_cluster_stats`]) over its residency window.
+//! Cross-job contention on the
 //! shared L2/DRAM back-end is modelled for free: resident jobs issue into
 //! the same [`virgo_mem::MemoryBackend`], so one tenant's DRAM traffic
 //! lengthens another's latency exactly as on real hardware.
@@ -40,7 +40,7 @@
 //!   the naive loop produces.
 
 use virgo_isa::{Kernel, KernelInfo};
-use virgo_mem::{BackendAttribution, FabricAttribution};
+use virgo_mem::{ClusterContentionStats, ClusterDsmStats};
 use virgo_sim::{Counters, Cycle};
 
 use crate::config::GpuConfig;
@@ -102,8 +102,8 @@ struct ResidentJob {
     clusters: Vec<u32>,
     admitted: u64,
     budget: u64,
-    backend_base: BackendAttribution,
-    fabric_base: FabricAttribution,
+    backend_base: Vec<ClusterContentionStats>,
+    fabric_base: Vec<ClusterDsmStats>,
     /// Instructions retired on the job's clusters at its half-budget
     /// checkpoint — the livelock detector.
     watchdog_sample: Option<u64>,
@@ -274,8 +274,8 @@ impl JobTable {
             clusters: owned,
             admitted: self.now,
             budget,
-            backend_base: self.machine.backend.attribution(),
-            fabric_base: self.machine.fabric.attribution(),
+            backend_base: self.machine.backend.per_cluster_stats().to_vec(),
+            fabric_base: self.machine.fabric.per_cluster_stats().to_vec(),
             watchdog_sample: None,
         });
         Ok(id)
@@ -344,7 +344,7 @@ impl JobTable {
     }
 
     /// Retires every job whose clusters have finished, building its report
-    /// from the residency-window attribution delta before the slots are
+    /// from its residency-window counter deltas before the slots are
     /// returned to idle.
     fn retire_finished(&mut self) -> Vec<JobCompletion> {
         let mut done = Vec::new();
@@ -445,14 +445,23 @@ impl JobTable {
     /// Builds a job's report from its residency window: its cluster slots
     /// plus the shared-counter deltas since admission.
     fn job_report(&self, job: &ResidentJob, sched: SchedStats) -> SimReport {
+        let machine = &self.machine;
         let view = JobView {
             clusters: job
                 .clusters
                 .iter()
-                .map(|&id| &self.machine.clusters[id as usize])
+                .map(|&id| &machine.clusters[id as usize])
                 .collect(),
-            backend: self.machine.backend.attribution().since(&job.backend_base),
-            fabric: self.machine.fabric.attribution().since(&job.fabric_base),
+            contention: machine
+                .backend
+                .per_cluster_stats()
+                .to_vec()
+                .since(&job.backend_base),
+            dsm: machine
+                .fabric
+                .per_cluster_stats()
+                .to_vec()
+                .since(&job.fabric_base),
             admitted: job.admitted,
             end: self.now,
         };
@@ -467,8 +476,8 @@ mod tests {
     use crate::run::Gpu;
     use std::sync::Arc;
     use virgo_isa::{DataType, ProgramBuilder, WarpAssignment, WarpOp};
-    use virgo_mem::ClusterContentionStats;
-    use virgo_sim::SplitMix64;
+    use virgo_mem::DsmConfig;
+    use virgo_sim::{FaultKind, FaultPlan, SplitMix64};
 
     /// A two-cluster kernel with mixed-length ALU streams and a per-cluster
     /// barrier, so the two clusters finish at different times.
@@ -860,21 +869,159 @@ mod tests {
         Kernel::new(KernelInfo::new("traffic", 0, DataType::Fp16), warps)
     }
 
+    /// One warp on `cluster` that DMA-copies 4 KiB from global `addr` into
+    /// its scratchpad, then runs `alu` ALU ops and pushes `stores` remote
+    /// stores into cluster `to`'s scratchpad.
+    fn dma_then_remote_warp(
+        cluster: u32,
+        addr: u64,
+        alu: u32,
+        to: u32,
+        stores: u32,
+    ) -> WarpAssignment {
+        use virgo_isa::{DeviceId, DmaCopyCmd, MemLoc, MmioCommand};
+        let mut b = ProgramBuilder::new();
+        let cmd = MmioCommand::DmaCopy(DmaCopyCmd::new(
+            MemLoc::global(addr),
+            MemLoc::shared(0u64),
+            4096,
+        ));
+        b.op(WarpOp::MmioWrite {
+            device: DeviceId::DMA0,
+            cmd,
+        });
+        b.op(WarpOp::FenceAsync { max_outstanding: 0 });
+        b.op_n(
+            alu,
+            WarpOp::Alu {
+                rf_reads: 2,
+                rf_writes: 1,
+            },
+        );
+        let remote = virgo_isa::AddrExpr::fixed(virgo_isa::remote_smem_addr(to, 0));
+        b.op_n(
+            stores,
+            WarpOp::StoreShared {
+                access: virgo_isa::LaneAccess::contiguous_words(remote, 32),
+            },
+        );
+        WarpAssignment::on_cluster(cluster, 0, 0, Arc::new(b.build()))
+    }
+
+    /// Regression: a job that shared a faulted machine reports only its own
+    /// reroutes and re-stripes. On a 4-cluster ring with segment 2 dead and
+    /// DRAM channel 1 down, job "a" on {0, 1} reads DRAM and stays resident
+    /// while job "b" on {2} reads DRAM and stores into cluster 3, whose
+    /// short path crosses the dead segment. A sentinel on cluster 3 keeps
+    /// the table from emptying (which would rebuild the shared components
+    /// cold) before the machine's slices are read.
+    #[test]
+    fn shared_faulted_machine_charges_each_job_its_own_recovery() {
+        let plan = FaultPlan::seeded(7)
+            .with_event(FaultKind::DsmLinkDown { link: 2 }, 0, 1_000_000)
+            .with_event(FaultKind::DramChannelDown { channel: 1 }, 0, 1_000_000);
+        let config = GpuConfig::virgo()
+            .with_clusters(4)
+            .with_dsm(DsmConfig::enabled_ring())
+            .with_dram_channels(2)
+            .with_faults(plan);
+        let kernel =
+            |name: &str, warps| Kernel::new(KernelInfo::new(name, 0, DataType::Fp16), warps);
+        let a = kernel(
+            "a",
+            vec![
+                dma_then_remote_warp(0, 0, 2_000, 0, 0),
+                dma_then_remote_warp(1, 8192, 2_000, 1, 0),
+            ],
+        );
+        let b = kernel("b", vec![dma_then_remote_warp(2, 1 << 20, 8, 3, 16)]);
+        for mode in [SimMode::Naive, SimMode::FastForward] {
+            let mut table = JobTable::new(config.clone(), mode);
+            table
+                .admit("sentinel", &one_cluster_kernel(3, 20_000), &[3], 1_000_000)
+                .unwrap();
+            table.admit("a", &a, &[0, 1], 1_000_000).unwrap();
+            table.admit("b", &b, &[2], 1_000_000).unwrap();
+            let mut done = Vec::new();
+            while table.resident() > 1 {
+                done.extend(table.advance_until(u64::MAX));
+            }
+            done.sort_by_key(|c| c.id);
+            assert!(done[1].retired < done[0].retired, "{mode}: a outlives b");
+            let a = done[0].result.as_ref().unwrap().fault_stats();
+            let b = done[1].result.as_ref().unwrap().fault_stats();
+            let machine_reroutes: u64 = table
+                .machine
+                .fabric
+                .per_cluster_stats()
+                .iter()
+                .map(|c| c.rerouted_transfers)
+                .sum();
+            let machine_restripes: u64 = table
+                .machine
+                .backend
+                .per_cluster_stats()
+                .iter()
+                .map(|c| c.dram_restriped_accesses)
+                .sum();
+            assert_eq!(a.dsm_rerouted_transfers, 0, "{mode}: a sends nothing");
+            assert_eq!(a.dsm_blocked_cycles, 0, "{mode}");
+            assert_eq!(b.dsm_rerouted_transfers, 16, "{mode}: b's stores detour");
+            assert_eq!(machine_reroutes, 16, "{mode}");
+            assert!(a.dram_restriped_accesses > 0, "{mode}");
+            assert!(b.dram_restriped_accesses > 0, "{mode}");
+            assert_eq!(
+                a.dram_restriped_accesses + b.dram_restriped_accesses,
+                machine_restripes,
+                "{mode}: each re-stripe is charged once"
+            );
+        }
+    }
+
+    /// A random fault plan with one finite window of each kind inside the
+    /// first 4k cycles, where the random sessions' jobs run: a DSM link
+    /// down and one slow, a DRAM channel down and one throttled.
+    fn random_fault_plan(rng: &mut SplitMix64, links: u32, channels: u32) -> FaultPlan {
+        let mut plan = FaultPlan::seeded(rng.next_u64());
+        for kind in 0..4 {
+            let link = rng.next_below(u64::from(links)) as u32;
+            let channel = rng.next_below(u64::from(channels)) as u32;
+            let kind = match kind {
+                0 => FaultKind::DsmLinkDown { link },
+                1 => FaultKind::DsmLinkSlow {
+                    link,
+                    bandwidth_divisor: 2 + rng.next_below(4) as u32,
+                },
+                2 => FaultKind::DramChannelDown { channel },
+                _ => FaultKind::DramChannelThrottle {
+                    channel,
+                    latency_multiplier: 2 + rng.next_below(4) as u32,
+                },
+            };
+            let from = rng.next_below(2_000);
+            plan = plan.with_event(kind, from, from + 1 + rng.next_below(2_000));
+        }
+        plan
+    }
+
     /// Property: every memory-system event lands in exactly one job's
     /// report. Random sessions — 2 to 4 jobs on random cluster subsets,
-    /// admitted at random offsets while others run, DSM on or off, 1 to 4
-    /// DRAM channels — under both modes: the per-job sums of DRAM bytes and
-    /// bursts, L2 accesses and misses, DMA bytes, DSM transfers and bytes
-    /// equal the machine's own totals, and each job's DRAM-burst energy is
-    /// its own bursts' energy. A long ALU-only sentinel job holds one
-    /// cluster so the table never empties (which would rebuild the shared
-    /// back-end cold) before the machine totals are read.
+    /// admitted at random offsets while others run, DSM off or on a faulted
+    /// ring, 1 to 4 DRAM channels — under both modes: the per-job sums of
+    /// DRAM bytes and bursts, L2 accesses and misses, DMA bytes, DSM
+    /// transfers and bytes, and the five fault-recovery counters (DSM
+    /// reroutes, blocked and recovery cycles, DRAM re-stripes and recovery
+    /// cycles) equal the machine's own totals, and each job's DRAM-burst
+    /// energy is its own bursts' energy. A long ALU-only sentinel job holds
+    /// one cluster so the table never empties (which would rebuild the
+    /// shared back-end cold) before the machine totals are read.
     #[test]
     fn per_job_traffic_sums_to_the_machine_totals() {
         use virgo_energy::{EnergyEvent, EnergyTable};
         const CLUSTERS: u32 = 6;
         const BUDGET: u64 = 1_000_000;
         let burst_mj = EnergyTable::default_16nm().energy_pj(EnergyEvent::DramBurst) * 1e-9;
+        let mut fault_totals = [0u64; 5];
         for seed in 0..6u64 {
             let mut rng = SplitMix64::new(0xC0_5E57 + seed);
             let dsm = seed % 2 == 1;
@@ -883,7 +1030,12 @@ mod tests {
                 .with_clusters(CLUSTERS)
                 .with_dram_channels(channels);
             if dsm {
-                config = config.with_dsm_enabled();
+                // A stream of its own, so the sessions stay those of the
+                // fault-free draws.
+                let faults = random_fault_plan(&mut SplitMix64::new(!seed), CLUSTERS, channels);
+                config = config
+                    .with_dsm(DsmConfig::enabled_ring())
+                    .with_faults(faults);
             }
             let jobs = 2 + rng.next_below(3) as usize;
             let sentinel = rng.next_below(u64::from(CLUSTERS)) as u32;
@@ -983,6 +1135,38 @@ mod tests {
                     "{label}"
                 );
                 assert_eq!(sum(&|r| r.dsm_stats().bytes), transfers.bytes, "{label}");
+                let mut machine_faults = [0u64; 5];
+                for c in backend.per_cluster_stats() {
+                    machine_faults[0] += c.dram_restriped_accesses;
+                    machine_faults[1] += c.dram_recovery_cycles;
+                }
+                for c in fabric.per_cluster_stats() {
+                    machine_faults[2] += c.rerouted_transfers;
+                    machine_faults[3] += c.blocked_cycles;
+                    machine_faults[4] += c.recovery_cycles;
+                }
+                let job_faults = [
+                    sum(&|r| r.fault_stats().dram_restriped_accesses),
+                    sum(&|r| {
+                        r.per_cluster()
+                            .iter()
+                            .map(|c| c.contention.dram_recovery_cycles)
+                            .sum()
+                    }),
+                    sum(&|r| r.fault_stats().dsm_rerouted_transfers),
+                    sum(&|r| r.fault_stats().dsm_blocked_cycles),
+                    sum(&|r| r.per_cluster().iter().map(|c| c.dsm.recovery_cycles).sum()),
+                ];
+                assert_eq!(job_faults, machine_faults, "{label}: fault counters");
+                assert_eq!(
+                    sum(&|r| r.fault_stats().recovery_cycles),
+                    machine_faults[1] + machine_faults[4],
+                    "{label}"
+                );
+                fault_totals
+                    .iter_mut()
+                    .zip(machine_faults)
+                    .for_each(|(t, m)| *t += m);
                 for r in &reports {
                     let slices: f64 = r.per_cluster().iter().map(|c| c.energy_mj).sum();
                     let burst_energy = r.total_energy_mj() - slices;
@@ -994,6 +1178,12 @@ mod tests {
                 }
             }
         }
+        // Blocked cycles need a fully severed ring, which one dead link
+        // never makes; the other four counters all move.
+        assert!(
+            [0, 1, 2, 4].iter().all(|&i| fault_totals[i] > 0),
+            "the fault plans re-stripe, reroute and recover: {fault_totals:?}"
+        );
     }
 
     #[test]

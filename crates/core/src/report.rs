@@ -13,12 +13,10 @@ use virgo_energy::{
 };
 use virgo_isa::KernelInfo;
 use virgo_mem::{
-    BackendAttribution, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
-    DsmFabricStats, DsmLinkStats, FabricAttribution, GlobalMemoryStats, SmemStats,
+    ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats, DsmFabricStats, DsmLinkStats,
+    GlobalMemoryStats, SmemStats,
 };
-use virgo_sim::{
-    ClusterFaultStats, Counters, Cycle, EccStats, FaultPlan, FaultStats, Frequency, Ratio,
-};
+use virgo_sim::{ClusterFaultStats, Counters, Cycle, FaultPlan, FaultStats, Frequency, Ratio};
 use virgo_simt::CoreStats;
 
 use crate::cluster::{Cluster, ClusterStats};
@@ -94,10 +92,12 @@ pub struct ClusterReport {
     /// This cluster's MMIO / async-tracking statistics.
     pub cluster_stats: ClusterStats,
     /// This cluster's L2, DMA and per-channel DRAM traffic on the shared
-    /// back-end, with the contention it suffered there.
+    /// back-end, with the contention it suffered there and the DRAM
+    /// re-stripes and recovery latency its accesses were charged.
     pub contention: ClusterContentionStats,
-    /// This cluster's traffic over the inter-cluster DSM fabric (all
-    /// counters zero when the fabric is disabled or unused).
+    /// This cluster's traffic over the inter-cluster DSM fabric, with its
+    /// transfers' reroutes, blocked and recovery cycles (all counters zero
+    /// when the fabric is disabled or unused).
     pub dsm: ClusterDsmStats,
     /// Multiply-accumulates performed by this cluster's matrix units.
     pub performed_macs: u64,
@@ -190,27 +190,31 @@ pub struct SimReport {
     pub(crate) kernel_macs: u64,
     pub(crate) peak_macs_per_cycle: u64,
     pub(crate) per_cluster: Vec<ClusterReport>,
-    pub(crate) fault: FaultStats,
+    /// Fault-plan windows first activated during the residency, machine-wide.
+    pub(crate) fault_windows: u64,
+    /// Residency cycles with at least one fault-plan window active,
+    /// machine-wide.
+    pub(crate) degraded_cycles: u64,
     pub(crate) sched: SchedStats,
     pub(crate) power: PowerReport,
     pub(crate) area: AreaReport,
 }
 
 /// One job's view of the machine at retirement: the cluster slots the job
-/// owned plus the shared-resource counters accumulated over its residency
-/// window (an attribution delta between retirement and admission snapshots),
-/// of which the report keeps the job's own clusters' slices.
+/// owned plus the shared components' per-cluster slices accumulated over its
+/// residency window (retirement minus admission snapshots), of which the
+/// report keeps the job's own clusters'.
 ///
 /// A [`crate::run::Gpu::run`] session builds the degenerate view — every
-/// cluster, a cold machine's zero-base attribution, `admitted = 0` — the
-/// whole machine's report.
+/// cluster, a cold machine's zero base, `admitted = 0` — the whole
+/// machine's report.
 pub(crate) struct JobView<'a> {
     /// The cluster slots the job ran on, in cluster-id order.
     pub(crate) clusters: Vec<&'a Cluster>,
-    /// Shared back-end counters accumulated over the residency window.
-    pub(crate) backend: BackendAttribution,
-    /// DSM fabric counters accumulated over the residency window.
-    pub(crate) fabric: FabricAttribution,
+    /// The back-end's per-cluster slices over the residency window.
+    pub(crate) contention: Vec<ClusterContentionStats>,
+    /// The DSM fabric's per-cluster slices over the residency window.
+    pub(crate) dsm: Vec<ClusterDsmStats>,
     /// Absolute cycle the job was admitted (0 for a standalone run).
     pub(crate) admitted: u64,
     /// Absolute cycle the window closed (equals the relative cycle count
@@ -234,11 +238,9 @@ impl SimReport {
     ///
     /// `cycles` is the job's residency duration (`end - admitted`). All
     /// plan-derived fault counters are windowed to the residency. Every
-    /// counter, DRAM burst energy included, comes from the job's own
-    /// clusters' slices, so it is exact under concurrent residency too. The
-    /// degraded-mode DSM and DRAM counters (reroutes, re-stripes, recovery)
-    /// are the one exception: the shared components keep them per window,
-    /// not per requester.
+    /// counter, DRAM burst energy and the degraded-mode reroutes,
+    /// re-stripes and recovery included, comes from the job's own clusters'
+    /// slices, so it is exact under concurrent residency too.
     pub(crate) fn from_parts(
         view: &JobView<'_>,
         info: &KernelInfo,
@@ -254,15 +256,13 @@ impl SimReport {
         // ledger is their merge plus the slices' DRAM bursts.
         let mut machine_ledger = EnergyLedger::new();
         let mut per_cluster = Vec::with_capacity(view.clusters.len());
-        let mut ecc_total = EccStats::default();
         for &cluster in &view.clusters {
             let id = cluster.cluster_id();
-            let contention = view.backend.per_cluster[id as usize].clone();
-            let dsm = view.fabric.per_cluster[id as usize].clone();
+            let contention = view.contention[id as usize].clone();
+            let dsm = view.dsm[id as usize].clone();
             let ledger = build_cluster_ledger(cluster, &contention, &dsm);
             let devices = cluster.devices();
             let ecc = devices.smem.ecc_stats();
-            ecc_total.merge(&ecc);
             // DRAM interface energy is charged per channel: each channel's
             // PHY and controller see only the bursts routed to it.
             for channel in &contention.per_channel {
@@ -298,25 +298,6 @@ impl SimReport {
             });
             machine_ledger.merge(&ledger);
         }
-        // Degraded-mode cycles come analytically from the plan (union of
-        // windows clipped to the run), while reroute/re-stripe/recovery
-        // counters come from the components that actually absorbed the
-        // faults — so the two simulation modes agree bit-for-bit.
-        let dsm_fault = view.fabric.fault;
-        let dram_fault = view.backend.dram_fault;
-        let fault = FaultStats {
-            injected: windows_between(|c| plan.windows_activated_by(c), admitted, end)
-                + ecc_total.injected,
-            detected: ecc_total.detected,
-            corrected: ecc_total.corrected,
-            degraded_cycles: plan
-                .degraded_cycles(end)
-                .saturating_sub(plan.degraded_cycles(admitted)),
-            dsm_rerouted_transfers: dsm_fault.rerouted_transfers,
-            dsm_blocked_cycles: dsm_fault.blocked_cycles,
-            dram_restriped_accesses: dram_fault.restriped_accesses,
-            recovery_cycles: dsm_fault.recovery_cycles + dram_fault.recovery_cycles,
-        };
         let power = PowerReport::from_ledger(&machine_ledger, &table, cycles, config.frequency);
         let area = AreaModel::default_16nm().estimate(&config.area_params());
 
@@ -328,7 +309,12 @@ impl SimReport {
             kernel_macs: info.total_macs,
             peak_macs_per_cycle: config.machine_peak_macs_per_cycle(),
             per_cluster,
-            fault,
+            // The plan's windows are machine-wide: activations and the
+            // union of degraded cycles, both clipped to the residency.
+            fault_windows: windows_between(|c| plan.windows_activated_by(c), admitted, end),
+            degraded_cycles: plan
+                .degraded_cycles(end)
+                .saturating_sub(plan.degraded_cycles(admitted)),
             sched,
             power,
             area,
@@ -525,16 +511,37 @@ impl SimReport {
         }
     }
 
-    /// Machine-wide fault-injection and degraded-mode accounting (all zero
-    /// when the configuration carries no fault plan).
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault
+    /// Fault-injection and degraded-mode accounting (all zero when the
+    /// configuration carries no fault plan). The ECC events, reroutes,
+    /// blocked cycles, re-stripes and recovery cycles are sums over the
+    /// job's slices, so they are the job's own; the activated windows (in
+    /// `injected`) and `degraded_cycles` are machine-wide facts of the fault
+    /// plan, clipped to the residency.
+    pub fn fault_stats(&self) -> FaultStats {
+        let mut fault = FaultStats {
+            injected: self.fault_windows,
+            degraded_cycles: self.degraded_cycles,
+            ..FaultStats::default()
+        };
+        for c in &self.per_cluster {
+            // The SECDED model detects every upset it injects, so a slice's
+            // ECC injections are its detections.
+            fault.injected += c.fault.detected;
+            fault.detected += c.fault.detected;
+            fault.corrected += c.fault.corrected;
+            fault.dsm_rerouted_transfers += c.dsm.rerouted_transfers;
+            fault.dsm_blocked_cycles += c.dsm.blocked_cycles;
+            fault.dram_restriped_accesses += c.contention.dram_restriped_accesses;
+            fault.recovery_cycles += c.dsm.recovery_cycles + c.contention.dram_recovery_cycles;
+        }
+        fault
     }
 
     /// True when any fault activity was recorded: a window activated, an
     /// ECC upset was injected, or a component ran in degraded mode.
     pub fn faults_injected(&self) -> bool {
-        self.fault.injected > 0 || self.fault.degraded_cycles > 0
+        let fault = self.fault_stats();
+        fault.injected > 0 || fault.degraded_cycles > 0
     }
 
     /// Total DRAM traffic in bytes at the channel interface (after burst

@@ -4,7 +4,7 @@
 //! A cache entry is a plain JSON document with a small envelope:
 //!
 //! ```json
-//! {"format":"virgo-simreport","version":7,"key":"<32-hex SimKey>",
+//! {"format":"virgo-simreport","version":8,"key":"<32-hex SimKey>",
 //!  "checksum":"<16-hex>","payload":{...}}
 //! ```
 //!
@@ -74,7 +74,12 @@ const FORMAT: &str = "virgo-simreport";
 // aggregates, which the accessors sum from the per-cluster slices, and the
 // slices lost their in-slice sums (a channel's `requests` became its `dram`
 // traffic); v6 entries must miss cleanly.
-const VERSION: u64 = 7;
+// v8: each fault-recovery event counted once — the slices' `contention` and
+// `dsm` objects gained the DRAM re-stripe/recovery and DSM reroute/blocked/
+// recovery counters, and the payload's `fault` object became the two
+// plan-wide values `fault_windows` and `degraded_cycles`; v7 entries must
+// miss cleanly.
+const VERSION: u64 = 8;
 
 impl From<json::Error> for SnapshotError {
     fn from(e: json::Error) -> Self {
@@ -214,7 +219,8 @@ fn write_payload(report: &SimReport) -> String {
             "per_cluster",
             &write_array(&report.per_cluster, write_cluster_report),
         )
-        .raw("fault", &report.fault.to_json())
+        .u64("fault_windows", report.fault_windows)
+        .u64("degraded_cycles", report.degraded_cycles)
         .raw("sched", &report.sched.to_json())
         .raw("power", &write_power(&report.power))
         .raw("area", &write_breakdown(report.area.breakdown()));
@@ -235,7 +241,8 @@ fn read_payload(v: &Value) -> Result<SimReport> {
         kernel_macs: read(v, "kernel_macs")?,
         peak_macs_per_cycle: read(v, "peak_macs_per_cycle")?,
         per_cluster: read_array(v, "per_cluster", read_cluster_report)?,
-        fault: read(v, "fault")?,
+        fault_windows: read(v, "fault_windows")?,
+        degraded_cycles: read(v, "degraded_cycles")?,
         sched: read(v, "sched")?,
         power: read_power(v.get("power")?)?,
         area: AreaReport::from_entries(read_breakdown(v.get("area")?, &Component::all())?),
@@ -318,7 +325,7 @@ mod tests {
     use std::sync::Arc;
     use virgo_isa::{DataType, Kernel, KernelInfo, ProgramBuilder, WarpAssignment, WarpOp};
     use virgo_mem::{ClusterContentionStats, ClusterDsmStats, GlobalMemoryStats, SmemStats};
-    use virgo_sim::{ClusterFaultStats, FaultStats};
+    use virgo_sim::ClusterFaultStats;
     use virgo_simt::CoreStats;
 
     fn sample_report(clusters: u32) -> (SimReport, String) {
@@ -468,7 +475,8 @@ mod tests {
             kernel_macs: 0,
             peak_macs_per_cycle: 0,
             per_cluster: vec![cluster(0), cluster(1)],
-            fault: FaultStats::default(),
+            fault_windows: 0,
+            degraded_cycles: 0,
             sched: SchedStats::default(),
             power: PowerReport::from_parts(
                 Cycle::new(1),
@@ -500,7 +508,7 @@ mod tests {
         let envelope = json::parse(text.trim_end()).unwrap();
         assert_eq!(
             envelope.get("checksum").unwrap().as_str().unwrap(),
-            "59ce5764850b7cf2"
+            "35c153933f138890"
         );
     }
 
@@ -508,7 +516,7 @@ mod tests {
     fn version_and_format_are_checked() {
         let (report, key) = sample_report(1);
         let text = report.to_cache_json(&key);
-        let bumped = text.replace("\"version\":7", "\"version\":99");
+        let bumped = text.replace("\"version\":8", "\"version\":99");
         let err = SimReport::from_cache_json(&bumped, &key).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }

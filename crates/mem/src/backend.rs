@@ -12,16 +12,18 @@
 //! the requesting cluster — with a per-channel breakdown — so multi-cluster
 //! runs can report DRAM-contention stalls per cluster and per channel.
 //!
-//! Each L2 access, DMA byte and DRAM transfer is counted once, in the slice
-//! of the cluster that issued it (and, for DRAM, the channel that served
-//! it). Every machine-wide total — [`MemoryBackend::dram_stats`], a
-//! channel's traffic, a report's L2 totals — is a sum over those slices.
+//! Each L2 access, DMA byte, DRAM transfer and DRAM fault-recovery event
+//! (a re-striped access, a channel's first service after an outage) is
+//! counted once, in the slice of the cluster that issued it (and, for DRAM
+//! traffic, the channel that served it). Every machine-wide total —
+//! [`MemoryBackend::dram_stats`], a channel's traffic, a report's L2
+//! totals — is a sum over those slices.
 
 use virgo_sim::fault::FaultPlan;
 use virgo_sim::{Counters, Cycle};
 
 use crate::cache::Cache;
-use crate::dram::{DramFaultStats, DramStats, MultiChannelDram};
+use crate::dram::{DramStats, MultiChannelDram};
 use crate::global::GlobalMemoryConfig;
 
 /// One cluster's traffic and contention on a single DRAM channel.
@@ -38,9 +40,10 @@ virgo_sim::counters!(ChannelContentionStats { dram, stall_cycles });
 
 /// Per-cluster contention counters kept by the shared back-end.
 ///
-/// These are the back-end's only L2, DMA and DRAM counts: each event is
-/// charged once, to the cluster that issued it, and a machine-wide total is
-/// the sum over clusters, taken when it is read.
+/// These are the back-end's only L2, DMA and DRAM counts, degraded-mode
+/// events included: each event is charged once, to the cluster that issued
+/// it, and a machine-wide total is the sum over clusters, taken when it is
+/// read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterContentionStats {
     /// L2 accesses issued by this cluster (demand misses and DMA chunks).
@@ -76,6 +79,13 @@ pub struct ClusterContentionStats {
     /// is `>= dram_stall_cycles` when split DMA sub-transfers wait
     /// concurrently (equal at one channel).
     pub per_channel: Vec<ChannelContentionStats>,
+    /// This cluster's DRAM accesses whose home channel was down, re-striped
+    /// onto a surviving channel.
+    pub dram_restriped_accesses: u64,
+    /// Recovery latency charged to this cluster: for each finite channel
+    /// outage whose first later service was this cluster's access, the
+    /// cycles from the window's end to that access.
+    pub dram_recovery_cycles: u64,
 }
 virgo_sim::counters!(ClusterContentionStats {
     l2_accesses,
@@ -84,6 +94,8 @@ virgo_sim::counters!(ClusterContentionStats {
     dram_bytes,
     dram_stall_cycles,
     per_channel,
+    dram_restriped_accesses,
+    dram_recovery_cycles,
 });
 
 impl ClusterContentionStats {
@@ -104,22 +116,6 @@ impl ClusterContentionStats {
         channels
     }
 }
-
-/// Everything the shared back-end has counted, captured at one instant: the
-/// DRAM fault counters and the per-cluster slices. A job-residency session
-/// captures one at admission and subtracts it from the one at retirement
-/// ([`Counters::since`]) to attribute the window's traffic to the job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendAttribution {
-    /// Degraded-mode DRAM counters.
-    pub dram_fault: DramFaultStats,
-    /// Per-cluster contention counters, in cluster order.
-    pub per_cluster: Vec<ClusterContentionStats>,
-}
-virgo_sim::counters!(BackendAttribution {
-    dram_fault,
-    per_cluster,
-});
 
 /// The shared L2 + multi-channel DRAM back-end, bandwidth-arbitrated between
 /// clusters.
@@ -205,11 +201,6 @@ impl MemoryBackend {
         self.dram.apply_faults(plan);
     }
 
-    /// Degraded-mode DRAM counters (all zero without DRAM faults).
-    pub fn dram_fault_stats(&self) -> DramFaultStats {
-        self.dram.fault_stats()
-    }
-
     /// Number of DRAM channels behind the L2.
     pub fn dram_channels(&self) -> u32 {
         self.dram.channel_count()
@@ -227,21 +218,6 @@ impl MemoryBackend {
     /// Contention counters for every cluster, in cluster order.
     pub fn per_cluster_stats(&self) -> &[ClusterContentionStats] {
         &self.per_cluster
-    }
-
-    /// Total DRAM queueing delay across clusters — the machine-wide
-    /// contention metric.
-    pub fn total_dram_stall_cycles(&self) -> u64 {
-        self.per_cluster.iter().map(|c| c.dram_stall_cycles).sum()
-    }
-
-    /// Captures every counter the back-end keeps, for windowed per-job
-    /// attribution (see [`BackendAttribution`]).
-    pub fn attribution(&self) -> BackendAttribution {
-        BackendAttribution {
-            dram_fault: self.dram.fault_stats(),
-            per_cluster: self.per_cluster.clone(),
-        }
     }
 
     /// Serves one line-granular request from `cluster` that missed its L1,
@@ -262,9 +238,11 @@ impl MemoryBackend {
         }
         self.per_cluster[cluster as usize].l2_misses += 1;
         let present = at.plus(l2_latency);
-        let channel = self.dram.route(present, line_addr);
+        let (channel, restriped) = self.dram.route(present, line_addr);
         let (done, stall) = self.dram_access(present, cluster, channel, bytes, write);
-        self.per_cluster[cluster as usize].dram_stall_cycles += stall;
+        let stats = &mut self.per_cluster[cluster as usize];
+        stats.dram_stall_cycles += stall;
+        stats.dram_restriped_accesses += u64::from(restriped);
         done
     }
 
@@ -296,16 +274,18 @@ impl MemoryBackend {
         let lines = last - first + 1;
         let l2_time = now.plus(self.l2.latency() + lines.div_ceil(4));
         self.dma_split.iter_mut().for_each(|b| *b = 0);
+        let stats = &mut self.per_cluster[cluster as usize];
         for l in first..=last {
-            self.per_cluster[cluster as usize].l2_accesses += 1;
+            stats.l2_accesses += 1;
             if !self.l2.access(l * line).is_hit() {
-                self.per_cluster[cluster as usize].l2_misses += 1;
+                stats.l2_misses += 1;
                 // Only the requested bytes that fall inside this line are
                 // moved on a miss: partial head/tail lines count their
                 // overlap with the transfer, not the whole line (the DRAM
                 // model re-applies burst rounding to what is actually sent).
                 let span = end.min((l + 1) * line) - addr.max(l * line);
-                let channel = self.dram.route(l2_time, l * line);
+                let (channel, restriped) = self.dram.route(l2_time, l * line);
+                stats.dram_restriped_accesses += u64::from(restriped);
                 self.dma_split[channel as usize] += span;
             }
         }
@@ -327,10 +307,10 @@ impl MemoryBackend {
 
     /// Issues one DRAM sub-transfer on `channel` on behalf of `cluster`,
     /// counting it — requested bytes, then the channel's read or write,
-    /// burst-rounded bytes and bursts — and its exposed queueing delay in
-    /// the cluster's slice; returns the completion cycle and the delay so
-    /// the caller can charge the logical transfer's critical-path wait to
-    /// the cluster aggregate.
+    /// burst-rounded bytes and bursts — its exposed queueing delay and any
+    /// recovery latency it closed in the cluster's slice; returns the
+    /// completion cycle and the delay so the caller can charge the logical
+    /// transfer's critical-path wait to the cluster aggregate.
     fn dram_access(
         &mut self,
         at: Cycle,
@@ -349,8 +329,10 @@ impl MemoryBackend {
             .saturating_sub(at.plus(self.config.dram.latency))
             .get();
         let bursts = self.config.dram.bursts(bytes);
+        let (done, recovery) = self.dram.access_on(channel, at, bytes);
         let stats = &mut self.per_cluster[cluster as usize];
         stats.dram_bytes += bytes;
+        stats.dram_recovery_cycles += recovery;
         let per_channel = &mut stats.per_channel[channel as usize];
         let dram = &mut per_channel.dram;
         if write {
@@ -361,7 +343,7 @@ impl MemoryBackend {
         dram.bytes += bursts * self.config.dram.burst_bytes;
         dram.bursts += bursts;
         per_channel.stall_cycles += stall;
-        (self.dram.access_on(channel, at, bytes), stall)
+        (done, stall)
     }
 }
 
@@ -414,10 +396,6 @@ mod tests {
         assert!(second > first);
         assert_eq!(b.cluster_stats(0).dram_stall_cycles, 0);
         assert!(b.cluster_stats(1).dram_stall_cycles > 0);
-        assert_eq!(
-            b.total_dram_stall_cycles(),
-            b.cluster_stats(1).dram_stall_cycles
-        );
         // The one channel carries the cluster's one read and all its stall.
         let stats = b.cluster_stats(1);
         assert_eq!(stats.per_channel.len(), 1);
@@ -632,7 +610,7 @@ mod tests {
     #[test]
     fn dead_channel_traffic_lands_on_survivors() {
         use virgo_sim::fault::FaultKind;
-        let mut b = backend_with_channels(1, 4);
+        let mut b = backend_with_channels(2, 4);
         let plan = FaultPlan::seeded(3).with_event(
             FaultKind::DramChannelDown { channel: 1 },
             0,
@@ -644,10 +622,18 @@ mod tests {
         let per_channel = b.dram_channel_stats();
         assert_eq!(per_channel[1].reads, 0, "dead channel serves nothing");
         assert_eq!(b.dram_stats().reads, 1, "the access still completes");
-        assert_eq!(b.dram_fault_stats().restriped_accesses, 1);
-        // A cold DMA spanning all four channels also avoids channel 1.
-        b.dma_access(Cycle::new(0), 0, 4096, 4096, false);
+        assert_eq!(b.cluster_stats(0).dram_restriped_accesses, 1);
+        // A cold DMA from cluster 1 spanning all four channels also avoids
+        // channel 1, and its re-stripes are cluster 1's alone.
+        b.dma_access(Cycle::new(0), 1, 4096, 4096, false);
         assert_eq!(b.dram_channel_stats()[1].reads, 0);
-        assert!(b.dram_fault_stats().restriped_accesses > 1);
+        assert_eq!(b.cluster_stats(0).dram_restriped_accesses, 1);
+        assert!(b.cluster_stats(1).dram_restriped_accesses > 0);
+        // The first access served by channel 1 after its window closes is
+        // charged the recovery latency, once.
+        b.line_access(Cycle::new(2_000_000), 1, 8192 + 256, 32, false);
+        b.line_access(Cycle::new(3_000_000), 0, 16384 + 256, 32, false);
+        assert_eq!(b.cluster_stats(1).dram_recovery_cycles, 1_000_000 + 12);
+        assert_eq!(b.cluster_stats(0).dram_recovery_cycles, 0);
     }
 }

@@ -167,22 +167,6 @@ impl DramModel {
     }
 }
 
-/// Degraded-mode counters for the multi-channel DRAM subsystem, populated
-/// only when a [`FaultPlan`] carries DRAM channel faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramFaultStats {
-    /// Accesses whose home channel was down and were re-striped onto a
-    /// surviving channel.
-    pub restriped_accesses: u64,
-    /// Cycles between a channel's fault window closing and the first access
-    /// it served afterwards (recovery latency), summed over channels.
-    pub recovery_cycles: u64,
-}
-virgo_sim::counters!(DramFaultStats {
-    restriped_accesses,
-    recovery_cycles
-});
-
 /// One DRAM channel fault window, resolved against the subsystem.
 #[derive(Debug, Clone, Copy)]
 struct ChannelFaultState {
@@ -235,7 +219,6 @@ pub struct MultiChannelDram {
     /// DRAM channel fault windows; empty on a healthy machine, in which case
     /// routing takes the original zero-cost path.
     faults: Vec<ChannelFaultState>,
-    fault_stats: DramFaultStats,
 }
 
 impl MultiChannelDram {
@@ -258,7 +241,6 @@ impl MultiChannelDram {
             config,
             channels,
             faults: Vec::new(),
-            fault_stats: DramFaultStats::default(),
         }
     }
 
@@ -293,11 +275,6 @@ impl MultiChannelDram {
         }
     }
 
-    /// Degraded-mode counters (all zero without DRAM faults).
-    pub fn fault_stats(&self) -> DramFaultStats {
-        self.fault_stats
-    }
-
     /// The configuration.
     pub fn config(&self) -> &DramConfig {
         &self.config
@@ -322,10 +299,12 @@ impl MultiChannelDram {
         self.channels[channel as usize].busy_until()
     }
 
-    /// The channel that will actually serve address `addr` at cycle `now`:
-    /// the interleave-mapped home channel on a healthy machine, or a
+    /// The channel that will actually serve address `addr` at cycle `now`,
+    /// and whether the access was re-striped off its home channel: the
+    /// interleave-mapped home channel on a healthy machine, or a
     /// deterministic re-striping onto the surviving channels while the home
-    /// channel's outage window is active.
+    /// channel's outage window is active. The subsystem counts nothing; the
+    /// caller charges a re-striped access to whoever issued it.
     ///
     /// Re-striping spreads displaced blocks across the survivors by the same
     /// interleave arithmetic (`alive[(addr / interleave) % alive.len()]`), so
@@ -333,10 +312,10 @@ impl MultiChannelDram {
     /// channel is down, requests fall back to the home channel (the outage
     /// then just costs queueing, mirroring the DSM fabric's parked-transfer
     /// behavior rather than deadlocking the machine).
-    pub fn route(&mut self, now: Cycle, addr: u64) -> u32 {
+    pub fn route(&self, now: Cycle, addr: u64) -> (u32, bool) {
         let preferred = self.channel_for(addr);
         if self.faults.is_empty() {
-            return preferred;
+            return (preferred, false);
         }
         let t = now.get();
         let down = |faults: &[ChannelFaultState], ch: u32| {
@@ -345,40 +324,42 @@ impl MultiChannelDram {
                 .any(|f| f.channel == ch && f.latency_multiplier.is_none() && f.active_at(t))
         };
         if !down(&self.faults, preferred) {
-            return preferred;
+            return (preferred, false);
         }
         let alive: Vec<u32> = (0..self.config.channels)
             .filter(|&c| !down(&self.faults, c))
             .collect();
         if alive.is_empty() {
-            return preferred;
+            return (preferred, false);
         }
         let block = addr / self.config.interleave_bytes;
-        let rerouted = alive[(block % alive.len() as u64) as usize];
-        self.fault_stats.restriped_accesses += 1;
-        rerouted
+        (alive[(block % alive.len() as u64) as usize], true)
     }
 
     /// Performs a transfer of `bytes` on the channel that owns `addr`,
     /// starting no earlier than `now`; returns the completion cycle.
     pub fn access(&mut self, now: Cycle, addr: u64, bytes: u64) -> Cycle {
-        let channel = self.route(now, addr);
-        self.access_on(channel, now, bytes)
+        let (channel, _) = self.route(now, addr);
+        self.access_on(channel, now, bytes).0
     }
 
     /// Performs a transfer of `bytes` on an explicit channel (used by callers
     /// that already routed, e.g. to split a DMA transfer into per-channel
-    /// sub-transfers).
+    /// sub-transfers); returns the completion cycle and the recovery
+    /// latency this access closed — the cycles since a finite fault window
+    /// on the channel ended, when this is the channel's first service after
+    /// it (0 otherwise).
     ///
     /// # Panics
     ///
     /// Panics if `channel` is out of range.
-    pub fn access_on(&mut self, channel: u32, now: Cycle, bytes: u64) -> Cycle {
+    pub fn access_on(&mut self, channel: u32, now: Cycle, bytes: u64) -> (Cycle, u64) {
         if self.faults.is_empty() {
-            return self.channels[channel as usize].access(now, bytes);
+            return (self.channels[channel as usize].access(now, bytes), 0);
         }
         let t = now.get();
         let mut multiplier = 1u64;
+        let mut recovery = 0u64;
         for f in self.faults.iter_mut().filter(|f| f.channel == channel) {
             if let (true, Some(m)) = (f.active_at(t), f.latency_multiplier) {
                 multiplier = multiplier.max(u64::from(m));
@@ -387,10 +368,11 @@ impl MultiChannelDram {
             // channel's recovery point.
             if !f.recovered && t >= f.until {
                 f.recovered = true;
-                self.fault_stats.recovery_cycles += t - f.until;
+                recovery += t - f.until;
             }
         }
-        self.channels[channel as usize].access_scaled(now, bytes, multiplier)
+        let done = self.channels[channel as usize].access_scaled(now, bytes, multiplier);
+        (done, recovery)
     }
 }
 
@@ -549,12 +531,12 @@ mod tests {
         let mut clean = MultiChannelDram::new(config().with_channels(4));
         for i in 0..16u64 {
             let now = Cycle::new(i * 3);
+            assert_eq!(faulty.route(now, i * 256), clean.route(now, i * 256));
             assert_eq!(
                 faulty.access(now, i * 256, 64),
                 clean.access(now, i * 256, 64)
             );
         }
-        assert_eq!(faulty.fault_stats(), DramFaultStats::default());
     }
 
     #[test]
@@ -565,13 +547,11 @@ mod tests {
         d.apply_faults(&plan);
         // Address 256 homes on channel 1 (down); block 1 re-stripes onto
         // alive[1 % 3] = channel 2.
-        assert_eq!(d.route(Cycle::new(10), 256), 2);
+        assert_eq!(d.route(Cycle::new(10), 256), (2, true));
         // A healthy home channel routes normally.
-        assert_eq!(d.route(Cycle::new(10), 512), 2);
-        assert_eq!(d.fault_stats().restriped_accesses, 1);
+        assert_eq!(d.route(Cycle::new(10), 512), (2, false));
         // Outside the window the home channel serves again.
-        assert_eq!(d.route(Cycle::new(1_000), 256), 1);
-        assert_eq!(d.fault_stats().restriped_accesses, 1);
+        assert_eq!(d.route(Cycle::new(1_000), 256), (1, false));
     }
 
     #[test]
@@ -585,7 +565,7 @@ mod tests {
         let a = d.route(Cycle::new(0), 0);
         let b = d.route(Cycle::new(0), 4 * 256);
         let c = d.route(Cycle::new(0), 8 * 256);
-        assert_eq!(vec![a, b, c], vec![1, 2, 3]);
+        assert_eq!(vec![a, b, c], vec![(1, true), (2, true), (3, true)]);
     }
 
     #[test]
@@ -596,8 +576,7 @@ mod tests {
         }
         let mut d = MultiChannelDram::new(config().with_channels(2));
         d.apply_faults(&plan);
-        assert_eq!(d.route(Cycle::new(5), 256), 1);
-        assert_eq!(d.fault_stats().restriped_accesses, 0);
+        assert_eq!(d.route(Cycle::new(5), 256), (1, false));
     }
 
     #[test]
@@ -625,13 +604,17 @@ mod tests {
         plan = plan.with_event(FaultKind::DramChannelDown { channel: 0 }, 10, 100);
         let mut d = MultiChannelDram::new(config().with_channels(2));
         d.apply_faults(&plan);
-        d.access(Cycle::new(50), 0, 32); // re-striped away
-        assert_eq!(d.fault_stats().restriped_accesses, 1);
-        assert_eq!(d.fault_stats().recovery_cycles, 0);
-        d.access(Cycle::new(130), 0, 32); // first post-window service
-        assert_eq!(d.fault_stats().recovery_cycles, 30);
-        d.access(Cycle::new(200), 0, 32); // counted once only
-        assert_eq!(d.fault_stats().recovery_cycles, 30);
+        let mut serve = |now: u64| {
+            let (channel, restriped) = d.route(Cycle::new(now), 0);
+            (
+                channel,
+                restriped,
+                d.access_on(channel, Cycle::new(now), 32).1,
+            )
+        };
+        assert_eq!(serve(50), (1, true, 0), "re-striped away");
+        assert_eq!(serve(130), (0, false, 30), "first post-window service");
+        assert_eq!(serve(200), (0, false, 0), "counted once only");
     }
 
     #[test]

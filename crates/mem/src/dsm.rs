@@ -139,7 +139,7 @@ virgo_sim::counters!(DsmLinkStats {
 });
 
 /// Per-requester-cluster DSM counters kept by the fabric: the fabric's only
-/// count of each transfer.
+/// count of each transfer and of each fault-recovery event it caused.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterDsmStats {
     /// Flit-hop traversals this cluster's transfers performed
@@ -152,10 +152,24 @@ pub struct ClusterDsmStats {
     /// the requester's whole traffic, with no concurrent-sub-transfer max as
     /// for a split DMA.
     pub per_link: Vec<DsmLinkStats>,
+    /// This cluster's transfers that detoured the long way around the ring
+    /// because a dead segment blocked their short path.
+    pub rerouted_transfers: u64,
+    /// Cycles this cluster's transfers spent parked waiting for a dead link
+    /// with no alternate route (crossbar port outages, or a fully severed
+    /// ring).
+    pub blocked_cycles: u64,
+    /// First-use recovery latency charged to this cluster: cycles from a
+    /// finite outage's end to the first transfer, this cluster's, that
+    /// crossed the recovered link.
+    pub recovery_cycles: u64,
 }
 virgo_sim::counters!(ClusterDsmStats {
     hop_flits,
-    per_link
+    per_link,
+    rerouted_transfers,
+    blocked_cycles,
+    recovery_cycles,
 });
 
 impl ClusterDsmStats {
@@ -174,26 +188,6 @@ impl ClusterDsmStats {
         total
     }
 }
-
-/// Degraded-mode counters the fabric keeps while a fault plan is applied
-/// (all zero — and untouched — on a healthy fabric).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DsmFaultStats {
-    /// Transfers that detoured the long way around the ring because a dead
-    /// segment blocked their short path.
-    pub rerouted_transfers: u64,
-    /// Cycles transfers spent parked waiting for a dead link with no
-    /// alternate route (crossbar port outages, or a fully severed ring).
-    pub blocked_cycles: u64,
-    /// Summed first-use recovery latency: cycles from each finite outage's
-    /// end to the first transfer that crossed the recovered link.
-    pub recovery_cycles: u64,
-}
-virgo_sim::counters!(DsmFaultStats {
-    rerouted_transfers,
-    blocked_cycles,
-    recovery_cycles,
-});
 
 /// One scheduled link fault, resolved against this fabric's geometry.
 #[derive(Debug, Clone, Copy)]
@@ -275,19 +269,6 @@ impl DsmFabricStats {
     }
 }
 
-/// Everything the fabric has counted, captured at one instant — the
-/// fabric-side counterpart of [`crate::BackendAttribution`], captured at job
-/// admission and diffed at retirement ([`Counters::since`]) for per-job
-/// attribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricAttribution {
-    /// Per-requester-cluster counters, in cluster order.
-    pub per_cluster: Vec<ClusterDsmStats>,
-    /// Degraded-mode counters.
-    pub fault: DsmFaultStats,
-}
-virgo_sim::counters!(FabricAttribution { per_cluster, fault });
-
 /// The inter-cluster DSM fabric: one ingress port per cluster, arbitrated
 /// like the DRAM channels, with per-requester contention accounting.
 ///
@@ -317,7 +298,6 @@ pub struct DsmFabric {
     in_flight: Vec<InFlight>,
     /// Scheduled link faults (empty — the zero-cost path — by default).
     faults: Vec<LinkFaultState>,
-    fault_stats: DsmFaultStats,
 }
 
 impl DsmFabric {
@@ -340,7 +320,6 @@ impl DsmFabric {
             per_cluster: vec![ClusterDsmStats::for_links(clusters); clusters as usize],
             in_flight: Vec::new(),
             faults: Vec::new(),
-            fault_stats: DsmFaultStats::default(),
         }
     }
 
@@ -373,11 +352,6 @@ impl DsmFabric {
                 recovered: event.until == PERMANENT,
             });
         }
-    }
-
-    /// The degraded-mode counters (all zero on a healthy fabric).
-    pub fn fault_stats(&self) -> DsmFaultStats {
-        self.fault_stats
     }
 
     /// The configuration.
@@ -414,54 +388,9 @@ impl DsmFabric {
         &self.per_cluster
     }
 
-    /// Captures every counter the fabric keeps, for windowed per-job
-    /// attribution (see [`FabricAttribution`]).
-    pub fn attribution(&self) -> FabricAttribution {
-        FabricAttribution {
-            per_cluster: self.per_cluster.clone(),
-            fault: self.fault_stats,
-        }
-    }
-
-    /// Machine-wide per-link traffic, summed over requesters, in link order.
-    pub fn per_link_stats(&self) -> Vec<DsmLinkStats> {
-        let mut links = Vec::new();
-        for requester in &self.per_cluster {
-            links.merge(&requester.per_link);
-        }
-        links
-    }
-
-    /// Traffic arriving at `cluster`'s ingress port, summed over requesters
-    /// — the per-owner attribution of [`DsmFabric::per_link_stats`]. A
-    /// reduction schedule whose ingress bytes concentrate on one cluster is
-    /// serialized on that port no matter how many links the fabric has.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is out of range.
-    pub fn ingress_stats(&self, cluster: u32) -> DsmLinkStats {
-        assert!(
-            cluster < self.clusters,
-            "cluster {cluster} outside the {}-link fabric",
-            self.clusters
-        );
-        let mut total = DsmLinkStats::default();
-        for requester in &self.per_cluster {
-            total.merge(&requester.per_link[cluster as usize]);
-        }
-        total
-    }
-
     /// Transfers accepted but not yet delivered.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Transfers fully delivered so far: every accepted transfer that is no
-    /// longer in flight.
-    pub fn delivered(&self) -> u64 {
-        self.stats().transfers - self.in_flight.len() as u64
     }
 
     /// Hop count between two clusters under the configured topology (at
@@ -479,7 +408,8 @@ impl DsmFabric {
     }
 
     /// Resolves one transfer's route against the active link faults at
-    /// cycle `t`, charging the reroute counter and the first-use recovery
+    /// cycle `t`, charging the requester `from` with the reroute, the park
+    /// time behind a dead un-routable link and the first-use recovery
     /// latency of any crossed link whose outage has ended.
     ///
     /// On the ring the transfer prefers the shorter direction and detours
@@ -569,19 +499,17 @@ impl DsmFabric {
                 }
             }
         };
-        if route.rerouted {
-            self.fault_stats.rerouted_transfers += 1;
-        }
+        let requester = &mut self.per_cluster[from as usize];
+        requester.rerouted_transfers += u64::from(route.rerouted);
+        requester.blocked_cycles += route.release.saturating_sub(t);
         // First use after a finite outage: charge the recovery latency of
         // every crossed link whose window has ended.
-        let mut recovered = 0u64;
         for f in &mut self.faults {
             if !f.recovered && t >= f.until && route.segments.contains(&f.link) {
-                recovered += t - f.until;
+                requester.recovery_cycles += t - f.until;
                 f.recovered = true;
             }
         }
-        self.fault_stats.recovery_cycles += recovered;
         route.divisor = route.divisor.max(1);
         route
     }
@@ -627,7 +555,6 @@ impl DsmFabric {
         // A dead link with no alternate route parks the transfer until the
         // outage clears; the park time then also shows up as exposed stall.
         let busy = self.link_busy_until[to as usize].max(Cycle::new(release));
-        self.fault_stats.blocked_cycles += release.saturating_sub(now.get());
         // Exposed queueing: the port backlog beyond what the hop latency
         // hides — exactly the cycles by which delivery slips versus an idle
         // link.
@@ -754,8 +681,7 @@ mod tests {
         assert_eq!(f.in_flight(), 1, "not delivered yet");
         f.tick(done);
         assert_eq!(f.in_flight(), 0);
-        assert_eq!(f.delivered(), 1);
-        assert_eq!(f.in_flight(), 0);
+        assert_eq!(f.stats().transfers, 1, "delivered, and still counted");
         assert_eq!(f.next_activity(done), None);
     }
 
@@ -768,7 +694,11 @@ mod tests {
             submitted += bytes;
         }
         assert_eq!(f.stats().bytes, submitted);
-        let per_link: u64 = f.per_link_stats().iter().map(|l| l.bytes).sum();
+        let mut per_link = Vec::new();
+        for requester in f.per_cluster_stats() {
+            per_link.merge(&requester.per_link);
+        }
+        let per_link: u64 = per_link.iter().map(|l: &DsmLinkStats| l.bytes).sum();
         assert_eq!(per_link, submitted);
         let per_cluster: u64 = f.per_cluster_stats().iter().map(|c| c.total().bytes).sum();
         assert_eq!(per_cluster, submitted);
@@ -781,16 +711,20 @@ mod tests {
         f.transfer(Cycle::new(0), 1, 0, 100);
         f.transfer(Cycle::new(0), 3, 0, 200);
         f.transfer(Cycle::new(0), 1, 2, 400);
-        let port0 = f.ingress_stats(0);
+        // A port's ingress traffic is its link entry summed over requesters.
+        let ingress = |port: usize| {
+            let mut total = DsmLinkStats::default();
+            for requester in f.per_cluster_stats() {
+                total.merge(&requester.per_link[port]);
+            }
+            total
+        };
+        let port0 = ingress(0);
         assert_eq!(port0.requests, 2);
         assert_eq!(port0.bytes, 300);
-        assert_eq!(f.ingress_stats(1), DsmLinkStats::default());
-        assert_eq!(f.ingress_stats(2).bytes, 400);
-        // The per-owner view is the transpose of per_link_stats: index c of
-        // the machine-wide per-link vector is exactly ingress_stats(c).
-        for (c, link) in f.per_link_stats().iter().enumerate() {
-            assert_eq!(*link, f.ingress_stats(c as u32));
-        }
+        assert_eq!(ingress(1), DsmLinkStats::default());
+        assert_eq!(ingress(2).bytes, 400);
+        assert_eq!(f.cluster_stats(1).per_link[2].bytes, 400);
     }
 
     #[test]
@@ -826,8 +760,7 @@ mod tests {
                 faulted.transfer(Cycle::new(0), from, to, bytes),
             );
         }
-        assert_eq!(healthy.stats(), faulted.stats());
-        assert_eq!(faulted.fault_stats(), DsmFaultStats::default());
+        assert_eq!(healthy.per_cluster_stats(), faulted.per_cluster_stats());
     }
 
     #[test]
@@ -840,14 +773,16 @@ mod tests {
         // transfer takes the 7-hop detour the other way around.
         let done = f.transfer(Cycle::new(0), 1, 2, 64);
         assert_eq!(done, Cycle::new(7 * 32 + 1));
-        assert_eq!(f.fault_stats().rerouted_transfers, 1);
-        assert_eq!(f.fault_stats().blocked_cycles, 0);
+        assert_eq!(f.cluster_stats(1).rerouted_transfers, 1);
+        assert_eq!(f.cluster_stats(1).blocked_cycles, 0);
         // The extra hops are charged as extra flit traversals (energy).
         assert_eq!(f.stats().hop_flits, 7 * 2);
-        // A path not crossing segment 1 is untouched.
+        // A path not crossing segment 1 is untouched, and its requester is
+        // charged no reroute.
         let clear = f.transfer(Cycle::new(0), 2, 3, 64);
         assert_eq!(clear, Cycle::new(32 + 1));
-        assert_eq!(f.fault_stats().rerouted_transfers, 1);
+        assert_eq!(f.cluster_stats(1).rerouted_transfers, 1);
+        assert_eq!(f.cluster_stats(2).rerouted_transfers, 0);
     }
 
     #[test]
@@ -863,8 +798,8 @@ mod tests {
         // After the window: healthy again, and the first use charges the
         // recovery latency (250 - 200 cycles).
         assert_eq!(f.transfer(Cycle::new(250), 1, 2, 64), Cycle::new(250 + 33));
-        assert_eq!(f.fault_stats().rerouted_transfers, 1);
-        assert_eq!(f.fault_stats().recovery_cycles, 50);
+        assert_eq!(f.cluster_stats(1).rerouted_transfers, 1);
+        assert_eq!(f.cluster_stats(1).recovery_cycles, 50);
     }
 
     #[test]
@@ -875,7 +810,7 @@ mod tests {
         // The crossbar has no detour: the transfer waits out the outage.
         let done = f.transfer(Cycle::new(100), 1, 0, 64);
         assert_eq!(done, Cycle::new(1_000 + 1), "parked to the window end");
-        assert_eq!(f.fault_stats().blocked_cycles, 900);
+        assert_eq!(f.cluster_stats(1).blocked_cycles, 900);
         // Ports other than 0 are unaffected.
         assert_eq!(f.transfer(Cycle::new(100), 1, 2, 64), Cycle::new(100 + 33));
     }
@@ -895,7 +830,7 @@ mod tests {
         // 4096 bytes at 64 B/cyc = 64 streaming cycles, 4x under the fault.
         let done = f.transfer(Cycle::new(0), 1, 0, 4096);
         assert_eq!(done, Cycle::new(32 + 4 * 64));
-        assert_eq!(f.fault_stats().rerouted_transfers, 0);
+        assert_eq!(f.cluster_stats(1).rerouted_transfers, 0);
     }
 
     #[test]
@@ -915,8 +850,8 @@ mod tests {
         // The hop latency overlaps the park (the same rule that overlaps it
         // with port backlog), so delivery is release + streaming.
         assert_eq!(done, Cycle::new(500 + 1));
-        assert!(f.fault_stats().blocked_cycles >= 490);
-        assert_eq!(f.fault_stats().rerouted_transfers, 0);
+        assert!(f.cluster_stats(0).blocked_cycles >= 490);
+        assert_eq!(f.cluster_stats(0).rerouted_transfers, 0);
     }
 
     #[test]

@@ -45,16 +45,14 @@ pub mod global;
 pub mod smem;
 
 pub use accmem::{AccumulatorMemory, AccumulatorStats};
-pub use backend::{
-    BackendAttribution, ChannelContentionStats, ClusterContentionStats, MemoryBackend,
-};
+pub use backend::{ChannelContentionStats, ClusterContentionStats, MemoryBackend};
 pub use cache::{Cache, CacheConfig};
 pub use coalescer::{Coalescer, CoalescerStats};
 pub use dma::{DmaConfig, DmaEngine, DmaStats, DmaTransfer};
-pub use dram::{DramConfig, DramFaultStats, DramModel, DramStats, MultiChannelDram};
+pub use dram::{DramConfig, DramModel, DramStats, MultiChannelDram};
 pub use dsm::{
-    ClusterDsmStats, DsmConfig, DsmFabric, DsmFabricStats, DsmFaultStats, DsmLinkStats,
-    DsmTopology, FabricAttribution, DSM_FLIT_BYTES,
+    ClusterDsmStats, DsmConfig, DsmFabric, DsmFabricStats, DsmLinkStats, DsmTopology,
+    DSM_FLIT_BYTES,
 };
 pub use global::{GlobalMemory, GlobalMemoryConfig, GlobalMemoryStats};
 pub use smem::{SharedMemory, SmemConfig, SmemStats};

@@ -14,9 +14,8 @@ use std::fmt::Debug;
 
 use virgo::{ClusterStats, SchedStats};
 use virgo_mem::{
-    BackendAttribution, ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats,
-    DramFaultStats, DramStats, DsmFabricStats, DsmFaultStats, DsmLinkStats, FabricAttribution,
-    GlobalMemoryStats, SmemStats,
+    ChannelContentionStats, ClusterContentionStats, ClusterDsmStats, DmaStats, DramStats,
+    DsmFabricStats, DsmLinkStats, GlobalMemoryStats, SmemStats,
 };
 use virgo_sim::json::{self, Value};
 use virgo_sim::{ClusterFaultStats, Counters, EccStats, FaultStats, SplitMix64};
@@ -95,30 +94,18 @@ fn every_counter_struct_round_trips_merges_and_subtracts() {
     check("SmemStats", SmemStats::default());
     check("GlobalMemoryStats", GlobalMemoryStats::default());
     check("DramStats", DramStats::default());
-    check("DramFaultStats", DramFaultStats::default());
     check("DmaStats", DmaStats::default());
     check("DsmLinkStats", DsmLinkStats::default());
     check("ClusterDsmStats", ClusterDsmStats::for_links(3));
-    check("DsmFaultStats", DsmFaultStats::default());
     check("DsmFabricStats", DsmFabricStats::default());
-    check(
-        "FabricAttribution",
-        FabricAttribution {
-            per_cluster: vec![ClusterDsmStats::for_links(2); 2],
-            fault: DsmFaultStats::default(),
-        },
-    );
     check("ChannelContentionStats", ChannelContentionStats::default());
     check(
         "ClusterContentionStats",
         ClusterContentionStats::for_channels(2),
     );
     check(
-        "BackendAttribution",
-        BackendAttribution {
-            dram_fault: DramFaultStats::default(),
-            per_cluster: vec![ClusterContentionStats::for_channels(2); 3],
-        },
+        "per-cluster slices",
+        vec![ClusterContentionStats::for_channels(2); 3],
     );
     check("ClusterStats", ClusterStats::default());
     check("SchedStats", SchedStats::default());

@@ -231,7 +231,12 @@ fn random_transfer_sequences_conserve_bytes_per_link() {
             .map(|c| c.total().bytes)
             .sum();
         assert_eq!(per_cluster, submitted, "seed {seed}");
-        let per_link: u64 = fabric.per_link_stats().iter().map(|l| l.bytes).sum();
+        let per_link: u64 = fabric
+            .per_cluster_stats()
+            .iter()
+            .flat_map(|c| &c.per_link)
+            .map(|l| l.bytes)
+            .sum();
         assert_eq!(per_link, submitted, "seed {seed}");
         // The (requester, link) matrix matches the reference exactly.
         for (from, row) in per_pair.iter().enumerate() {
@@ -249,7 +254,12 @@ fn random_transfer_sequences_conserve_bytes_per_link() {
         // Draining everything leaves the fabric quiescent.
         fabric.tick(Cycle::new(now + 10_000_000));
         assert_eq!(fabric.in_flight(), 0);
-        assert_eq!(fabric.delivered(), 200);
+        let accepted: u64 = fabric
+            .per_cluster_stats()
+            .iter()
+            .map(|c| c.total().requests)
+            .sum();
+        assert_eq!(accepted - fabric.in_flight() as u64, 200, "all delivered");
     }
 }
 

@@ -109,7 +109,7 @@ fn empty_fault_plan_is_bit_identical_on_every_design() {
             "{design}: an empty fault plan must not perturb the machine"
         );
         assert_eq!(
-            *report.fault_stats(),
+            report.fault_stats(),
             FaultStats::default(),
             "{design}: no fault counters without fault events"
         );

@@ -278,13 +278,13 @@ fn naive_report_payloads_are_pinned() {
     assert_pinned(
         SimMode::Naive,
         &[
-            ("volta-128", "450fde569ae4f6e8"),
-            ("ampere-128", "1a5b37b67d466c66"),
-            ("hopper-128-x2", "1d2f2c6ba89f41a8"),
-            ("virgo-256-x4-ch2", "9eda54cbddb91581"),
-            ("splitk-128x128x1024-x4-dsm", "aad5423f7ae6dfc1"),
-            ("session-a", "0e77399eec780cf1"),
-            ("session-b", "3f388751271902a1"),
+            ("volta-128", "8bbe8297969624f5"),
+            ("ampere-128", "6a84806f7875872b"),
+            ("hopper-128-x2", "ab1c94cb656c93a3"),
+            ("virgo-256-x4-ch2", "863983bafc89128c"),
+            ("splitk-128x128x1024-x4-dsm", "e7e6cf64ae1471f7"),
+            ("session-a", "85ba67094b0c7b26"),
+            ("session-b", "a7ba3877acf394c2"),
         ],
     );
 }
@@ -294,13 +294,13 @@ fn fast_forward_report_payloads_are_pinned() {
     assert_pinned(
         SimMode::FastForward,
         &[
-            ("volta-128", "f35a37a68d34f744"),
-            ("ampere-128", "386d4e86b46362c1"),
-            ("hopper-128-x2", "fc63ecfdda35dedc"),
-            ("virgo-256-x4-ch2", "054cb4cdbd83ab13"),
-            ("splitk-128x128x1024-x4-dsm", "bba84d66330b5438"),
-            ("session-a", "282c226444c87863"),
-            ("session-b", "f6c04cc8a00f5da1"),
+            ("volta-128", "6a4de6377371cb00"),
+            ("ampere-128", "4e7b827726e66769"),
+            ("hopper-128-x2", "f0ed6f453415d563"),
+            ("virgo-256-x4-ch2", "4f9f79ae501ef4cb"),
+            ("splitk-128x128x1024-x4-dsm", "51fe89ef9b9ed344"),
+            ("session-a", "dfdaa7b1f7ff2b95"),
+            ("session-b", "31d8b7194a01d851"),
         ],
     );
 }
