@@ -9,9 +9,10 @@
 //! (a client killed mid-PUT) surfaces as a read error, so the partial frame
 //! is discarded whole and no entry is written.
 //!
-//! The accept loop polls a non-blocking listener against a stop flag, so
-//! [`StoreHandle::stop`] shuts the server down promptly even when idle;
-//! handlers poll the same flag between frames with a short read timeout and
+//! The accept loop blocks in `accept` and checks a stop flag after each
+//! return, so a new connection is served at once; [`StoreHandle::stop`]
+//! raises the flag and wakes the loop with one throwaway connection.
+//! Handlers poll the same flag between frames with a short read timeout and
 //! allow an in-flight frame a generous (but bounded) completion window.
 
 use std::io::Read;
@@ -29,8 +30,9 @@ use crate::protocol::{read_request, write_response, Opcode, Request, Status};
 const IDLE_POLL: Duration = Duration::from_millis(50);
 /// How long a peer gets to complete a frame it has started sending.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(2);
-/// How often the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the accept loop waits before retrying a failed `accept` (e.g.
+/// the process is out of file descriptors).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Monotonically counted aggregate server statistics, shared by every
 /// connection handler.
@@ -103,7 +105,6 @@ impl StoreServer {
     /// Propagates the bind failure.
     pub fn bind(addr: impl ToSocketAddrs, entries: EntryDir) -> std::io::Result<StoreServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(StoreServer {
             listener,
             entries,
@@ -133,28 +134,24 @@ impl StoreServer {
         Arc::clone(&self.stats)
     }
 
-    /// The stop flag; setting it makes [`run`](StoreServer::run) return
-    /// after at most one poll interval.
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Serves connections until the stop flag is raised. Each connection is
-    /// handled on its own scoped thread; `run` returns only after every
-    /// handler has finished.
+    /// Serves connections until the stop flag is raised (only a
+    /// [`StoreHandle`] raises it, so the binary serves forever). Each
+    /// connection is handled on its own scoped thread; `run` returns only
+    /// after every handler has finished.
     pub fn run(&self) {
-        std::thread::scope(|scope| {
-            while !self.stop.load(Ordering::Relaxed) {
-                match self.listener.accept() {
-                    Ok((stream, peer)) => {
-                        let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed) + 1;
-                        scope.spawn(move || self.handle(stream, peer, conn_id));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+        std::thread::scope(|scope| loop {
+            let accepted = self.listener.accept();
+            if self.stop.load(Ordering::Relaxed) {
+                // The wake-up connection from `StoreHandle::stop`, or a
+                // late client: either way it is dropped unserved.
+                break;
+            }
+            match accepted {
+                Ok((stream, peer)) => {
+                    let conn_id = self.stats.connections.fetch_add(1, Ordering::Relaxed) + 1;
+                    scope.spawn(move || self.handle(stream, peer, conn_id));
                 }
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         });
     }
@@ -165,7 +162,7 @@ impl StoreServer {
     pub fn spawn(self) -> std::io::Result<StoreHandle> {
         let addr = self.local_addr()?;
         let stats = self.stats();
-        let stop = self.stop_flag();
+        let stop = Arc::clone(&self.stop);
         let join = std::thread::spawn(move || self.run());
         Ok(StoreHandle {
             addr,
@@ -327,10 +324,15 @@ impl StoreHandle {
         &self.stats
     }
 
-    /// Raises the stop flag and joins the server thread (idempotent).
+    /// Raises the stop flag, wakes the blocking accept with one throwaway
+    /// connection and joins the server thread (idempotent).
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
+            // If this connect fails the accept loop is not waiting in
+            // `accept` (it is backing off from an error) and sees the flag
+            // on its next turn.
+            let _ = TcpStream::connect(self.addr);
             let _ = join.join();
         }
     }

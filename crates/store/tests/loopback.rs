@@ -3,6 +3,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use virgo::{Gpu, GpuConfig, SimKey, SimMode};
@@ -159,5 +160,24 @@ fn stop_joins_promptly_with_idle_connections_open() {
         started.elapsed() < std::time::Duration::from_secs(5),
         "stop must not wait on idle connections"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stop_wakes_a_server_left_idle_in_accept() {
+    let dir = temp_dir("idle-stop");
+    let server = StoreServer::bind("127.0.0.1:0", EntryDir::new(&dir)).unwrap();
+    let mut handle = server.spawn().unwrap();
+    // No client ever connects: the accept loop is parked in `accept`.
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.stop();
+        let _ = done_tx.send(handle.stats().connections.load(Ordering::Relaxed));
+    });
+    let served = done_rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("stop must wake an idle accept and join");
+    assert_eq!(served, 0, "the wake-up connection must not be served");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,16 @@
-//! Content-addressed memoization of [`SimReport`]s over a [`ReportStore`].
+//! Content-addressed memoization of [`SimReport`]s over three storage tiers.
 //!
 //! Simulations are pure functions of `(GpuConfig, Kernel, max_cycles,
 //! SimMode)`, digested into a [`SimKey`] by the stable structural hash. The
-//! cache memoizes finished reports under that key through whatever storage
-//! hierarchy its [`ReportStore`] describes — process memory, a host-local
-//! disk directory, a networked `virgo-store` server, or a tiered
-//! combination (see [`crate::store`]) — and keeps the lookup-level
-//! bookkeeping: which queries hit, which tier answered, which had to
-//! simulate.
+//! cache memoizes finished reports under that key in process memory and,
+//! when configured, a host-local disk directory and a networked
+//! `virgo-store` server (see [`crate::store`]). A lookup walks memory →
+//! disk → remote, promotes a hit into every faster tier, and on a miss
+//! simulates and writes the report through to every tier.
+//!
+//! Each store event is counted once, in the tier it happened in; the
+//! lookup-level [`CacheStats`] (hits, misses, which tier answered) are
+//! derived from those per-tier counters when read.
 //!
 //! Disk and remote entries are self-verifying (`SimReport::from_cache_json`
 //! checks a format tag, version, the embedded key and a payload checksum):
@@ -22,12 +25,15 @@
 //! simulate and both insert the *identical* report. The cache accepts that
 //! (rare) waste instead of holding a lock across a multi-second simulation.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use virgo::{SimKey, SimReport};
+use virgo_store::EntryDir;
 
-use crate::store::{ReportStore, StoreConfig, StoreStats, StoreTier};
+use crate::store::{
+    DiskStore, MemoryStore, RemoteStore, ReportStore, StoreConfig, StoreStats, StoreTier,
+};
 
 /// Hit/miss/eviction counters, surfaced in sweep summaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,23 +76,14 @@ impl CacheStats {
     }
 }
 
-/// Lookup-level counters (which tier answered each `get_or_compute`); the
-/// per-tier operation counters live in the store itself.
-#[derive(Debug, Clone, Copy, Default)]
-struct LookupCounters {
-    hits: u64,
-    misses: u64,
-    disk_hits: u64,
-    remote_hits: u64,
-}
-
-/// A content-addressed report cache over a pluggable [`ReportStore`].
-/// Thread-safe; lookups of different keys simulate concurrently.
+/// A content-addressed report cache over a memory tier and optional disk
+/// and remote tiers. Thread-safe; lookups of different keys simulate
+/// concurrently.
 #[derive(Debug)]
 pub struct ReportCache {
-    store: Box<dyn ReportStore>,
-    counters: Mutex<LookupCounters>,
-    disk_dir: Option<PathBuf>,
+    memory: MemoryStore,
+    disk: Option<DiskStore>,
+    remote: Option<RemoteStore>,
 }
 
 impl ReportCache {
@@ -108,41 +105,53 @@ impl ReportCache {
     /// Creates the cache a [`StoreConfig`] describes (memory, and disk /
     /// remote tiers when configured).
     pub fn from_config(config: &StoreConfig) -> Self {
+        let disk = config.disk_dir.as_ref().map(|dir| {
+            let mut entries = EntryDir::new(dir);
+            if let Some(quarantine) = &config.quarantine_dir {
+                entries = entries.with_quarantine(quarantine);
+            }
+            DiskStore::new(entries)
+        });
         ReportCache {
-            store: config.build_store(),
-            counters: Mutex::new(LookupCounters::default()),
-            disk_dir: config.disk_dir.clone(),
+            memory: MemoryStore::new(config.memory_capacity),
+            disk,
+            remote: config.remote_addr.clone().map(RemoteStore::new),
         }
     }
 
-    /// The storage hierarchy behind this cache.
-    pub fn store(&self) -> &dyn ReportStore {
-        self.store.as_ref()
+    /// The configured tiers, fastest first.
+    fn tiers(&self) -> impl Iterator<Item = &dyn ReportStore> {
+        std::iter::once(&self.memory as &dyn ReportStore)
+            .chain(self.disk.as_ref().map(|d| d as &dyn ReportStore))
+            .chain(self.remote.as_ref().map(|r| r as &dyn ReportStore))
     }
 
     /// Per-tier operation counters (zeroes for tiers this cache lacks).
     pub fn store_stats_for(&self, tier: StoreTier) -> StoreStats {
-        self.store.stats_for(tier)
+        match tier {
+            StoreTier::Memory => Some(self.memory.stats()),
+            StoreTier::Disk => self.disk.as_ref().map(DiskStore::stats),
+            StoreTier::Remote => self.remote.as_ref().map(RemoteStore::stats),
+        }
+        .unwrap_or_default()
     }
 
-    /// The disk directory, if the disk tier is enabled.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
-    /// A snapshot of the hit/miss/eviction counters. Lookup-level counters
-    /// (`hits`/`misses`/`*_hits`) come from this cache; structural counters
-    /// (evictions, rejects, unreachable) from the store tiers.
+    /// A snapshot of the hit/miss/eviction counters, each derived from the
+    /// tier that counted the event. Every lookup consults memory first, so
+    /// the lookups that simulated are the memory misses that no deeper tier
+    /// answered.
     pub fn stats(&self) -> CacheStats {
-        let lookups = *self.lock();
-        let memory = self.store.stats_for(StoreTier::Memory);
-        let disk = self.store.stats_for(StoreTier::Disk);
-        let remote = self.store.stats_for(StoreTier::Remote);
+        // Deeper tiers first: each of their hits follows a memory miss, so
+        // a snapshot taken while pool workers run never sees more deep hits
+        // than memory misses.
+        let disk = self.store_stats_for(StoreTier::Disk);
+        let remote = self.store_stats_for(StoreTier::Remote);
+        let memory = self.memory.stats();
         CacheStats {
-            hits: lookups.hits,
-            misses: lookups.misses,
-            disk_hits: lookups.disk_hits,
-            remote_hits: lookups.remote_hits,
+            hits: memory.hits + disk.hits + remote.hits,
+            misses: memory.misses.saturating_sub(disk.hits + remote.hits),
+            disk_hits: disk.hits,
+            remote_hits: remote.hits,
             evictions: memory.evictions,
             disk_rejects: disk.rejects,
             disk_quarantined: disk.quarantined,
@@ -152,49 +161,46 @@ impl ReportCache {
 
     /// Number of reports currently held in memory.
     pub fn len(&self) -> usize {
-        self.store.volatile_len()
+        self.memory.len()
     }
 
     /// True when no reports are held in memory.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memory.is_empty()
     }
 
     /// Drops every in-memory entry (persistent tiers are untouched) and
     /// resets the counters. Used by benches to measure cold-vs-warm
     /// behavior; also re-arms a remote tier that had been declared offline.
     pub fn clear_memory(&self) {
-        self.store.clear_volatile();
-        self.store.reset_stats();
-        *self.lock() = LookupCounters::default();
+        self.memory.clear();
+        for tier in self.tiers() {
+            tier.reset_stats();
+        }
     }
 
-    /// Looks `key` up through the store tiers and otherwise runs `compute`
-    /// to produce the report; the result is written through to every tier.
-    /// Returns the report and whether it was served from cache.
+    /// Looks `key` up memory → disk → remote and otherwise runs `compute`
+    /// to produce the report. A hit is promoted into every faster tier; a
+    /// computed report is written through to every tier. Returns the report
+    /// and whether it was served from cache.
     pub fn get_or_compute(
         &self,
         key: SimKey,
         compute: impl FnOnce() -> SimReport,
     ) -> (Arc<SimReport>, bool) {
-        if let Some(hit) = self.store.load(key) {
-            let mut counters = self.lock();
-            counters.hits += 1;
-            match hit.tier {
-                StoreTier::Disk => counters.disk_hits += 1,
-                StoreTier::Remote => counters.remote_hits += 1,
-                StoreTier::Memory | StoreTier::Tiered => {}
+        for (depth, tier) in self.tiers().enumerate() {
+            if let Some(report) = tier.load(key) {
+                for faster in self.tiers().take(depth) {
+                    faster.save(key, &report);
+                }
+                return (report, true);
             }
-            return (hit.report, true);
         }
         let report = Arc::new(compute());
-        self.lock().misses += 1;
-        self.store.save(key, &report);
+        for tier in self.tiers() {
+            tier.save(key, &report);
+        }
         (report, false)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, LookupCounters> {
-        self.counters.lock().expect("report cache lock")
     }
 }
 
@@ -365,5 +371,214 @@ mod tests {
         // The memory tier still works: the next lookup is a hit.
         let (_, cached) = cache.get_or_compute(key, || panic!("memory must serve this"));
         assert!(cached);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("virgo-sweep-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn hits_are_promoted_into_every_faster_tier() {
+        use virgo_store::StoreServer;
+        let store_dir = temp_dir("promote-remote");
+        let disk_dir = temp_dir("promote-disk");
+        let mut server = StoreServer::bind("127.0.0.1:0", EntryDir::new(&store_dir))
+            .and_then(StoreServer::spawn)
+            .unwrap();
+        let (key, config, kernel) = tiny_sim(7);
+        RemoteStore::new(server.addr().to_string()).save(key, &Arc::new(run(&config, &kernel)));
+        let cache = ReportCache::from_config(
+            &StoreConfig::in_memory(8)
+                .with_disk_dir(Some(disk_dir.clone()))
+                .with_remote_addr(Some(server.addr().to_string())),
+        );
+        let tier = |t| cache.store_stats_for(t);
+
+        // Remote answers; the report is promoted into disk and memory.
+        let (_, cached) = cache.get_or_compute(key, || panic!("remote must serve this"));
+        assert!(cached);
+        assert_eq!(
+            cache.len(),
+            1,
+            "the remote hit must be promoted into memory"
+        );
+        assert_eq!(
+            (tier(StoreTier::Disk).misses, tier(StoreTier::Disk).puts),
+            (1, 1)
+        );
+        assert_eq!(tier(StoreTier::Remote).hits, 1);
+
+        // With memory dropped, disk answers and is promoted into memory.
+        cache.clear_memory();
+        assert!(cache.is_empty());
+        let (_, cached) = cache.get_or_compute(key, || panic!("disk must serve this"));
+        assert!(cached);
+        assert_eq!(cache.len(), 1, "the disk hit must be promoted into memory");
+        let (_, cached) = cache.get_or_compute(key, || panic!("memory must serve this"));
+        assert!(cached);
+
+        // The per-tier counters stay separate.
+        let memory = tier(StoreTier::Memory);
+        assert_eq!((memory.hits, memory.misses, memory.puts), (1, 1, 1));
+        let disk = tier(StoreTier::Disk);
+        assert_eq!((disk.hits, disk.misses, disk.puts), (1, 0, 0));
+        assert_eq!(tier(StoreTier::Remote), StoreStats::default());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0));
+        assert_eq!((stats.disk_hits, stats.remote_hits), (1, 0));
+        server.stop();
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let _ = std::fs::remove_dir_all(&disk_dir);
+    }
+
+    #[test]
+    fn each_config_charges_the_tiers_it_describes() {
+        let dir = temp_dir("config-tiers");
+        let memory_only = StoreConfig::in_memory(4);
+        let with_disk = memory_only.clone().with_disk_dir(Some(dir.clone()));
+        let full = with_disk
+            .clone()
+            .with_remote_addr(Some("127.0.0.1:9".to_string()));
+        let (key, config, kernel) = tiny_sim(6);
+        for (store_config, tiers) in [(memory_only, 1), (with_disk, 2), (full, 3)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cache = ReportCache::from_config(&store_config);
+            let (_, cached) = cache.get_or_compute(key, || run(&config, &kernel));
+            assert!(!cached);
+            let memory = cache.store_stats_for(StoreTier::Memory);
+            let disk = cache.store_stats_for(StoreTier::Disk);
+            let remote = cache.store_stats_for(StoreTier::Remote);
+            assert_eq!((memory.misses, memory.puts), (1, 1), "{tiers} tier(s)");
+            let expected_disk = if tiers >= 2 { (1, 1) } else { (0, 0) };
+            assert_eq!((disk.misses, disk.puts), expected_disk, "{tiers} tier(s)");
+            // A dead remote tier is charged once for the load, once for the
+            // write-through.
+            let expected_unreachable = if tiers == 3 { 2 } else { 0 };
+            assert_eq!(remote.unreachable, expected_unreachable, "{tiers} tier(s)");
+            assert_eq!(cache.stats().misses, 1, "{tiers} tier(s)");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The reference the property test checks the cache against: a FIFO
+    /// memory of `capacity` keys over a disk whose entries are valid,
+    /// truncated or absent.
+    #[derive(Default)]
+    struct Model {
+        memory: std::collections::VecDeque<u64>,
+        disk: std::collections::HashMap<u64, bool>, // key -> entry is valid
+        lookups: u64,
+        misses: u64,
+        disk_hits: u64,
+        evictions: u64,
+        disk_rejects: u64,
+    }
+
+    impl Model {
+        const CAPACITY: usize = 2;
+
+        fn remember(&mut self, key: u64) {
+            if !self.memory.contains(&key) {
+                self.memory.push_back(key);
+            }
+            while self.memory.len() > Self::CAPACITY {
+                self.memory.pop_front();
+                self.evictions += 1;
+            }
+        }
+
+        fn lookup(&mut self, key: u64) {
+            self.lookups += 1;
+            if self.memory.contains(&key) {
+                return;
+            }
+            // A hit is promoted, a miss written through: either way the
+            // disk ends up holding a valid entry.
+            match self.disk.insert(key, true) {
+                Some(true) => self.disk_hits += 1,
+                Some(false) => {
+                    self.disk_rejects += 1;
+                    self.misses += 1;
+                }
+                None => self.misses += 1,
+            }
+            self.remember(key);
+        }
+
+        /// Drops the memory and zeroes the counters, returning how many
+        /// disk hits, evictions and rejects the cleared phase saw.
+        fn clear_memory(&mut self) -> [u64; 3] {
+            let seen = [self.disk_hits, self.evictions, self.disk_rejects];
+            let disk = std::mem::take(&mut self.disk);
+            *self = Model {
+                disk,
+                ..Model::default()
+            };
+            seen
+        }
+    }
+
+    #[test]
+    fn counters_match_a_reference_model_on_random_sequences() {
+        const KEYS: u64 = 6;
+        let (_, config, kernel) = tiny_sim(1);
+        let base = run(&config, &kernel);
+        let keys: Vec<SimKey> = (0..KEYS)
+            .map(|i| SimKey::digest(&config, &kernel, 100_000 + i, SimMode::FastForward))
+            .collect();
+        let mut seen = [0u64; 3];
+        let mut tally = |phase: [u64; 3]| {
+            for (total, n) in seen.iter_mut().zip(phase) {
+                *total += n;
+            }
+        };
+        for seed in 0..12u64 {
+            let dir = temp_dir(&format!("model-{seed}"));
+            let cache = ReportCache::new(Model::CAPACITY, Some(dir.clone()));
+            let mut model = Model::default();
+            let mut rng = virgo_sim::SplitMix64::new(seed);
+            let computed = std::cell::Cell::new(0u64);
+            for step in 0..48 {
+                let key = rng.next_below(KEYS);
+                match rng.next_below(8) {
+                    0 => {
+                        cache.clear_memory();
+                        tally(model.clear_memory());
+                        computed.set(0);
+                    }
+                    1 if model.disk.contains_key(&key) => {
+                        let path = dir.join(format!("{}.json", keys[key as usize].to_hex()));
+                        let mut text = std::fs::read_to_string(&path).unwrap();
+                        text.truncate(text.len() / 2);
+                        std::fs::write(&path, text).unwrap();
+                        model.disk.insert(key, false);
+                    }
+                    _ => {
+                        cache.get_or_compute(keys[key as usize], || {
+                            computed.set(computed.get() + 1);
+                            base.clone()
+                        });
+                        model.lookup(key);
+                    }
+                }
+                let stats = cache.stats();
+                let at = format!("seed {seed} step {step}");
+                assert_eq!(stats.lookups(), model.lookups, "{at}");
+                assert_eq!(stats.misses, computed.get(), "{at}");
+                assert_eq!(stats.misses, model.misses, "{at}");
+                assert_eq!(stats.disk_hits, model.disk_hits, "{at}");
+                assert_eq!(stats.evictions, model.evictions, "{at}");
+                assert_eq!(stats.disk_rejects, model.disk_rejects, "{at}");
+                assert_eq!(stats.remote_hits + stats.store_unreachable, 0, "{at}");
+            }
+            tally(model.clear_memory());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "the sequences must exercise disk hits, evictions and rejects: {seen:?}"
+        );
     }
 }

@@ -11,22 +11,21 @@
 //!    that shards any work list across `min(num_cpus, pool_size)` workers,
 //!    streams completions to the caller as they happen and collects results
 //!    in submission order.
-//! 2. **Storage** — the [`ReportStore`] trait and its tiers:
+//! 2. **Storage** — the [`ReportStore`] trait and its three tiers:
 //!    [`MemoryStore`] (FIFO working set), [`DiskStore`]
 //!    (`target/sweep-cache/*.json`, atomic writes, corrupt-entry
-//!    quarantine), [`RemoteStore`] (a networked `virgo-store` server with
-//!    retry-then-degrade-to-local policy — a dead store never fails a
-//!    sweep) and [`TieredStore`] (memory → disk → remote, read-through
-//!    with promotion, write-through). Every knob is parsed once into a
-//!    typed [`StoreConfig`] (`VIRGO_SWEEP_CACHE`, `VIRGO_SWEEP_STORE`,
-//!    `VIRGO_SWEEP_QUARANTINE`).
+//!    quarantine) and [`RemoteStore`] (a networked `virgo-store` server
+//!    with retry-then-degrade-to-local policy — a dead store never fails a
+//!    sweep). Every knob is parsed once into a typed [`StoreConfig`]
+//!    (`VIRGO_SWEEP_CACHE`, `VIRGO_SWEEP_STORE`, `VIRGO_SWEEP_QUARANTINE`).
 //! 3. **Memoization** — [`ReportCache`], the content-addressed memo of
 //!    [`SimReport`](virgo::SimReport)s keyed by [`SimKey`](virgo::SimKey)
 //!    (a stable 128-bit digest of the simulation inputs *and* the
-//!    simulator's own source tree) over whatever store hierarchy is
-//!    configured. Cached reports are **bit-identical** to fresh
-//!    simulations; corrupt entries are detected, quarantined and treated
-//!    as misses.
+//!    simulator's own source tree). It owns the configured tiers and walks
+//!    them memory → disk → remote: read-through with promotion into the
+//!    faster tiers, write-through on a miss. Cached reports are
+//!    **bit-identical** to fresh simulations; corrupt entries are
+//!    detected, quarantined and treated as misses.
 //! 4. **Query API** — [`Query`], one builder-style description of a
 //!    simulation, and [`SweepService`], which answers it:
 //!    [`SweepService::run`] for one query, [`SweepService::run_all`] for a
@@ -69,5 +68,5 @@ pub use service::{
 };
 pub use store::{
     default_disk_dir, workspace_cache_dir, DiskStore, MemoryStore, RemoteStore, ReportStore,
-    StoreConfig, StoreHit, StoreStats, StoreTier, TieredStore,
+    StoreConfig, StoreStats, StoreTier,
 };

@@ -17,12 +17,12 @@
 //! # Self-healing
 //!
 //! Long sweep campaigns should not lose a thousand finished points to one
-//! panicking job. The [`SweepPool::try_map`] / [`SweepPool::try_map_streaming`]
-//! variants isolate each job behind `catch_unwind`, retry a panicking item up
-//! to [`SweepPool::MAX_ATTEMPTS`] times with a bounded backoff (transient
-//! failures — OOM-killed allocations, poisoned one-shot state — often pass on
-//! retry), and quarantine items that still fail as structured [`SweepError`]s
-//! in the result vector, preserving submission order for everything else. The
+//! panicking job. [`SweepPool::try_map`] isolates each job behind
+//! `catch_unwind`, retries a panicking item up to [`SweepPool::MAX_ATTEMPTS`]
+//! times with a bounded backoff (transient failures — OOM-killed
+//! allocations, poisoned one-shot state — often pass on retry), and
+//! quarantines items that still fail as structured [`SweepError`]s in the
+//! result vector, preserving submission order for everything else. The
 //! plain `map*` methods keep their original contract: a panicking job
 //! propagates and the sweep dies loudly.
 
@@ -100,7 +100,7 @@ pub struct SweepPool {
 }
 
 impl SweepPool {
-    /// Attempts per item in the `try_map*` variants before quarantining it.
+    /// Attempts per item in [`SweepPool::try_map`] before quarantining it.
     pub const MAX_ATTEMPTS: u32 = 3;
 
     /// Base backoff between retry attempts; attempt `n` waits `n` times this
@@ -228,24 +228,7 @@ impl SweepPool {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        self.try_map_streaming(items, job, |_| {})
-    }
-
-    /// Fault-isolated [`SweepPool::map_streaming`]: streams completions
-    /// (successes *and* quarantines) in completion order and collects them in
-    /// submission order. See [`SweepPool::try_map`].
-    pub fn try_map_streaming<T, R, F>(
-        &self,
-        items: Vec<T>,
-        job: F,
-        each: impl FnMut(Completion<'_, Result<R, SweepError>>),
-    ) -> Vec<Result<R, SweepError>>
-    where
-        T: Clone + Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        self.map_streaming(
+        self.map(
             items.into_iter().enumerate().collect(),
             |(index, item): (usize, T)| {
                 let mut message = String::new();
@@ -270,7 +253,6 @@ impl SweepPool {
                     message,
                 })
             },
-            each,
         )
     }
 }
@@ -403,28 +385,5 @@ mod tests {
         });
         assert_eq!(out, vec![Ok(1), Ok(7), Ok(3)]);
         assert_eq!(ATTEMPTS.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn try_map_streaming_reports_quarantines_too() {
-        let pool = SweepPool::new(2);
-        let mut quarantined = 0usize;
-        let mut succeeded = 0usize;
-        let out = pool.try_map_streaming(
-            (0..8u64).collect(),
-            |x| {
-                if x == 5 {
-                    panic!("doomed");
-                }
-                x
-            },
-            |c| match c.result {
-                Ok(_) => succeeded += 1,
-                Err(_) => quarantined += 1,
-            },
-        );
-        assert_eq!((succeeded, quarantined), (7, 1));
-        assert!(out[5].is_err());
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 7);
     }
 }

@@ -1,9 +1,10 @@
-//! The storage API behind the sweep service: a [`ReportStore`] trait with
-//! memory, disk, remote and tiered implementations, plus the typed
-//! [`StoreConfig`] that replaces scattered `std::env::var` reads.
+//! The storage tiers behind the sweep service: a [`ReportStore`] trait with
+//! memory, disk and remote implementations, plus the typed [`StoreConfig`]
+//! that replaces scattered `std::env::var` reads.
 //!
 //! Every sweep consumer — benches, examples, integration tests, `virgo-serve`
-//! replays — routes report storage through this one interface:
+//! replays — stores reports through [`ReportCache`](crate::ReportCache),
+//! which owns one tier of each kind and walks them memory → disk → remote:
 //!
 //! * [`MemoryStore`] — `Arc<SimReport>` map with FIFO eviction; the
 //!   process-local working set.
@@ -16,8 +17,6 @@
 //!   store is marked offline and every subsequent operation degrades to a
 //!   local miss/no-op — each one counted in [`StoreStats::unreachable`] —
 //!   so **a dead store can never fail a sweep**, only slow its first run.
-//! * [`TieredStore`] — memory → disk → remote: read-through with promotion
-//!   into the faster tiers, write-through to every tier.
 //!
 //! Stores are deliberately *policy over transport*: the wire client in
 //! `virgo-store` reports every failure and retries nothing, and this module
@@ -29,11 +28,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use virgo::{SimKey, SimReport};
-use virgo_sim::Counters;
-use virgo_store::{ClientConfig, EntryDir, Loaded, StoreClient};
+use virgo_store::{EntryDir, Loaded, StoreClient};
 
-/// Which level of the storage hierarchy an implementation (or a hit) lives
-/// at.
+/// One level of the storage hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreTier {
     /// Process-local memory.
@@ -42,19 +39,6 @@ pub enum StoreTier {
     Disk,
     /// Networked `virgo-store` server.
     Remote,
-    /// A composite of the above ([`TieredStore`]); never appears on a hit.
-    Tiered,
-}
-
-impl std::fmt::Display for StoreTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StoreTier::Memory => "memory",
-            StoreTier::Disk => "disk",
-            StoreTier::Remote => "remote",
-            StoreTier::Tiered => "tiered",
-        })
-    }
 }
 
 /// Monotonic per-store counters, surfaced in sweep summaries and bench
@@ -100,49 +84,19 @@ virgo_sim::counters!(StoreStats {
     write_micros,
 });
 
-/// A successful load: the report and the tier that answered.
-#[derive(Debug, Clone)]
-pub struct StoreHit {
-    /// The stored report.
-    pub report: Arc<SimReport>,
-    /// Which tier served it.
-    pub tier: StoreTier,
-}
-
 /// A place reports live. Implementations must be infallible from the
 /// caller's perspective: a load that cannot be answered is a miss, a save
 /// that cannot be persisted is dropped (and counted), never an error — the
 /// sweep itself must not depend on storage health.
 pub trait ReportStore: Send + Sync + std::fmt::Debug {
-    /// The tier this store implements.
-    fn tier(&self) -> StoreTier;
-
     /// Looks `key` up; `None` is a miss.
-    fn load(&self, key: SimKey) -> Option<StoreHit>;
+    fn load(&self, key: SimKey) -> Option<Arc<SimReport>>;
 
     /// Persists `report` under `key` (best-effort).
     fn save(&self, key: SimKey, report: &Arc<SimReport>);
 
-    /// Aggregate counters (summed over tiers for composites).
+    /// This store's counters.
     fn stats(&self) -> StoreStats;
-
-    /// Counters for one tier of the hierarchy (zero when this store does
-    /// not contain that tier).
-    fn stats_for(&self, tier: StoreTier) -> StoreStats {
-        if tier == self.tier() {
-            self.stats()
-        } else {
-            StoreStats::default()
-        }
-    }
-
-    /// Drops volatile (in-memory) entries; persistent tiers are untouched.
-    fn clear_volatile(&self) {}
-
-    /// Number of entries held in volatile storage.
-    fn volatile_len(&self) -> usize {
-        0
-    }
 
     /// Resets every counter to zero.
     fn reset_stats(&self);
@@ -177,25 +131,35 @@ impl MemoryStore {
         }
     }
 
+    /// Number of reports held.
+    pub fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// True when no reports are held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every entry; the counters are untouched.
+    pub fn clear(&self) {
+        let mut inner = self.lock();
+        inner.map.clear();
+        inner.order.clear();
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, MemoryInner> {
         self.inner.lock().expect("memory store lock")
     }
 }
 
 impl ReportStore for MemoryStore {
-    fn tier(&self) -> StoreTier {
-        StoreTier::Memory
-    }
-
-    fn load(&self, key: SimKey) -> Option<StoreHit> {
+    fn load(&self, key: SimKey) -> Option<Arc<SimReport>> {
         let mut inner = self.lock();
         match inner.map.get(&key).cloned() {
             Some(report) => {
                 inner.stats.hits += 1;
-                Some(StoreHit {
-                    report,
-                    tier: StoreTier::Memory,
-                })
+                Some(report)
             }
             None => {
                 inner.stats.misses += 1;
@@ -224,16 +188,6 @@ impl ReportStore for MemoryStore {
         self.lock().stats
     }
 
-    fn clear_volatile(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.order.clear();
-    }
-
-    fn volatile_len(&self) -> usize {
-        self.lock().map.len()
-    }
-
     fn reset_stats(&self) {
         self.lock().stats = StoreStats::default();
     }
@@ -252,24 +206,13 @@ pub struct DiskStore {
 }
 
 impl DiskStore {
-    /// Creates a disk store rooted at `dir` (created lazily on first write),
-    /// quarantining rejects under `dir/quarantine/`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self::with_entries(EntryDir::new(dir))
-    }
-
-    /// Creates a disk store over an explicit entry directory (e.g. with a
-    /// custom quarantine location).
-    pub fn with_entries(entries: EntryDir) -> Self {
+    /// Creates a disk store over `entries` (its directory is created lazily
+    /// on first write; rejects go to its quarantine directory).
+    pub fn new(entries: EntryDir) -> Self {
         DiskStore {
             entries,
             stats: Mutex::new(StoreStats::default()),
         }
-    }
-
-    /// The entry directory.
-    pub fn entries(&self) -> &EntryDir {
-        &self.entries
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, StoreStats> {
@@ -278,11 +221,7 @@ impl DiskStore {
 }
 
 impl ReportStore for DiskStore {
-    fn tier(&self) -> StoreTier {
-        StoreTier::Disk
-    }
-
-    fn load(&self, key: SimKey) -> Option<StoreHit> {
+    fn load(&self, key: SimKey) -> Option<Arc<SimReport>> {
         let started = Instant::now();
         let loaded = self.entries.load(&key.to_hex());
         let micros = started.elapsed().as_micros() as u64;
@@ -292,10 +231,7 @@ impl ReportStore for DiskStore {
             Loaded::Valid(text, report) => {
                 stats.hits += 1;
                 stats.bytes_read += text.len() as u64;
-                Some(StoreHit {
-                    report: Arc::new(report),
-                    tier: StoreTier::Disk,
-                })
+                Some(Arc::new(report))
             }
             Loaded::Absent => {
                 stats.misses += 1;
@@ -353,7 +289,6 @@ struct RemoteState {
 #[derive(Debug)]
 pub struct RemoteStore {
     addr: String,
-    config: ClientConfig,
     state: Mutex<RemoteState>,
     stats: Mutex<StoreStats>,
 }
@@ -368,22 +303,11 @@ impl RemoteStore {
     /// `"127.0.0.1:7171"`) with default timeouts. No connection is made
     /// until the first operation.
     pub fn new(addr: impl Into<String>) -> Self {
-        Self::with_config(addr, ClientConfig::default())
-    }
-
-    /// Creates a remote store with explicit timeouts.
-    pub fn with_config(addr: impl Into<String>, config: ClientConfig) -> Self {
         RemoteStore {
             addr: addr.into(),
-            config,
             state: Mutex::new(RemoteState::default()),
             stats: Mutex::new(StoreStats::default()),
         }
-    }
-
-    /// The server address this store targets.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// True once the store has been declared offline.
@@ -410,7 +334,7 @@ impl RemoteStore {
         }
         for _attempt in 0..2 {
             if state.client.is_none() {
-                match StoreClient::connect_with(&self.addr, self.config) {
+                match StoreClient::connect(&self.addr) {
                     Ok(client) => state.client = Some(client),
                     Err(_) => break,
                 }
@@ -439,11 +363,7 @@ impl RemoteStore {
 }
 
 impl ReportStore for RemoteStore {
-    fn tier(&self) -> StoreTier {
-        StoreTier::Remote
-    }
-
-    fn load(&self, key: SimKey) -> Option<StoreHit> {
+    fn load(&self, key: SimKey) -> Option<Arc<SimReport>> {
         let hex = key.to_hex();
         let started = Instant::now();
         let fetched = self.with_client(|client| client.get(&hex));
@@ -464,10 +384,7 @@ impl ReportStore for RemoteStore {
         match SimReport::from_cache_json(&text, &hex) {
             Ok(report) => {
                 stats.hits += 1;
-                Some(StoreHit {
-                    report: Arc::new(report),
-                    tier: StoreTier::Remote,
-                })
+                Some(Arc::new(report))
             }
             Err(_) => {
                 stats.misses += 1;
@@ -506,92 +423,6 @@ impl ReportStore for RemoteStore {
         // measurement-phase boundaries (benches), not sweep-internal points.
         state.consecutive_failures = 0;
         state.offline = false;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tiered
-// ---------------------------------------------------------------------------
-
-/// Memory → disk → remote composition: read-through with promotion into
-/// every faster tier, write-through to every tier.
-#[derive(Debug)]
-pub struct TieredStore {
-    tiers: Vec<Box<dyn ReportStore>>,
-}
-
-impl TieredStore {
-    /// Composes `tiers` in lookup order (fastest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tiers` is empty.
-    pub fn new(tiers: Vec<Box<dyn ReportStore>>) -> Self {
-        assert!(!tiers.is_empty(), "a tiered store needs at least one tier");
-        TieredStore { tiers }
-    }
-
-    /// The tiers, fastest first.
-    pub fn tiers(&self) -> &[Box<dyn ReportStore>] {
-        &self.tiers
-    }
-}
-
-impl ReportStore for TieredStore {
-    fn tier(&self) -> StoreTier {
-        StoreTier::Tiered
-    }
-
-    fn load(&self, key: SimKey) -> Option<StoreHit> {
-        for (depth, tier) in self.tiers.iter().enumerate() {
-            if let Some(hit) = tier.load(key) {
-                // Promote into every faster tier so the next lookup stops
-                // earlier.
-                for faster in &self.tiers[..depth] {
-                    faster.save(key, &hit.report);
-                }
-                return Some(hit);
-            }
-        }
-        None
-    }
-
-    fn save(&self, key: SimKey, report: &Arc<SimReport>) {
-        for tier in &self.tiers {
-            tier.save(key, report);
-        }
-    }
-
-    fn stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for t in &self.tiers {
-            total.merge(&t.stats());
-        }
-        total
-    }
-
-    fn stats_for(&self, tier: StoreTier) -> StoreStats {
-        let mut total = StoreStats::default();
-        for t in &self.tiers {
-            total.merge(&t.stats_for(tier));
-        }
-        total
-    }
-
-    fn clear_volatile(&self) {
-        for tier in &self.tiers {
-            tier.clear_volatile();
-        }
-    }
-
-    fn volatile_len(&self) -> usize {
-        self.tiers.iter().map(|t| t.volatile_len()).sum()
-    }
-
-    fn reset_stats(&self) {
-        for tier in &self.tiers {
-            tier.reset_stats();
-        }
     }
 }
 
@@ -697,29 +528,6 @@ impl StoreConfig {
         self.remote_addr = addr;
         self
     }
-
-    /// Builds the store this configuration describes: the memory tier,
-    /// then disk and remote tiers when configured (a single tier is
-    /// returned unwrapped).
-    pub fn build_store(&self) -> Box<dyn ReportStore> {
-        let mut tiers: Vec<Box<dyn ReportStore>> =
-            vec![Box::new(MemoryStore::new(self.memory_capacity))];
-        if let Some(dir) = &self.disk_dir {
-            let mut entries = EntryDir::new(dir);
-            if let Some(quarantine) = &self.quarantine_dir {
-                entries = entries.with_quarantine(quarantine);
-            }
-            tiers.push(Box::new(DiskStore::with_entries(entries)));
-        }
-        if let Some(addr) = &self.remote_addr {
-            tiers.push(Box::new(RemoteStore::new(addr.clone())));
-        }
-        if tiers.len() == 1 {
-            tiers.pop().expect("one tier")
-        } else {
-            Box::new(TieredStore::new(tiers))
-        }
-    }
 }
 
 impl Default for StoreConfig {
@@ -780,8 +588,7 @@ mod tests {
         assert!(store.load(key).is_none());
         store.save(key, &report);
         let hit = store.load(key).expect("stored entry must hit");
-        assert_eq!(hit.tier, StoreTier::Memory);
-        assert!(Arc::ptr_eq(&hit.report, &report));
+        assert!(Arc::ptr_eq(&hit, &report));
         // Two more distinct keys evict the first (FIFO).
         for ops in [2u32, 3] {
             let (k, r) = tiny(ops);
@@ -792,27 +599,26 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.puts, 3);
         assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(store.volatile_len(), 2);
-        store.clear_volatile();
-        assert_eq!(store.volatile_len(), 0);
+        assert_eq!(store.len(), 2);
+        store.clear();
+        assert!(store.is_empty());
     }
 
     #[test]
     fn disk_store_roundtrips_and_quarantines() {
         let dir = temp_dir("disk");
-        let store = DiskStore::new(&dir);
         let (key, report) = tiny(4);
+        let path = EntryDir::new(&dir).entry_path(&key.to_hex());
+        let store = DiskStore::new(EntryDir::new(&dir));
         assert!(store.load(key).is_none());
         store.save(key, &report);
         let hit = store.load(key).expect("saved entry must hit");
-        assert_eq!(hit.tier, StoreTier::Disk);
         assert_eq!(
-            format!("{:?}", *hit.report),
+            format!("{:?}", *hit),
             format!("{:?}", *report),
             "disk round-trip must be bit-identical"
         );
         // Corrupt the entry; next load must quarantine and miss.
-        let path = store.entries().entry_path(&key.to_hex());
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.truncate(text.len() / 2);
         std::fs::write(&path, text).unwrap();
@@ -846,35 +652,6 @@ mod tests {
         store.reset_stats();
         assert!(!store.is_offline());
         assert_eq!(store.stats(), StoreStats::default());
-    }
-
-    #[test]
-    fn tiered_store_promotes_hits_into_faster_tiers() {
-        let dir = temp_dir("tiered");
-        let tiered = TieredStore::new(vec![
-            Box::new(MemoryStore::new(8)),
-            Box::new(DiskStore::new(&dir)),
-        ]);
-        let (key, report) = tiny(5);
-        tiered.save(key, &report); // write-through: memory + disk
-        assert_eq!(tiered.volatile_len(), 1);
-        tiered.clear_volatile();
-        assert_eq!(tiered.volatile_len(), 0);
-        let hit = tiered.load(key).expect("disk tier must answer");
-        assert_eq!(hit.tier, StoreTier::Disk);
-        assert_eq!(
-            tiered.volatile_len(),
-            1,
-            "the hit must be promoted into memory"
-        );
-        let again = tiered.load(key).expect("promoted entry must hit memory");
-        assert_eq!(again.tier, StoreTier::Memory);
-        // Per-tier stats stay separable through the composite.
-        assert_eq!(tiered.stats_for(StoreTier::Memory).hits, 1);
-        assert_eq!(tiered.stats_for(StoreTier::Disk).hits, 1);
-        assert_eq!(tiered.stats_for(StoreTier::Remote), StoreStats::default());
-        assert_eq!(tiered.stats().hits, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -918,31 +695,5 @@ mod tests {
             StoreConfig::parse(None, None, Some("")).quarantine_dir,
             None
         );
-    }
-
-    #[test]
-    fn store_config_builds_the_tiers_it_describes() {
-        let memory_only = StoreConfig::in_memory(4).build_store();
-        assert_eq!(memory_only.tier(), StoreTier::Memory);
-
-        let dir = temp_dir("config-build");
-        let with_disk = StoreConfig::in_memory(4)
-            .with_disk_dir(Some(dir.clone()))
-            .build_store();
-        assert_eq!(with_disk.tier(), StoreTier::Tiered);
-
-        let full = StoreConfig::in_memory(4)
-            .with_disk_dir(Some(dir.clone()))
-            .with_remote_addr(Some("127.0.0.1:9".to_string()))
-            .build_store();
-        assert_eq!(full.tier(), StoreTier::Tiered);
-        // The composite exposes all three tiers through stats_for: exercise
-        // one op and check the remote tier was charged.
-        let (key, _) = tiny(6);
-        assert!(full.load(key).is_none());
-        assert_eq!(full.stats_for(StoreTier::Memory).misses, 1);
-        assert_eq!(full.stats_for(StoreTier::Disk).misses, 1);
-        assert_eq!(full.stats_for(StoreTier::Remote).unreachable, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
